@@ -20,9 +20,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -43,11 +41,12 @@ from .errors import (
 )
 from .estimates import MatrixPath, inverse_two_regime_bound, two_regime_bound
 from .flow import EvalConfig, FieldSampler, evaluate_solution
-from .jets import Jet, VectorFieldJet, grlex_key, jet_from_json, jet_to_json, monomials
+from .jets import Jet, VectorFieldJet, grlex_key, jet_from_json, jet_to_json
 from .opmatrix import ProblemData
 from .spectral import (
     RESONANCE_TOL,
     dual_kernel_basis,
+    eigenvalue_table,
     endo_spectrum,
     linearization_spectrum,
     solvability_test,
@@ -88,6 +87,8 @@ def _as_int(x, path, minimum=None):
 def _as_real(x, path):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError("expected a number", path)
+    if not math.isfinite(x):
+        raise SchemaError("expected a finite number", path)
     return float(x)
 
 
@@ -111,7 +112,20 @@ def _as_matrix(x, path):
         raise SchemaError("expected a numeric matrix", path) from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise SchemaError("expected a square matrix", path)
+    if not np.all(np.isfinite(mat)):
+        raise SchemaError("expected finite matrix entries", path)
     return mat
+
+
+def _has_nonfinite(x):
+    """True when a JSON value holds NaN or an infinity at any depth."""
+    if isinstance(x, float):
+        return not math.isfinite(x)
+    if isinstance(x, list):
+        return any(_has_nonfinite(c) for c in x)
+    if isinstance(x, dict):
+        return any(_has_nonfinite(c) for c in x.values())
+    return False
 
 
 def _as_points(x, path, n):
@@ -136,6 +150,9 @@ def _decode_jet(obj, path, *, n, allow_complex):
         raise SchemaError("expected a list of terms", path + ".terms")
     for i, term in enumerate(obj["terms"]):
         _check_dict(term, f"{path}.terms[{i}]", required=("alpha", "coeff"))
+        if _has_nonfinite(term["coeff"]):
+            raise SchemaError("expected finite coefficients",
+                              f"{path}.terms[{i}].coeff")
     try:
         jet = jet_from_json(obj)
     except (TransportKitError, ValueError, KeyError) as exc:
@@ -265,32 +282,9 @@ def _resonance_json(entry):
 def cmd_spectrum(args):
     raw, doc = _load_document(args.file)
     p = _decode_problem(doc)
-    mu = linearization_spectrum(p.X)
-    rho = endo_spectrum(np.asarray(p.A.coeffs[0]))
-    nu = float(np.min(mu.real))
-    if nu <= 0:
-        raise ValidationError(
-            "spectrum enumeration needs a strictly positive source "
-            f"(min Re mu = {nu})")
-    slack = args.max_re - float(np.min(rho.real)) + args.tol
-    amax = int(math.floor(slack / nu)) if slack >= 0 else -1
-    found = []
-    for alpha in monomials(p.n, max(amax, 0)):
-        for j in range(rho.shape[0]):
-            lam = complex(sum(a * u for a, u in zip(alpha, mu)) + rho[j])
-            if lam.real <= args.max_re + args.tol:
-                found.append((lam, alpha, j))
-    found.sort(key=lambda t: (t[0].real, t[0].imag, grlex_key(t[1]), t[2]))
-    clusters = []
-    for lam, alpha, j in found:
-        if clusters and abs(lam - clusters[-1]["_lam"]) <= args.tol:
-            clusters[-1]["representations"].append({"alpha": list(alpha), "j": j})
-        else:
-            clusters.append({"_lam": lam,
-                             "representations": [{"alpha": list(alpha), "j": j}]})
-    table = [{"re": c["_lam"].real, "im": c["_lam"].imag,
-              "multiplicity": len(c["representations"]),
-              "representations": c["representations"]} for c in clusters]
+    table = eigenvalue_table(linearization_spectrum(p.X),
+                             endo_spectrum(p.A.coeffs[0]),
+                             args.max_re, args.tol)
     tolerances = {"tol": args.tol, "max_re": args.max_re}
     if args.output == "csv":
         rows = [[e["re"], e["im"], e["multiplicity"],
@@ -382,19 +376,7 @@ def cmd_solve_grid(args):
                     "tail_estimate": None, "horizon": None, "rate": None,
                     "mode": None, "split_order": None, "error": str(exc)}
 
-    workers = min(len(points), os.cpu_count() or 1)
-    env_cap = os.environ.get("TRANSPORT_THREADS")
-    if env_cap:
-        try:
-            workers = max(1, min(workers, int(env_cap)))
-        except ValueError:
-            raise ValidationError(
-                f"TRANSPORT_THREADS must be an integer, got {env_cap!r}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_one, points))
-    else:
-        rows = [solve_one(y) for y in points]
+    rows = [solve_one(y) for y in points]
 
     tolerances = {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
                   "tail_tol": cfg.tail_tol, "max_horizon": cfg.max_horizon}

@@ -19,6 +19,7 @@ on that grid, and the reported bounds are verified on it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,39 @@ def _check_hypothesis(A0, path: MatrixPath, eps: float, t0: float,
                 f"= {threshold:.6g} at t = {t:g}", t=float(t))
 
 
+def _two_regime(A0, path: MatrixPath, eps: float, t0: float, *, kind: str,
+                system, measure, envelope, breaks) -> EstimateReport:
+    """Shared core of the direct and inverse two-regime bounds.
+
+    system maps A0 and each A(t) to the matrices the envelope is built on;
+    it must preserve 2-norm distances, so the deviation of the path is
+    taken from (A0, A) itself.  E always solves dE/dt = A(t) E.  measure
+    reads the checked number off E(t), envelope(t, ell, C) is the bound it
+    is compared with, and breaks(measured, bound) marks a violation.
+    """
+    A0 = np.asarray(A0, dtype=float)
+    if eps <= 0:
+        raise ValidationError("eps must be positive")
+    if t0 > 0:
+        raise ValidationError("t0 must be nonpositive")
+    B0 = system(A0)
+    M_half = compute_M(B0, eps / 2.0)
+    M_full = compute_M(B0, eps)
+    _check_hypothesis(B0, MatrixPath(fn=lambda t: system(path(t)),
+                                     sample_times=path.sample_times),
+                      eps, t0, M_half)
+    dev_all = path.deviation(A0)
+    C = M_half * M_full * math.exp(-t0 * M_full * dev_all)
+    lam = ell(B0)
+
+    E = _transition_dense(path, float(path.sample_times[0]), A0.shape[0])
+    samples = tuple((float(t), measure(E(t)), envelope(t, lam, C))
+                    for t in path.sample_times)
+    return EstimateReport(ell=lam, eps=eps, M_val=M_full, t0=float(t0), C=C,
+                          samples=samples, kind=kind,
+                          violated=any(breaks(v, b) for _, v, b in samples))
+
+
 def two_regime_bound(A0, path: MatrixPath, eps: float, t0: float) -> EstimateReport:
     """Verify |E(t)| < C exp(t (ell(A0) - eps)) on the path grid.
 
@@ -240,31 +274,11 @@ def two_regime_bound(A0, path: MatrixPath, eps: float, t0: float) -> EstimateRep
     (eps/2)/M(A0, eps/2) for every sample t <= t0.  The constant is
     C = M(A0, eps/2) M(A0, eps) exp(-t0 M(A0, eps) sup_{t<=0}|A - A0|).
     """
-    A0 = np.asarray(A0, dtype=float)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    if t0 > 0:
-        raise ValidationError("t0 must be nonpositive")
-    M_half = compute_M(A0, eps / 2.0)
-    M_full = compute_M(A0, eps)
-    _check_hypothesis(A0, path, eps, t0, M_half)
-    dev_all = path.deviation(A0)
-    C = M_half * M_full * math.exp(-t0 * M_full * dev_all)
-    lam = ell(A0)
-
-    m = A0.shape[0]
-    E = _transition_dense(path, float(path.sample_times[0]), m)
-    samples = []
-    violated = False
-    for t in path.sample_times:
-        measured = float(np.linalg.norm(E(t), 2))
-        bound = C * math.exp(t * (lam - eps))
-        samples.append((float(t), measured, bound))
-        if measured > bound:
-            violated = True
-    return EstimateReport(ell=lam, eps=eps, M_val=M_full, t0=float(t0), C=C,
-                          samples=tuple(samples), violated=violated,
-                          kind="direct")
+    return _two_regime(
+        A0, path, eps, t0, kind="direct", system=lambda M: M,
+        measure=lambda E: float(np.linalg.norm(E, 2)),
+        envelope=lambda t, lam, C: C * math.exp(t * (lam - eps)),
+        breaks=operator.gt)
 
 
 def inverse_two_regime_bound(A0, path: MatrixPath, eps: float,
@@ -276,31 +290,8 @@ def inverse_two_regime_bound(A0, path: MatrixPath, eps: float,
     (-A0^T, -A^T) bounds |F| above, which is the floor under s_min(E).
     The reported ell, M and C refer to that transformed system.
     """
-    A0 = np.asarray(A0, dtype=float)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    if t0 > 0:
-        raise ValidationError("t0 must be nonpositive")
-    B0 = -A0.T
-    M_half = compute_M(B0, eps / 2.0)
-    M_full = compute_M(B0, eps)
-    _check_hypothesis(B0, MatrixPath(fn=lambda t: -path(t).T,
-                                     sample_times=path.sample_times),
-                      eps, t0, M_half)
-    dev_all = path.deviation(A0)  # |(-A^T) - (-A0^T)| = |A - A0|
-    C = M_half * M_full * math.exp(-t0 * M_full * dev_all)
-    lam = ell(B0)  # = -max Re spec A0
-
-    m = A0.shape[0]
-    E = _transition_dense(path, float(path.sample_times[0]), m)
-    samples = []
-    violated = False
-    for t in path.sample_times:
-        measured = float(np.linalg.svd(E(t), compute_uv=False)[-1])
-        floor = (1.0 / C) * math.exp(t * (-lam + eps))
-        samples.append((float(t), measured, floor))
-        if measured < floor:
-            violated = True
-    return EstimateReport(ell=lam, eps=eps, M_val=M_full, t0=float(t0), C=C,
-                          samples=tuple(samples), violated=violated,
-                          kind="inverse")
+    return _two_regime(
+        A0, path, eps, t0, kind="inverse", system=lambda M: -M.T,
+        measure=lambda E: float(np.linalg.svd(E, compute_uv=False)[-1]),
+        envelope=lambda t, lam, C: (1.0 / C) * math.exp(t * (-lam + eps)),
+        breaks=operator.lt)

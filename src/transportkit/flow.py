@@ -34,7 +34,7 @@ from .errors import (
 )
 from .jets import Jet, degree_starts
 from .opmatrix import ProblemData
-from .spectral import endo_spectrum, enumerate_resonances, linearization_spectrum
+from .spectral import linearization_spectrum, resonance_degree
 from .taylor import MAX_ORDER, residual, solve_to_order
 
 __all__ = [
@@ -70,7 +70,7 @@ class FieldSampler:
     """Pointwise samplers for X, A, v around a declared source point.
 
     The callables take a length-n point and return arrays of shape (n,),
-    (m, m) and (m,).  They must be pure and safe to call concurrently.
+    (m, m) and (m,).  They must be pure.
     radius bounds the trusted ball around the source; trajectories are
     stopped with RegionExitError when they leave it.  consistent_jets,
     when given, is cross-checked at construction: the finite-difference
@@ -199,9 +199,6 @@ class FlowTrajectory:
     @property
     def final(self) -> FlowState:
         return self.at(self.t_end)
-
-    def states(self, times) -> list:
-        return [self.at(float(t)) for t in times]
 
 
 def _pack(y: np.ndarray, Finv: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -385,16 +382,14 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     if np.linalg.norm(y - f.source) > f.radius:
         raise ValidationError("evaluation point outside the declared region")
 
-    mu = linearization_spectrum(p.X)
-    rho = endo_spectrum(p.A.coeffs[0])
-    if enumerate_resonances(mu, rho, lam) is not None:
+    if resonance_degree(p)[0] is not None:
         raise ResonantProblemError(
             f"lambda = {lam:g} is resonant; the decaying solution is not "
             "unique, use the order-by-order solver's family instead")
 
     A_p = np.asarray(f.A_eval(f.source), dtype=float) - lam * np.eye(f.m)
     mu_star = float(np.min(np.linalg.eigvals(A_p).real))
-    nu = float(np.min(mu.real))
+    nu = float(np.min(linearization_spectrum(p.X).real))
 
     if mu_star > 1e-12:
         I, tail, horizon, rate = _tail_integrate(_shifted(f, lam), y, cfg)

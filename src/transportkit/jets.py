@@ -56,7 +56,6 @@ __all__ = [
     "VectorFieldJet",
     "jet_mul",
     "jet_directional_derivative",
-    "jet_project",
     "jet_to_json",
     "jet_from_json",
 ]
@@ -436,11 +435,6 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     out = np.zeros((P_dim(a.n, a.N),) + out_shape, dtype=prod.dtype)
     np.add.at(out, kk, prod)
     return Jet(a.n, a.N, out, copy=False)
-
-
-def jet_project(u: Jet, K: int) -> Jet:
-    """Truncate u to order K (quotient map)."""
-    return u.project(K)
 
 
 class VectorFieldJet:

@@ -37,7 +37,7 @@ from .errors import (
     RankAmbiguityWarning,
     ValidationError,
 )
-from .jets import Jet, P_dim, VectorFieldJet, monomial_rank, monomials
+from .jets import Jet, P_dim, VectorFieldJet, grlex_key, monomial_rank, monomials
 from .opmatrix import ProblemData, assemble, vec_to_jet
 
 __all__ = [
@@ -50,6 +50,8 @@ __all__ = [
     "linearization_spectrum",
     "endo_spectrum",
     "enumerate_resonances",
+    "resonance_degree",
+    "eigenvalue_table",
     "nullspace",
     "kernel_basis",
     "dual_kernel_basis",
@@ -117,6 +119,21 @@ def _degree_bound(mu: np.ndarray, rho: np.ndarray, re_target: float,
     return int(math.floor(slack / nu))
 
 
+def _combinations(mu: np.ndarray, rho: np.ndarray, re_target: float,
+                  tol: float):
+    """Yield (alpha, j, alpha . mu + rho_j) for |alpha| up to _degree_bound.
+
+    alpha runs in graded-lex order, then j over the rho indices.
+    """
+    amax = _degree_bound(mu, rho, re_target, tol)
+    if amax < 0:
+        return
+    for alpha in monomials(mu.shape[0], amax):
+        base = sum(a * u for a, u in zip(alpha, mu))
+        for j in range(rho.shape[0]):
+            yield alpha, j, base + rho[j]
+
+
 def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL,
                          warn_tol: float = NEAR_RESONANCE_TOL):
     """Find every (alpha, j) with |alpha . mu + rho_j - lam| <= tol.
@@ -129,19 +146,14 @@ def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL,
     mu = np.asarray(mu, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     lam = complex(lam)
-    n = mu.shape[0]
-    amax = _degree_bound(mu, rho, lam.real, max(tol, warn_tol))
     reps = []
     near = []
-    if amax >= 0:
-        for alpha in monomials(n, amax):
-            base = sum(a * u for a, u in zip(alpha, mu))
-            for j in range(rho.shape[0]):
-                gap = abs(base + rho[j] - lam)
-                if gap <= tol:
-                    reps.append((alpha, j))
-                elif gap <= warn_tol:
-                    near.append((alpha, j, gap))
+    for alpha, j, val in _combinations(mu, rho, lam.real, max(tol, warn_tol)):
+        gap = abs(val - lam)
+        if gap <= tol:
+            reps.append((alpha, j))
+        elif gap <= warn_tol:
+            near.append((alpha, j, gap))
     for alpha, j, gap in near:
         warnings.warn(
             f"near resonance: alpha={alpha}, rho index {j} misses lambda "
@@ -150,6 +162,44 @@ def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL,
         return None
     return ResonanceEntry(lam=lam, representations=tuple(reps),
                           max_alpha_degree=max(sum(a) for a, _ in reps))
+
+
+def resonance_degree(p: ProblemData, tol: float = RESONANCE_TOL):
+    """Resonance entry of p.lam (None when non-resonant) and its degree N*.
+
+    N* is the largest |alpha| among the representations of lambda (0 when
+    non-resonant), the smallest working order at which the jet solver
+    sees all of them.
+    """
+    mu = linearization_spectrum(p.X)
+    rho = endo_spectrum(p.A.coeffs[0])
+    entry = enumerate_resonances(mu, rho, p.lam, tol)
+    return entry, (entry.max_alpha_degree if entry is not None else 0)
+
+
+def eigenvalue_table(mu, rho, max_re: float, tol: float = RESONANCE_TOL):
+    """Eigenvalues alpha . mu + rho_j of D_X + A with Re <= max_re + tol.
+
+    Sorted by (Re, Im), then graded-lex on alpha, then j.  A value within
+    tol of the first value of the current cluster joins that cluster.
+    Returns one dict per cluster with keys re, im, multiplicity and
+    representations (a list of {"alpha": [...], "j": j}).
+    """
+    mu = np.asarray(mu, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    found = [(complex(val), alpha, j)
+             for alpha, j, val in _combinations(mu, rho, max_re, tol)
+             if val.real <= max_re + tol]
+    found.sort(key=lambda t: (t[0].real, t[0].imag, grlex_key(t[1]), t[2]))
+    clusters = []
+    for lam, alpha, j in found:
+        rep = {"alpha": list(alpha), "j": j}
+        if clusters and abs(lam - clusters[-1][0]) <= tol:
+            clusters[-1][1].append(rep)
+        else:
+            clusters.append((lam, [rep]))
+    return [{"re": lam.real, "im": lam.imag, "multiplicity": len(reps),
+             "representations": reps} for lam, reps in clusters]
 
 
 @dataclass(frozen=True)
@@ -205,16 +255,9 @@ def _canonicalize_columns(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _resonance_of(p: ProblemData, tol: float):
-    mu = linearization_spectrum(p.X)
-    rho = endo_spectrum(p.A.coeffs[0])
-    return enumerate_resonances(mu, rho, p.lam, tol)
-
-
 def _working_problem(p: ProblemData, tol: float):
-    entry = _resonance_of(p, tol)
-    n_star = entry.max_alpha_degree if entry is not None else 0
-    return p.at_order(max(p.N, n_star)), entry
+    _, n_star = resonance_degree(p, tol)
+    return p.at_order(max(p.N, n_star)), n_star
 
 
 def kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
@@ -324,13 +367,12 @@ def dual_kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
     says components above N' vanish; this is asserted with tolerance
     rather than assumed.
     """
-    q, entry = _working_problem(p, tol)
+    q, n_prime = _working_problem(p, tol)
     M = assemble(q)
     shifted = M.entries - q.lam * np.eye(M.dim)
     basis, _ = nullspace(shifted.T, rtol)
     if basis.shape[1] == 0:
         return []
-    n_prime = entry.max_alpha_degree if entry is not None else 0
     head_rows = P_dim(q.n, n_prime) * q.m
     out = []
     for k in range(basis.shape[1]):
@@ -378,15 +420,9 @@ def sternberg_resonance_check(mu, tol: float = RESONANCE_TOL):
     mu = np.asarray(mu, dtype=complex)
     if np.min(mu.real) <= 0:
         raise ValidationError("sternberg check needs Re mu_i > 0")
-    n = mu.shape[0]
     violations = []
-    for j in range(n):
-        amax = _degree_bound(mu, np.zeros(1), mu[j].real, tol)
-        if amax < 2:
-            continue
-        for alpha in monomials(n, amax):
-            if sum(alpha) < 2:
-                continue
-            if abs(sum(a * u for a, u in zip(alpha, mu)) - mu[j]) <= tol:
+    for j in range(mu.shape[0]):
+        for alpha, _, val in _combinations(mu, np.zeros(1), mu[j].real, tol):
+            if sum(alpha) >= 2 and abs(val - mu[j]) <= tol:
                 violations.append((j, alpha))
     return violations

@@ -32,14 +32,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import IllConditionedWarning, ValidationError
 from .jets import Jet
 from .opmatrix import ProblemData, apply_operator, assemble, jet_to_vec, vec_to_jet
-from .spectral import (
-    RESONANCE_TOL,
-    dual_kernel_basis,
-    endo_spectrum,
-    enumerate_resonances,
-    linearization_spectrum,
-    nullspace,
-)
+from .spectral import RESONANCE_TOL, dual_kernel_basis, nullspace, resonance_degree
 
 __all__ = ["JetSolution", "solve_to_order", "residual", "MAX_ORDER"]
 
@@ -79,10 +72,7 @@ def solve_to_order(p: ProblemData, M: int, *,
     below it, and capped at max_order.  Jets of lower order than the
     working order are treated as polynomial data.
     """
-    mu = linearization_spectrum(p.X)
-    rho = endo_spectrum(p.A.coeffs[0])
-    entry = enumerate_resonances(mu, rho, p.lam, tol)
-    n_star = entry.max_alpha_degree if entry is not None else 0
+    entry, n_star = resonance_degree(p, tol)
     M = max(M, n_star)
     if M > max_order:
         raise ValidationError(

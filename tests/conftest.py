@@ -6,6 +6,9 @@ truncation cleverness, so they stay independent of the code under test.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,31 @@ def dicts_close(a: dict, b: dict, tol=1e-12) -> bool:
     keys = set(a) | set(b)
     return all(np.allclose(np.asarray(a.get(k, 0.0)), np.asarray(b.get(k, 0.0)),
                            atol=tol, rtol=tol) for k in keys)
+
+
+def brute_combinations(mu, rho, re_max: float) -> list:
+    """Every (alpha, j, alpha . mu + rho_j) with real part <= re_max.
+
+    Scans the box 0 <= alpha_i <= D with D from the smallest Re mu, so it
+    shares no monomial order or degree bound with the code under test.
+    Values are summed over coordinates in order, as the package sums them,
+    so exact ties between combinations stay exact.
+    """
+    mu = np.asarray(mu, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    side = max(0, math.floor((re_max - rho.real.min()) / mu.real.min()) + 1)
+    out = []
+    for alpha in itertools.product(range(side + 1), repeat=len(mu)):
+        for j in range(len(rho)):
+            val = complex(sum(a * u for a, u in zip(alpha, mu)) + rho[j])
+            if val.real <= re_max:
+                out.append((alpha, j, val))
+    return out
+
+
+def grlex_position(alpha):
+    """Graded-lex sort key: total degree, then larger leading exponents first."""
+    return (sum(alpha), [-a for a in alpha])
 
 
 @pytest.fixture

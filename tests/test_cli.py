@@ -144,6 +144,40 @@ class TestSchemaValidation:
         assert code == 2
         assert "$.problem.v" in err
 
+    @pytest.mark.parametrize("command", ["solve-jet", "solvable"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_lambda(self, run, command, value):
+        code, out, err = run(command, euler_doc([], lam=value))
+        assert code == 2
+        assert out == ""
+        assert "$.problem.lambda: expected a finite number" in err
+        assert "Traceback" not in err
+
+    def test_nonfinite_jet_coefficient(self, run):
+        doc = euler_doc([scalar_term((2, 0), [float("nan")])])
+        code, out, err = run("solve-jet", doc)
+        assert code == 2
+        assert out == ""
+        assert "$.problem.v.terms[0].coeff: expected finite coefficients" in err
+
+    def test_nonfinite_grid_point(self, run):
+        doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
+                         grid={"points": [[0.1], [float("nan")]]})
+        code, out, err = run("solve-grid", doc)
+        assert code == 2
+        assert out == ""
+        assert "$.grid.points[1][0]: expected a finite number" in err
+
+    def test_nonfinite_estimates_matrix(self, run):
+        doc = {"schema_version": 1,
+               "estimates": {"A0": [[1.0, float("inf")], [0.0, 1.0]],
+                             "eps": 0.25, "t0": -1.0,
+                             "path": {"rate": 1.0}}}
+        code, out, err = run("verify-estimates", doc)
+        assert code == 2
+        assert out == ""
+        assert "$.estimates.A0: expected finite matrix entries" in err
+
     def test_point_dimension_checked(self, run):
         doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
                          grid={"points": [[0.1, 0.2]]})
@@ -279,19 +313,6 @@ class TestSolveGrid:
         for row in result_of(out)["points"]:
             assert row["u"] is None
             assert "resonant" in row["error"]
-
-    def test_thread_cap_env(self, run, monkeypatch):
-        monkeypatch.setenv("TRANSPORT_THREADS", "1")
-        doc = radial_doc(1.0, [scalar_term((2,), [1.0])], grid=self.grid())
-        code, out, _ = run("solve-grid", doc, "--output", "json")
-        assert code == 0
-        assert len(result_of(out)["points"]) == 3
-
-    def test_bad_thread_cap_rejected(self, run, monkeypatch):
-        monkeypatch.setenv("TRANSPORT_THREADS", "many")
-        doc = radial_doc(1.0, [scalar_term((2,), [1.0])], grid=self.grid())
-        code, _, err = run("solve-grid", doc)
-        assert code == 2
 
     def test_flag_overrides_file_config(self, run):
         doc = radial_doc(1.0, [scalar_term((2,), [1.0])],

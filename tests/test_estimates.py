@@ -212,6 +212,20 @@ class TestInverseBound:
                 w = rng.standard_normal(2)
                 assert np.linalg.norm(E @ w) >= floor * np.linalg.norm(w) * (1 - 1e-8)
 
+    def test_same_constants_as_direct_bound_on_adjoint_system(self, rng):
+        A0 = np.array([[1.5, 0.4], [-0.2, 1.0]])
+        B = rng.standard_normal((2, 2))
+        B *= 0.02 / np.linalg.norm(B, 2)
+        path = decaying_path(A0, B, t_min=-6.0, samples=25)
+        adjoint = MatrixPath(fn=lambda t: -path(t).T,
+                             sample_times=path.sample_times)
+        inv = inverse_two_regime_bound(A0, path, 0.4, -1.0)
+        direct = two_regime_bound(-A0.T, adjoint, 0.4, -1.0)
+        assert inv.ell == direct.ell
+        assert inv.M_val == direct.M_val
+        assert inv.C == pytest.approx(direct.C, rel=1e-12)
+        assert (inv.eps, inv.t0) == (direct.eps, direct.t0)
+
     def test_constant_inverse_of_jordan(self):
         # E(t) = exp(t A0); smallest singular value of exp(t J) decays at
         # the top rate 1, floor has rate 1 + eps, so the claim holds

@@ -13,6 +13,7 @@ from transportkit.spectral import (
     DualDistribution,
     SolvabilityResult,
     dual_kernel_basis,
+    eigenvalue_table,
     endo_spectrum,
     enumerate_resonances,
     kernel_basis,
@@ -22,6 +23,7 @@ from transportkit.spectral import (
     sternberg_resonance_check,
 )
 
+from conftest import brute_combinations, grlex_position
 from test_opmatrix import gradient_example_problem
 
 
@@ -240,6 +242,69 @@ def _sternberg_oracle(mu, tol=1e-9, degree_cap=12):
             if abs(sum(a * u for a, u in zip(alpha, mu)) - mu[j]) <= tol:
                 hits.append((j, alpha))
     return hits
+
+
+def _random_spectra(seed):
+    """Seeded (mu, rho): half-integer real parts give exact coincidences
+    (multiplicities above one); some seeds add a conjugate pair, an
+    irrational shift, a complex rho or two rho values closer than tol."""
+    rng = np.random.default_rng(7000 + seed)
+    n, m = 1 + seed % 3, 1 + seed % 2
+    mu = (rng.integers(1, 5, size=n) / 2.0).astype(complex)
+    rho = (rng.integers(-2, 3, size=m) / 2.0).astype(complex)
+    if n >= 2 and seed % 2:
+        mu[:2] = mu[0] + 0.5j, mu[0] - 0.5j
+    if seed % 4 == 3:
+        mu[-1] += rng.uniform(0.0, 0.5)
+    if seed % 5 == 4:
+        rho[0] += 0.25j
+    if seed % 4 == 1:
+        rho[1] = rho[0] + 4e-10
+    return mu, rho
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_enumerators_match_brute_force(seed):
+    mu, rho = _random_spectra(seed)
+    tol, max_re = 1e-9, 3.0
+
+    found = sorted(brute_combinations(mu, rho, max_re + tol),
+                   key=lambda c: (c[2].real, c[2].imag, grlex_position(c[0]),
+                                  c[1]))
+    clusters = []
+    for alpha, j, val in found:
+        if clusters and abs(val - clusters[-1][0]) <= tol:
+            clusters[-1][1].append({"alpha": list(alpha), "j": j})
+        else:
+            clusters.append((val, [{"alpha": list(alpha), "j": j}]))
+    table = eigenvalue_table(mu, rho, max_re, tol)
+    assert [(e["re"], e["im"]) for e in table] == \
+        [(val.real, val.imag) for val, _ in clusters]
+    assert [e["representations"] for e in table] == [r for _, r in clusters]
+    assert [e["multiplicity"] for e in table] == [len(r) for _, r in clusters]
+
+    rng = np.random.default_rng(seed)
+    lams = [found[k][2] for k in rng.choice(len(found), size=3)]
+    lams += [lam + 0.123 for lam in lams]
+    for lam in lams:
+        reps = sorted(((alpha, j) for alpha, j, val
+                       in brute_combinations(mu, rho, lam.real + 1.0)
+                       if abs(val - lam) <= tol),
+                      key=lambda r: (grlex_position(r[0]), r[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearResonanceWarning)
+            entry = enumerate_resonances(mu, rho, lam, tol=tol)
+        if not reps:
+            assert entry is None
+            continue
+        assert entry.representations == tuple(reps)
+        assert entry.max_alpha_degree == max(sum(a) for a, _ in reps)
+
+    hits = sorted(((j, alpha) for j in range(len(mu)) for alpha, _, val
+                   in brute_combinations(mu, [0.0], mu[j].real + 1.0)
+                   if sum(alpha) >= 2 and abs(val - mu[j]) <= tol),
+                  key=lambda h: (h[0], grlex_position(h[1])))
+    assert sternberg_resonance_check(mu, tol=tol) == hits
 
 
 def test_sternberg_mu_1_2():
