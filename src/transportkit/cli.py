@@ -87,9 +87,13 @@ def _as_int(x, path, minimum=None):
 def _as_real(x, path):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError("expected a number", path)
-    if not math.isfinite(x):
+    try:
+        val = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        val = math.inf
+    if not math.isfinite(val):
         raise SchemaError("expected a finite number", path)
-    return float(x)
+    return val
 
 
 def _as_scalar(x, path, allow_complex):
@@ -108,6 +112,8 @@ def _as_scalar(x, path, allow_complex):
 def _as_matrix(x, path):
     try:
         mat = np.array(x, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError("expected finite matrix entries", path) from None
     except (TypeError, ValueError):
         raise SchemaError("expected a numeric matrix", path) from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -118,9 +124,13 @@ def _as_matrix(x, path):
 
 
 def _has_nonfinite(x):
-    """True when a JSON value holds NaN or an infinity at any depth."""
-    if isinstance(x, float):
-        return not math.isfinite(x)
+    """True when a JSON value holds NaN, an infinity or an integer beyond
+    the float range at any depth."""
+    if isinstance(x, (int, float)):
+        try:
+            return not math.isfinite(x)
+        except OverflowError:
+            return True
     if isinstance(x, list):
         return any(_has_nonfinite(c) for c in x)
     if isinstance(x, dict):
@@ -582,6 +592,18 @@ def cmd_sternberg(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _finite_float(text):
+    """argparse type of the tolerance flags: a float other than nan or inf."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return val
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="transportkit",
@@ -598,7 +620,7 @@ def _build_parser():
                         help="output path (default: stdout)")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-identical reruns")
-        sp.add_argument("--tol", type=float, default=RESONANCE_TOL,
+        sp.add_argument("--tol", type=_finite_float, default=RESONANCE_TOL,
                         help="resonance / obstruction tolerance")
         if output is not None:
             sp.add_argument("--output", choices=("json", "csv"),
@@ -609,23 +631,23 @@ def _build_parser():
     sp = add("spectrum", cmd_spectrum,
              "eigenvalue table of D_X + A up to a real-part bound",
              output="json")
-    sp.add_argument("--max-re", type=float, default=5.0,
+    sp.add_argument("--max-re", type=_finite_float, default=5.0,
                     help="enumerate eigenvalues with Re lambda <= this")
 
     sp = add("solve-jet", cmd_solve_jet,
              "solve the transport equation in the jet algebra")
     sp.add_argument("--order", type=int, default=None,
                     help="target jet order (default: the problem order)")
-    sp.add_argument("--obstruction-tol", type=float, default=1e-9,
+    sp.add_argument("--obstruction-tol", type=_finite_float, default=1e-9,
                     help="relative solvability screen")
 
     sp = add("solve-grid", cmd_solve_grid,
              "evaluate the decaying solution on a grid of points",
              output="csv")
-    sp.add_argument("--rel-tol", type=float, default=None)
-    sp.add_argument("--abs-tol", type=float, default=None)
-    sp.add_argument("--tail-tol", type=float, default=None)
-    sp.add_argument("--max-horizon", type=float, default=None)
+    sp.add_argument("--rel-tol", type=_finite_float, default=None)
+    sp.add_argument("--abs-tol", type=_finite_float, default=None)
+    sp.add_argument("--tail-tol", type=_finite_float, default=None)
+    sp.add_argument("--max-horizon", type=_finite_float, default=None)
 
     sp = add("kernel", cmd_kernel, "kernel jets of D_X + A - lambda")
     sp.add_argument("--order", type=int, default=None,

@@ -160,13 +160,19 @@ def vec_to_jet(vec: np.ndarray, n: int, N: int, m: int) -> Jet:
     return Jet(n, N, np.asarray(vec).reshape(P_dim(n, N), m))
 
 
+def _common_field(p: ProblemData, u: Jet):
+    """p and u over one field: both promoted to complex when either is."""
+    if u.is_complex and not p.is_complex:
+        p = ProblemData(p.X, p.A.to_complex(), p.v, p.lam, p.N)
+    if p.is_complex and not u.is_complex:
+        u = u.to_complex()
+    return p, u
+
+
 def apply_operator(p: ProblemData, u: Jet) -> Jet:
     """(D_X + A) u by jet arithmetic at order min(p.N, u.N)."""
     order = min(p.N, u.N)
-    q = p.at_order(order) if p.N != order else p
-    uu = u.project(order)
-    if q.is_complex and not uu.is_complex:
-        uu = uu.to_complex()
+    q, uu = _common_field(p.at_order(order), u.project(order))
     return jet_directional_derivative(q.X, uu) + jet_mul(q.A, uu)
 
 

@@ -9,10 +9,11 @@ A(0).  When every Re mu_i >= nu > 0 only finitely many multi-indices can
 hit a given lambda, so resonance enumeration terminates.  The geometric
 multiplicity of lambda lies between 1 and the number of representations.
 
-Kernels are computed as SVD null spaces with a relative rank threshold;
-dual kernels are left null spaces, returned as distributions supported at
-the base point.  A distribution stores one covector per multi-index and
-pairs against Taylor-normalized jet coefficients:
+Kernel and dual kernel come from one SVD of the head block (degrees up to
+the resonance degree) with a relative rank threshold; dual kernels are
+returned as distributions supported at the base point.  A distribution
+stores one covector per multi-index and pairs against Taylor-normalized
+jet coefficients:
 
     T(u) = sum_alpha t_alpha(u_alpha)
 
@@ -31,14 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NearResonanceWarning,
-    NumericError,
-    RankAmbiguityWarning,
-    ValidationError,
-)
+from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
 from .jets import Jet, P_dim, VectorFieldJet, grlex_key, monomial_rank, monomials
-from .opmatrix import ProblemData, assemble, vec_to_jet
+from .opmatrix import ProblemData, assemble
 
 __all__ = [
     "RESONANCE_TOL",
@@ -213,14 +209,13 @@ class RankReport:
     gap: float  # ratio of smallest kept to largest dropped singular value
 
 
-def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL):
-    """Orthonormal right null space basis via SVD.
+def _svd_rank(mat: np.ndarray, rtol: float):
+    """SVD of mat and its rank decision: (U, s, Vh, RankReport).
 
-    Returns (basis, report) where basis has shape (dim, nullity).  The rank
-    threshold is rtol * sigma_max.  A gap below 1e3 between the singular
-    values on either side of the threshold triggers RankAmbiguityWarning.
+    The rank threshold is rtol * sigma_max.  A gap below 1e3 between the
+    singular values on either side of the threshold triggers
+    RankAmbiguityWarning.
     """
-    mat = np.asarray(mat)
     U, s, Vh = np.linalg.svd(mat)
     sigma_max = s[0] if s.size else 0.0
     threshold = rtol * sigma_max
@@ -232,11 +227,16 @@ def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL):
     if nullity > 0 and gap < 1e3:
         warnings.warn(
             f"rank decision ambiguous: singular-value gap {gap:.2e} around "
-            f"threshold {threshold:.3e}", RankAmbiguityWarning, stacklevel=2)
-    basis = Vh[rank:].conj().T
-    return _canonicalize_columns(basis), RankReport(
-        singular_values=s, threshold=float(threshold), rank=rank,
-        nullity=nullity, gap=gap)
+            f"threshold {threshold:.3e}", RankAmbiguityWarning, stacklevel=3)
+    return U, s, Vh, RankReport(singular_values=s, threshold=float(threshold),
+                                rank=rank, nullity=nullity, gap=gap)
+
+
+def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL):
+    """Orthonormal right null basis, shape (dim, nullity), and its RankReport."""
+    mat = np.asarray(mat)
+    _, _, Vh, report = _svd_rank(mat, rtol)
+    return _canonicalize_columns(Vh[report.rank:].conj().T), report
 
 
 def _canonicalize_columns(basis: np.ndarray) -> np.ndarray:
@@ -250,14 +250,9 @@ def _canonicalize_columns(basis: np.ndarray) -> np.ndarray:
             basis[:, k] = col * (abs(pivot) / pivot)
     if not np.iscomplexobj(basis):
         return basis
-    if np.max(np.abs(basis.imag)) == 0.0:
+    if not np.any(basis.imag):  # also an empty basis
         return basis.real.copy()
     return basis
-
-
-def _working_problem(p: ProblemData, tol: float):
-    _, n_star = resonance_degree(p, tol)
-    return p.at_order(max(p.N, n_star)), n_star
 
 
 def kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
@@ -265,14 +260,15 @@ def kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
     """Jets spanning the kernel of (D_X + A - lambda) on P_N tensor V.
 
     The working order is raised to the largest resonance degree when the
-    stated N is below it.  Returns [] for non-resonant lambda.
+    stated N is below it.  These are the kernel extensions of
+    solve_to_order.  Returns [] for non-resonant lambda.
     """
-    q, _ = _working_problem(p, tol)
-    M = assemble(q)
-    shifted = M.entries - q.lam * np.eye(M.dim)
-    basis, _ = nullspace(shifted, rtol)
-    return [vec_to_jet(basis[:, k], q.n, q.N, q.m)
-            for k in range(basis.shape[1])]
+    from .taylor import _solve_family  # taylor imports this module
+    entry, n_star = resonance_degree(p, tol)
+    if entry is None:
+        return []
+    q = p.at_order(max(p.N, n_star))
+    return list(_solve_family(q, entry, n_star, 0.0, rtol).kernel_extensions)
 
 
 class DualDistribution:
@@ -355,36 +351,43 @@ class DualDistribution:
         return f"DualDistribution(n={self.n}, order={self.order}, m={self.m})"
 
 
-_DUAL_TAIL_TOL = 1e-8
+def _head_split(head: np.ndarray, n: int, order: int, m: int, rtol: float):
+    """One SVD of the head block (degrees <= order) of D_X + A - lambda.
+
+    Returns (kernel, duals, solve): the right null basis as columns, the
+    left null basis in the bilinear pairing (no conjugation) as
+    DualDistributions of the given order, and the minimum-norm solve of
+    head x = b on the kept singular values, all by one rank decision.
+    """
+    U, s, Vh, report = _svd_rank(head, rtol)
+    r = report.rank
+    left = _canonicalize_columns(U[:, r:].conj())
+    duals = [DualDistribution(n, order, left[:, k].reshape(-1, m))
+             for k in range(left.shape[1])]
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return Vh[:r].conj().T @ ((U[:, :r].conj().T @ b) / s[:r])
+
+    return _canonicalize_columns(Vh[r:].conj().T), duals, solve
 
 
 def dual_kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
                       tol: float = RESONANCE_TOL):
     """Distributions spanning the kernel of the adjoint of (D_X + A - lambda).
 
-    Computed as the left null space of the assembled matrix at the working
-    order, then truncated to the largest resonance degree N'.  The theory
-    says components above N' vanish; this is asserted with tolerance
-    rather than assumed.
+    Above the largest resonance degree N' the operator is block lower
+    triangular with invertible diagonal slices, so every left null vector
+    vanishes there: the basis is the left null space of the head block
+    (degrees <= N'), as distributions of order N'.  Returns [] for
+    non-resonant lambda.
     """
-    q, n_prime = _working_problem(p, tol)
-    M = assemble(q)
-    shifted = M.entries - q.lam * np.eye(M.dim)
-    basis, _ = nullspace(shifted.T, rtol)
-    if basis.shape[1] == 0:
+    entry, n_prime = resonance_degree(p, tol)
+    if entry is None:
         return []
-    head_rows = P_dim(q.n, n_prime) * q.m
-    out = []
-    for k in range(basis.shape[1]):
-        vec = basis[:, k]
-        tail = np.linalg.norm(vec[head_rows:])
-        if tail > _DUAL_TAIL_TOL * np.linalg.norm(vec):
-            raise NumericError(
-                f"dual kernel vector has weight {tail:.3e} above the "
-                f"resonance degree {n_prime}; the order bound failed")
-        out.append(DualDistribution(
-            q.n, n_prime, vec[:head_rows].reshape(P_dim(q.n, n_prime), q.m)))
-    return out
+    op = assemble(p.at_order(max(n_prime, 1)))
+    h = int(op.offsets[n_prime + 1])
+    head = op.entries[:h, :h] - p.lam * np.eye(h)
+    return _head_split(head, p.n, n_prime, p.m, rtol)[1]
 
 
 @dataclass(frozen=True)
@@ -401,10 +404,13 @@ def solvability_test(p: ProblemData, tol: float = 1e-9,
     least-squares residual of the projected system because the T_i form an
     orthonormal basis of the left null space.
     """
-    duals = dual_kernel_basis(p, rtol)
-    q = p.at_order(max(p.N, max((d.order for d in duals), default=0)))
-    obstructions = tuple(d.pair(q.v) for d in duals)
-    scale = max(q.v.norm(), np.finfo(float).tiny)
+    return _screen(dual_kernel_basis(p, rtol), p.v, tol)
+
+
+def _screen(duals, v: Jet, tol: float) -> SolvabilityResult:
+    """Pair v with each dual; solvable when their 2-norm is <= tol * ||v||."""
+    obstructions = tuple(d.pair(v) for d in duals)
+    scale = max(v.norm(), np.finfo(float).tiny)
     total = math.sqrt(sum(abs(o) ** 2 for o in obstructions))
     return SolvabilityResult(solvable=bool(total <= tol * scale),
                              obstructions=obstructions)

@@ -2,6 +2,8 @@
 
 These work on plain dictionaries {multi-index tuple: coefficient} with no
 truncation cleverness, so they stay independent of the code under test.
+The kernel references below instead decide rank on the whole assembled
+matrix, the path that the head-block SVD of spectral replaced.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import math
 
 import numpy as np
 import pytest
+
+from transportkit.opmatrix import assemble
+from transportkit.spectral import RANK_RTOL, RESONANCE_TOL, resonance_degree
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -89,6 +94,47 @@ def brute_combinations(mu, rho, re_max: float) -> list:
 def grlex_position(alpha):
     """Graded-lex sort key: total degree, then larger leading exponents first."""
     return (sum(alpha), [-a for a in alpha])
+
+
+def _full_matrix(p, tol):
+    """L - lambda on P_N' tensor V, N' = max(N, resonance degree), and the degree."""
+    _, n_star = resonance_degree(p, tol)
+    q = p.at_order(max(p.N, n_star))
+    M = assemble(q)
+    return M.entries - q.lam * np.eye(M.dim), M.offsets, n_star
+
+
+def _full_null(mat, rtol):
+    """Right null basis by one SVD and the relative threshold rtol * sigma_max."""
+    _, s, Vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > rtol * s[0]))
+    return Vh[rank:].conj().T
+
+
+def reference_kernel_basis(p, rtol=RANK_RTOL, tol=RESONANCE_TOL):
+    """Kernel of L - lambda as columns, from an SVD of the whole matrix."""
+    L, _, _ = _full_matrix(p, tol)
+    return _full_null(L, rtol)
+
+
+def reference_dual_kernel_basis(p, rtol=RANK_RTOL, tol=RESONANCE_TOL):
+    """Left (bilinear) null space of the whole matrix: (head, tails).
+
+    head holds the rows of degree <= N* of each null vector, as columns;
+    tails the norm of each vector above N* relative to its whole norm,
+    which theory says vanishes.
+    """
+    L, offsets, n_star = _full_matrix(p, tol)
+    basis = _full_null(L.T, rtol)
+    rows = int(offsets[n_star + 1])
+    tails = np.linalg.norm(basis[rows:], axis=0) / np.linalg.norm(basis, axis=0)
+    return basis[:rows], tails
+
+
+def projector_distance(a, b):
+    """Spectral-norm distance of the orthogonal projectors onto span(a), span(b)."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
 
 
 @pytest.fixture

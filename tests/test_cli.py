@@ -16,12 +16,15 @@ Closed forms used as expected values:
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transportkit
 from transportkit import (
     Jet,
     ProblemData,
@@ -177,6 +180,46 @@ class TestSchemaValidation:
         assert code == 2
         assert out == ""
         assert "$.estimates.A0: expected finite matrix entries" in err
+
+    @pytest.mark.parametrize("where", ["t_min", "A0", "coeff"])
+    def test_integer_beyond_float_range(self, run, where):
+        big = 10**400
+        if where == "coeff":
+            command = "solve-jet"
+            doc = euler_doc([scalar_term((2, 0), [big])])
+            path = "$.problem.v.terms[0].coeff: expected finite coefficients"
+        else:
+            command = "verify-estimates"
+            doc = {"schema_version": 1,
+                   "estimates": {"A0": [[1.0, 0.0], [0.0, 1.0]], "eps": 0.25,
+                                 "t0": -1.0, "path": {"rate": 1.0}}}
+            if where == "A0":
+                doc["estimates"]["A0"][0][1] = big
+                path = "$.estimates.A0: expected finite matrix entries"
+            else:
+                doc["estimates"]["path"]["t_min"] = -big
+                path = "$.estimates.path.t_min: expected a finite number"
+        code, out, err = run(command, doc)
+        assert code == 2
+        assert out == ""
+        assert path in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("solve-jet", "--tol"), ("solve-jet", "--obstruction-tol"),
+        ("spectrum", "--max-re"), ("solve-grid", "--rel-tol"),
+        ("solve-grid", "--abs-tol"), ("solve-grid", "--tail-tol"),
+        ("solve-grid", "--max-horizon")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_flag(self, run, capsys, command, flag, value):
+        doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
+                         grid={"points": [[0.1]]})
+        with pytest.raises(SystemExit) as exc:
+            run(command, doc, f"{flag}={value}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite number" in err
+        assert "Traceback" not in err
 
     def test_point_dimension_checked(self, run):
         doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
@@ -559,8 +602,13 @@ class TestOutputContract:
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(euler_doc([])))
+        # the child imports the package from where this process found it,
+        # also when only pytest's pythonpath setting put it on sys.path
+        src = str(Path(transportkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "transportkit", "solvable", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["solvable"] is True

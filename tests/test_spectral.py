@@ -1,14 +1,17 @@
 """Resonances, kernels, dual distributions, solvability."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transportkit
 from transportkit.errors import NearResonanceWarning, ValidationError
 from transportkit.jets import Jet, P_dim, VectorFieldJet, monomials
-from transportkit.opmatrix import ProblemData, assemble
+from transportkit.opmatrix import ProblemData, apply_operator, assemble, jet_to_vec
 from transportkit.spectral import (
     DualDistribution,
     SolvabilityResult,
@@ -22,8 +25,15 @@ from transportkit.spectral import (
     solvability_test,
     sternberg_resonance_check,
 )
+from transportkit.taylor import solve_to_order
 
-from conftest import brute_combinations, grlex_position
+from conftest import (
+    brute_combinations,
+    grlex_position,
+    projector_distance,
+    reference_dual_kernel_basis,
+    reference_kernel_basis,
+)
 from test_opmatrix import gradient_example_problem
 
 
@@ -153,6 +163,8 @@ def test_nullspace_report(rng):
     assert report.rank == 2 and report.nullity == 1
     assert basis.shape == (3, 1)
     assert report.gap == math.inf
+    basis, report = nullspace(np.diag([2.0, 1.0j]))
+    assert basis.shape == (2, 0) and report.nullity == 0
 
 
 # -- dual kernel -------------------------------------------------------------
@@ -389,3 +401,85 @@ def test_fredholm_properties_randomized(rng):
             assert k == 0
         else:
             assert 1 <= k <= entry.multiplicity
+
+
+# -- head-block kernels against the whole-matrix reference ------------------
+
+def _random_resonant_problem(rng, complex_field):
+    """Criterion-03 style: triangular linear data with integer spectrum,
+    O(0.2) tails and a resonant lambda; complex tails and rho when asked."""
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 4))
+    N = int(rng.integers(1, 5))
+    P = P_dim(n, N)
+
+    def noise(*shape):
+        out = 0.2 * rng.standard_normal(shape)
+        return out + 0.2j * rng.standard_normal(shape) if complex_field else out
+
+    mu = rng.integers(1, 3, size=n).astype(float)
+    rho = rng.integers(-1, 2, size=m) + (1j * rng.integers(-1, 2, size=m)
+                                         if complex_field else 0.0)
+    comps = []
+    for i in range(n):
+        c = noise(P)
+        c[:1 + n] = 0.0
+        c[1 + i] = mu[i]
+        c[2 + i:1 + n] = noise(n - i - 1)  # upper-triangular linear part
+        comps.append(Jet(n, N, c))
+    A_c = noise(P, m, m)
+    A_c[0] = np.triu(noise(m, m), k=1) + np.diag(rho)
+    alpha = rng.integers(0, N + 1, size=n)
+    while alpha.sum() > N:
+        alpha = rng.integers(0, N + 1, size=n)
+    lam = complex(alpha @ mu + rho[rng.integers(0, m)])
+    p = ProblemData(VectorFieldJet(comps), Jet(n, N, A_c),
+                    Jet(n, N, rng.standard_normal((P, m))),
+                    lam if complex_field else lam.real, N)
+    if rng.random() < 0.3:  # v in the range: the solvable branch runs
+        u = Jet(n, N, 5.0 * noise(P, m))
+        p = p.with_v(apply_operator(p, u) - p.lam * u)
+    return p
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_head_kernels_match_whole_matrix_reference(rng, complex_field):
+    for _ in range(30):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearResonanceWarning)
+            p = _random_resonant_problem(rng, complex_field)
+            ker = kernel_basis(p)
+            duals = dual_kernel_basis(p)
+            sol = solve_to_order(p, p.N)
+        assert p.is_complex == complex_field
+        assert 1 <= len(ker) == len(duals) == len(sol.kernel_extensions)
+        ref = reference_kernel_basis(p)
+        ref_head, ref_tails = reference_dual_kernel_basis(p)
+        assert np.all(ref_tails <= 1e-8)
+        got = np.column_stack([jet_to_vec(k) for k in ker])
+        assert projector_distance(got, ref) <= 1e-8
+        got = np.column_stack([d.coeffs.reshape(-1) for d in duals])
+        assert projector_distance(got, ref_head) <= 1e-8
+
+
+def test_ladder_rung_counts_agree():
+    """The (3,2,10) resonant solvable rung of the benchmark ladder, seed 11.
+
+    Its head block has sigma / sigma_max = 4.5e-10 where the whole matrix
+    has 1.8e-11, on either side of RANK_RTOL, so rank decisions taken on
+    the two matrices found 6 and 7 kernel vectors.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "recipes.py"
+    spec = importlib.util.spec_from_file_location("ladder_recipes", path)
+    recipes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipes)
+    rng = np.random.default_rng(11)
+    for rung in recipes.LADDER:  # replay the benchmark's draws up to the rung
+        for kind in recipes.LADDER_KINDS:
+            p = recipes.fredholm_problem(transportkit, rng, *rung, kind)
+            if (rung, kind) == ((3, 2, 10), "solvable"):
+                break
+    sol = solve_to_order(p, p.N)
+    assert sol.solvable
+    assert len(kernel_basis(p)) == len(dual_kernel_basis(p)) \
+        == len(sol.kernel_extensions)

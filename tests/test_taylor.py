@@ -12,9 +12,10 @@ Closed forms used as oracles:
 import numpy as np
 import pytest
 
+from transportkit import spectral, taylor
 from transportkit.errors import UnsolvableError, ValidationError
 from transportkit.jets import Jet, VectorFieldJet
-from transportkit.opmatrix import ProblemData, apply_operator
+from transportkit.opmatrix import ProblemData, apply_operator, assemble
 from transportkit.taylor import MAX_ORDER, JetSolution, residual, solve_to_order
 
 from test_opmatrix import gradient_example_problem
@@ -122,11 +123,18 @@ class TestResidual:
         sol = solve_to_order(p, N)
         assert sol.particular.is_complex
         assert residual(p, sol.particular).norm() < 1e-13
-        # real problem, complex candidate: promoted rather than rejected
+        # mixed fields are promoted rather than rejected: a real problem
+        # with a complex candidate and a complex problem with a real one.
+        # On c y^2 the operator minus lambda multiplies by 2 + 1 - lambda.
         p_real = scalar_euler_problem(1.0, v, 0.5, N)
-        u = sol.particular
-        r = residual(p_real, u)
-        assert r.n == 1
+        u_real = Jet.from_terms(1, N, {(2,): 0.25}, shape=(1,))
+        for prob, u in ((p_real, sol.particular), (p, u_real)):
+            r = residual(prob, u)
+            assert r.is_complex
+            c = u.coefficient((2,))[0]
+            want = Jet.from_terms(1, N, {(2,): (3.0 - prob.lam) * c - 1.0},
+                                  shape=(1,))
+            assert r.allclose(want.to_complex(), rtol=0, atol=1e-14)
 
     def test_exact_solution_gives_zero_residual(self, rng):
         N = 4
@@ -197,3 +205,31 @@ class TestSolverPolicies:
         sol = solve_to_order(scalar_euler_problem(1.0, v, 0.0, N), N)
         assert isinstance(sol, JetSolution)
         assert sol.solvable and sol.resonance is None and sol.obstructions == ()
+
+    def test_resonant_solve_assembles_and_decomposes_once(self, monkeypatch):
+        # one head SVD serves the obstructions, the particular solution and
+        # the kernel; the dual kernel alone assembles only up to N*
+        orders, svds = [], []
+        svd = np.linalg.svd
+
+        def counting_assemble(q):
+            orders.append(q.N)
+            return assemble(q)
+
+        def counting_svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        for module in (taylor, spectral):
+            monkeypatch.setattr(module, "assemble", counting_assemble)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        p = gradient_example_problem(N=6, lam=2.0)
+        sol = solve_to_order(p, 6)
+        assert sol.solvable and len(sol.kernel_extensions) == 1
+        assert orders == [6] and svds == [(6, 6)]  # head: degrees <= 2
+        orders.clear()
+        assert len(spectral.dual_kernel_basis(p)) == 1
+        assert orders == [2]
+        orders.clear()
+        assert spectral.dual_kernel_basis(p.with_lam(0.5)) == []
+        assert orders == []
