@@ -19,7 +19,7 @@ jet solver's territory; they are rejected up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,7 +32,7 @@ from .errors import (
     TailDecayError,
     ValidationError,
 )
-from .jets import Jet, degree_starts
+from .jets import Jet, P_dim, _monomial_vector, degree_starts
 from .opmatrix import ProblemData
 from .spectral import linearization_spectrum, resonance_degree
 from .taylor import MAX_ORDER, residual, solve_to_order
@@ -64,6 +64,16 @@ class EvalConfig:
     chunk: float = 10.0  # horizon extension between tail checks
     t_min: float = 2.0  # smallest |t| at which the tail may stop
 
+    def __post_init__(self):
+        for name in ("rel_tol", "tail_tol", "max_horizon", "chunk"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(
+                    f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("abs_tol", "t_min"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(
+                    f"{name} must be nonnegative, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class FieldSampler:
@@ -75,6 +85,12 @@ class FieldSampler:
     stopped with RegionExitError when they leave it.  consistent_jets,
     when given, is cross-checked at construction: the finite-difference
     linearization of X_eval must match the jet linearization.
+
+    Samplers made by from_problem are one polynomial map y -> (X, vec A, v):
+    the flow evaluates it as one monomial vector times one coefficient
+    matrix per point, and X_eval, A_eval, v_eval are views of that joint
+    value.  dataclasses.replace drops the joint map, so a replaced sampler
+    is sampled through its three callables.
     """
 
     X_eval: object
@@ -84,6 +100,9 @@ class FieldSampler:
     radius: float = math.inf
     consistent_jets: ProblemData | None = None
     polynomial: bool = False  # samplers are exactly the jet polynomials
+    # X components, vec A and v as one jet with values of length n + m*m + m
+    _joint: Jet | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         source = np.atleast_1d(np.asarray(self.source, dtype=float))
@@ -132,6 +151,14 @@ class FieldSampler:
     def m(self) -> int:
         return self._shape[1]
 
+    def _sample(self, y: np.ndarray) -> np.ndarray:
+        """X(y), vec A(y) and v(y) stacked into one vector of length n + m*m + m."""
+        if self._joint is not None:
+            return _joint_at(self._joint, y)
+        return np.concatenate([np.asarray(self.X_eval(y), dtype=float),
+                               np.asarray(self.A_eval(y), dtype=float).reshape(-1),
+                               np.asarray(self.v_eval(y), dtype=float)])
+
     def linearization(self, step: float = 1e-6) -> np.ndarray:
         """Jacobian of X_eval at the source by central differences."""
         n = self.n
@@ -149,17 +176,31 @@ class FieldSampler:
         if p.is_complex:
             raise ValidationError("flow sampling is real arithmetic; use the "
                                   "jet solver for complex problems")
-        comps = p.X.components
-        A, v = p.A, p.v
-        return cls(
-            X_eval=lambda y: np.array([c.evaluate(y) for c in comps]),
-            A_eval=lambda y: np.asarray(A.evaluate(y)),
-            v_eval=lambda y: np.asarray(v.evaluate(y)),
-            source=np.zeros(p.n),
-            radius=radius,
-            consistent_jets=p,
-            polynomial=True,
-        )
+        rows = P_dim(p.n, p.N)
+        joint = Jet(p.n, p.N, np.hstack(
+            [c.coeffs[:, None] for c in p.X.components]
+            + [p.A.coeffs.reshape(rows, -1), p.v.coeffs]))
+        return cls._fused(joint, p.m, radius, consistent_jets=p,
+                          polynomial=True)
+
+    @classmethod
+    def _fused(cls, joint: Jet, m: int, radius: float,
+               consistent_jets: ProblemData | None = None,
+               polynomial: bool = False) -> "FieldSampler":
+        """Sampler of the joint polynomial (X, vec A, v) with source at the origin."""
+        n, k = joint.n, joint.n + m * m
+        f = cls(X_eval=lambda y: _joint_at(joint, y)[:n],
+                A_eval=lambda y: _joint_at(joint, y)[n:k].reshape(m, m),
+                v_eval=lambda y: _joint_at(joint, y)[k:],
+                source=np.zeros(n), radius=radius,
+                consistent_jets=consistent_jets, polynomial=polynomial)
+        object.__setattr__(f, "_joint", joint)
+        return f
+
+
+def _joint_at(joint: Jet, y) -> np.ndarray:
+    """One monomial vector times the stacked coefficient matrix."""
+    return _monomial_vector(np.asarray(y, dtype=float), joint.N) @ joint.coeffs
 
 
 @dataclass(frozen=True)
@@ -208,14 +249,14 @@ def _pack(y: np.ndarray, Finv: np.ndarray, I: np.ndarray) -> np.ndarray:
 def _reversed_rhs(f: FieldSampler):
     """RHS of the time-reversed joint system in tau = -t >= 0."""
     n, m = f.n, f.m
+    k = n + m * m
 
     def rhs(_tau, z):
-        y = z[:n]
-        Finv = z[n:n + m * m].reshape(m, m)
-        dy = -np.asarray(f.X_eval(y), dtype=float)
-        dF = -Finv @ np.asarray(f.A_eval(y), dtype=float)
-        dI = Finv @ np.asarray(f.v_eval(y), dtype=float)
-        return np.concatenate([dy, dF.reshape(-1), dI])
+        s = f._sample(z[:n])
+        Finv = z[n:k].reshape(m, m)
+        dF = -Finv @ s[n:k].reshape(m, m)
+        dI = Finv @ s[k:]
+        return np.concatenate([-s[:n], dF.reshape(-1), dI])
 
     return rhs
 
@@ -292,6 +333,9 @@ class EvaluationResult:
     rate: float  # fitted decay rate of the integrand (in t, positive = decaying)
     mode: str  # "direct" or "split"
     split_order: int | None
+    nfev: int  # RHS evaluations, summed over the integration chunks
+    n_steps: int  # accepted integrator steps, summed over the chunks
+    n_chunks: int  # solve_ivp segments between tail checks
 
 
 def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
@@ -304,24 +348,34 @@ def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
 def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
     """Integrate until the integrand decays below tail_tol, in chunks.
 
-    Returns (I, tail_estimate, horizon, rate).  The integrand norm
-    g(t) = |Finv v(y_t)| is fitted against t over the trailing window and
-    the stop requires both g <= tail_tol and a positive fitted rate.
+    Returns a direct-mode EvaluationResult whose u is the integral.  The
+    integrand norm g(t) = |Finv v(y_t)| is fitted against t over the
+    trailing window and the stop requires both g <= tail_tol and a
+    positive fitted rate.
     """
     n, m = f.n, f.m
+    k = n + m * m
     z = _pack(np.asarray(y, dtype=float), np.eye(m), np.zeros(m))
     tau = 0.0
     window_ts: list = []
     window_gs: list = []
+    counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0}
 
     def integrand_norm(zz) -> float:
-        Finv = zz[n:n + m * m].reshape(m, m)
-        vv = np.asarray(f.v_eval(zz[:n]), dtype=float)
-        return float(np.linalg.norm(Finv @ vv))
+        Finv = zz[n:k].reshape(m, m)
+        return float(np.linalg.norm(Finv @ f._sample(zz[:n])[k:]))
+
+    def result(tail, rate):
+        return EvaluationResult(u=z[k:], tail_estimate=tail, horizon=-tau,
+                                rate=rate, mode="direct", split_order=None,
+                                **counts)
 
     while True:
         tau1 = min(tau + cfg.chunk, cfg.max_horizon)
         res = _integrate_segment(f, z, tau, tau1, cfg.rel_tol, cfg.abs_tol)
+        counts["nfev"] += int(res.nfev)
+        counts["n_steps"] += len(res.t) - 1
+        counts["n_chunks"] += 1
         taus = np.linspace(tau, tau1, 17)[1:]
         for tk in taus:
             window_ts.append(-tk)
@@ -334,24 +388,29 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
 
         g_last = window_gs[-1]
         if g_last <= _UNDERFLOW:
-            return z[n + m * m:], 0.0, -tau, math.inf
+            return result(0.0, math.inf)
         rate = _fit_rate(np.array(window_ts), np.array(window_gs))
         if tau >= cfg.t_min and g_last <= cfg.tail_tol and rate > 0:
-            return z[n + m * m:], g_last / rate, -tau, rate
+            return result(g_last / rate, rate)
         if tau >= cfg.max_horizon:
             if rate <= 0:
                 raise TailDecayError(
                     "integrand shows no decay within the horizon "
                     f"(fitted rate {rate:.3e} at t = {-tau:.1f})")
-            return z[n + m * m:], g_last / rate, -tau, rate
+            return result(g_last / rate, rate)
 
 
 def _shifted(f: FieldSampler, lam: float) -> FieldSampler:
     """Absorb the eigenvalue: A <- A - lam id."""
     if lam == 0.0:
         return f
+    n, m = f.n, f.m
+    if f._joint is not None:
+        coeffs = np.array(f._joint.coeffs)
+        coeffs[0, n:n + m * m] -= lam * np.eye(m).reshape(-1)
+        return FieldSampler._fused(Jet(n, f._joint.N, coeffs), m, f.radius,
+                                   polynomial=f.polynomial)
     A_orig = f.A_eval
-    m = f.m
     return replace(f, A_eval=lambda q: np.asarray(A_orig(q), dtype=float)
                    - lam * np.eye(m), consistent_jets=None)
 
@@ -392,9 +451,7 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     nu = float(np.min(linearization_spectrum(p.X).real))
 
     if mu_star > 1e-12:
-        I, tail, horizon, rate = _tail_integrate(_shifted(f, lam), y, cfg)
-        return EvaluationResult(u=I, tail_estimate=tail, horizon=horizon,
-                                rate=rate, mode="direct", split_order=None)
+        return _tail_integrate(_shifted(f, lam), y, cfg)
 
     # split mode: peel off the polynomial head to order N
     if cfg.split_order is not None:
@@ -421,18 +478,40 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
             "head solve is obstructed; no decaying solution exists")
     u_head = sol.particular
 
+    res = _tail_integrate(_remainder_sampler(f, p, lam, u_head, N), y, cfg)
+    u = np.asarray(u_head.evaluate(y), dtype=float) + res.u
+    return replace(res, u=u, mode="split", split_order=N)
+
+
+def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:
+    """v - (D_X + A - lam) u_head as a jet of order p.N + N, head degrees zeroed.
+
+    When the fields are exactly the jet polynomials the remainder is a
+    polynomial too.  Computing it once in the jet algebra at the full
+    product order and zeroing the head degrees (pure solver round-off
+    there) avoids the cancellation noise a pointwise difference of O(1)
+    terms would leave; that noise would stop decaying along the trajectory
+    and stall the tail criterion.
+    """
+    D = p.N + N
+    r_jet = -residual(p.at_order(D), u_head.extend(D))
+    coeffs = np.array(r_jet.coeffs)
+    coeffs[:degree_starts(p.n, D)[N + 1]] = 0.0
+    return Jet(p.n, D, coeffs)
+
+
+def _remainder_sampler(f: FieldSampler, p: ProblemData, lam: float,
+                       u_head: Jet, N: int) -> FieldSampler:
+    """Sampler of X, A - lam and the flat remainder that replaces v."""
+    shifted = _shifted(f, lam)
     if f.polynomial:
-        # The fields are exactly the jet polynomials, so the remainder is a
-        # polynomial too.  Computing it once in the jet algebra at the full
-        # product order and zeroing the head degrees (pure solver round-off
-        # there) avoids the cancellation noise a pointwise difference of
-        # O(1) terms would leave; that noise would stop decaying along the
-        # trajectory and stall the tail criterion.
-        D = p.N + N
-        r_jet = -residual(p.at_order(D), u_head.extend(D))
-        coeffs = np.array(r_jet.coeffs)
-        coeffs[:degree_starts(p.n, D)[N + 1]] = 0.0
-        r_poly = Jet(p.n, D, coeffs)
+        r_poly = _remainder_jet(p, u_head, N)
+        if shifted._joint is not None:
+            # swap the v block for r_poly; X and A are zero-extended
+            D = max(r_poly.N, shifted._joint.N)
+            coeffs = np.array(shifted._joint.extend(D).coeffs)
+            coeffs[:, f.n + f.m * f.m:] = r_poly.extend(D).coeffs
+            return FieldSampler._fused(Jet(f.n, D, coeffs), f.m, f.radius)
         v_remainder = lambda q: np.asarray(r_poly.evaluate(q), dtype=float)
     else:
         grads = [u_head.partial(i) for i in range(f.n)]
@@ -447,12 +526,8 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
                      for i, g in enumerate(grads))
             return np.asarray(v_orig(q), dtype=float) - du - Aq @ uq
 
-    f_rem = replace(_shifted(f, lam), v_eval=v_remainder,
-                    consistent_jets=None, polynomial=False)
-    I, tail, horizon, rate = _tail_integrate(f_rem, y, cfg)
-    u = np.asarray(u_head.evaluate(y), dtype=float) + I
-    return EvaluationResult(u=u, tail_estimate=tail, horizon=horizon,
-                            rate=rate, mode="split", split_order=N)
+    return replace(shifted, v_eval=v_remainder, consistent_jets=None,
+                   polynomial=False)
 
 
 def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,

@@ -112,6 +112,27 @@ def monomial_powers(n: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _power_index(n: int, N: int) -> np.ndarray:
+    """Flat positions of y_j**alpha_j in an (n, N + 1) power table, shape (P_dim, n)."""
+    idx = monomial_powers(n, N) + (N + 1) * np.arange(n)
+    idx.setflags(write=False)
+    return idx
+
+
+def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
+    """All monomials point**alpha with |alpha| <= N, in graded-lex order.
+
+    One power table y_j**k (k <= N) is gathered per multi-index and
+    multiplied along the variables; the values are those of
+    ``prod(point**alpha)`` bit for bit.
+    """
+    table = point[:, None] ** np.arange(N + 1)
+    # the ufunc reduction np.prod runs, without its per-call dispatch cost
+    return np.multiply.reduce(table.take(_power_index(point.shape[0], N)),
+                              axis=1)
+
+
+@lru_cache(maxsize=None)
 def degree_starts(n: int, N: int) -> np.ndarray:
     """Offsets of each degree block; entry k is the rank of the first degree-k monomial."""
     starts = np.zeros(N + 2, dtype=np.int64)
@@ -319,9 +340,7 @@ class Jet:
 
     def evaluate(self, point):
         """Evaluate the polynomial representative at a point (ndarray of length n)."""
-        point = np.asarray(point)
-        E = monomial_powers(self.n, self.N)
-        mono = np.prod(point[None, :] ** E, axis=1)
+        mono = _monomial_vector(np.asarray(point), self.N)
         return np.tensordot(mono, self._coeffs, axes=1)
 
     def astype(self, dtype) -> "Jet":

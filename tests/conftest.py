@@ -3,7 +3,9 @@
 These work on plain dictionaries {multi-index tuple: coefficient} with no
 truncation cleverness, so they stay independent of the code under test.
 The kernel references below instead decide rank on the whole assembled
-matrix, the path that the head-block SVD of spectral replaced.
+matrix, the path that the head-block SVD of spectral replaced, and the
+flow references sample X, A and v through one Jet.evaluate call each,
+the path that the fused polynomial sampler of flow replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from transportkit.jets import monomial_powers
 from transportkit.opmatrix import assemble
 from transportkit.spectral import RANK_RTOL, RESONANCE_TOL, resonance_degree
 
@@ -135,6 +138,31 @@ def projector_distance(a, b):
     """Spectral-norm distance of the orthogonal projectors onto span(a), span(b)."""
     qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
     return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
+
+
+def reference_jet_evaluate(u, point):
+    """Jet value at a point as one y**alpha product per monomial and a tensordot."""
+    point = np.asarray(point)
+    mono = np.prod(point[None, :] ** monomial_powers(u.n, u.N), axis=1)
+    return np.tensordot(mono, u.coeffs, axes=1)
+
+
+def reference_reversed_rhs(X, A, v, lam):
+    """Time-reversed flow RHS for (X, A - lam, v) from three Jet.evaluate samplers.
+
+    State z = (y, vec Finv, I); returns (-X(y), -Finv (A(y) - lam), Finv v(y)).
+    """
+    n, m = X.n, A.value_shape[0]
+
+    def rhs(_tau, z):
+        y = z[:n]
+        Finv = z[n:n + m * m].reshape(m, m)
+        Xy = np.array([c.evaluate(y) for c in X.components])
+        Ay = np.asarray(A.evaluate(y)) - lam * np.eye(m)
+        vy = np.asarray(v.evaluate(y))
+        return np.concatenate([-Xy, (-Finv @ Ay).reshape(-1), Finv @ vy])
+
+    return rhs
 
 
 @pytest.fixture

@@ -366,6 +366,24 @@ class TestSolveGrid:
         for row in result_of(out)["points"]:
             assert row["horizon"] >= -3.0
 
+    @pytest.mark.parametrize("key,value", [
+        ("rel_tol", 0.0), ("abs_tol", -1.0), ("tail_tol", 0.0),
+        ("max_horizon", 0.0), ("max_horizon", -3.0)])
+    @pytest.mark.parametrize("where", ["flag", "document"])
+    def test_bad_config_value_exits_2(self, run, key, value, where):
+        if where == "flag":
+            doc = radial_doc(1.0, [scalar_term((2,), [1.0])], grid=self.grid())
+            flags = (f"--{key.replace('_', '-')}={value}",)
+        else:
+            doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
+                             grid=self.grid(**{key: value}))
+            flags = ()
+        code, out, err = run("solve-grid", doc, *flags)
+        assert code == 2
+        assert out == ""
+        assert f"error: {key} must be" in err
+        assert "Traceback" not in err
+
     def test_grid_block_required(self, run):
         code, _, err = run("solve-grid", radial_doc(1.0, []))
         assert code == 2

@@ -10,10 +10,12 @@ Oracles:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from transportkit import flow
 from transportkit.errors import (
     QuantityUnderflowError,
     RegionExitError,
@@ -30,10 +32,11 @@ from transportkit.flow import (
     evaluate_solution,
     integrate_flow,
 )
-from transportkit.jets import Jet, VectorFieldJet
+from transportkit.jets import P_dim, Jet, VectorFieldJet
 from transportkit.opmatrix import ProblemData
 from transportkit.taylor import solve_to_order
 
+from conftest import reference_reversed_rhs
 from test_opmatrix import gradient_example_problem
 from test_taylor import scalar_euler_problem
 
@@ -82,6 +85,97 @@ class TestFieldSampler:
     def test_fd_linearization(self):
         f = sampler_1d(1.0, lambda y: 0.0)
         assert f.linearization() == pytest.approx(np.array([[1.0]]), abs=1e-8)
+
+
+def random_jet(rng, n, N, shape=()):
+    """Coefficients shrinking like 0.6**degree, so values stay O(1) on the unit ball."""
+    scale = np.repeat(0.6 ** np.arange(N + 1),
+                      np.diff([0] + [P_dim(n, k) for k in range(N + 1)]))
+    coeffs = rng.normal(size=(P_dim(n, N),) + shape)
+    return Jet(n, N, coeffs * scale.reshape((-1,) + (1,) * len(shape)))
+
+
+def random_flow_problem(rng, n, m, N, lam):
+    """X = diag(mu) y + random terms of degree >= 2, random A and v."""
+    mu = rng.uniform(0.5, 2.0, size=n)
+    comps = []
+    for i in range(n):
+        c = np.array(random_jet(rng, n, N).coeffs)
+        c[:n + 1] = 0.0
+        c[1 + i] = mu[i]
+        comps.append(Jet(n, N, c))
+    return ProblemData(VectorFieldJet(comps), random_jet(rng, n, N, (m, m)),
+                       random_jet(rng, n, N, (m,)), lam, N)
+
+
+class TestFusedSampler:
+    """The one-matmul sampler against three Jet.evaluate samplers."""
+
+    @staticmethod
+    def assert_rhs_match(fused, reference, rng, n, m):
+        for _ in range(5):
+            y = rng.normal(size=n)
+            y *= rng.uniform(0.0, 0.9) / np.linalg.norm(y)
+            z = np.concatenate([y, rng.normal(size=m * m), rng.normal(size=m)])
+            want = reference(0.0, z)
+            got = fused(0.0, z)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_direct_and_split_rhs_match_reference(self, seed):
+        rng = np.random.default_rng(4100 + seed)
+        n, m = (int(k) for k in rng.integers(1, 4, size=2))
+        N = int(rng.integers(1, 13))
+        lam = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
+        p = random_flow_problem(rng, n, m, N, lam)
+        f = FieldSampler.from_problem(p)
+        assert f._joint is not None
+        self.assert_rhs_match(flow._reversed_rhs(flow._shifted(f, lam)),
+                              reference_reversed_rhs(p.X, p.A, p.v, lam),
+                              rng, n, m)
+        # split mode: the v block becomes the remainder jet of order p.N + k
+        k = int(rng.integers(1, 4))
+        u_head = random_jet(rng, n, k, (m,))
+        f_rem = flow._remainder_sampler(f, p, lam, u_head, k)
+        r_poly = flow._remainder_jet(p, u_head, k)
+        assert f_rem._joint is not None and f_rem._joint.N == p.N + k
+        self.assert_rhs_match(flow._reversed_rhs(f_rem),
+                              reference_reversed_rhs(p.X, p.A, r_poly, lam),
+                              rng, n, m)
+
+    def test_views_and_callable_samplers_agree(self, rng):
+        p = random_flow_problem(rng, 2, 2, 4, 0.7)
+        f = FieldSampler.from_problem(p)
+        generic = replace(f)  # replace drops the joint map: three callables
+        assert generic._joint is None and generic.polynomial
+        y = np.array([0.3, -0.2])
+        joint = f._sample(y)
+        assert np.array_equal(joint, generic._sample(y))
+        assert np.array_equal(f.X_eval(y), joint[:2])
+        assert np.array_equal(f.A_eval(y), joint[2:6].reshape(2, 2))
+        assert np.array_equal(f.v_eval(y), joint[6:])
+        shifted = flow._shifted(generic, 0.7)
+        assert np.allclose(shifted.A_eval(y), flow._shifted(f, 0.7).A_eval(y),
+                           rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("a", [1.0, -0.5])
+    def test_jet_evaluate_calls_do_not_grow_with_nfev(self, monkeypatch, a):
+        p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0, (3,): 0.4}),
+                                 0.2, 4)
+        f = FieldSampler.from_problem(p)
+        calls = []
+        original = Jet.evaluate
+
+        def counting(self, point):
+            calls.append(1)
+            return original(self, point)
+
+        monkeypatch.setattr(Jet, "evaluate", counting)
+        res = evaluate_solution(f, p, [0.7])
+        assert res.mode == ("direct" if a > 0 else "split")
+        assert res.nfev > 100
+        assert len(calls) <= 10
 
 
 class TestIntegrateFlow:
@@ -258,6 +352,37 @@ class TestEvaluateSolution:
         with pytest.raises((TailDecayError, Exception)):
             _tail_integrate(f, np.array([0.3]),
                             EvalConfig(max_horizon=40.0))
+
+    @pytest.mark.parametrize("a", [1.0, -0.5])
+    def test_counts_match_the_integrator(self, monkeypatch, a):
+        segments = []
+        original = flow.solve_ivp
+
+        def counting(*args, **kwargs):
+            res = original(*args, **kwargs)
+            segments.append(res)
+            return res
+
+        monkeypatch.setattr(flow, "solve_ivp", counting)
+        p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.6],
+                                EvalConfig(chunk=3.0))
+        assert res.n_chunks == len(segments) >= 2
+        assert res.nfev == sum(r.nfev for r in segments)
+        assert res.n_steps == sum(len(r.t) - 1 for r in segments)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rel_tol", 0.0), ("rel_tol", -1e-9), ("abs_tol", -1e-12),
+        ("tail_tol", 0.0), ("max_horizon", 0.0), ("max_horizon", -3.0),
+        ("chunk", 0.0), ("chunk", -1.0), ("t_min", -2.0),
+        ("rel_tol", math.nan), ("t_min", math.nan)])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            EvalConfig(**{field: value})
+
+    def test_config_accepts_zero_abs_tol_and_t_min(self):
+        cfg = EvalConfig(abs_tol=0.0, t_min=0.0)
+        assert cfg.abs_tol == 0.0 and cfg.t_min == 0.0
 
     def test_directional_derivative_identity(self):
         # D_X u = v - A u at the evaluation point, checked by one-sided

@@ -27,6 +27,7 @@ from conftest import (
     dict_truncate,
     dicts_close,
     jet_to_dict,
+    reference_jet_evaluate,
 )
 
 
@@ -266,6 +267,26 @@ def test_evaluate_matches_dict_oracle(rng):
     for _ in range(5):
         pt = rng.uniform(-1, 1, size=3)
         assert np.isclose(u.evaluate(pt), dict_eval(jet_to_dict(u), pt))
+
+
+def test_evaluate_bit_identical_to_power_product(rng):
+    # 4,000 points, n <= 4, N <= 16, scalar/vector/matrix values, real and
+    # complex points, against the product of y**alpha per monomial
+    jets = {}
+    mismatches = 0
+    for _ in range(4000):
+        n, N = int(rng.integers(1, 5)), int(rng.integers(0, 17))
+        shape = [(), (2,), (2, 2)][int(rng.integers(3))]
+        key = (n, N, shape)
+        if key not in jets:
+            jets[key] = Jet(n, N, rng.standard_normal((P_dim(n, N),) + shape))
+        pt = rng.uniform(-1.5, 1.5, size=n)
+        if rng.random() < 0.25:
+            pt = pt + 1j * rng.uniform(-1.0, 1.0, size=n)
+        got = jets[key].evaluate(pt)
+        want = reference_jet_evaluate(jets[key], pt)
+        mismatches += not np.array_equal(got, want)
+    assert mismatches == 0
 
 
 def test_partial_derivative(rng):
