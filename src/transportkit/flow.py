@@ -50,6 +50,8 @@ __all__ = [
 
 _FRAME_OVERFLOW = 1e100
 _UNDERFLOW = 1e-250
+# solve_ivp raises a smaller rtol to this floor, with a warning
+_MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,9 @@ class EvalConfig:
             if not getattr(self, name) >= 0:
                 raise ValidationError(
                     f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        if self.rel_tol < _MIN_REL_TOL:
+            raise ValidationError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} "
+                                  f"(100 machine epsilons), got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,11 @@ class Jet:
 
     def evaluate(self, point):
         """Evaluate the polynomial representative at a point (ndarray of length n)."""
-        mono = _monomial_vector(np.asarray(point), self.N)
+        point = np.asarray(point)
+        if point.shape != (self.n,):
+            raise ShapeMismatchError(
+                f"point of length n={self.n} expected, got shape {point.shape}")
+        mono = _monomial_vector(point, self.N)
         return np.tensordot(mono, self._coeffs, axes=1)
 
     def astype(self, dtype) -> "Jet":

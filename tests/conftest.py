@@ -6,6 +6,8 @@ The kernel references below instead decide rank on the whole assembled
 matrix, the path that the head-block SVD of spectral replaced, and the
 flow references sample X, A and v through one Jet.evaluate call each,
 the path that the fused polynomial sampler of flow replaced.
+reference_compute_M evaluates exp(tS) one time at a time with scipy's
+expm, the path that the batched eigendecomposition of estimates replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+
+from transportkit.estimates import ell
 
 from transportkit.jets import monomial_powers
 from transportkit.opmatrix import assemble
@@ -163,6 +168,48 @@ def reference_reversed_rhs(X, A, v, lam):
         return np.concatenate([-Xy, (-Finv @ Ay).reshape(-1), Finv @ vy])
 
     return rhs
+
+
+def _reference_golden_max(fn, a: float, b: float, iters: int = 80) -> float:
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - g * (b - a)
+    x2 = a + g * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = fn(x1)
+        if b - a < 1e-12 * max(1.0, abs(a)):
+            break
+    return max(f1, f2)
+
+
+def reference_compute_M(A0, eps: float) -> float:
+    """M(A0, eps) from one scalar expm and 2-norm per time: the doubling
+    window, the 513-point log grid and a golden-section search around each
+    of the three best grid points, one after the other."""
+    A0 = np.asarray(A0, dtype=float)
+    S = A0 - (ell(A0) - eps) * np.eye(A0.shape[0])
+
+    def f(t: float) -> float:
+        return float(np.linalg.norm(expm(t * S), 2))
+
+    T = 10.0 / eps
+    while (f(-T) >= 0.5 or f(-T) > f(-T / 2)) and T < 1e7:
+        T *= 2.0
+    ts = np.sort(np.concatenate([-T * np.geomspace(1e-7, 1.0, 512), [0.0]]))
+    vals = np.array([f(t) for t in ts])
+    best = 1.0
+    for idx in np.argsort(vals)[::-1][:3]:
+        lo = ts[max(int(idx) - 1, 0)]
+        hi = ts[min(int(idx) + 1, ts.size - 1)]
+        best = max(best, vals[idx], _reference_golden_max(f, lo, hi))
+    return best
 
 
 @pytest.fixture

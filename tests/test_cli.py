@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestSolveGrid:
 
     @pytest.mark.parametrize("key,value", [
         ("rel_tol", 0.0), ("abs_tol", -1.0), ("tail_tol", 0.0),
-        ("max_horizon", 0.0), ("max_horizon", -3.0)])
+        ("max_horizon", 0.0), ("max_horizon", -3.0), ("rel_tol", 1e-20)])
     @pytest.mark.parametrize("where", ["flag", "document"])
     def test_bad_config_value_exits_2(self, run, key, value, where):
         if where == "flag":
@@ -378,11 +379,15 @@ class TestSolveGrid:
             doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
                              grid=self.grid(**{key: value}))
             flags = ()
-        code, out, err = run("solve-grid", doc, *flags)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run("solve-grid", doc, *flags)
         assert code == 2
         assert out == ""
         assert f"error: {key} must be" in err
         assert "Traceback" not in err
+        assert "UserWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
     def test_grid_block_required(self, run):
         code, _, err = run("solve-grid", radial_doc(1.0, []))

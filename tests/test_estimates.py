@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import transportkit.estimates as estimates
 from transportkit.errors import HypothesisViolationError, ValidationError
 from transportkit.estimates import (
     EstimateReport,
@@ -27,6 +28,8 @@ from transportkit.estimates import (
     perturbation_bound,
     two_regime_bound,
 )
+
+from conftest import reference_compute_M
 
 JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -88,6 +91,99 @@ class TestComputeM:
             compute_M(JORDAN, 0.0)
 
 
+def _criterion_06_family(rng, m):
+    base = rng.standard_normal((m, m))
+    spread = np.ptp(np.linalg.eigvals(base).real)
+    base *= min(1.0, rng.uniform(0.6, 1.0) / spread)
+    return base + (0.5 + rng.random() - ell(base)) * np.eye(m)
+
+
+def _near_jordan(rng, m, spread):
+    J = np.eye(m) + np.diag(np.ones(m - 1), 1) + np.diag(spread * np.arange(m))
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return Q @ J @ Q.T
+
+
+def _eig_cond(A0, eps):
+    S = A0 - (ell(A0) - eps) * np.eye(A0.shape[0])
+    return np.linalg.cond(np.linalg.eig(S)[1])
+
+
+class TestComputeMAgainstScalarReference:
+    """The batched evaluation against one expm call per time (conftest)."""
+
+    def test_criterion_06_families(self, rng):
+        for i in range(8):
+            A0 = _criterion_06_family(rng, 2 if i % 3 else 3)
+            eps = 0.2 + 0.2 * rng.random()
+            for B0 in (A0, -A0.T):
+                for e in (eps, eps / 2.0):
+                    assert compute_M(B0, e) == pytest.approx(
+                        reference_compute_M(B0, e), rel=1e-12)
+
+    def test_random_matrices(self, rng):
+        for _ in range(40):
+            A0 = rng.standard_normal((int(rng.integers(2, 5)),) * 2)
+            eps = 0.1 + 0.4 * rng.random()
+            assert compute_M(A0, eps) == pytest.approx(
+                reference_compute_M(A0, eps), rel=1e-12)
+
+    def test_near_jordan_blocks_take_both_paths(self, rng):
+        conds = []
+        for spread in 10.0 ** -np.arange(13):
+            for m in (2, 3):
+                A0 = _near_jordan(rng, m, spread)
+                conds.append(_eig_cond(A0, 0.25))
+                assert compute_M(A0, 0.25) == pytest.approx(
+                    reference_compute_M(A0, 0.25), rel=1e-12)
+        assert min(conds) < estimates._EIG_COND_MAX < max(conds)
+
+
+class TestComputeMExpmCalls:
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+        expm = estimates.expm
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return expm(a)
+
+        monkeypatch.setattr(estimates, "expm", counting)
+        return calls
+
+    def test_diagonalisable_makes_none(self, rng, expm_calls):
+        for A0 in (np.diag([1.0, 2.0]), np.array([[1.0, 5.0], [0.0, 2.0]]),
+                   _criterion_06_family(rng, 3)):
+            compute_M(A0, 0.3)
+        assert expm_calls == []
+
+    def test_defective_takes_batched_fallback(self, expm_calls):
+        compute_M(JORDAN, 0.25)
+        assert 0 < len(expm_calls) <= 100
+        assert any(shape[0] > 3 for shape in expm_calls)  # the grid in one call
+
+
+@pytest.mark.parametrize("fn,args", [
+    (compute_M, (np.eye(2), math.nan)),
+    (compute_M, (np.eye(2), math.inf)),
+    (compute_M, (np.array([[1.0, math.nan], [0.0, 1.0]]), 0.5)),
+    (ell, (np.diag([1.0, math.inf]),)),
+    (two_regime_bound, (np.eye(2), MatrixPath.constant(np.eye(2)), math.nan,
+                        -1.0)),
+    (two_regime_bound, (np.eye(2), MatrixPath.constant(np.eye(2)), math.inf,
+                        -1.0)),
+    (two_regime_bound, (np.eye(2), MatrixPath.constant(np.eye(2)), 0.5,
+                        math.nan)),
+    (inverse_two_regime_bound, (np.eye(2), MatrixPath.constant(np.eye(2)),
+                                0.5, -math.inf)),
+], ids=["M-eps-nan", "M-eps-inf", "M-A0-nan", "ell-A0-inf", "bound-eps-nan",
+        "bound-eps-inf", "bound-t0-nan", "inverse-t0-neg-inf"])
+def test_non_finite_input_is_validation_error(fn, args):
+    with pytest.raises(ValidationError):
+        fn(*args)
+
+
 class TestPerturbationBound:
     def test_constant_path_reduces(self):
         A0 = np.diag([1.0, 2.0])
@@ -146,6 +242,37 @@ class TestTwoRegime:
         with pytest.raises(HypothesisViolationError) as info:
             two_regime_bound(A0, decaying_path(A0, B), 0.5, -1.0)
         assert info.value.t is not None and info.value.t <= -1.0
+
+    @pytest.mark.parametrize("bound,system", [
+        (two_regime_bound, lambda M: M),
+        (inverse_two_regime_bound, lambda M: -M.T)], ids=["direct", "inverse"])
+    def test_hypothesis_violation_names_first_breaking_sample(self, bound,
+                                                              system):
+        A0 = np.diag([1.0, 2.0])
+        B = np.array([[0.0, 2.0], [0.8, 0.0]])  # breaks from t = -2.08 on
+        path = decaying_path(A0, B, samples=61)
+        with pytest.raises(HypothesisViolationError) as info:
+            bound(A0, path, 0.5, -1.0)
+        B0 = system(A0)
+        threshold = 0.25 / compute_M(B0, 0.25)
+        first = next(t for t in path.sample_times if t <= -1.0 and
+                     np.linalg.norm(system(path(t)) - B0, 2) >= threshold)
+        assert info.value.t == first
+        assert f"at t = {first:g}" in str(info.value)
+
+    @pytest.mark.parametrize("bound,B0", [
+        (two_regime_bound, np.array([[1.5, 0.4], [0.0, 1.0]])),
+        (inverse_two_regime_bound, -np.array([[1.5, 0.4], [0.0, 1.0]]).T)],
+        ids=["direct", "inverse"])
+    def test_constant_takes_deviation_over_whole_path(self, bound, B0):
+        A0 = np.array([[1.5, 0.4], [0.0, 1.0]])
+        path = decaying_path(A0, np.array([[0.0, 0.01], [0.02, 0.0]]),
+                             t_min=-6.0, samples=25)
+        rep = bound(A0, path, 0.4, -2.0)
+        M_half, M_full = compute_M(B0, 0.2), compute_M(B0, 0.4)
+        assert rep.C == pytest.approx(
+            M_half * M_full * math.exp(2.0 * M_full * path.deviation(A0)),
+            rel=1e-12)
 
     def test_report_matches_oracle_norms(self, rng):
         A0 = np.array([[1.5, 0.4], [0.0, 1.0]])

@@ -289,6 +289,15 @@ def test_evaluate_bit_identical_to_power_product(rng):
     assert mismatches == 0
 
 
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+def test_evaluate_rejects_point_of_wrong_length(point):
+    u = Jet.from_terms(2, 2, {(1, 0): 1.0})
+    with pytest.raises(ShapeMismatchError) as info:
+        u.evaluate(point)
+    assert "n=2" in str(info.value)
+    assert str(np.shape(point)) in str(info.value)
+
+
 def test_partial_derivative(rng):
     from conftest import dict_diff
     u = _random_scalar_jet(rng, 2, 4)
