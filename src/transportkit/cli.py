@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -604,7 +605,9 @@ def _finite_float(text):
     return val
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="transportkit",
         description="Solve and analyze the transport equation "

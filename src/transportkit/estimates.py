@@ -61,6 +61,14 @@ def ell(A0) -> float:
     return float(np.min(np.linalg.eigvals(A0).real))
 
 
+def _real_matrix(A0) -> np.ndarray:
+    """A0 as a float array; a complex A0 is refused, not cast to its real part."""
+    if np.iscomplexobj(A0):
+        raise ValidationError("A0 must be real; the envelope bounds are "
+                              "real arithmetic")
+    return np.asarray(A0, dtype=float)
+
+
 def _check_eps(eps) -> None:
     if not eps > 0:
         raise ValidationError("eps must be positive")
@@ -127,7 +135,7 @@ def compute_M(A0, eps: float) -> float:
     defective, from expm (see _exp_norms).  Always >= 1 (the value at t = 0).
     """
     _check_eps(eps)
-    A0 = np.asarray(A0, dtype=float)
+    A0 = _real_matrix(A0)
     S = A0 - (ell(A0) - eps) * np.eye(A0.shape[0])
     f = _exp_norms(S)
 
@@ -210,7 +218,7 @@ def perturbation_bound(A0, path: MatrixPath, eps: float) -> LemmaBound:
     E is the transition solution of dE/dt = A(t) E with E(0) = id; the
     supremum of the deviation is taken over the path's sample grid.
     """
-    A0 = np.asarray(A0, dtype=float)
+    A0 = _real_matrix(A0)
     M_val = compute_M(A0, eps)
     return LemmaBound(ell=ell(A0), eps=eps, M_val=M_val,
                       deviation=path.deviation(A0))
@@ -277,7 +285,7 @@ def _two_regime(A0, path: MatrixPath, eps: float, t0: float, *, kind: str,
     envelope(t, ell, C) is the bound it is compared with, and
     breaks(measured, bound) marks a violation.
     """
-    A0 = np.asarray(A0, dtype=float)
+    A0 = _real_matrix(A0)
     _check_eps(eps)
     if not math.isfinite(t0):
         raise ValidationError(f"t0 must be finite, got {t0!r}")

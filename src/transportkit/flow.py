@@ -5,8 +5,12 @@ at a point y is the integral of E(s, y)^{-1} v(Phi_s(y)) over s in
 (-inf, 0], where Phi is the flow of X and the transition frame E solves
 dE/dt = -A(Phi_t(y)) E, E(0) = id (lambda absorbed into A beforehand).
 The joint state (position, inverse frame, accumulated integral) is one
-ODE system, integrated forward in reversed time tau = -t with an
-adaptive embedded Runge-Kutta 5(4) pair.
+ODE system, integrated forward in reversed time tau = -t with the
+adaptive explicit Runge-Kutta 8(5,3) pair DOP853 of Hairer, Norsett and
+Wanner (Solving Ordinary Differential Equations I, ch. II).  The state
+is stored as [y | rows of (Finv | I)]: the (m, m+1) block W = [Finv | I]
+has derivative Finv [-A | v], so with the samplers' values stored as
+[-X | rows of (-A | v)] one RHS call is one sample and one matrix product.
 
 When A(p) - lambda has an eigenvalue with nonpositive real part the raw
 integral diverges; the solution splits into a polynomial head (from the
@@ -48,6 +52,7 @@ __all__ = [
     "empirical_decay_rate",
 ]
 
+_METHOD = "DOP853"  # the scipy integrator of every flow segment
 _FRAME_OVERFLOW = 1e100
 _UNDERFLOW = 1e-250
 # solve_ivp raises a smaller rtol to this floor, with a warning
@@ -91,11 +96,12 @@ class FieldSampler:
     when given, is cross-checked at construction: the finite-difference
     linearization of X_eval must match the jet linearization.
 
-    Samplers made by from_problem are one polynomial map y -> (X, vec A, v):
-    the flow evaluates it as one monomial vector times one coefficient
-    matrix per point, and X_eval, A_eval, v_eval are views of that joint
-    value.  dataclasses.replace drops the joint map, so a replaced sampler
-    is sampled through its three callables.
+    Samplers made by from_problem are one polynomial map
+    y -> [-X | rows of (-A | v)], the layout of the flow RHS (see the
+    module docstring): the flow evaluates it as one monomial vector times
+    one coefficient matrix per point, and X_eval, A_eval, v_eval are read
+    off that joint value.  dataclasses.replace drops the joint map, so a
+    replaced sampler is sampled through its three callables.
     """
 
     X_eval: object
@@ -105,7 +111,8 @@ class FieldSampler:
     radius: float = math.inf
     consistent_jets: ProblemData | None = None
     polynomial: bool = False  # samplers are exactly the jet polynomials
-    # X components, vec A and v as one jet with values of length n + m*m + m
+    # -X components and the rows of (-A | v) as one jet, values of length
+    # n + m*(m+1)
     _joint: Jet | None = field(default=None, init=False, repr=False,
                                compare=False)
 
@@ -157,12 +164,19 @@ class FieldSampler:
         return self._shape[1]
 
     def _sample(self, y: np.ndarray) -> np.ndarray:
-        """X(y), vec A(y) and v(y) stacked into one vector of length n + m*m + m."""
+        """-X(y) and the rows of (-A(y) | v(y)) as one vector of length n + m*(m+1).
+
+        y may also be a stack of points, one per row; the values are then
+        stacked the same way.
+        """
         if self._joint is not None:
             return _joint_at(self._joint, y)
-        return np.concatenate([np.asarray(self.X_eval(y), dtype=float),
-                               np.asarray(self.A_eval(y), dtype=float).reshape(-1),
-                               np.asarray(self.v_eval(y), dtype=float)])
+        if np.ndim(y) == 2:
+            return np.array([self._sample(q) for q in y])
+        A = np.asarray(self.A_eval(y), dtype=float)
+        v = np.asarray(self.v_eval(y), dtype=float)
+        return np.concatenate([-np.asarray(self.X_eval(y), dtype=float),
+                               np.hstack([-A, v[:, None]]).reshape(-1)])
 
     def linearization(self, step: float = 1e-6) -> np.ndarray:
         """Jacobian of X_eval at the source by central differences."""
@@ -182,9 +196,10 @@ class FieldSampler:
             raise ValidationError("flow sampling is real arithmetic; use the "
                                   "jet solver for complex problems")
         rows = P_dim(p.n, p.N)
+        block = np.concatenate([-p.A.coeffs, p.v.coeffs[:, :, None]], axis=2)
         joint = Jet(p.n, p.N, np.hstack(
-            [c.coeffs[:, None] for c in p.X.components]
-            + [p.A.coeffs.reshape(rows, -1), p.v.coeffs]))
+            [-c.coeffs[:, None] for c in p.X.components]
+            + [block.reshape(rows, -1)]))
         return cls._fused(joint, p.m, radius, consistent_jets=p,
                           polynomial=True)
 
@@ -192,11 +207,12 @@ class FieldSampler:
     def _fused(cls, joint: Jet, m: int, radius: float,
                consistent_jets: ProblemData | None = None,
                polynomial: bool = False) -> "FieldSampler":
-        """Sampler of the joint polynomial (X, vec A, v) with source at the origin."""
-        n, k = joint.n, joint.n + m * m
-        f = cls(X_eval=lambda y: _joint_at(joint, y)[:n],
-                A_eval=lambda y: _joint_at(joint, y)[n:k].reshape(m, m),
-                v_eval=lambda y: _joint_at(joint, y)[k:],
+        """Sampler of the joint polynomial [-X | rows of (-A | v)], source at the origin."""
+        n = joint.n
+        a_cols, v_cols = _block_columns(n, m)
+        f = cls(X_eval=lambda y: -_joint_at(joint, y)[:n],
+                A_eval=lambda y: -_joint_at(joint, y)[a_cols],
+                v_eval=lambda y: _joint_at(joint, y)[v_cols],
                 source=np.zeros(n), radius=radius,
                 consistent_jets=consistent_jets, polynomial=polynomial)
         object.__setattr__(f, "_joint", joint)
@@ -204,8 +220,19 @@ class FieldSampler:
 
 
 def _joint_at(joint: Jet, y) -> np.ndarray:
-    """One monomial vector times the stacked coefficient matrix."""
+    """One monomial vector (or matrix, for a stack of points) times the coefficients."""
     return _monomial_vector(np.asarray(y, dtype=float), joint.N) @ joint.coeffs
+
+
+def _block_columns(n: int, m: int):
+    """Positions of -A, shape (m, m), and of v, shape (m,), in a sampled vector."""
+    cols = n + np.arange(m * (m + 1)).reshape(m, m + 1)
+    return cols[:, :m], cols[:, m]
+
+
+def _frame_block(z: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The block [Finv | I], shape (m, m+1), of a joint state or of each row of a stack."""
+    return z[..., n:].reshape(z.shape[:-1] + (m, m + 1))
 
 
 @dataclass(frozen=True)
@@ -237,10 +264,9 @@ class FlowTrajectory:
             raise ValidationError(
                 f"time {t} outside the integrated window [{self.t_end}, 0]")
         z = self._dense(-t)
-        n, m = self.n, self.m
-        return FlowState(t=float(t), y_t=z[:n],
-                         Finv=z[n:n + m * m].reshape(m, m),
-                         I=z[n + m * m:])
+        W = _frame_block(z, self.n, self.m)
+        return FlowState(t=float(t), y_t=z[:self.n], Finv=W[:, :-1],
+                         I=W[:, -1])
 
     @property
     def final(self) -> FlowState:
@@ -248,20 +274,31 @@ class FlowTrajectory:
 
 
 def _pack(y: np.ndarray, Finv: np.ndarray, I: np.ndarray) -> np.ndarray:
-    return np.concatenate([y, Finv.reshape(-1), I])
+    """The joint state [y | rows of (Finv | I)]."""
+    return np.concatenate([y, np.hstack([Finv, I[:, None]]).reshape(-1)])
 
 
 def _reversed_rhs(f: FieldSampler):
-    """RHS of the time-reversed joint system in tau = -t >= 0."""
+    """RHS of the time-reversed joint system in tau = -t >= 0.
+
+    d/dtau (y, [Finv | I]) = (-X, Finv [-A | v]): one sample and one
+    (m, m) @ (m, m+1) product.  A fused sampler is one monomial vector
+    and one coefficient matmul.
+    """
     n, m = f.n, f.m
-    k = n + m * m
+    if f._joint is None:
+        sample = f._sample
+    else:
+        N, coeffs = f._joint.N, f._joint.coeffs
+
+        def sample(y):
+            return _monomial_vector(y, N) @ coeffs
 
     def rhs(_tau, z):
-        s = f._sample(z[:n])
-        Finv = z[n:k].reshape(m, m)
-        dF = -Finv @ s[n:k].reshape(m, m)
-        dI = Finv @ s[k:]
-        return np.concatenate([-s[:n], dF.reshape(-1), dI])
+        s = sample(z[:n])
+        Finv = z[n:].reshape(m, m + 1)[:, :m]
+        dW = Finv @ s[n:].reshape(m, m + 1)
+        return np.concatenate([s[:n], dW.ravel()])
 
     return rhs
 
@@ -276,7 +313,8 @@ def _events(f: FieldSampler):
         events.append(("exit", exit_event))
 
     def overflow_event(_tau, z):
-        return _FRAME_OVERFLOW - float(np.linalg.norm(z[n:n + m * m]))
+        Finv = _frame_block(z, n, m)[:, :m]
+        return _FRAME_OVERFLOW - float(np.linalg.norm(Finv))
     overflow_event.terminal = True
     events.append(("overflow", overflow_event))
     return events
@@ -287,7 +325,7 @@ def _integrate_segment(f: FieldSampler, z0: np.ndarray, tau0: float,
                        first_step: float | None = None):
     """One solve_ivp call on [tau0, tau1]; returns the scipy result."""
     named = _events(f)
-    res = solve_ivp(_reversed_rhs(f), (tau0, tau1), z0, method="RK45",
+    res = solve_ivp(_reversed_rhs(f), (tau0, tau1), z0, method=_METHOD,
                     rtol=rel_tol, atol=abs_tol, dense_output=True,
                     first_step=first_step,
                     events=[ev for _, ev in named])
@@ -341,6 +379,7 @@ class EvaluationResult:
     nfev: int  # RHS evaluations, summed over the integration chunks
     n_steps: int  # accepted integrator steps, summed over the chunks
     n_chunks: int  # solve_ivp segments between tail checks
+    method: str  # the scipy integrator, "DOP853"
 
 
 def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
@@ -354,26 +393,23 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
     """Integrate until the integrand decays below tail_tol, in chunks.
 
     Returns a direct-mode EvaluationResult whose u is the integral.  The
-    integrand norm g(t) = |Finv v(y_t)| is fitted against t over the
-    trailing window and the stop requires both g <= tail_tol and a
-    positive fitted rate.
+    integrand norm g(t) = |Finv v(y_t)| is sampled at 16 times per chunk,
+    as one stack, and fitted against t over the trailing window; the stop
+    requires both g <= tail_tol and a positive fitted rate.
     """
     n, m = f.n, f.m
-    k = n + m * m
+    v_cols = _block_columns(n, m)[1]
     z = _pack(np.asarray(y, dtype=float), np.eye(m), np.zeros(m))
     tau = 0.0
-    window_ts: list = []
-    window_gs: list = []
+    window_ts = np.empty(0)
+    window_gs = np.empty(0)
     counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0}
 
-    def integrand_norm(zz) -> float:
-        Finv = zz[n:k].reshape(m, m)
-        return float(np.linalg.norm(Finv @ f._sample(zz[:n])[k:]))
-
     def result(tail, rate):
-        return EvaluationResult(u=z[k:], tail_estimate=tail, horizon=-tau,
-                                rate=rate, mode="direct", split_order=None,
-                                **counts)
+        return EvaluationResult(u=_frame_block(z, n, m)[:, m],
+                                tail_estimate=tail, horizon=-tau, rate=rate,
+                                mode="direct", split_order=None,
+                                method=_METHOD, **counts)
 
     while True:
         tau1 = min(tau + cfg.chunk, cfg.max_horizon)
@@ -382,19 +418,21 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
         counts["n_steps"] += len(res.t) - 1
         counts["n_chunks"] += 1
         taus = np.linspace(tau, tau1, 17)[1:]
-        for tk in taus:
-            window_ts.append(-tk)
-            window_gs.append(integrand_norm(res.sol(tk)))
+        zs = res.sol(taus).T
+        Finv = _frame_block(zs, n, m)[..., :m]
+        v = f._sample(zs[:, :n])[:, v_cols]
+        gs = np.linalg.norm((Finv @ v[:, :, None])[..., 0], axis=1)
         z = res.y[:, -1]
         tau = tau1
-        keep = [i for i, t in enumerate(window_ts) if t <= -tau + 2.5 * cfg.chunk]
-        window_ts = [window_ts[i] for i in keep]
-        window_gs = [window_gs[i] for i in keep]
+        window_ts = np.concatenate([window_ts, -taus])
+        window_gs = np.concatenate([window_gs, gs])
+        keep = window_ts <= -tau + 2.5 * cfg.chunk
+        window_ts, window_gs = window_ts[keep], window_gs[keep]
 
         g_last = window_gs[-1]
         if g_last <= _UNDERFLOW:
             return result(0.0, math.inf)
-        rate = _fit_rate(np.array(window_ts), np.array(window_gs))
+        rate = _fit_rate(window_ts, window_gs)
         if tau >= cfg.t_min and g_last <= cfg.tail_tol and rate > 0:
             return result(g_last / rate, rate)
         if tau >= cfg.max_horizon:
@@ -412,7 +450,7 @@ def _shifted(f: FieldSampler, lam: float) -> FieldSampler:
     n, m = f.n, f.m
     if f._joint is not None:
         coeffs = np.array(f._joint.coeffs)
-        coeffs[0, n:n + m * m] -= lam * np.eye(m).reshape(-1)
+        coeffs[0, np.diag(_block_columns(n, m)[0])] += lam  # the block holds -A
         return FieldSampler._fused(Jet(n, f._joint.N, coeffs), m, f.radius,
                                    polynomial=f.polynomial)
     A_orig = f.A_eval
@@ -515,7 +553,7 @@ def _remainder_sampler(f: FieldSampler, p: ProblemData, lam: float,
             # swap the v block for r_poly; X and A are zero-extended
             D = max(r_poly.N, shifted._joint.N)
             coeffs = np.array(shifted._joint.extend(D).coeffs)
-            coeffs[:, f.n + f.m * f.m:] = r_poly.extend(D).coeffs
+            coeffs[:, _block_columns(f.n, f.m)[1]] = r_poly.extend(D).coeffs
             return FieldSampler._fused(Jet(f.n, D, coeffs), f.m, f.radius)
         v_remainder = lambda q: np.asarray(r_poly.evaluate(q), dtype=float)
     else:

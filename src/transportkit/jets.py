@@ -122,14 +122,17 @@ def _power_index(n: int, N: int) -> np.ndarray:
 def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
     """All monomials point**alpha with |alpha| <= N, in graded-lex order.
 
-    One power table y_j**k (k <= N) is gathered per multi-index and
-    multiplied along the variables; the values are those of
-    ``prod(point**alpha)`` bit for bit.
+    point is one point, shape (n,), or a stack of K points, shape (K, n);
+    the result has shape (P_dim,) or (K, P_dim).  One power table
+    y_j**k (k <= N) is gathered per multi-index and multiplied along the
+    variables; the values are those of ``prod(point**alpha)`` bit for bit.
     """
-    table = point[:, None] ** np.arange(N + 1)
+    table = point[..., None] ** np.arange(N + 1)
+    idx = _power_index(point.shape[-1], N)
+    if point.ndim == 2:  # each point gathers from its own power table
+        idx = idx + table[0].size * np.arange(point.shape[0])[:, None, None]
     # the ufunc reduction np.prod runs, without its per-call dispatch cost
-    return np.multiply.reduce(table.take(_power_index(point.shape[0], N)),
-                              axis=1)
+    return np.multiply.reduce(table.take(idx), axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -5,21 +5,32 @@ truncation cleverness, so they stay independent of the code under test.
 The kernel references below instead decide rank on the whole assembled
 matrix, the path that the head-block SVD of spectral replaced, and the
 flow references sample X, A and v through one Jet.evaluate call each,
-the path that the fused polynomial sampler of flow replaced.
+the path that the fused polynomial sampler of flow replaced, and
+reference_tail_integrate is the RK45 tail integration that DOP853 replaced.
 reference_compute_M evaluates exp(tS) one time at a time with scipy's
 expm, the path that the batched eigendecomposition of estimates replaced.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
+import os
 
-import numpy as np
+# Before numpy loads: under OpenBLAS's default of one thread per core, a
+# busy second core slowed the estimates tests up to fifteenfold.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import itertools  # noqa: E402
+import math  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
+from transportkit.flow import EvaluationResult
 
 from transportkit.jets import monomial_powers
 from transportkit.opmatrix import assemble
@@ -168,6 +179,82 @@ def reference_reversed_rhs(X, A, v, lam):
         return np.concatenate([-Xy, (-Finv @ Ay).reshape(-1), Finv @ vy])
 
     return rhs
+
+
+def reference_flow_segment(f, z0, tau0: float, tau1: float, rel_tol: float,
+                           abs_tol: float):
+    """RK45 solution of the time-reversed joint system on [tau0, tau1].
+
+    State z = (y, vec Finv, I), with X, A and v read through the sampler's
+    three public callables; returns scipy's result with dense output.
+    """
+    n, m = f.n, f.m
+
+    def rhs(_tau, z):
+        y, Finv = z[:n], z[n:n + m * m].reshape(m, m)
+        A = np.asarray(f.A_eval(y), dtype=float)
+        return np.concatenate([-np.asarray(f.X_eval(y), dtype=float),
+                               (-Finv @ A).reshape(-1),
+                               Finv @ np.asarray(f.v_eval(y), dtype=float)])
+
+    res = solve_ivp(rhs, (tau0, tau1), z0, method="RK45", rtol=rel_tol,
+                    atol=abs_tol, dense_output=True)
+    assert res.success, res.message
+    return res
+
+
+def reference_tail_integrate(f, y, cfg):
+    """Direct-mode evaluation by RK45, checking the tail one sample at a time.
+
+    The flow evaluator's tail integration before it moved to DOP853 and
+    the (y, rows of [Finv | I]) layout: chunks of cfg.chunk, 16 samples
+    of g(t) = |Finv v(y_t)| per chunk, each from its own dense-output and
+    v_eval call, and the same stopping rule.  There are no region-exit or
+    overflow events; the corpora it is run on stay inside both.  Monkeypatch
+    it over flow._tail_integrate to evaluate through the RK45 path.
+    """
+    n, m = f.n, f.m
+    k = n + m * m
+    z = np.concatenate([np.asarray(y, dtype=float), np.eye(m).reshape(-1),
+                        np.zeros(m)])
+    tau = 0.0
+    window_ts, window_gs = [], []
+    counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0}
+
+    def result(tail, rate):
+        return EvaluationResult(u=z[k:], tail_estimate=tail, horizon=-tau,
+                                rate=rate, mode="direct", split_order=None,
+                                method="RK45", **counts)
+
+    while True:
+        tau1 = min(tau + cfg.chunk, cfg.max_horizon)
+        res = reference_flow_segment(f, z, tau, tau1, cfg.rel_tol, cfg.abs_tol)
+        counts["nfev"] += int(res.nfev)
+        counts["n_steps"] += len(res.t) - 1
+        counts["n_chunks"] += 1
+        for tk in np.linspace(tau, tau1, 17)[1:]:
+            zz = res.sol(tk)
+            window_ts.append(-tk)
+            window_gs.append(float(np.linalg.norm(
+                zz[n:k].reshape(m, m) @ np.asarray(f.v_eval(zz[:n])))))
+        z = res.y[:, -1]
+        tau = tau1
+        keep = [i for i, t in enumerate(window_ts)
+                if t <= -tau + 2.5 * cfg.chunk]
+        window_ts = [window_ts[i] for i in keep]
+        window_gs = [window_gs[i] for i in keep]
+
+        g_last = window_gs[-1]
+        if g_last <= 1e-250:
+            return result(0.0, math.inf)
+        logs = np.log(np.maximum(window_gs, 1e-290))
+        rate = float(np.polyfit(window_ts, logs, 1)[0])
+        if tau >= cfg.t_min and g_last <= cfg.tail_tol and rate > 0:
+            return result(g_last / rate, rate)
+        if tau >= cfg.max_horizon:
+            if rate <= 0:
+                raise TailDecayError(f"no decay (fitted rate {rate:.3e})")
+            return result(g_last / rate, rate)
 
 
 def _reference_golden_max(fn, a: float, b: float, iters: int = 80) -> float:

@@ -622,6 +622,41 @@ class TestOutputContract:
         doc = json.loads(capsys.readouterr().out)
         assert "timestamp" in doc["provenance"]
 
+    def test_parser_built_once_and_reused(self, tmp_path, capsys):
+        from transportkit import cli
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(radial_doc(
+            1.0, [scalar_term((2,), [1.0])],
+            grid={"points": [[0.1], [0.5]]})))
+        calls = [["solve-jet", "--order", "2"], ["solve-jet"],
+                 ["solve-grid", "--output", "json"], ["solve-grid"],
+                 ["solve-grid", "--rel-tol", "nan"], ["kernel", "--bogus"],
+                 ["solvable"], ["spectrum", "--max-re", "3"], ["--version"]]
+
+        def outputs(fresh_parser):
+            seen = []
+            for argv in calls:
+                if fresh_parser:
+                    cli._build_parser.cache_clear()
+                if argv[0].startswith("-"):
+                    full = argv
+                else:
+                    full = [argv[0], str(path), "--no-timestamp", *argv[1:]]
+                try:
+                    code = main(full)
+                except SystemExit as exc:
+                    code = exc.code
+                cap = capsys.readouterr()
+                seen.append((code, cap.out, cap.err))
+            return seen
+
+        separate = outputs(fresh_parser=True)
+        cli._build_parser.cache_clear()
+        shared = outputs(fresh_parser=False)
+        assert shared == separate
+        assert [s[0] for s in shared] == [0, 0, 0, 0, 2, 2, 0, 0, 0]
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(euler_doc([])))

@@ -12,6 +12,7 @@ sqrt(3)):
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,26 @@ class TestComputeMExpmCalls:
 def test_non_finite_input_is_validation_error(fn, args):
     with pytest.raises(ValidationError):
         fn(*args)
+
+
+COMPLEX_A0 = np.array([[1, 1j], [0, 1]])
+
+
+@pytest.mark.parametrize("fn,args", [
+    (compute_M, (COMPLEX_A0, 0.5)),
+    (perturbation_bound, (COMPLEX_A0, MatrixPath.constant(np.eye(2)), 0.5)),
+    (two_regime_bound, (COMPLEX_A0, MatrixPath.constant(np.eye(2)), 0.5,
+                        -1.0)),
+    (inverse_two_regime_bound, (COMPLEX_A0, MatrixPath.constant(np.eye(2)),
+                                0.5, -1.0)),
+], ids=["compute_M", "perturbation", "two-regime", "inverse"])
+def test_complex_A0_is_validation_error(fn, args):
+    # casting used to keep the real part: compute_M returned 1.0 here,
+    # with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(ValidationError, match="real"):
+            fn(*args)
 
 
 class TestPerturbationBound:

@@ -36,7 +36,12 @@ from transportkit.jets import P_dim, Jet, VectorFieldJet
 from transportkit.opmatrix import ProblemData
 from transportkit.taylor import solve_to_order
 
-from conftest import reference_reversed_rhs
+from conftest import (
+    reference_flow_segment,
+    reference_reversed_rhs,
+    reference_tail_integrate,
+)
+from test_acceptance import _random_flow_problem
 from test_opmatrix import gradient_example_problem
 from test_taylor import scalar_euler_problem
 
@@ -113,12 +118,19 @@ class TestFusedSampler:
 
     @staticmethod
     def assert_rhs_match(fused, reference, rng, n, m):
+        # the reference state is (y, vec Finv, I); the flow's is
+        # (y, rows of [Finv | I])
+        def joint(y, Finv, I):
+            return np.concatenate([y, np.hstack([Finv, I[:, None]]).ravel()])
+
         for _ in range(5):
             y = rng.normal(size=n)
             y *= rng.uniform(0.0, 0.9) / np.linalg.norm(y)
-            z = np.concatenate([y, rng.normal(size=m * m), rng.normal(size=m)])
-            want = reference(0.0, z)
-            got = fused(0.0, z)
+            Finv, I = rng.normal(size=(m, m)), rng.normal(size=m)
+            ref = reference(0.0, np.concatenate([y, Finv.ravel(), I]))
+            want = joint(ref[:n], ref[n:n + m * m].reshape(m, m),
+                         ref[n + m * m:])
+            got = fused(0.0, joint(y, Finv, I))
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -150,11 +162,16 @@ class TestFusedSampler:
         generic = replace(f)  # replace drops the joint map: three callables
         assert generic._joint is None and generic.polynomial
         y = np.array([0.3, -0.2])
-        joint = f._sample(y)
+        joint = f._sample(y)  # [-X | rows of (-A | v)]
         assert np.array_equal(joint, generic._sample(y))
-        assert np.array_equal(f.X_eval(y), joint[:2])
-        assert np.array_equal(f.A_eval(y), joint[2:6].reshape(2, 2))
-        assert np.array_equal(f.v_eval(y), joint[6:])
+        assert np.array_equal(f.X_eval(y), -joint[:2])
+        assert np.array_equal(f.A_eval(y), -joint[[2, 3, 5, 6]].reshape(2, 2))
+        assert np.array_equal(f.v_eval(y), joint[[4, 7]])
+        ys = np.array([y, [0.1, 0.25], [-0.4, 0.0]])
+        # a stack is one matrix product, so it may differ in the last bits
+        assert np.allclose(f._sample(ys), generic._sample(ys),
+                           rtol=1e-14, atol=1e-15)
+        assert np.array_equal(generic._sample(ys)[0], joint)
         shifted = flow._shifted(generic, 0.7)
         assert np.allclose(shifted.A_eval(y), flow._shifted(f, 0.7).A_eval(y),
                            rtol=1e-14, atol=1e-14)
@@ -353,6 +370,26 @@ class TestEvaluateSolution:
             _tail_integrate(f, np.array([0.3]),
                             EvalConfig(max_horizon=40.0))
 
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_tail_check_reads_finv_v(self, fused):
+        # X = y, A = [[1, 5], [0, 2]], v = (0, 1): Finv(t) = exp(tA) and
+        # g(t) = |Finv v| = |(5 (e^{2t} - e^t), e^{2t})| decays at rate 1;
+        # the transposed frame would read e^{2t}, rate 2
+        A = Jet.constant(1, 2, np.array([[1.0, 5.0], [0.0, 2.0]]))
+        v = Jet.constant(1, 2, np.array([0.0, 1.0]))
+        f = FieldSampler.from_problem(
+            ProblemData(VectorFieldJet.euler(1, 2), A, v, 0.0, 2))
+        if not fused:
+            f = replace(f)  # the per-point fallback of callable samplers
+        res = flow._tail_integrate(f, np.array([0.5]),
+                                   EvalConfig(tail_tol=1e-8, abs_tol=1e-30))
+        t = res.horizon
+        g = math.hypot(5 * (math.exp(2 * t) - math.exp(t)), math.exp(2 * t))
+        assert res.rate == pytest.approx(1.0, rel=1e-3)
+        assert res.tail_estimate == pytest.approx(g / res.rate, rel=1e-6)
+        # u = int_{-inf}^0 exp(sA) v ds = A^{-1} v
+        assert np.allclose(res.u, [-2.5, 0.5], rtol=1e-7)
+
     @pytest.mark.parametrize("a", [1.0, -0.5])
     def test_counts_match_the_integrator(self, monkeypatch, a):
         segments = []
@@ -395,6 +432,72 @@ class TestEvaluateSolution:
         lhs = (u(y0 * math.exp(-h)) - u(y0)) / (-h)  # d/dt u(Phi_t y) at 0
         rhs = y0 ** 2 - a * u(y0)
         assert lhs == pytest.approx(rhs, abs=1e-5)
+
+
+class TestAgainstRK45Oracle:
+    """DOP853 and the one-matmul layout against the RK45 path they replaced."""
+
+    CFG = EvalConfig(rel_tol=1e-8, abs_tol=1e-11, tail_tol=1e-8)
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """(new, oracle) results on 40 points of the criterion-04 corpus.
+
+        The same problems and points as criterion 04 (its rng seed and
+        draws), evaluating every 25th point: 20 in direct and 20 in split
+        mode.
+        """
+        rng = np.random.default_rng(20250818)
+        pairs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for trial in range(20):
+                p = _random_flow_problem(rng, indefinite=trial >= 10)
+                f = FieldSampler.from_problem(p)
+                for j in range(50):
+                    y = rng.standard_normal(p.n)
+                    y *= rng.uniform(0.02, 0.2) / np.linalg.norm(y)
+                    if j % 25:
+                        continue
+                    new = evaluate_solution(f, p, y, self.CFG)
+                    mp.setattr(flow, "_tail_integrate",
+                               reference_tail_integrate)
+                    old = evaluate_solution(f, p, y, self.CFG)
+                    mp.undo()
+                    pairs.append((new, old))
+        return pairs
+
+    def test_u_mode_and_horizon_match(self, corpus):
+        assert {new.mode for new, _ in corpus} == {"direct", "split"}
+        for new, old in corpus:
+            assert (new.mode, new.split_order, new.horizon) == \
+                (old.mode, old.split_order, old.horizon)
+            assert (new.method, old.method) == ("DOP853", "RK45")
+            # both keep each step's local error below rel_tol |z| + abs_tol;
+            # on these decaying integrals the global errors stay below
+            # rel_tol max(1, |u|) (measured: under 2% of it)
+            tol = self.CFG.rel_tol * max(1.0, float(np.max(np.abs(old.u))))
+            assert np.max(np.abs(new.u - old.u)) <= tol
+
+    def test_fewer_rhs_calls(self, corpus):
+        # measured 0.61 on this corpus
+        assert sum(new.nfev for new, _ in corpus) <= \
+            0.65 * sum(old.nfev for _, old in corpus)
+
+    def test_trajectory_layout(self, rng):
+        # a non-symmetric A and a nonzero v: a transposed Finv or a
+        # misplaced I would be off by O(1)
+        p = random_flow_problem(rng, 2, 2, 4, 0.0)
+        f = FieldSampler.from_problem(p)
+        y = np.array([0.3, -0.2])
+        traj = integrate_flow(f, y, -3.0, rel_tol=1e-11, abs_tol=1e-13)
+        z0 = np.concatenate([y, np.eye(2).reshape(-1), np.zeros(2)])
+        ref = reference_flow_segment(f, z0, 0.0, 3.0, 1e-11, 1e-13)
+        for t in (-0.4, -1.3, -3.0):
+            st, z = traj.at(t), ref.sol(-t)
+            assert np.allclose(st.y_t, z[:2], rtol=1e-8, atol=1e-10)
+            assert np.allclose(st.Finv, z[2:6].reshape(2, 2), rtol=1e-8,
+                               atol=1e-10)
+            assert np.allclose(st.I, z[6:], rtol=1e-8, atol=1e-10)
 
 
 class TestEmpiricalDecayRate:
