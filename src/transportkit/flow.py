@@ -286,16 +286,9 @@ def _reversed_rhs(f: FieldSampler):
     and one coefficient matmul.
     """
     n, m = f.n, f.m
-    if f._joint is None:
-        sample = f._sample
-    else:
-        N, coeffs = f._joint.N, f._joint.coeffs
-
-        def sample(y):
-            return _monomial_vector(y, N) @ coeffs
 
     def rhs(_tau, z):
-        s = sample(z[:n])
+        s = f._sample(z[:n])
         Finv = z[n:].reshape(m, m + 1)[:, :m]
         dW = Finv @ s[n:].reshape(m, m + 1)
         return np.concatenate([s[:n], dW.ravel()])
@@ -379,7 +372,7 @@ class EvaluationResult:
     nfev: int  # RHS evaluations, summed over the integration chunks
     n_steps: int  # accepted integrator steps, summed over the chunks
     n_chunks: int  # solve_ivp segments between tail checks
-    method: str  # the scipy integrator, "DOP853"
+    method: str = _METHOD  # the scipy integrator
 
 
 def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
@@ -408,8 +401,7 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
     def result(tail, rate):
         return EvaluationResult(u=_frame_block(z, n, m)[:, m],
                                 tail_estimate=tail, horizon=-tau, rate=rate,
-                                mode="direct", split_order=None,
-                                method=_METHOD, **counts)
+                                mode="direct", split_order=None, **counts)
 
     while True:
         tau1 = min(tau + cfg.chunk, cfg.max_horizon)

@@ -112,11 +112,18 @@ def monomial_powers(n: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _power_index(n: int, N: int) -> np.ndarray:
-    """Flat positions of y_j**alpha_j in an (n, N + 1) power table, shape (P_dim, n)."""
+def _power_index(n: int, N: int):
+    """Flat positions of y_j**alpha_j in an (n, N + 1) power table, shape
+    (P_dim, n), and the table's exponents 0..N.
+
+    The exponents are floats: float ** int would cast them on every call
+    to the same values.
+    """
     idx = monomial_powers(n, N) + (N + 1) * np.arange(n)
+    exponents = np.arange(N + 1, dtype=float)
     idx.setflags(write=False)
-    return idx
+    exponents.setflags(write=False)
+    return idx, exponents
 
 
 def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
@@ -127,8 +134,8 @@ def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
     y_j**k (k <= N) is gathered per multi-index and multiplied along the
     variables; the values are those of ``prod(point**alpha)`` bit for bit.
     """
-    table = point[..., None] ** np.arange(N + 1)
-    idx = _power_index(point.shape[-1], N)
+    idx, exponents = _power_index(point.shape[-1], N)
+    table = point[..., None] ** exponents
     if point.ndim == 2:  # each point gathers from its own power table
         idx = idx + table[0].size * np.arange(point.shape[0])[:, None, None]
     # the ufunc reduction np.prod runs, without its per-call dispatch cost

@@ -14,11 +14,20 @@ expm, the path that the batched eigendecomposition of estimates replaced.
 from __future__ import annotations
 
 import os
+import sys
 
 # Before numpy loads: under OpenBLAS's default of one thread per core, a
-# busy second core slowed the estimates tests up to fifteenfold.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# busy second core slowed the estimates tests up to fifteenfold.  BLAS
+# reads these variables once, when numpy loads, so a pin set after that
+# would do nothing; fail instead of running slow unnoticed.
+_unset = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                      "MKL_NUM_THREADS") if v not in os.environ]
+if _unset and "numpy" in sys.modules:
+    raise RuntimeError(
+        "numpy was imported before tests/conftest.py could pin BLAS to one "
+        f"thread; set {', '.join(_unset)}=1 in the environment")
+for _var in _unset:
+    os.environ[_var] = "1"
 
 import itertools  # noqa: E402
 import math  # noqa: E402
