@@ -143,8 +143,11 @@ def heat_coefficients_numeric(h: HeatProblem, q, *, tol: float = 1e-10,
 
     with Phi_0 = id on the flat trivial bundle.  The jets supply the
     derivatives inside L; Gauss-Legendre with node doubling supplies the
-    s-integral.  Raises NumericError if doubling stalls above max_nodes.
+    s-integral.  Raises NumericError if doubling stalls above max_nodes,
+    and ValidationError unless tol is positive.
     """
+    if not tol > 0:
+        raise ValidationError(f"quadrature tolerance must be positive, got {tol}")
     q = np.asarray(q, dtype=float)
     if q.shape != (h.n,):
         raise ValidationError(f"point must have shape ({h.n},)")

@@ -605,6 +605,15 @@ def _finite_float(text):
     return val
 
 
+def _nonnegative_float(text):
+    """argparse type of --tol and --obstruction-tol: a finite float >= 0."""
+    val = _finite_float(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative number, got {text!r}")
+    return val
+
+
 @lru_cache(maxsize=None)
 def _build_parser():
     """The argument parser, built once per process; parse_args leaves it unchanged."""
@@ -623,7 +632,8 @@ def _build_parser():
                         help="output path (default: stdout)")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-identical reruns")
-        sp.add_argument("--tol", type=_finite_float, default=RESONANCE_TOL,
+        sp.add_argument("--tol", type=_nonnegative_float,
+                        default=RESONANCE_TOL,
                         help="resonance / obstruction tolerance")
         if output is not None:
             sp.add_argument("--output", choices=("json", "csv"),
@@ -641,7 +651,8 @@ def _build_parser():
              "solve the transport equation in the jet algebra")
     sp.add_argument("--order", type=int, default=None,
                     help="target jet order (default: the problem order)")
-    sp.add_argument("--obstruction-tol", type=_finite_float, default=1e-9,
+    sp.add_argument("--obstruction-tol", type=_nonnegative_float,
+                    default=1e-9,
                     help="relative solvability screen")
 
     sp = add("solve-grid", cmd_solve_grid,

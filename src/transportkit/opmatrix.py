@@ -8,20 +8,20 @@ diagonal block is the action of D_0 + A(0) on homogeneous polynomials of
 degree k, where D_0 is the linearization of X.
 
 Assembly applies the operator to each basis jet with exact truncated
-arithmetic, so integer inputs yield integer matrix entries.
+arithmetic, so integer inputs yield integer matrix entries.  The jet
+solver builds only the diagonal slices (assemble_slice) and, for resonant
+lambda, the head block of degrees <= N*; assemble of the whole operator
+is the dense reference.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatchError, ValidationError
 from .jets import (
-    H_dim,
     Jet,
     P_dim,
     VectorFieldJet,
@@ -37,13 +37,9 @@ __all__ = [
     "OperatorMatrix",
     "assemble",
     "assemble_slice",
-    "adjoint_matrix",
     "apply_operator",
     "jet_to_vec",
     "vec_to_jet",
-    "basis_labels",
-    "operator_matrix_to_json",
-    "operator_matrix_to_csv",
 ]
 
 # Guard for the dense-representation regime; beyond this the quadratic
@@ -176,10 +172,6 @@ def apply_operator(p: ProblemData, u: Jet) -> Jet:
     return jet_directional_derivative(q.X, uu) + jet_mul(q.A, uu)
 
 
-def _operator_offsets(p: ProblemData) -> np.ndarray:
-    return degree_starts(p.n, p.N) * p.m
-
-
 def assemble(p: ProblemData) -> OperatorMatrix:
     """Dense matrix of (D_X + A) on P_N tensor V.
 
@@ -200,7 +192,7 @@ def assemble(p: ProblemData) -> OperatorMatrix:
         image = apply_operator(p, Jet(n, N, unit, copy=False))
         entries[:, col] = jet_to_vec(image)
     return OperatorMatrix(entries=entries, n=n, N=N, m=m, basis=basis,
-                          offsets=_operator_offsets(p))
+                          offsets=degree_starts(n, N) * m)
 
 
 def assemble_slice(p: ProblemData, k: int) -> np.ndarray:
@@ -238,55 +230,3 @@ def assemble_slice(p: ProblemData, k: int) -> np.ndarray:
             for vj in range(m):
                 out[col_a * m + vi, col_a * m + vj] += A0[vi, vj]
     return out
-
-
-def adjoint_matrix(M: OperatorMatrix) -> OperatorMatrix:
-    """Transpose in the bilinear dual pairing: <adjoint(M) t, u> = <t, M u>."""
-    return OperatorMatrix(entries=M.entries.T.copy(), n=M.n, N=M.N, m=M.m,
-                          basis=M.basis, offsets=M.offsets)
-
-
-# -- export -------------------------------------------------------------
-
-def _monomial_label(alpha) -> str:
-    parts = []
-    for i, e in enumerate(alpha):
-        if e == 1:
-            parts.append(f"y{i + 1}")
-        elif e > 1:
-            parts.append(f"y{i + 1}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def basis_labels(M: OperatorMatrix) -> list:
-    return [f"{_monomial_label(alpha)}*e{j}" for alpha, j in M.basis]
-
-
-def _entry_json(x):
-    if isinstance(x, complex) or np.iscomplexobj(x):
-        return {"re": float(np.real(x)), "im": float(np.imag(x))}
-    return float(x)
-
-
-def operator_matrix_to_json(M: OperatorMatrix) -> dict:
-    return {
-        "dim": M.dim,
-        "n": M.n,
-        "N": M.N,
-        "m": M.m,
-        "basis": basis_labels(M),
-        "entries": [[_entry_json(x) for x in row] for row in M.entries],
-    }
-
-
-def operator_matrix_to_csv(M: OperatorMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    labels = basis_labels(M)
-    writer.writerow([""] + labels)
-    for label, row in zip(labels, M.entries):
-        if np.iscomplexobj(row):
-            writer.writerow([label] + [f"{x.real!r}{x.imag:+}j" for x in row])
-        else:
-            writer.writerow([label] + [repr(float(x)) for x in row])
-    return buf.getvalue()

@@ -136,9 +136,13 @@ def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL,
 
     Returns a ResonanceEntry, or None when lambda is non-resonant.
     Combinations missing lambda by less than warn_tol (but more than tol)
-    trigger a NearResonanceWarning.  Representations are listed in
-    graded-lex order on alpha, then by rho index.
+    trigger a NearResonanceWarning; a negative tolerance is a
+    ValidationError.  Representations are listed in graded-lex order on
+    alpha, then by rho index.
     """
+    if not (tol >= 0 and warn_tol >= 0):
+        raise ValidationError(
+            f"tolerances must be nonnegative (tol={tol}, warn_tol={warn_tol})")
     mu = np.asarray(mu, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     lam = complex(lam)
@@ -351,18 +355,22 @@ class DualDistribution:
         return f"DualDistribution(n={self.n}, order={self.order}, m={self.m})"
 
 
-def _head_split(head: np.ndarray, n: int, order: int, m: int, rtol: float):
+def _head_split(p: ProblemData, order: int, rtol: float):
     """One SVD of the head block (degrees <= order) of D_X + A - lambda.
 
-    Returns (kernel, duals, solve): the right null basis as columns, the
-    left null basis in the bilinear pairing (no conjugation) as
-    DualDistributions of the given order, and the minimum-norm solve of
-    head x = b on the kept singular values, all by one rank decision.
+    The block is read off the dense operator at order max(order, 1), the
+    only dense operator the solvers build.  Returns (kernel, duals,
+    solve): the right null basis as columns, the left null basis in the
+    bilinear pairing (no conjugation) as DualDistributions of the given
+    order, and the minimum-norm solve of head x = b on the kept singular
+    values, all by one rank decision.
     """
-    U, s, Vh, report = _svd_rank(head, rtol)
+    op = assemble(p.at_order(max(order, 1)))
+    h = int(op.offsets[order + 1])
+    U, s, Vh, report = _svd_rank(op.entries[:h, :h] - p.lam * np.eye(h), rtol)
     r = report.rank
     left = _canonicalize_columns(U[:, r:].conj())
-    duals = [DualDistribution(n, order, left[:, k].reshape(-1, m))
+    duals = [DualDistribution(p.n, order, left[:, k].reshape(-1, p.m))
              for k in range(left.shape[1])]
 
     def solve(b: np.ndarray) -> np.ndarray:
@@ -384,10 +392,7 @@ def dual_kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
     entry, n_prime = resonance_degree(p, tol)
     if entry is None:
         return []
-    op = assemble(p.at_order(max(n_prime, 1)))
-    h = int(op.offsets[n_prime + 1])
-    head = op.entries[:h, :h] - p.lam * np.eye(h)
-    return _head_split(head, p.n, n_prime, p.m, rtol)[1]
+    return _head_split(p, n_prime, rtol)[1]
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,24 @@
 """Order-by-order jet solutions of (D_X + A - lambda) u = v.
 
-The assembled operator is block lower triangular by degree, so the solve
-runs as a block forward substitution:
+The operator is block lower triangular by degree, so the solve is one
+forward substitution over degrees (the order-by-order solve of a
+homological equation), with a dense matrix only where the theory needs
+one:
 
-1. Head: on polynomials of degree <= N* (the largest degree appearing in a
-   representation of lambda; 0 when lambda is non-resonant) the system is
-   solved once as a whole.  For resonant lambda the head matrix is
-   singular, and one SVD of it gives the dual kernel that screens
-   solvability, the minimum-norm solution taken when the screen passes (a
-   policy choice, the solution is only unique modulo the kernel) and the
-   kernel of the head.
-2. Slices: for each degree k > N* the diagonal block D_0 + A(0) - lambda
-   on the homogeneous slice is invertible, and the degree-k coefficients
-   follow from the lower-degree ones by a dense LU solve.
-3. Kernel extensions: each kernel basis jet of the head extends through
-   the same recursion with v = 0, giving the affine solution family
-   particular + span(kernel_extensions).
+1. Head: for resonant lambda, the block on polynomials of degree <= N*
+   (the largest degree appearing in a representation of lambda) is
+   singular.  One SVD of it gives the dual kernel that screens
+   solvability, the minimum-norm head of the particular solution taken
+   when the screen passes (a policy choice, the solution is only unique
+   modulo the kernel) and the kernel of the head.  For non-resonant
+   lambda there is no head.
+2. Degrees: for each degree k above the head (from 0 when lambda is
+   non-resonant) the diagonal block D_0 + A(0) - lambda on the
+   homogeneous slice is invertible.  It is factored once, and one LU
+   solve gives the degree-k coefficients of the particular solution and
+   of every kernel extension (v = 0) together, from the degree-k part of
+   (D_X + A) applied to their lower-degree coefficients.  The solutions
+   on P_N tensor V form the family particular + span(kernel_extensions).
 
 Jet methods only see Taylor data at the base point; a solution that is
 flat there (all derivatives zero without vanishing identically) is
@@ -31,9 +34,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import IllConditionedWarning, ValidationError
-from .jets import Jet
-from .opmatrix import (ProblemData, _common_field, apply_operator, assemble,
-                       jet_to_vec, vec_to_jet)
+from .jets import Jet, P_dim, degree_starts
+from .opmatrix import (ProblemData, _common_field, apply_operator,
+                       assemble_slice, jet_to_vec)
 from .spectral import (RANK_RTOL, RESONANCE_TOL, _head_split, _screen,
                        resonance_degree)
 
@@ -75,6 +78,9 @@ def solve_to_order(p: ProblemData, M: int, *,
     below it, and capped at max_order.  Jets of lower order than the
     working order are treated as polynomial data.
     """
+    if not obstruction_tol >= 0:
+        raise ValidationError(
+            f"obstruction_tol must be nonnegative, got {obstruction_tol}")
     entry, n_star = resonance_degree(p, tol)
     M = max(M, n_star)
     if M > max_order:
@@ -87,60 +93,47 @@ def solve_to_order(p: ProblemData, M: int, *,
 def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
                   rtol: float) -> JetSolution:
     """solve_to_order at the working order q.N >= n_star, rank threshold rtol."""
-    op = assemble(q)
-    head_dim = int(op.offsets[n_star + 1])
-    head = op.entries[:head_dim, :head_dim] - q.lam * np.eye(head_dim)
-    v_vec = jet_to_vec(q.v)
-    condition_report = {}
-
-    # factor each diagonal slice block once; the particular solve and all
-    # kernel extensions share them
-    slice_lu = {}
-    for k in range(n_star + 1, q.N + 1):
-        r0, r1 = int(op.offsets[k]), int(op.offsets[k + 1])
-        block = op.entries[r0:r1, r0:r1] - q.lam * np.eye(r1 - r0)
-        cond = float(np.linalg.cond(block))
-        condition_report[f"slice_{k}"] = cond
-        if cond > _COND_WARN:
-            warnings.warn(f"slice {k} solve condition number {cond:.2e}",
-                          IllConditionedWarning, stacklevel=3)
-        slice_lu[k] = lu_factor(block)
-
-    def extend_by_slices(head_vec: np.ndarray, rhs_vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(op.dim, dtype=op.entries.dtype)
-        out[:head_dim] = head_vec
-        for k in range(n_star + 1, q.N + 1):
-            r0, r1 = int(op.offsets[k]), int(op.offsets[k + 1])
-            rhs_k = rhs_vec[r0:r1] - op.entries[r0:r1, :r0] @ out[:r0]
-            out[r0:r1] = lu_solve(slice_lu[k], rhs_k)
-        return out
-
+    n, N, m = q.n, q.N, q.m
+    starts = degree_starts(n, N)
     obstructions = ()
-    particular_head = None
-    kernel_extensions = ()
+    solvable = True
+    heads = np.zeros((0, 1))
     if entry is not None:
-        head_kernel, duals, head_solve = _head_split(head, q.n, n_star, q.m,
-                                                     rtol)
+        kernel, duals, head_solve = _head_split(q, n_star, rtol)
         screen = _screen(duals, q.v, obstruction_tol)
-        obstructions = screen.obstructions
-        if screen.solvable:
-            particular_head = head_solve(v_vec[:head_dim])
-        kernel_extensions = tuple(
-            vec_to_jet(extend_by_slices(col, 0 * v_vec), q.n, q.N, q.m)
-            for col in head_kernel.T)
-    else:
-        cond = float(np.linalg.cond(head))
-        condition_report["head"] = cond
+        obstructions, solvable = screen.obstructions, screen.solvable
+        heads = kernel if not solvable else np.column_stack(
+            [head_solve(jet_to_vec(q.v)[:kernel.shape[0]]), kernel])
+
+    # one column per unknown jet: the particular solution first when the
+    # screen passed, then the extension of each head kernel vector (v = 0)
+    cols = heads.shape[1]
+    dtype = np.complex128 if q.is_complex else np.float64
+    u = np.zeros((cols, P_dim(n, N), m), dtype=dtype)
+    u[:, :heads.shape[0] // m] = heads.T.reshape(cols, -1, m)
+    target = np.zeros_like(u)
+    if solvable:
+        target[0] = q.v.coeffs
+
+    condition_report = {}
+    for k in range(n_star + 1 if entry is not None else 0, N + 1):
+        s0, s1 = int(starts[k]), int(starts[k + 1])
+        block = assemble_slice(q, k) - q.lam * np.eye((s1 - s0) * m)
+        label = f"slice {k}" if k else "head"
+        cond = float(np.linalg.cond(block))
+        condition_report[label.replace(" ", "_")] = cond
         if cond > _COND_WARN:
-            warnings.warn(f"head solve condition number {cond:.2e}",
+            warnings.warn(f"{label} solve condition number {cond:.2e}",
                           IllConditionedWarning, stacklevel=3)
-        particular_head = np.linalg.solve(head, v_vec[:head_dim])
+        # degree k of each u_c is still zero, so lambda drops out here
+        image = np.stack([apply_operator(q, Jet(n, N, uc)).coeffs[s0:s1]
+                          for uc in u])
+        rhs = (target[:, s0:s1] - image).reshape(cols, -1).T
+        u[:, s0:s1] = lu_solve(lu_factor(block), rhs).T.reshape(cols, -1, m)
 
-    particular = (None if particular_head is None else vec_to_jet(
-        extend_by_slices(particular_head, v_vec), q.n, q.N, q.m))
-
-    return JetSolution(particular=particular,
-                       kernel_extensions=kernel_extensions,
+    jets = [Jet(n, N, uc) for uc in u]
+    return JetSolution(particular=jets.pop(0) if solvable else None,
+                       kernel_extensions=tuple(jets),
                        resonance=entry,
                        obstructions=obstructions,
                        condition_report=condition_report)

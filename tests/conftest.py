@@ -7,6 +7,9 @@ matrix, the path that the head-block SVD of spectral replaced, and the
 flow references sample X, A and v through one Jet.evaluate call each,
 the path that the fused polynomial sampler of flow replaced, and
 reference_tail_integrate is the RK45 tail integration that DOP853 replaced.
+reference_solve_family is the jet solver that assembled the whole dense
+operator and read the head and the degree slices off it, the path that
+the degree-by-degree forward substitution of taylor replaced.
 reference_compute_M evaluates exp(tS) one time at a time with scipy's
 expm, the path that the batched eigendecomposition of estimates replaced.
 """
@@ -29,21 +32,26 @@ if _unset and "numpy" in sys.modules:
 for _var in _unset:
     os.environ[_var] = "1"
 
+import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import math  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
 from transportkit.flow import EvaluationResult
 
 from transportkit.jets import monomial_powers
-from transportkit.opmatrix import assemble
-from transportkit.spectral import RANK_RTOL, RESONANCE_TOL, resonance_degree
+from transportkit.opmatrix import assemble, jet_to_vec, vec_to_jet
+from transportkit.spectral import (RANK_RTOL, RESONANCE_TOL, DualDistribution,
+                                   _canonicalize_columns, _screen, _svd_rank,
+                                   resonance_degree)
+from transportkit.taylor import JetSolution
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -163,6 +171,64 @@ def projector_distance(a, b):
     """Spectral-norm distance of the orthogonal projectors onto span(a), span(b)."""
     qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
     return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
+
+
+def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
+                           rtol=RANK_RTOL):
+    """taylor._solve_family on the whole assembled operator of q.
+
+    One SVD of the head block (degrees <= n_star) when lambda is resonant,
+    a dense solve of it otherwise; then each degree slice is factored and
+    the particular solution and every head kernel vector are extended by
+    block forward substitution on the dense rows.  No warnings.
+    """
+    op = assemble(q)
+    head_dim = int(op.offsets[n_star + 1])
+    head = op.entries[:head_dim, :head_dim] - q.lam * np.eye(head_dim)
+    v_vec = jet_to_vec(q.v)
+    condition_report = {}
+    slice_lu = {}
+    for k in range(n_star + 1, q.N + 1):
+        r0, r1 = int(op.offsets[k]), int(op.offsets[k + 1])
+        block = op.entries[r0:r1, r0:r1] - q.lam * np.eye(r1 - r0)
+        condition_report[f"slice_{k}"] = float(np.linalg.cond(block))
+        slice_lu[k] = lu_factor(block)
+
+    def extend_by_slices(head_vec, rhs_vec):
+        out = np.zeros(op.dim, dtype=op.entries.dtype)
+        out[:head_dim] = head_vec
+        for k in range(n_star + 1, q.N + 1):
+            r0, r1 = int(op.offsets[k]), int(op.offsets[k + 1])
+            rhs_k = rhs_vec[r0:r1] - op.entries[r0:r1, :r0] @ out[:r0]
+            out[r0:r1] = lu_solve(slice_lu[k], rhs_k)
+        return out
+
+    obstructions = ()
+    particular_head = None
+    kernel_extensions = ()
+    if entry is not None:
+        U, s, Vh, report = _svd_rank(head, rtol)
+        r = report.rank
+        left = _canonicalize_columns(U[:, r:].conj())
+        duals = [DualDistribution(q.n, n_star, left[:, k].reshape(-1, q.m))
+                 for k in range(left.shape[1])]
+        screen = _screen(duals, q.v, obstruction_tol)
+        obstructions = screen.obstructions
+        if screen.solvable:
+            particular_head = Vh[:r].conj().T @ (
+                (U[:, :r].conj().T @ v_vec[:head_dim]) / s[:r])
+        kernel_extensions = tuple(
+            vec_to_jet(extend_by_slices(col, 0 * v_vec), q.n, q.N, q.m)
+            for col in _canonicalize_columns(Vh[r:].conj().T).T)
+    else:
+        condition_report["head"] = float(np.linalg.cond(head))
+        particular_head = np.linalg.solve(head, v_vec[:head_dim])
+    particular = (None if particular_head is None else vec_to_jet(
+        extend_by_slices(particular_head, v_vec), q.n, q.N, q.m))
+    return JetSolution(particular=particular,
+                       kernel_extensions=kernel_extensions, resonance=entry,
+                       obstructions=obstructions,
+                       condition_report=condition_report)
 
 
 def reference_jet_evaluate(u, point):
@@ -306,6 +372,15 @@ def reference_compute_M(A0, eps: float) -> float:
         hi = ts[min(int(idx) + 1, ts.size - 1)]
         best = max(best, vals[idx], _reference_golden_max(f, lo, hi))
     return best
+
+
+def load_recipes():
+    """perfbench/recipes.py, the benchmark's problem generators, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "recipes.py"
+    spec = importlib.util.spec_from_file_location("ladder_recipes", path)
+    recipes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipes)
+    return recipes
 
 
 @pytest.fixture

@@ -222,6 +222,23 @@ class TestSchemaValidation:
         assert f"argument {flag}: expected a finite number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,flag", [
+        (command, "--tol") for command in (
+            "spectrum", "solve-jet", "solve-grid", "kernel", "dual-kernel",
+            "solvable", "heat", "wkb", "verify-estimates", "sternberg")]
+        + [("solve-jet", "--obstruction-tol")])
+    def test_negative_tolerance_flag(self, run, capsys, command, flag):
+        # X = y, lambda = 2, v = y: resonant at degree 2 and solvable; a
+        # negative tolerance used to hide the resonance or the solvability
+        doc = radial_doc(0.0, [scalar_term((1,), [1.0])])
+        doc["problem"]["lambda"] = 2.0
+        with pytest.raises(SystemExit) as exc:
+            run(command, doc, flag, "-1")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a nonnegative number" in err
+        assert "Traceback" not in err
+
     def test_point_dimension_checked(self, run):
         doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
                          grid={"points": [[0.1, 0.2]]})
@@ -468,6 +485,13 @@ class TestHeat:
     def test_budget_violation_exits_2(self, run):
         code, _, err = run("heat", self.doc(N=3))
         assert code == 2
+
+    @pytest.mark.parametrize("quad_tol", [-1, 0])
+    def test_nonpositive_quad_tol_exits_2(self, run, quad_tol):
+        code, out, err = run("heat", self.doc(points=[[0.3, -0.2]],
+                                              quad_tol=quad_tol))
+        assert code == 2 and out == ""
+        assert "quadrature tolerance must be positive" in err
 
 
 class TestWKB:

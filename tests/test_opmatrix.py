@@ -1,4 +1,4 @@
-"""Operator matrix assembly, slices, adjoints, export."""
+"""Operator matrix assembly and slices."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from transportkit.jets import Jet, P_dim, VectorFieldJet, monomials
 from transportkit.opmatrix import (
     OperatorMatrix,
     ProblemData,
-    adjoint_matrix,
     apply_operator,
     assemble,
     assemble_slice,
-    basis_labels,
     jet_to_vec,
-    operator_matrix_to_csv,
-    operator_matrix_to_json,
 )
 
 
@@ -101,17 +97,6 @@ def test_slice_gradient_example_degree1():
     assert np.array_equal(assemble_slice(p, 1), np.diag([1.0, 2.0]))
 
 
-def test_adjoint_is_transpose_and_pairing_identity(rng):
-    p = _random_problem(rng)
-    M = assemble(p)
-    Mt = adjoint_matrix(M)
-    assert np.array_equal(Mt.entries, M.entries.T)
-    for _ in range(10):
-        t = rng.standard_normal(M.dim)
-        u = rng.standard_normal(M.dim)
-        assert np.isclose((Mt.entries @ t) @ u, t @ (M.entries @ u))
-
-
 def test_spectrum_is_eigenvalue_combinations(rng):
     # spectrum of the assembled matrix = {alpha . mu + rho_j}
     n, m, N = 2, 2, 3
@@ -141,19 +126,6 @@ def test_complex_promotion():
     assert M.entries.dtype == np.complex128
     # real input stays real
     assert assemble(gradient_example_problem()).entries.dtype == np.float64
-
-
-def test_export_labels_and_shapes():
-    M = assemble(gradient_example_problem())
-    labels = basis_labels(M)
-    assert labels[0] == "1*e0"
-    assert labels[3] == "y1^2*e0"
-    obj = operator_matrix_to_json(M)
-    assert obj["dim"] == 6 and len(obj["entries"]) == 6
-    csv_text = operator_matrix_to_csv(M)
-    lines = csv_text.strip().split("\n")
-    assert len(lines) == 7
-    assert lines[0].split(",")[1] == "1*e0"
 
 
 def test_vector_problem_basis_order(rng):

@@ -1,9 +1,7 @@
 """Resonances, kernels, dual distributions, solvability."""
 
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +28,7 @@ from transportkit.taylor import solve_to_order
 from conftest import (
     brute_combinations,
     grlex_position,
+    load_recipes,
     projector_distance,
     reference_dual_kernel_basis,
     reference_kernel_basis,
@@ -87,6 +86,12 @@ def test_resonance_heat_shift_negative_is_clean():
 def test_resonance_requires_positive_linearization():
     with pytest.raises(ValidationError):
         enumerate_resonances([1.0, -0.5], [0.0], 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": -1e-9}, {"warn_tol": -1e-6}])
+def test_resonance_rejects_negative_tolerance(kwargs):
+    with pytest.raises(ValidationError, match="nonnegative"):
+        enumerate_resonances([1.0], [0.0], 2.0, **kwargs)
 
 
 def test_near_resonance_warns():
@@ -469,10 +474,7 @@ def test_ladder_rung_counts_agree():
     has 1.8e-11, on either side of RANK_RTOL, so rank decisions taken on
     the two matrices found 6 and 7 kernel vectors.
     """
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "recipes.py"
-    spec = importlib.util.spec_from_file_location("ladder_recipes", path)
-    recipes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(recipes)
+    recipes = load_recipes()
     rng = np.random.default_rng(11)
     for rung in recipes.LADDER:  # replay the benchmark's draws up to the rung
         for kind in recipes.LADDER_KINDS:

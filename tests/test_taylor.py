@@ -9,16 +9,24 @@ Closed forms used as oracles:
   y1^2 - 2 y1^2 y2 + y1^4 + 2 y1^2 y2^2.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+import transportkit
 from transportkit import spectral, taylor
 from transportkit.errors import UnsolvableError, ValidationError
 from transportkit.jets import Jet, VectorFieldJet
-from transportkit.opmatrix import ProblemData, apply_operator, assemble
+from transportkit.opmatrix import (ProblemData, apply_operator, assemble,
+                                   jet_to_vec)
+from transportkit.spectral import resonance_degree
 from transportkit.taylor import MAX_ORDER, JetSolution, residual, solve_to_order
 
+from conftest import load_recipes, projector_distance, reference_solve_family
+from test_acceptance import _random_fredholm_problem
 from test_opmatrix import gradient_example_problem
+from test_spectral import _random_resonant_problem
 
 
 def scalar_euler_problem(a: float, v: Jet, lam: float, N: int) -> ProblemData:
@@ -164,6 +172,18 @@ class TestSolverPolicies:
         with pytest.raises(ValidationError):
             solve_to_order(p, MAX_ORDER + 1)
 
+    @pytest.mark.parametrize("kwargs", [{"tol": -1.0},
+                                        {"obstruction_tol": -1.0},
+                                        {"obstruction_tol": float("nan")}])
+    def test_negative_tolerances_rejected(self, kwargs):
+        # X = y, lambda = 2, v = y: a negative tol used to hide the
+        # resonance and send a singular slice to the LU solve
+        v = Jet.from_terms(1, 4, {(1,): 1.0})
+        p = scalar_euler_problem(0.0, v, 2.0, 4)
+        assert solve_to_order(p, 4).solvable
+        with pytest.raises(ValidationError, match="nonnegative"):
+            solve_to_order(p, 4, **kwargs)
+
     def test_projection_consistency(self):
         # solving at high order then projecting equals solving at low order
         N_hi, N_lo = 8, 3
@@ -208,7 +228,7 @@ class TestSolverPolicies:
 
     def test_resonant_solve_assembles_and_decomposes_once(self, monkeypatch):
         # one head SVD serves the obstructions, the particular solution and
-        # the kernel; the dual kernel alone assembles only up to N*
+        # the kernel; only the head (degrees <= N*) is ever assembled
         orders, svds = [], []
         svd = np.linalg.svd
 
@@ -220,16 +240,75 @@ class TestSolverPolicies:
             svds.append(args[0].shape)
             return svd(*args, **kwargs)
 
-        for module in (taylor, spectral):
-            monkeypatch.setattr(module, "assemble", counting_assemble)
+        assert not hasattr(taylor, "assemble")
+        monkeypatch.setattr(spectral, "assemble", counting_assemble)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         p = gradient_example_problem(N=6, lam=2.0)
         sol = solve_to_order(p, 6)
         assert sol.solvable and len(sol.kernel_extensions) == 1
-        assert orders == [6] and svds == [(6, 6)]  # head: degrees <= 2
+        assert orders == [2] and svds == [(6, 6)]  # head: degrees <= 2
         orders.clear()
+        sol = solve_to_order(p.with_lam(0.5), 6)  # non-resonant: no head
+        assert sol.solvable and orders == []
         assert len(spectral.dual_kernel_basis(p)) == 1
         assert orders == [2]
         orders.clear()
         assert spectral.dual_kernel_basis(p.with_lam(0.5)) == []
         assert orders == []
+
+
+# -- degree loop against the whole-matrix reference --------------------------
+
+def _assert_matches_reference(p):
+    """solve_to_order against reference_solve_family at the same working order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        entry, n_star = resonance_degree(p)
+        got = solve_to_order(p, p.N)
+        ref = reference_solve_family(p.at_order(max(p.N, n_star)), entry,
+                                     n_star)
+    assert got.solvable == ref.solvable
+    assert len(got.kernel_extensions) == len(ref.kernel_extensions)
+    assert np.allclose(got.obstructions, ref.obstructions, rtol=1e-12,
+                       atol=1e-12 * p.v.norm())
+    assert got.condition_report.keys() == ref.condition_report.keys()
+    for key, cond in ref.condition_report.items():
+        assert got.condition_report[key] == pytest.approx(cond, rel=1e-6)
+    if ref.solvable:
+        err = (got.particular - ref.particular).norm()
+        assert err <= 1e-12 * ref.particular.norm()
+    if ref.kernel_extensions:
+        spans = [np.column_stack([jet_to_vec(k) for k in sol.kernel_extensions])
+                 for sol in (got, ref)]
+        assert projector_distance(*spans) <= 1e-8
+    return entry is not None, got.solvable
+
+
+def test_degree_loop_matches_reference_criterion_03(rng):
+    """The criterion-03 generator, real; every branch appears."""
+    seen = set()
+    for _ in range(80):
+        p, _ = _random_fredholm_problem(rng)
+        seen.add(_assert_matches_reference(p))
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
+def test_degree_loop_matches_reference_complex(rng):
+    """Complex tails and spectra, resonant and shifted off resonance."""
+    seen = set()
+    for _ in range(30):
+        p = _random_resonant_problem(rng, complex_field=True)
+        assert p.is_complex
+        seen.add(_assert_matches_reference(p))
+        seen.add(_assert_matches_reference(p.with_lam(p.lam + 0.37)))
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("rung", [(2, 2, 8), (3, 1, 6)])
+def test_degree_loop_matches_reference_ladder(rung):
+    recipes = load_recipes()
+    rng = np.random.default_rng(sum(rung))
+    for kind in recipes.LADDER_KINDS:
+        p = recipes.fredholm_problem(transportkit, rng, *rung, kind)
+        assert _assert_matches_reference(p) == (kind != "nonresonant",
+                                                kind != "obstructed")
