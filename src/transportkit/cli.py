@@ -40,7 +40,8 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
-from .estimates import MatrixPath, inverse_two_regime_bound, two_regime_bound
+from .estimates import (ODE_ABS_TOL, ODE_REL_TOL, MatrixPath,
+                        inverse_two_regime_bound, two_regime_bound)
 from .flow import EvalConfig, FieldSampler, evaluate_solution
 from .jets import Jet, VectorFieldJet, grlex_key, jet_from_json, jet_to_json
 from .opmatrix import ProblemData
@@ -557,7 +558,7 @@ def cmd_verify_estimates(args):
                        sample_times=np.linspace(t_min, 0.0, samples))
     check = two_regime_bound if mode == "direct" else inverse_two_regime_bound
     report = check(A0, mpath, eps, t0)
-    tolerances = {"ode_rel_tol": 1e-10, "ode_abs_tol": 1e-13}
+    tolerances = {"ode_rel_tol": ODE_REL_TOL, "ode_abs_tol": ODE_ABS_TOL}
     if args.output == "csv":
         rows = [[t, measured, bound] for t, measured, bound in report.samples]
         _emit_csv(args, raw, tolerances, ["t", "measured", "bound"], rows)

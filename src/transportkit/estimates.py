@@ -49,6 +49,7 @@ _GRID_POINTS = 512
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # eigenvector condition number above which exp(tS) comes from expm
 _EIG_COND_MAX = 1e3
+ODE_REL_TOL, ODE_ABS_TOL = 1e-10, 1e-13  # of the transition integration
 
 
 def ell(A0) -> float:
@@ -185,14 +186,14 @@ class MatrixPath:
         return cls(fn=lambda _t: A0,
                    sample_times=np.linspace(t_min, 0.0, samples))
 
-    def deviation(self, A0, t_max: float = 0.0) -> float:
-        """sup over samples with t <= t_max of |A(t) - A0| (2-norm)."""
-        A0 = np.asarray(A0, dtype=float)
-        devs = [float(np.linalg.norm(self(t) - A0, 2))
-                for t in self.sample_times if t <= t_max]
-        if not devs:
-            raise ValidationError(f"no sample times at or below {t_max}")
-        return max(devs)
+    def deviations(self, A0) -> np.ndarray:
+        """|A(t) - A0| (2-norm) at each sample time, as one stacked norm."""
+        stack = np.array([self(t) for t in self.sample_times])
+        return np.linalg.norm(stack - A0, 2, axis=(1, 2))
+
+    def deviation(self, A0) -> float:
+        """sup over the samples of |A(t) - A0| (2-norm)."""
+        return float(self.deviations(A0).max())
 
 
 @dataclass(frozen=True)
@@ -224,19 +225,22 @@ def perturbation_bound(A0, path: MatrixPath, eps: float) -> LemmaBound:
                       deviation=path.deviation(A0))
 
 
-def _transition_dense(path: MatrixPath, t_min: float, m: int,
-                      rel_tol: float = 1e-10, abs_tol: float = 1e-13):
-    """Dense solution of dE/dt = A(t) E on [t_min, 0], E(0) = id."""
+def _shifted_norms(path: MatrixPath, system, lam: float, m: int):
+    """|F(t)| on the path grid and the RHS count, where F(0) = id and
+    dF/dt = (system(A(t)) - lam id) F: exp(lam t) F is the transition matrix
+    of system(A(t)), and |F| is of order one for lam = ell(system(A0))."""
+    shift = lam * np.eye(m)
 
     def rhs(tau, z):
-        E = z.reshape(m, m)
-        return (-path(-tau) @ E).reshape(-1)
+        return ((shift - system(path(-tau))) @ z.reshape(m, m)).reshape(-1)
 
-    res = solve_ivp(rhs, (0.0, -t_min), np.eye(m).reshape(-1), method="RK45",
-                    rtol=rel_tol, atol=abs_tol, dense_output=True)
+    ts = path.sample_times
+    res = solve_ivp(rhs, (0.0, -ts[0]), np.eye(m).reshape(-1), method="DOP853",
+                    rtol=ODE_REL_TOL, atol=ODE_ABS_TOL, dense_output=True)
     if not res.success:
         raise NumericError(f"transition integration failed: {res.message}")
-    return lambda t: res.sol(-t).reshape(m, m)
+    F = res.sol(-ts).T.reshape(-1, m, m)
+    return np.linalg.svd(F, compute_uv=False)[:, 0], res.nfev
 
 
 @dataclass(frozen=True)
@@ -258,6 +262,7 @@ class EstimateReport:
     samples: tuple
     violated: bool
     kind: str  # "direct" or "inverse"
+    nfev: int = 0  # RHS calls of the transition integration; not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -280,10 +285,10 @@ def _two_regime(A0, path: MatrixPath, eps: float, t0: float, *, kind: str,
     system maps A0 and each A(t) to the matrices the envelope is built on;
     it must preserve 2-norm distances, so the deviations |A(t) - A0| on
     the path grid are taken once from (A0, A) itself: the hypothesis reads
-    those with t <= t0, and C their maximum.  E always solves
-    dE/dt = A(t) E.  measure reads the checked number off E(t),
-    envelope(t, ell, C) is the bound it is compared with, and
-    breaks(measured, bound) marks a violation.
+    those with t <= t0, and C their maximum.  The transition matrix of
+    system(A(t)) has norm exp(lam t) |F(t)| (see _shifted_norms); measure
+    maps that norm to the checked number, envelope(t, lam, C) is the bound
+    it is compared with, and breaks(measured, bound) marks a violation.
     """
     A0 = _real_matrix(A0)
     _check_eps(eps)
@@ -295,7 +300,7 @@ def _two_regime(A0, path: MatrixPath, eps: float, t0: float, *, kind: str,
     M_half = compute_M(B0, eps / 2.0)
     M_full = compute_M(B0, eps)
     ts = path.sample_times
-    devs = np.array([np.linalg.norm(path(t) - A0, 2) for t in ts])
+    devs = path.deviations(A0)
     threshold = (eps / 2.0) / M_half
     broken = np.flatnonzero((ts <= t0) & (devs >= threshold))
     if broken.size:
@@ -303,13 +308,21 @@ def _two_regime(A0, path: MatrixPath, eps: float, t0: float, *, kind: str,
         raise HypothesisViolationError(
             f"|A(t) - A0| = {dev:.6g} is not below (eps/2)/M(A0, eps/2) "
             f"= {threshold:.6g} at t = {t:g}", t=float(t))
-    C = M_half * M_full * math.exp(-t0 * M_full * float(devs.max()))
     lam = ell(B0)
-
-    E = _transition_dense(path, float(ts[0]), A0.shape[0])
-    samples = tuple((float(t), measure(E(t)), envelope(t, lam, C)) for t in ts)
+    try:
+        C = M_half * M_full * math.exp(-t0 * M_full * float(devs.max()))
+        bounds = [envelope(t, lam, C) for t in ts]
+    except OverflowError:
+        C, bounds = math.inf, []
+    norms, nfev = _shifted_norms(path, system, lam, A0.shape[0])
+    with np.errstate(over="ignore", divide="ignore"):  # checked below
+        scaled = np.exp(lam * ts) * norms
+        measured = measure(scaled)
+    if not np.isfinite([C, *bounds, *scaled, *measured]).all():
+        raise NumericError("the bound or the transition norm is not finite")
+    samples = tuple(zip(ts.tolist(), measured.tolist(), bounds))
     return EstimateReport(ell=lam, eps=eps, M_val=M_full, t0=float(t0), C=C,
-                          samples=samples, kind=kind,
+                          samples=samples, kind=kind, nfev=nfev,
                           violated=any(breaks(v, b) for _, v, b in samples))
 
 
@@ -322,7 +335,7 @@ def two_regime_bound(A0, path: MatrixPath, eps: float, t0: float) -> EstimateRep
     """
     return _two_regime(
         A0, path, eps, t0, kind="direct", system=lambda M: M,
-        measure=lambda E: float(np.linalg.norm(E, 2)),
+        measure=lambda norm: norm,
         envelope=lambda t, lam, C: C * math.exp(t * (lam - eps)),
         breaks=operator.gt)
 
@@ -334,10 +347,11 @@ def inverse_two_regime_bound(A0, path: MatrixPath, eps: float,
     F = E^{-1} solves dF/dt = -F A(t); transposing gives the standard
     system with matrix -A(t)^T, so the direct machinery applied to
     (-A0^T, -A^T) bounds |F| above, which is the floor under s_min(E).
-    The reported ell, M and C refer to that transformed system.
+    The reported ell, M and C refer to that transformed system, whose own
+    integration gives s_min(E) = 1/|F| without an SVD of a near-singular E.
     """
     return _two_regime(
         A0, path, eps, t0, kind="inverse", system=lambda M: -M.T,
-        measure=lambda E: float(np.linalg.svd(E, compute_uv=False)[-1]),
+        measure=np.reciprocal,
         envelope=lambda t, lam, C: (1.0 / C) * math.exp(t * (-lam + eps)),
         breaks=operator.lt)

@@ -374,6 +374,21 @@ def reference_compute_M(A0, eps: float) -> float:
     return best
 
 
+def reference_transition(path, t_min: float, m: int, rel_tol: float = 1e-10,
+                         abs_tol: float = 1e-13):
+    """Dense solution of dE/dt = A(t) E on [t_min, 0], E(0) = id, by RK45 on
+    E itself, and its RHS count.  Its accuracy is absolute: |E| and s_min(E)
+    read off it lose relative accuracy as they fall toward abs_tol."""
+
+    def rhs(tau, z):
+        return (-path(-tau) @ z.reshape(m, m)).reshape(-1)
+
+    res = solve_ivp(rhs, (0.0, -t_min), np.eye(m).reshape(-1), method="RK45",
+                    rtol=rel_tol, atol=abs_tol, dense_output=True)
+    assert res.success, res.message
+    return (lambda t: res.sol(-t).reshape(m, m)), res.nfev
+
+
 def load_recipes():
     """perfbench/recipes.py, the benchmark's problem generators, as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "recipes.py"

@@ -584,6 +584,24 @@ class TestVerifyEstimates:
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert rows[0] == "t,measured,bound"
         assert len(rows) == 62
+        assert "# tolerances: ode_abs_tol=1e-13 ode_rel_tol=1e-10\n" in out
+
+    @pytest.mark.parametrize("mode", ["direct", "inverse"])
+    @pytest.mark.parametrize("est", [
+        # C = M M exp(-t0 M sup|A - A0|) overflows: sup|A - A0| = 1e3
+        {"A0": [[1.0]], "eps": 0.5, "t0": -1.0,
+         "path": {"rate": 100.0, "B": [[1e3]], "t_min": -10.0,
+                  "samples": 11}},
+        # the envelope and the transition norm overflow by t = -15
+        {"A0": [[-100.0]], "eps": 0.5, "t0": -1.0,
+         "path": {"rate": 1.0, "B": [[0.0]]}}], ids=["C", "envelope"])
+    def test_overflow_exits_3(self, run, est, mode):
+        est = dict(est, mode=mode)
+        code, _, err = run("verify-estimates",
+                           {"schema_version": 1, "estimates": est})
+        assert code == 3
+        assert "not finite" in err
+        assert "Traceback" not in err
 
     def test_nonnegative_rate_rejected(self, run):
         doc = self.doc()

@@ -16,10 +16,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
+import transportkit
 import transportkit.estimates as estimates
-from transportkit.errors import HypothesisViolationError, ValidationError
+from transportkit.errors import (HypothesisViolationError, NumericError,
+                                 ValidationError)
 from transportkit.estimates import (
     EstimateReport,
     MatrixPath,
@@ -30,20 +32,15 @@ from transportkit.estimates import (
     two_regime_bound,
 )
 
-from conftest import reference_compute_M
+from conftest import load_recipes, reference_compute_M, reference_transition
 
 JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 def transition_oracle(path_fn, m, ts):
-    """E(t) at the (nonpositive, ascending) times ts, integrated directly
-    on the decreasing span (0, min ts) as an independent check."""
-    res = solve_ivp(
-        lambda t, z: (path_fn(t) @ z.reshape(m, m)).reshape(-1),
-        (0.0, float(min(ts))), np.eye(m).reshape(-1),
-        rtol=1e-10, atol=1e-13, dense_output=True)
-    assert res.success
-    return [res.sol(t).reshape(m, m) for t in ts]
+    """E(t) at the (nonpositive, ascending) times ts, from the reference."""
+    E, _ = reference_transition(path_fn, float(min(ts)), m)
+    return [E(t) for t in ts]
 
 
 class TestEll:
@@ -335,6 +332,7 @@ class TestTwoRegime:
         assert d["kind"] == "direct" and d["violated"] is False
         assert len(d["samples"]) == len(rep.samples)
         assert {"t", "measured", "bound"} <= set(d["samples"][0])
+        assert rep.nfev > 0 and "nfev" not in d
 
 
 class TestInverseBound:
@@ -380,3 +378,110 @@ class TestInverseBound:
         rep = inverse_two_regime_bound(JORDAN, MatrixPath.constant(JORDAN),
                                        0.25, -1.0)
         assert not rep.violated
+
+
+# The parent's RK45 transition read s_min(E(-10)) on this constant path as
+# 5.66e-19; the exact value 1/|expm(10 A0)| is 5.02e-20.
+A0_STIFF = np.array([[3.4, 2.55, 1.5], [1.5, 1.14, -0.34], [-0.61, 0.53, 0.9]])
+BOUNDS = pytest.mark.parametrize("bound", [two_regime_bound,
+                                           inverse_two_regime_bound],
+                                 ids=["direct", "inverse"])
+
+
+def exact_reading(kind, X):
+    """|expm(X)| or s_min(expm(X)) = 1/|expm(-X)|, the latter without an SVD
+    of a nearly singular matrix."""
+    if kind == "direct":
+        return np.linalg.norm(expm(X), 2)
+    return 1.0 / np.linalg.norm(expm(-X), 2)
+
+
+def recipe_paths(rng, count):
+    """(A0, path, eps, t0) of the benchmark's criterion-06 families."""
+    recipes = load_recipes()
+    for i in range(count):
+        A0, B, eps, t0 = recipes.estimate_family(transportkit, rng,
+                                                 2 if i % 3 else 3, i, count)
+        path = MatrixPath(fn=lambda t, A0=A0, B=B: A0 + math.exp(t) * B,
+                          sample_times=np.linspace(-10.0, 0.0, 61))
+        yield A0, path, eps, t0
+
+
+class TestStackedDeviation:
+    def test_matches_per_sample_loop(self, rng):
+        for A0, path, _, _ in recipe_paths(rng, 6):
+            loop = np.array([np.linalg.norm(path(t) - A0, 2)
+                             for t in path.sample_times])
+            assert np.array_equal(path.deviations(A0), loop)
+            assert path.deviation(A0) == loop.max()
+
+
+class TestTransitionOracles:
+    """The measured column against closed forms and the RK45 reference."""
+
+    @BOUNDS
+    def test_constant_path_is_expm(self, bound, rng):
+        for A0 in (JORDAN, np.diag([1.0, 2.0]), _criterion_06_family(rng, 2),
+                   _criterion_06_family(rng, 3)):
+            rep = bound(A0, MatrixPath.constant(A0, -10.0, 61), 0.25, -1.0)
+            for t, measured, _ in rep.samples:
+                assert measured == pytest.approx(
+                    exact_reading(rep.kind, t * A0), rel=1e-9, abs=0.0)
+
+    @BOUNDS
+    def test_commuting_perturbation_is_expm_of_integral(self, bound, rng):
+        for m in (2, 3):
+            A0 = _criterion_06_family(rng, m)
+            B = 0.3 * A0 - 0.2 * A0 @ A0 + 0.1 * np.eye(m)
+            margin = min(0.125 / compute_M(B0, 0.125) for B0 in (A0, -A0.T))
+            B *= 0.8 * margin * math.exp(-1.0) / np.linalg.norm(B, 2)
+            rep = bound(A0, decaying_path(A0, B, t_min=-10.0, samples=61),
+                        0.25, -1.0)
+            for t, measured, _ in rep.samples:
+                integral = t * A0 + math.expm1(t) * B
+                assert measured == pytest.approx(
+                    exact_reading(rep.kind, integral), rel=1e-9, abs=0.0)
+
+    def test_rescale_overflow_is_numeric_error(self):
+        # s_min(E(t)) = exp(100 t): the rescale exp(lam t) = exp(-100 t)
+        # overflows at t = -15, where the floor underflows to 0
+        A0 = np.array([[100.0]])
+        with pytest.raises(NumericError, match="not finite"):
+            inverse_two_regime_bound(A0, MatrixPath.constant(A0, -15.0, 11),
+                                     0.5, -1.0)
+
+    def test_inverse_reads_tiny_s_min(self):
+        rep = inverse_two_regime_bound(
+            A0_STIFF, MatrixPath.constant(A0_STIFF, -10.0, 61), 0.25, -1.0)
+        t, measured, _ = rep.samples[0]
+        assert t == -10.0
+        exact = 1.0 / np.linalg.norm(expm(10.0 * A0_STIFF), 2)
+        assert measured == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+    def test_criterion_06_families_against_reference(self, rng):
+        nfev = ref_nfev = 0
+        for A0, path, eps, t0 in recipe_paths(rng, 6):
+            E, count = reference_transition(path, -10.0, A0.shape[0])
+            for bound, system, read in (
+                    (two_regime_bound, lambda M: M,
+                     lambda E: np.linalg.norm(E, 2)),
+                    (inverse_two_regime_bound, lambda M: -M.T,
+                     lambda E: np.linalg.svd(E, compute_uv=False)[-1])):
+                rep = bound(A0, path, eps, t0)
+                B0 = system(A0)
+                lam, M_full = ell(B0), compute_M(B0, eps)
+                C = compute_M(B0, eps / 2.0) * M_full * math.exp(
+                    -t0 * M_full * path.deviation(A0))
+                assert (rep.ell, rep.M_val, rep.C) == (lam, M_full, C)
+                assert not rep.violated
+                assert [t for t, _, _ in rep.samples] == list(
+                    path.sample_times)
+                for t, measured, b in rep.samples:
+                    if rep.kind == "direct":
+                        assert b == C * math.exp(t * (lam - eps))
+                    else:
+                        assert b == (1.0 / C) * math.exp(t * (-lam + eps))
+                    assert measured == pytest.approx(read(E(t)), rel=1e-5,
+                                                     abs=0.0)
+                nfev, ref_nfev = nfev + rep.nfev, ref_nfev + count
+        assert nfev <= 0.35 * ref_nfev
