@@ -68,7 +68,6 @@ from .opmatrix import (
     ProblemData,
     apply_operator,
     assemble,
-    assemble_slice,
     jet_to_vec,
     vec_to_jet,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "ProblemData",
     "OperatorMatrix",
     "assemble",
-    "assemble_slice",
     "apply_operator",
     "jet_to_vec",
     "vec_to_jet",

@@ -154,38 +154,39 @@ def degree_starts(n: int, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _mul_table(n: int, N: int):
-    """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k, degrees <= N."""
-    mons = monomials(n, N)
-    rank = monomial_rank(n, N)
-    ii, jj, kk = [], [], []
-    for i, a in enumerate(mons):
-        da = sum(a)
-        for j, b in enumerate(mons):
-            if da + sum(b) > N:
-                continue
-            ii.append(i)
-            jj.append(j)
-            kk.append(rank[tuple(x + y for x, y in zip(a, b))])
-    return (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
-            np.array(kk, dtype=np.intp))
+    """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k, degrees <= N.
+
+    Sorted by i, then j.  The basis is graded, so monomial i pairs with
+    exactly the prefix j < degree_starts(n, N)[N + 1 - deg i].
+    """
+    E = monomial_powers(n, N)
+    counts = degree_starts(n, N)[N + 1 - E.sum(axis=1)]
+    ii = np.repeat(np.arange(E.shape[0], dtype=np.intp), counts)
+    jj = np.arange(ii.size, dtype=np.intp) - np.repeat(np.cumsum(counts) - counts,
+                                                       counts)
+    # exponent codes in base N + 1: product exponents are at most N, so
+    # codes add without carry; Python ints where int64 would overflow
+    base = N + 1
+    weights = np.array([base ** t for t in range(n - 1, -1, -1)],
+                       dtype=np.int64 if base ** n <= np.iinfo(np.int64).max
+                       else object)
+    codes = E @ weights
+    order = np.argsort(codes)
+    kk = order[np.searchsorted(codes, codes[ii] + codes[jj], sorter=order)]
+    return ii, jj, kk
 
 
 @lru_cache(maxsize=None)
 def _diff_table(n: int, N: int, i: int):
-    """Index pairs and factors for d/dy_i: src rank, dst rank (order N-1), factor alpha_i."""
-    rank_lo = monomial_rank(n, N - 1) if N >= 1 else {}
-    src, dst, fac = [], [], []
-    for r, alpha in enumerate(monomials(n, N)):
-        if alpha[i] == 0:
-            continue
-        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        if sum(beta) > N - 1:
-            continue
-        src.append(r)
-        dst.append(rank_lo[beta])
-        fac.append(alpha[i])
-    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-            np.array(fac, dtype=np.float64))
+    """For d/dy_i: ranks of the monomials y^beta with beta_i > 0, and beta_i.
+
+    beta -> beta - e_i keeps the graded-lex order and maps these monomials
+    onto the whole order N-1 basis, so the k-th of them differentiates to
+    beta_i times the k-th monomial of order N-1.
+    """
+    E = monomial_powers(n, N)
+    src = np.flatnonzero(E[:, i])
+    return src, E[src, i].astype(np.float64)
 
 
 def _as_value_shape(shape) -> tuple:
@@ -341,12 +342,9 @@ class Jet:
         """Partial derivative d/dy_i as an order N-1 jet."""
         if self.N < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        src, dst, fac = _diff_table(self.n, self.N, i)
-        out = np.zeros((P_dim(self.n, self.N - 1),) + self.value_shape,
-                       dtype=self.dtype)
+        src, fac = _diff_table(self.n, self.N, i)
         fac = fac.reshape((-1,) + (1,) * len(self.value_shape))
-        np.add.at(out, dst, self._coeffs[src] * fac)
-        return Jet(self.n, self.N - 1, out, copy=False)
+        return Jet(self.n, self.N - 1, self._coeffs[src] * fac, copy=False)
 
     def evaluate(self, point):
         """Evaluate the polynomial representative at a point (ndarray of length n)."""

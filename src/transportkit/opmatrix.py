@@ -7,11 +7,14 @@ the matrix is block lower triangular with one block per degree; the degree-k
 diagonal block is the action of D_0 + A(0) on homogeneous polynomials of
 degree k, where D_0 is the linearization of X.
 
-Assembly applies the operator to each basis jet with exact truncated
-arithmetic, so integer inputs yield integer matrix entries.  The jet
-solver builds only the diagonal slices (assemble_slice) and, for resonant
-lambda, the head block of degrees <= N*; assemble of the whole operator
-is the dense reference.
+One builder, _sparse_operator, scatters the index tables of the jet
+product and derivative (jets._mul_table, jets._diff_table) into a sparse
+matrix, so integer inputs yield integer matrix entries.  The basis is
+graded, so the rows and columns of degree <= k are exactly the operator
+at order k: the jet solver cuts its degree slices and the resonant head
+block from the one matrix it builds per solve.  assemble is the dense
+form of the same matrix, the public reference; apply_operator is the
+same operator by jet arithmetic, an independent check on it.
 """
 
 from __future__ import annotations
@@ -19,16 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ShapeMismatchError, ValidationError
 from .jets import (
     Jet,
     P_dim,
     VectorFieldJet,
+    _diff_table,
+    _mul_table,
     degree_starts,
     jet_directional_derivative,
     jet_mul,
-    monomial_rank,
     monomials,
 )
 
@@ -36,7 +41,6 @@ __all__ = [
     "ProblemData",
     "OperatorMatrix",
     "assemble",
-    "assemble_slice",
     "apply_operator",
     "jet_to_vec",
     "vec_to_jet",
@@ -172,6 +176,40 @@ def apply_operator(p: ProblemData, u: Jet) -> Jet:
     return jet_directional_derivative(q.X, uu) + jet_mul(q.A, uu)
 
 
+def _sparse_operator(p: ProblemData) -> csr_array:
+    """(D_X + A) on P_N tensor V as a CSR matrix in the basis order (lambda not included).
+
+    Column (beta, q) gains A_gamma[r, q] in row (gamma + beta, r) and,
+    for gamma != 0, beta_i X^i_gamma in row (gamma + beta - e_i, q).
+    """
+    n, N, m = p.n, p.N, p.m
+    ii, jj, kk = _mul_table(n, N)
+    r = np.arange(m)
+    rows, cols, vals = [], [], []
+    # X(0) = 0; for gamma != 0 the cofactor y^delta = y^(beta - e_i) has
+    # degree < N, and _diff_table lists beta at the rank of delta
+    gamma, delta, row = (a[ii != 0] for a in (ii, jj, kk))
+    for i, X_i in enumerate(p.X.components):
+        beta, beta_i = (a[delta] for a in _diff_table(n, N, i))
+        rows.append(row[:, None] * m + r)
+        cols.append(beta[:, None] * m + r)
+        vals.append(np.repeat(beta_i * X_i.coeffs[gamma], m))
+    rows.append(np.broadcast_to(kk[:, None, None] * m + r[:, None],
+                                (kk.size, m, m)))
+    cols.append(np.broadcast_to(jj[:, None, None] * m + r, (kk.size, m, m)))
+    vals.append(p.A.coeffs[ii])
+    rows, cols, vals = (np.concatenate([a.ravel() for a in parts])
+                        for parts in (rows, cols, vals))
+    keep = vals != 0
+    dim = m * P_dim(n, N)
+    # add repeated entries in the order D_0, ..., D_{n-1}, A, the order of
+    # apply_operator, so the matrix is its action on each basis jet bit for bit
+    keys, slot = np.unique(rows[keep] * dim + cols[keep], return_inverse=True)
+    entries = np.zeros(keys.size, dtype=vals.dtype)
+    np.add.at(entries, slot, vals[keep])
+    return csr_array((entries, np.divmod(keys, dim)), shape=(dim, dim))
+
+
 def assemble(p: ProblemData) -> OperatorMatrix:
     """Dense matrix of (D_X + A) on P_N tensor V.
 
@@ -183,50 +221,6 @@ def assemble(p: ProblemData) -> OperatorMatrix:
         raise ValidationError(
             f"operator dimension {dim} exceeds the dense-representation "
             f"limit {_MAX_DIM}")
-    dtype = np.complex128 if p.is_complex else np.float64
-    entries = np.zeros((dim, dim), dtype=dtype)
     basis = tuple((alpha, j) for alpha in monomials(n, N) for j in range(m))
-    for col, (alpha, j) in enumerate(basis):
-        unit = np.zeros((P_dim(n, N), m), dtype=dtype)
-        unit[monomial_rank(n, N)[alpha], j] = 1.0
-        image = apply_operator(p, Jet(n, N, unit, copy=False))
-        entries[:, col] = jet_to_vec(image)
-    return OperatorMatrix(entries=entries, n=n, N=N, m=m, basis=basis,
-                          offsets=degree_starts(n, N) * m)
-
-
-def assemble_slice(p: ProblemData, k: int) -> np.ndarray:
-    """Matrix of D_0 + A(0) on the degree-k homogeneous slice tensor V.
-
-    D_0 is the derivation generated by the linearization of X; the result
-    equals the degree-k diagonal block of the full assembled matrix.
-    """
-    if not 0 <= k <= p.N:
-        raise ValidationError(f"slice degree {k} outside [0, {p.N}]")
-    n, m = p.n, p.m
-    a = p.X.linearization
-    A0 = p.A.coeffs[0]
-    degree_k = [alpha for alpha in monomials(n, p.N) if sum(alpha) == k]
-    rank = {alpha: i for i, alpha in enumerate(degree_k)}
-    h = len(degree_k)
-    dtype = np.complex128 if p.is_complex else np.float64
-    out = np.zeros((h * m, h * m), dtype=dtype)
-    for col_a, alpha in enumerate(degree_k):
-        # D_0 y^alpha = sum_{i,j} alpha_j a[j,i] y^(alpha - e_j + e_i)
-        for j in range(n):
-            if alpha[j] == 0:
-                continue
-            for i in range(n):
-                if a[j, i] == 0:
-                    continue
-                beta = list(alpha)
-                beta[j] -= 1
-                beta[i] += 1
-                row_a = rank[tuple(beta)]
-                for vi in range(m):
-                    out[row_a * m + vi, col_a * m + vi] += alpha[j] * a[j, i]
-        # A(0) acts on the value index
-        for vi in range(m):
-            for vj in range(m):
-                out[col_a * m + vi, col_a * m + vj] += A0[vi, vj]
-    return out
+    return OperatorMatrix(entries=_sparse_operator(p).toarray(), n=n, N=N,
+                          m=m, basis=basis, offsets=degree_starts(n, N) * m)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
 from .jets import Jet, P_dim, VectorFieldJet, grlex_key, monomial_rank, monomials
-from .opmatrix import ProblemData, assemble
+from .opmatrix import ProblemData, _sparse_operator
 
 __all__ = [
     "RESONANCE_TOL",
@@ -355,19 +355,19 @@ class DualDistribution:
         return f"DualDistribution(n={self.n}, order={self.order}, m={self.m})"
 
 
-def _head_split(p: ProblemData, order: int, rtol: float):
+def _head_split(p: ProblemData, L, order: int, rtol: float):
     """One SVD of the head block (degrees <= order) of D_X + A - lambda.
 
-    The block is read off the dense operator at order max(order, 1), the
-    only dense operator the solvers build.  Returns (kernel, duals,
-    solve): the right null basis as columns, the left null basis in the
-    bilinear pairing (no conjugation) as DualDistributions of the given
-    order, and the minimum-norm solve of head x = b on the kept singular
-    values, all by one rank decision.
+    L is the sparse operator of p at any working order >= max(order, 1);
+    the basis is graded, so its leading rows and columns of degree <=
+    order are the head block.  Returns (kernel, duals, solve): the right
+    null basis as columns, the left null basis in the bilinear pairing (no
+    conjugation) as DualDistributions of the given order, and the
+    minimum-norm solve of head x = b on the kept singular values, all by
+    one rank decision.
     """
-    op = assemble(p.at_order(max(order, 1)))
-    h = int(op.offsets[order + 1])
-    U, s, Vh, report = _svd_rank(op.entries[:h, :h] - p.lam * np.eye(h), rtol)
+    h = P_dim(p.n, order) * p.m
+    U, s, Vh, report = _svd_rank(L[:h, :h].toarray() - p.lam * np.eye(h), rtol)
     r = report.rank
     left = _canonicalize_columns(U[:, r:].conj())
     duals = [DualDistribution(p.n, order, left[:, k].reshape(-1, p.m))
@@ -392,7 +392,8 @@ def dual_kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
     entry, n_prime = resonance_degree(p, tol)
     if entry is None:
         return []
-    return _head_split(p, n_prime, rtol)[1]
+    L = _sparse_operator(p.at_order(max(n_prime, 1)))
+    return _head_split(p, L, n_prime, rtol)[1]
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,24 @@
 
 The operator is block lower triangular by degree, so the solve is one
 forward substitution over degrees (the order-by-order solve of a
-homological equation), with a dense matrix only where the theory needs
-one:
+homological equation) on the one sparse matrix L of D_X + A built per
+solve, with a dense matrix only where the theory needs one:
 
-1. Head: for resonant lambda, the block on polynomials of degree <= N*
-   (the largest degree appearing in a representation of lambda) is
+1. Head: for resonant lambda, the block of L on polynomials of degree
+   <= N* (the largest degree appearing in a representation of lambda) is
    singular.  One SVD of it gives the dual kernel that screens
    solvability, the minimum-norm head of the particular solution taken
    when the screen passes (a policy choice, the solution is only unique
    modulo the kernel) and the kernel of the head.  For non-resonant
    lambda there is no head.
 2. Degrees: for each degree k above the head (from 0 when lambda is
-   non-resonant) the diagonal block D_0 + A(0) - lambda on the
-   homogeneous slice is invertible.  It is factored once, and one LU
-   solve gives the degree-k coefficients of the particular solution and
-   of every kernel extension (v = 0) together, from the degree-k part of
-   (D_X + A) applied to their lower-degree coefficients.  The solutions
-   on P_N tensor V form the family particular + span(kernel_extensions).
+   non-resonant) the diagonal block L[k, k] - lambda, the action of
+   D_0 + A(0) - lambda on the homogeneous slice, is invertible.  It is
+   factored once, and one LU solve gives the degree-k coefficients of the
+   particular solution and of every kernel extension (v = 0) together:
+   with the unknowns as the columns of U, the right-hand side is the
+   sparse product target[k] - L[k, <k] U[<k].  The solutions on P_N
+   tensor V form the family particular + span(kernel_extensions).
 
 Jet methods only see Taylor data at the base point; a solution that is
 flat there (all derivatives zero without vanishing identically) is
@@ -34,9 +35,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import IllConditionedWarning, ValidationError
-from .jets import Jet, P_dim, degree_starts
-from .opmatrix import (ProblemData, _common_field, apply_operator,
-                       assemble_slice, jet_to_vec)
+from .jets import Jet, degree_starts
+from .opmatrix import (ProblemData, _common_field, _sparse_operator,
+                       apply_operator, jet_to_vec, vec_to_jet)
 from .spectral import (RANK_RTOL, RESONANCE_TOL, _head_split, _screen,
                        resonance_degree)
 
@@ -94,12 +95,13 @@ def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
                   rtol: float) -> JetSolution:
     """solve_to_order at the working order q.N >= n_star, rank threshold rtol."""
     n, N, m = q.n, q.N, q.m
-    starts = degree_starts(n, N)
+    offsets = degree_starts(n, N) * m
+    L = _sparse_operator(q)
     obstructions = ()
     solvable = True
     heads = np.zeros((0, 1))
     if entry is not None:
-        kernel, duals, head_solve = _head_split(q, n_star, rtol)
+        kernel, duals, head_solve = _head_split(q, L, n_star, rtol)
         screen = _screen(duals, q.v, obstruction_tol)
         obstructions, solvable = screen.obstructions, screen.solvable
         heads = kernel if not solvable else np.column_stack(
@@ -107,31 +109,28 @@ def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
 
     # one column per unknown jet: the particular solution first when the
     # screen passed, then the extension of each head kernel vector (v = 0)
-    cols = heads.shape[1]
     dtype = np.complex128 if q.is_complex else np.float64
-    u = np.zeros((cols, P_dim(n, N), m), dtype=dtype)
-    u[:, :heads.shape[0] // m] = heads.T.reshape(cols, -1, m)
-    target = np.zeros_like(u)
+    U = np.zeros((L.shape[0], heads.shape[1]), dtype=dtype)
+    U[:heads.shape[0]] = heads
+    target = np.zeros_like(U)
     if solvable:
-        target[0] = q.v.coeffs
+        target[:, 0] = jet_to_vec(q.v)
 
     condition_report = {}
     for k in range(n_star + 1 if entry is not None else 0, N + 1):
-        s0, s1 = int(starts[k]), int(starts[k + 1])
-        block = assemble_slice(q, k) - q.lam * np.eye((s1 - s0) * m)
+        r0, r1 = int(offsets[k]), int(offsets[k + 1])
+        rows = L[r0:r1]
+        block = rows[:, r0:r1].toarray() - q.lam * np.eye(r1 - r0)
         label = f"slice {k}" if k else "head"
         cond = float(np.linalg.cond(block))
         condition_report[label.replace(" ", "_")] = cond
         if cond > _COND_WARN:
             warnings.warn(f"{label} solve condition number {cond:.2e}",
                           IllConditionedWarning, stacklevel=3)
-        # degree k of each u_c is still zero, so lambda drops out here
-        image = np.stack([apply_operator(q, Jet(n, N, uc)).coeffs[s0:s1]
-                          for uc in u])
-        rhs = (target[:, s0:s1] - image).reshape(cols, -1).T
-        u[:, s0:s1] = lu_solve(lu_factor(block), rhs).T.reshape(cols, -1, m)
+        # degree k of U is still zero, so the block and lambda drop out here
+        U[r0:r1] = lu_solve(lu_factor(block), target[r0:r1] - rows @ U)
 
-    jets = [Jet(n, N, uc) for uc in u]
+    jets = [vec_to_jet(col, n, N, m) for col in U.T]
     return JetSolution(particular=jets.pop(0) if solvable else None,
                        kernel_extensions=tuple(jets),
                        resonance=entry,

@@ -7,9 +7,14 @@ matrix, the path that the head-block SVD of spectral replaced, and the
 flow references sample X, A and v through one Jet.evaluate call each,
 the path that the fused polynomial sampler of flow replaced, and
 reference_tail_integrate is the RK45 tail integration that DOP853 replaced.
-reference_solve_family is the jet solver that assembled the whole dense
-operator and read the head and the degree slices off it, the path that
-the degree-by-degree forward substitution of taylor replaced.
+reference_assemble is the dense operator built by one apply_operator
+call per basis jet, the path that the index-built sparse operator of
+opmatrix replaced, and the whole-matrix references use it, so they share
+no code with that builder.  reference_solve_family is the jet solver that
+assembled the whole dense operator and read the head and the degree
+slices off it, the path that the degree-by-degree forward substitution
+of taylor replaced.  reference_mul_table is the double loop over monomial
+pairs that the graded index arithmetic of jets._mul_table replaced.
 reference_compute_M evaluates exp(tS) one time at a time with scipy's
 expm, the path that the batched eigendecomposition of estimates replaced.
 """
@@ -46,8 +51,10 @@ from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
 from transportkit.flow import EvaluationResult
 
-from transportkit.jets import monomial_powers
-from transportkit.opmatrix import assemble, jet_to_vec, vec_to_jet
+from transportkit.jets import (Jet, P_dim, degree_starts, monomial_powers,
+                               monomial_rank, monomials)
+from transportkit.opmatrix import (OperatorMatrix, apply_operator, jet_to_vec,
+                                   vec_to_jet)
 from transportkit.spectral import (RANK_RTOL, RESONANCE_TOL, DualDistribution,
                                    _canonicalize_columns, _screen, _svd_rank,
                                    resonance_degree)
@@ -132,11 +139,41 @@ def grlex_position(alpha):
     return (sum(alpha), [-a for a in alpha])
 
 
+def reference_mul_table(n, N):
+    """Index triples (i, j, k) of monomial products, by a loop over all pairs."""
+    mons = monomials(n, N)
+    rank = monomial_rank(n, N)
+    ii, jj, kk = [], [], []
+    for i, a in enumerate(mons):
+        for j, b in enumerate(mons):
+            if sum(a) + sum(b) <= N:
+                ii.append(i)
+                jj.append(j)
+                kk.append(rank[tuple(x + y for x, y in zip(a, b))])
+    return (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
+            np.array(kk, dtype=np.intp))
+
+
+def reference_assemble(p):
+    """Dense matrix of D_X + A, column (alpha, j) = apply_operator on y^alpha e_j."""
+    n, N, m = p.n, p.N, p.m
+    dim = m * P_dim(n, N)
+    dtype = np.complex128 if p.is_complex else np.float64
+    entries = np.zeros((dim, dim), dtype=dtype)
+    basis = tuple((alpha, j) for alpha in monomials(n, N) for j in range(m))
+    for col, (alpha, j) in enumerate(basis):
+        unit = np.zeros((P_dim(n, N), m), dtype=dtype)
+        unit[monomial_rank(n, N)[alpha], j] = 1.0
+        entries[:, col] = jet_to_vec(apply_operator(p, Jet(n, N, unit)))
+    return OperatorMatrix(entries=entries, n=n, N=N, m=m, basis=basis,
+                          offsets=degree_starts(n, N) * m)
+
+
 def _full_matrix(p, tol):
     """L - lambda on P_N' tensor V, N' = max(N, resonance degree), and the degree."""
     _, n_star = resonance_degree(p, tol)
     q = p.at_order(max(p.N, n_star))
-    M = assemble(q)
+    M = reference_assemble(q)
     return M.entries - q.lam * np.eye(M.dim), M.offsets, n_star
 
 
@@ -182,7 +219,7 @@ def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
     the particular solution and every head kernel vector are extended by
     block forward substitution on the dense rows.  No warnings.
     """
-    op = assemble(q)
+    op = reference_assemble(q)
     head_dim = int(op.offsets[n_star + 1])
     head = op.entries[:head_dim, :head_dim] - q.lam * np.eye(head_dim)
     v_vec = jet_to_vec(q.v)

@@ -12,6 +12,7 @@ from transportkit.jets import (
     Jet,
     P_dim,
     VectorFieldJet,
+    _mul_table,
     degree_starts,
     grlex_key,
     jet_directional_derivative,
@@ -28,6 +29,7 @@ from conftest import (
     dicts_close,
     jet_to_dict,
     reference_jet_evaluate,
+    reference_mul_table,
 )
 
 
@@ -84,6 +86,16 @@ def test_mul_coordinates():
     y1 = Jet.coordinate(2, 2, 0)
     y2 = Jet.coordinate(2, 2, 1)
     assert (y1 * y2) == Jet.from_terms(2, 2, {(1, 1): 1.0})
+
+
+@pytest.mark.parametrize("n,N", [(1, 24), (2, 10), (2, 16), (2, 20), (3, 10),
+                                 (4, 8), (3, 3), (1, 1), (5, 4), (64, 1)])
+def test_mul_table_matches_pair_loop(n, N):
+    # same triples in the same order, so every jet_mul sum is bit-identical;
+    # at (64, 1) the base-2 exponent codes overflow int64
+    for got, want in zip(_mul_table(n, N), reference_mul_table(n, N)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_mul_matches_dict_oracle(rng):

@@ -1,4 +1,6 @@
-"""Operator matrix assembly and slices."""
+"""Operator matrix assembly and its degree blocks."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from transportkit.opmatrix import (
     OperatorMatrix,
     ProblemData,
     apply_operator,
+    _sparse_operator,
     assemble,
-    assemble_slice,
     jet_to_vec,
 )
+
+from conftest import reference_assemble
 
 
 def gradient_example_problem(N=2, lam=0.0):
@@ -35,15 +39,19 @@ GRADIENT_MATRIX = np.array([
 ], dtype=float)
 
 
-def _random_problem(rng, n=2, m=2, N=3):
+def _random_problem(rng, n=2, m=2, N=3, complex_field=False):
+    def draw(*shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if complex_field else out
+
     comps = []
     for _ in range(n):
-        c = rng.standard_normal(P_dim(n, N))
+        c = draw(P_dim(n, N))
         c[0] = 0.0
         comps.append(Jet(n, N, c))
     X = VectorFieldJet(comps)
-    A = Jet(n, N, rng.standard_normal((P_dim(n, N), m, m)))
-    v = Jet(n, N, rng.standard_normal((P_dim(n, N), m)))
+    A = Jet(n, N, draw(P_dim(n, N), m, m))
+    v = Jet(n, N, draw(P_dim(n, N), m))
     return ProblemData(X, A, v, 0.0, N)
 
 
@@ -64,12 +72,32 @@ def test_euler_field_matrix_is_degree_diagonal():
 
 
 def test_matrix_matches_operator_application(rng):
-    p = _random_problem(rng)
-    M = assemble(p)
-    for _ in range(20):
-        u = Jet(p.n, p.N, rng.standard_normal((P_dim(p.n, p.N), p.m)))
-        assert np.allclose(M.entries @ jet_to_vec(u),
-                           jet_to_vec(apply_operator(p, u)), atol=1e-12)
+    for (n, m, N), cplx in itertools.product([(1, 3, 5), (3, 2, 3), (2, 2, 1)],
+                                             (False, True)):
+        p = _random_problem(rng, n, m, N, complex_field=cplx)
+        M = assemble(p)
+        assert M.entries.dtype == (np.complex128 if cplx else np.float64)
+        # entries are added in apply_operator's order: equal bit for bit
+        assert np.array_equal(M.entries, reference_assemble(p).entries)
+        for _ in range(5):
+            u = Jet(n, N, rng.standard_normal((P_dim(n, N), m)))
+            np.testing.assert_allclose(M.entries @ jet_to_vec(u),
+                                       jet_to_vec(apply_operator(p, u)),
+                                       rtol=0, atol=1e-13)
+
+
+def test_leading_block_is_lower_order_operator(rng):
+    # the basis is graded: rows and columns of degree <= k are the order-k
+    # operator, which is what lets the solver cut its head block from L
+    for cplx in (False, True):
+        p = _random_problem(rng, n=2, m=2, N=5, complex_field=cplx)
+        L = _sparse_operator(p)
+        for k in range(p.N + 1):
+            h = P_dim(p.n, k) * p.m
+            low = _sparse_operator(p.at_order(max(k, 1)))
+            np.testing.assert_allclose(L[:h, :h].toarray(),
+                                       low[:h, :h].toarray(),
+                                       rtol=0, atol=1e-13)
 
 
 def test_block_lower_triangular(rng):
@@ -80,21 +108,14 @@ def test_block_lower_triangular(rng):
             assert np.all(M.block(k_row, k_col) == 0.0)
 
 
-def test_slice_equals_diagonal_block(rng):
-    p = _random_problem(rng, n=2, m=2, N=4)
-    M = assemble(p)
-    for k in range(p.N + 1):
-        assert np.allclose(assemble_slice(p, k), M.block(k, k), atol=1e-13)
-
-
 def test_slice_k0_is_a0():
     p = _random_problem(np.random.default_rng(7), n=2, m=3, N=2)
-    assert np.allclose(assemble_slice(p, 0), p.A.coeffs[0])
+    assert np.array_equal(assemble(p).block(0, 0), p.A.coeffs[0])
 
 
 def test_slice_gradient_example_degree1():
     p = gradient_example_problem()
-    assert np.array_equal(assemble_slice(p, 1), np.diag([1.0, 2.0]))
+    assert np.array_equal(assemble(p).block(1, 1), np.diag([1.0, 2.0]))
 
 
 def test_spectrum_is_eigenvalue_combinations(rng):

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 import transportkit
-from transportkit import spectral, taylor
+from transportkit import opmatrix, spectral, taylor
 from transportkit.errors import UnsolvableError, ValidationError
 from transportkit.jets import Jet, VectorFieldJet
-from transportkit.opmatrix import (ProblemData, apply_operator, assemble,
-                                   jet_to_vec)
+from transportkit.opmatrix import ProblemData, apply_operator, jet_to_vec
 from transportkit.spectral import resonance_degree
 from transportkit.taylor import MAX_ORDER, JetSolution, residual, solve_to_order
 
@@ -227,31 +226,38 @@ class TestSolverPolicies:
         assert sol.solvable and sol.resonance is None and sol.obstructions == ()
 
     def test_resonant_solve_assembles_and_decomposes_once(self, monkeypatch):
-        # one head SVD serves the obstructions, the particular solution and
-        # the kernel; only the head (degrees <= N*) is ever assembled
+        # one sparse operator per solve, at the working order, serves the
+        # head block and every degree slice; one head SVD serves the
+        # obstructions, the particular solution and the kernel
         orders, svds = [], []
-        svd = np.linalg.svd
+        build, svd = opmatrix._sparse_operator, np.linalg.svd
 
-        def counting_assemble(q):
+        def counting_build(q):
             orders.append(q.N)
-            return assemble(q)
+            return build(q)
 
         def counting_svd(*args, **kwargs):
             svds.append(args[0].shape)
             return svd(*args, **kwargs)
 
         assert not hasattr(taylor, "assemble")
-        monkeypatch.setattr(spectral, "assemble", counting_assemble)
+        assert not hasattr(spectral, "assemble")
+        for module in (taylor, spectral):
+            monkeypatch.setattr(module, "_sparse_operator", counting_build)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         p = gradient_example_problem(N=6, lam=2.0)
         sol = solve_to_order(p, 6)
         assert sol.solvable and len(sol.kernel_extensions) == 1
-        assert orders == [2] and svds == [(6, 6)]  # head: degrees <= 2
+        assert orders == [6] and svds == [(6, 6)]  # head: degrees <= 2
         orders.clear()
         sol = solve_to_order(p.with_lam(0.5), 6)  # non-resonant: no head
-        assert sol.solvable and orders == []
+        assert sol.solvable and orders == [6] and svds == [(6, 6)]  # no SVD
+        orders.clear()
         assert len(spectral.dual_kernel_basis(p)) == 1
-        assert orders == [2]
+        assert orders == [2]  # max(N', 1)
+        orders.clear()
+        q = p.with_lam(0.0)  # resonant at degree 0: N' = 0
+        assert len(spectral.dual_kernel_basis(q)) == 1 and orders == [1]
         orders.clear()
         assert spectral.dual_kernel_basis(p.with_lam(0.5)) == []
         assert orders == []
