@@ -43,7 +43,8 @@ from .errors import (
 from .estimates import (ODE_ABS_TOL, ODE_REL_TOL, MatrixPath,
                         inverse_two_regime_bound, two_regime_bound)
 from .flow import EvalConfig, FieldSampler, evaluate_solution
-from .jets import Jet, VectorFieldJet, grlex_key, jet_from_json, jet_to_json
+from .jets import (MAX_COEFFS, Jet, VectorFieldJet, fits, grlex_key,
+                   jet_from_json, jet_to_json)
 from .opmatrix import ProblemData
 from .spectral import (
     RESONANCE_TOL,
@@ -54,64 +55,104 @@ from .spectral import (
     solvability_test,
     sternberg_resonance_check,
 )
-from .taylor import solve_to_order
+from .taylor import MAX_ORDER, solve_to_order
 
 __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# schema
+#
+# Each block of a document is a table key -> (reader, default).  A key
+# without a default is required; a default of None leaves an absent key
+# out.  A reader takes (value, path, ctx) and returns the decoded value;
+# ctx holds the enclosing context (the document's field, the problem's n)
+# and the keys of the block read so far, in table order.
 
-_TOP_KEYS = {"schema_version", "field", "problem", "grid", "heat", "wkb",
-             "estimates", "sternberg"}
-
-
-def _check_dict(obj, path, required, optional=()):
+def _block(obj, path, spec, ctx):
+    """Check obj's keys against spec, then read them in table order."""
     if not isinstance(obj, dict):
         raise SchemaError("expected an object", path)
-    allowed = set(required) | set(optional)
     for key in obj:
-        if key not in allowed:
+        if key not in spec:
             raise SchemaError(f"unknown key {key!r}", path)
-    for key in required:
-        if key not in obj:
+    for key, entry in spec.items():
+        if len(entry) == 1 and key not in obj:
             raise SchemaError(f"missing required key {key!r}", path)
+    out = {}
+    for key, (reader, *default) in spec.items():
+        if key in obj:
+            out[key] = reader(obj[key], f"{path}.{key}", {**ctx, **out})
+        elif default[0] is not None:
+            out[key] = default[0]
+    return out
 
 
-def _as_int(x, path, minimum=None):
+def _read(doc, name, **ctx):
+    """The block name of the document, read by its table."""
+    if name not in doc:
+        article = "an" if name[0] in "aeiou" else "a"
+        raise SchemaError(f'this command needs {article} "{name}" block', "$")
+    return _block(doc[name], f"$.{name}", _BLOCKS[name],
+                  {"field": doc["field"], **ctx})
+
+
+def _as_int(x, path, minimum=None, maximum=None):
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError("expected an integer", path)
     if minimum is not None and x < minimum:
         raise SchemaError(f"must be >= {minimum}", path)
+    if maximum is not None and x > maximum:
+        raise SchemaError(f"must be <= {maximum}", path)
     return x
 
 
-def _as_real(x, path):
+def _int(minimum, maximum=None):
+    return lambda x, path, ctx: _as_int(x, path, minimum, maximum)
+
+
+def _real(x, path, ctx=None):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError("expected a number", path)
-    try:
-        val = float(x)
-    except OverflowError:  # an integer literal beyond the float range
-        val = math.inf
-    if not math.isfinite(val):
+    if not abs(x) <= sys.float_info.max:  # NaN, inf or a huge integer
         raise SchemaError("expected a finite number", path)
+    return float(x)
+
+
+def _scalar(x, path, ctx):
+    """A real number, or {re, im} when the document declares a complex field."""
+    if not isinstance(x, dict):
+        return _real(x, path)
+    part = _block(x, path, {"re": (_real,), "im": (_real,)}, ctx)
+    val = complex(part["re"], part["im"])
+    if val.imag == 0.0:
+        return val.real
+    if ctx["field"] != "complex":
+        raise SchemaError('complex value in a file with "field": "real"', path)
     return val
 
 
-def _as_scalar(x, path, allow_complex):
-    """A real number, or {re, im} when the file declares a complex field."""
-    if isinstance(x, dict):
-        _check_dict(x, path, required=("re", "im"))
-        val = complex(_as_real(x["re"], path + ".re"),
-                      _as_real(x["im"], path + ".im"))
-        if val.imag != 0.0 and not allow_complex:
-            raise SchemaError('complex value in a file with "field": "real"',
-                              path)
-        return val if val.imag != 0.0 else val.real
-    return _as_real(x, path)
+def _one_of(*choices):
+    def read(x, path, ctx):
+        if x not in choices:
+            key = path.rsplit(".", 1)[1]
+            raise SchemaError(f"{key} must be "
+                              + " or ".join(f'"{c}"' for c in choices), path)
+        return x
+    return read
 
 
-def _as_matrix(x, path):
+def _raw(x, path, ctx):
+    return x
+
+
+def _version(x, path, ctx):
+    if type(x) is not int or x != 1:
+        raise SchemaError("unsupported schema_version (expected 1)", path)
+    return x
+
+
+def _matrix(x, path, ctx):
     try:
         mat = np.array(x, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
@@ -120,27 +161,16 @@ def _as_matrix(x, path):
         raise SchemaError("expected a numeric matrix", path) from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise SchemaError("expected a square matrix", path)
+    # numpy reads true and numeric strings as numbers
+    if any(isinstance(c, (bool, str)) for row in x for c in row):
+        raise SchemaError("expected a numeric matrix", path)
     if not np.all(np.isfinite(mat)):
         raise SchemaError("expected finite matrix entries", path)
     return mat
 
 
-def _has_nonfinite(x):
-    """True when a JSON value holds NaN, an infinity or an integer beyond
-    the float range at any depth."""
-    if isinstance(x, (int, float)):
-        try:
-            return not math.isfinite(x)
-        except OverflowError:
-            return True
-    if isinstance(x, list):
-        return any(_has_nonfinite(c) for c in x)
-    if isinstance(x, dict):
-        return any(_has_nonfinite(c) for c in x.values())
-    return False
-
-
-def _as_points(x, path, n):
+def _points(x, path, ctx):
+    n = ctx["n"]
     if not isinstance(x, list) or not x:
         raise SchemaError("expected a non-empty list of points", path)
     out = []
@@ -148,60 +178,132 @@ def _as_points(x, path, n):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"expected a point with {n} coordinates",
                               f"{path}[{i}]")
-        out.append(np.array([_as_real(c, f"{path}[{i}][{j}]")
+        out.append(np.array([_real(c, f"{path}[{i}][{j}]")
                              for j, c in enumerate(row)]))
     return out
 
 
-def _decode_jet(obj, path, *, n, allow_complex):
-    _check_dict(obj, path, required=("n", "N", "terms"), optional=("shape",))
-    if _as_int(obj["n"], path + ".n", minimum=1) != n:
-        raise SchemaError(f"jet must have n={n} variables", path + ".n")
-    _as_int(obj["N"], path + ".N", minimum=0)
-    if not isinstance(obj["terms"], list):
-        raise SchemaError("expected a list of terms", path + ".terms")
-    for i, term in enumerate(obj["terms"]):
-        _check_dict(term, f"{path}.terms[{i}]", required=("alpha", "coeff"))
-        if _has_nonfinite(term["coeff"]):
-            raise SchemaError("expected finite coefficients",
-                              f"{path}.terms[{i}].coeff")
+def _coeff(x, path, ctx, depth=0):
+    """x, with every number in it finite.  A matrix of {re, im} nests three
+    levels deep; the walk stops well past that, before the stack runs out."""
+    if depth > 32:
+        raise SchemaError("expected a scalar, vector or matrix", path)
+    if isinstance(x, (list, dict)):
+        for c in x.values() if isinstance(x, dict) else x:
+            _coeff(c, path, ctx, depth + 1)
+    elif isinstance(x, (int, float)) and not abs(x) <= sys.float_info.max:
+        raise SchemaError("expected finite coefficients", path)
+    return x
+
+
+def _jet_n(x, path, ctx):
+    if _as_int(x, path, minimum=1) != ctx["n"]:
+        raise SchemaError(f"jet must have n={ctx['n']} variables", path)
+    return x
+
+
+_TERM = {"alpha": (_raw,), "coeff": (_coeff,)}
+
+
+def _terms(x, path, ctx):
+    if not isinstance(x, list):
+        raise SchemaError("expected a list of terms", path)
+    for i, term in enumerate(x):
+        _block(term, f"{path}[{i}]", _TERM, ctx)
+    return x
+
+
+_JET = {"n": (_jet_n,), "N": (_int(0),), "terms": (_terms,),
+        "shape": (_raw, None)}
+
+
+def _decode_jet(x, path, ctx):
+    """A jet in ctx["n"] variables; jets.jet_from_json decodes the terms."""
+    _block(x, path, _JET, ctx)
     try:
-        jet = jet_from_json(obj)
-    except (TransportKitError, ValueError, KeyError) as exc:
+        jet = jet_from_json(x)
+    except (TransportKitError, ValueError, TypeError) as exc:
         raise SchemaError(str(exc), path) from exc
-    if jet.is_complex and not allow_complex:
+    if jet.is_complex and ctx["field"] != "complex":
         raise SchemaError('complex coefficient in a file with "field": "real"',
                           path)
     return jet
 
 
-def _decode_problem(doc):
-    if "problem" not in doc:
-        raise SchemaError('this command needs a "problem" block', "$")
-    allow_complex = doc.get("field", "real") == "complex"
-    obj = doc["problem"]
-    path = "$.problem"
-    _check_dict(obj, path, required=("n", "m", "N", "X", "A", "v", "lambda"))
-    n = _as_int(obj["n"], path + ".n", minimum=1)
-    m = _as_int(obj["m"], path + ".m", minimum=1)
-    N = _as_int(obj["N"], path + ".N", minimum=1)
-    if not isinstance(obj["X"], list) or len(obj["X"]) != n:
-        raise SchemaError(f"X must be a list of {n} component jets",
-                          path + ".X")
-    comps = [_decode_jet(c, f"{path}.X[{i}]", n=n, allow_complex=allow_complex)
-             for i, c in enumerate(obj["X"])]
-    A = _decode_jet(obj["A"], path + ".A", n=n, allow_complex=allow_complex)
-    v = _decode_jet(obj["v"], path + ".v", n=n, allow_complex=allow_complex)
-    if A.value_shape != (m, m):
-        raise SchemaError(f"A must be matrix:{m}", path + ".A")
-    if v.value_shape != (m,):
-        raise SchemaError(f"v must be vector:{m}", path + ".v")
-    lam = _as_scalar(obj["lambda"], path + ".lambda", allow_complex)
+def _components(x, path, ctx):
+    if not isinstance(x, list) or len(x) != ctx["n"]:
+        raise SchemaError(f"X must be a list of {ctx['n']} component jets",
+                          path)
+    return [_decode_jet(c, f"{path}[{i}]", ctx) for i, c in enumerate(x)]
+
+
+def _split_order(x, path, ctx):
+    return None if x == "auto" else _as_int(x, path, minimum=1)
+
+
+def _samples(x, path, ctx):
+    return _as_int(x, path, minimum=2, maximum=MAX_COEFFS // ctx["A0"].size)
+
+
+def _mu(x, path, ctx):
+    if not isinstance(x, list):
+        raise SchemaError("mu must be a list of numbers", path)
+    if not x:
+        raise SchemaError("mu must not be empty", path)
+    return np.array([_scalar(c, f"{path}[{i}]", ctx) for i, c in enumerate(x)],
+                    dtype=complex)
+
+
+def _sub(spec):
+    return lambda x, path, ctx: _block(x, path, spec, ctx)
+
+
+# heat and wkb solve at orders N - 2 and below
+_APP_ORDER = MAX_ORDER + 2
+_TOO_LARGE = f"needs more than {MAX_COEFFS} coefficients at this order"
+
+_BLOCKS = {
+    "problem": {"n": (_int(1),), "m": (_int(1),), "N": (_int(1),),
+                "X": (_components,), "A": (_decode_jet,), "v": (_decode_jet,),
+                "lambda": (_scalar,)},
+    "grid": {"config": (_sub({key: (_real, None) for key in (
+                 "rel_tol", "abs_tol", "tail_tol", "max_horizon", "radius")}
+                 | {"split_order": (_split_order, None)}), None),
+             "points": (_points,)},
+    "heat": {"n": (_int(1),), "m": (_int(1),), "K": (_decode_jet,),
+             "J": (_int(0),), "N": (_int(1, _APP_ORDER),),
+             "points": (_points, None), "quad_tol": (_real, 1e-10)},
+    "wkb": {"V": (_decode_jet,), "level": (_int(0),), "J": (_int(0),),
+            "N": (_int(1, _APP_ORDER),)},
+    "estimates": {"A0": (_matrix,), "eps": (_real,), "t0": (_real,),
+                  "mode": (_one_of("direct", "inverse"), "direct"),
+                  "path": (_sub({"rate": (_real,), "B": (_matrix, None),
+                                 "t_min": (_real, -15.0),
+                                 "samples": (_samples, 151)}),)},
+    "sternberg": {"mu": (_mu,)},
+}
+
+# the blocks are read by the commands that use them
+_DOCUMENT = {"schema_version": (_version,),
+             "field": (_one_of("real", "complex"), "real"),
+             **{name: (_raw, None) for name in _BLOCKS}}
+
+
+def _problem(doc):
+    """The transport problem of the document's "problem" block."""
+    b = _read(doc, "problem")
+    n, m, N = b["n"], b["m"], b["N"]
+    if b["A"].value_shape != (m, m):
+        raise SchemaError(f"A must be matrix:{m}", "$.problem.A")
+    if b["v"].value_shape != (m,):
+        raise SchemaError(f"v must be vector:{m}", "$.problem.v")
+    if not fits(n, N, n + m * (m + 1)):  # X, A and v padded to order N
+        raise SchemaError(_TOO_LARGE, "$.problem.N")
     try:
-        X = VectorFieldJet(comps)
-        return ProblemData(X, A, v, lam, N)
-    except TransportKitError as exc:
-        raise SchemaError(str(exc), path) from exc
+        return ProblemData(VectorFieldJet(b["X"]), b["A"], b["v"],
+                           b["lambda"], N)
+    except (TransportKitError, ValueError) as exc:
+        raise SchemaError(str(exc), "$.problem") from exc
 
 
 def _load_document(filename):
@@ -211,16 +313,9 @@ def _load_document(filename):
         raise ValidationError(f"cannot read {filename}: {exc.strerror}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise SchemaError(f"invalid JSON: {exc}", "$") from exc
-    _check_dict(doc, "$", required=("schema_version",),
-                optional=_TOP_KEYS - {"schema_version"})
-    if doc["schema_version"] != 1:
-        raise SchemaError("unsupported schema_version (expected 1)",
-                          "$.schema_version")
-    if doc.get("field", "real") not in ("real", "complex"):
-        raise SchemaError('field must be "real" or "complex"', "$.field")
-    return raw, doc
+    return raw, _block(doc, "$", _DOCUMENT, {})
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +341,13 @@ def _provenance(args, raw, tolerances):
     return prov
 
 
-def _write_text(args, text):
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-
-
-def _emit_json(args, raw, tolerances, result):
-    doc = {"provenance": _provenance(args, raw, tolerances), "result": result}
-    _write_text(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_csv(args, raw, tolerances, header, rows):
-    prov = _provenance(args, raw, tolerances)
+def _csv_text(prov, header, rows):
     buf = io.StringIO()
     buf.write(f"# tool: transportkit {__version__}\n")
     buf.write(f"# command: {prov['command']}\n")
     buf.write(f"# input_sha256: {prov['input_sha256']}\n")
-    tol_text = " ".join(f"{k}={v}" for k, v in sorted(tolerances.items()))
+    tol_text = " ".join(f"{k}={v}"
+                        for k, v in sorted(prov["tolerances"].items()))
     buf.write(f"# tolerances: {tol_text}\n")
     if "timestamp" in prov:
         buf.write(f"# timestamp: {prov['timestamp']}\n")
@@ -273,7 +355,7 @@ def _emit_csv(args, raw, tolerances, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow(["" if c is None else c for c in row])
-    _write_text(args, buf.getvalue())
+    return buf.getvalue()
 
 
 def _resonance_json(entry):
@@ -289,29 +371,23 @@ def _resonance_json(entry):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, doc) and returns (tolerances, result,
+# csv (header, rows) or None[, exit code])
 
-def cmd_spectrum(args):
-    raw, doc = _load_document(args.file)
-    p = _decode_problem(doc)
+def cmd_spectrum(args, doc):
+    p = _problem(doc)
     table = eigenvalue_table(linearization_spectrum(p.X),
                              endo_spectrum(p.A.coeffs[0]),
                              args.max_re, args.tol)
-    tolerances = {"tol": args.tol, "max_re": args.max_re}
-    if args.output == "csv":
-        rows = [[e["re"], e["im"], e["multiplicity"],
-                 ";".join(f"{','.join(map(str, r['alpha']))}:{r['j']}"
-                          for r in e["representations"])] for e in table]
-        _emit_csv(args, raw, tolerances,
-                  ["re", "im", "multiplicity", "representations"], rows)
-    else:
-        _emit_json(args, raw, tolerances, {"eigenvalues": table})
-    return 0
+    rows = [[e["re"], e["im"], e["multiplicity"],
+             ";".join(f"{','.join(map(str, r['alpha']))}:{r['j']}"
+                      for r in e["representations"])] for e in table]
+    return ({"tol": args.tol, "max_re": args.max_re}, {"eigenvalues": table},
+            (["re", "im", "multiplicity", "representations"], rows))
 
 
-def cmd_solve_jet(args):
-    raw, doc = _load_document(args.file)
-    p = _decode_problem(doc)
+def cmd_solve_jet(args, doc):
+    p = _problem(doc)
     order = args.order if args.order is not None else p.N
     sol = solve_to_order(p, order, tol=args.tol,
                          obstruction_tol=args.obstruction_tol)
@@ -329,88 +405,45 @@ def cmd_solve_jet(args):
                        if sol.particular is not None else None),
         "kernel": [jet_to_json(k) for k in sol.kernel_extensions],
     }
-    _emit_json(args, raw, {"tol": args.tol,
-                           "obstruction_tol": args.obstruction_tol}, result)
-    return 0 if sol.solvable else 4
+    return ({"tol": args.tol, "obstruction_tol": args.obstruction_tol},
+            result, None, 0 if sol.solvable else 4)
 
 
-def _grid_config(doc, args):
-    cfg = {}
-    radius = math.inf
-    points = None
-    if "grid" in doc:
-        path = "$.grid"
-        _check_dict(doc["grid"], path, required=("points",),
-                    optional=("config",))
-        conf = doc["grid"].get("config", {})
-        _check_dict(conf, path + ".config", required=(),
-                    optional=("rel_tol", "abs_tol", "tail_tol", "max_horizon",
-                              "split_order", "radius"))
-        for key in ("rel_tol", "abs_tol", "tail_tol", "max_horizon", "radius"):
-            if key in conf:
-                cfg[key] = _as_real(conf[key], f"{path}.config.{key}")
-        if "split_order" in conf:
-            so = conf["split_order"]
-            if so != "auto":
-                cfg["split_order"] = _as_int(so, f"{path}.config.split_order",
-                                             minimum=1)
-        radius = cfg.pop("radius", math.inf)
-        points = doc["grid"]["points"]
-    else:
-        raise SchemaError('this command needs a "grid" block', "$")
+def cmd_solve_grid(args, doc):
+    p = _problem(doc)
+    grid = _read(doc, "grid", n=p.n)
+    cfg = grid.get("config", {})
+    radius = cfg.pop("radius", math.inf)
     for key in ("rel_tol", "abs_tol", "tail_tol", "max_horizon"):
-        flag = getattr(args, key)
-        if flag is not None:
-            cfg[key] = flag
-    return EvalConfig(**cfg), radius, points
-
-
-def cmd_solve_grid(args):
-    raw, doc = _load_document(args.file)
-    p = _decode_problem(doc)
-    cfg, radius, raw_points = _grid_config(doc, args)
-    points = _as_points(raw_points, "$.grid.points", p.n)
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    cfg = EvalConfig(**cfg)
     sampler = FieldSampler.from_problem(p, radius=radius)
 
-    def solve_one(y):
+    fields = ["tail_estimate", "horizon", "rate", "mode", "split_order"]
+    rows = []
+    for y in grid["points"]:  # a failure stays in its point's row
+        row = {"point": [float(c) for c in y], "u": None, "error": None,
+               **dict.fromkeys(fields)}
         try:
             res = evaluate_solution(sampler, p, y, cfg)
-            return {"point": [float(c) for c in y],
-                    "u": [float(c) for c in np.atleast_1d(res.u)],
-                    "tail_estimate": res.tail_estimate,
-                    "horizon": res.horizon,
-                    "rate": res.rate,
-                    "mode": res.mode,
-                    "split_order": res.split_order,
-                    "error": None}
         except TransportKitError as exc:
-            return {"point": [float(c) for c in y], "u": None,
-                    "tail_estimate": None, "horizon": None, "rate": None,
-                    "mode": None, "split_order": None, "error": str(exc)}
-
-    rows = [solve_one(y) for y in points]
-
+            row["error"] = str(exc)
+        else:
+            row.update({k: getattr(res, k) for k in fields},
+                       u=[float(c) for c in np.atleast_1d(res.u)])
+        rows.append(row)
+    header = ([f"y{i}" for i in range(p.n)] + [f"u{k}" for k in range(p.m)]
+              + fields + ["error"])
+    table = [r["point"] + (r["u"] or [None] * p.m) + [r[k] for k in fields]
+             + [r["error"] or ""] for r in rows]
     tolerances = {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
                   "tail_tol": cfg.tail_tol, "max_horizon": cfg.max_horizon}
-    if args.output == "json":
-        _emit_json(args, raw, tolerances, {"points": rows})
-    else:
-        header = [f"y{i}" for i in range(p.n)] + [f"u{k}" for k in range(p.m)]
-        header += ["tail_estimate", "horizon", "rate", "mode", "split_order",
-                   "error"]
-        table = []
-        for r in rows:
-            u_cols = r["u"] if r["u"] is not None else [None] * p.m
-            table.append(r["point"] + u_cols
-                         + [r["tail_estimate"], r["horizon"], r["rate"],
-                            r["mode"], r["split_order"], r["error"] or ""])
-        _emit_csv(args, raw, tolerances, header, table)
-    return 0
+    return tolerances, {"points": rows}, (header, table)
 
 
-def cmd_kernel(args):
-    raw, doc = _load_document(args.file)
-    p = _decode_problem(doc)
+def cmd_kernel(args, doc):
+    p = _problem(doc)
     order = args.order if args.order is not None else p.N
     zero_v = Jet.zero(p.n, p.N, (p.m,),
                       dtype=np.complex128 if p.is_complex else np.float64)
@@ -420,13 +453,11 @@ def cmd_kernel(args):
         "dimension": len(sol.kernel_extensions),
         "kernel": [jet_to_json(k) for k in sol.kernel_extensions],
     }
-    _emit_json(args, raw, {"tol": args.tol}, result)
-    return 0
+    return {"tol": args.tol}, result, None
 
 
-def cmd_dual_kernel(args):
-    raw, doc = _load_document(args.file)
-    p = _decode_problem(doc)
+def cmd_dual_kernel(args, doc):
+    p = _problem(doc)
     duals = dual_kernel_basis(p, tol=args.tol)
     out = []
     for d in duals:
@@ -437,77 +468,52 @@ def cmd_dual_kernel(args):
              "covector": [_encode_number(c) for c in np.atleast_1d(xi)]}
             for alpha, xi in sorted(delta.items(), key=lambda kv: grlex_key(kv[0]))]
         out.append(enc)
-    _emit_json(args, raw, {"tol": args.tol},
-               {"dimension": len(out), "duals": out})
-    return 0
+    return {"tol": args.tol}, {"dimension": len(out), "duals": out}, None
 
 
-def cmd_solvable(args):
-    raw, doc = _load_document(args.file)
-    p = _decode_problem(doc)
+def cmd_solvable(args, doc):
+    p = _problem(doc)
     res = solvability_test(p, tol=args.tol)
-    _emit_json(args, raw, {"tol": args.tol},
-               {"solvable": res.solvable,
-                "obstructions": [_encode_number(o) for o in res.obstructions]})
-    return 0
+    return ({"tol": args.tol},
+            {"solvable": res.solvable,
+             "obstructions": [_encode_number(o) for o in res.obstructions]},
+            None)
 
 
-def cmd_heat(args):
-    raw, doc = _load_document(args.file)
-    if "heat" not in doc:
-        raise SchemaError('this command needs a "heat" block', "$")
-    path = "$.heat"
-    obj = doc["heat"]
-    _check_dict(obj, path, required=("n", "m", "K", "J", "N"),
-                optional=("points", "quad_tol"))
-    n = _as_int(obj["n"], path + ".n", minimum=1)
-    m = _as_int(obj["m"], path + ".m", minimum=1)
-    K = _decode_jet(obj["K"], path + ".K", n=n, allow_complex=False)
-    problem = HeatProblem(n=n, m=m, K=K,
-                          J=_as_int(obj["J"], path + ".J", minimum=0),
-                          N=_as_int(obj["N"], path + ".N", minimum=1))
-    quad_tol = _as_real(obj.get("quad_tol", 1e-10), path + ".quad_tol")
-    jets = heat_coefficients_jet(problem)
-    numeric = []
-    if "points" in obj:
-        for q in _as_points(obj["points"], path + ".points", n):
-            vals = heat_coefficients_numeric(problem, q, tol=quad_tol)
-            numeric.append({"point": [float(c) for c in q],
-                            "values": [v.tolist() for v in vals]})
-    tolerances = {"quad_tol": quad_tol}
-    if args.output == "csv":
-        if not numeric:
-            raise ValidationError(
-                'csv output needs a "points" list in the heat block')
-        header = [f"q{i}" for i in range(n)] + ["j"] \
-            + [f"phi_{r}{c}" for r in range(m) for c in range(m)]
-        rows = []
-        for entry in numeric:
-            for j, mat in enumerate(entry["values"]):
-                flat = [mat[r][c] for r in range(m) for c in range(m)]
-                rows.append(entry["point"] + [j] + flat)
-        _emit_csv(args, raw, tolerances, header, rows)
-    else:
-        result = {"coefficients": [jet_to_json(Phi) for Phi in jets]}
-        if numeric:
-            result["numeric"] = numeric
-        _emit_json(args, raw, tolerances, result)
-    return 0
+def cmd_heat(args, doc):
+    heat = _read(doc, "heat", field="real")
+    n, m, K, N = heat["n"], heat["m"], heat["K"], heat["N"]
+    if not fits(n, N, K.coeffs[0].size):  # K padded to order N
+        raise SchemaError(_TOO_LARGE, "$.heat.N")
+    problem = HeatProblem(n=n, m=m, K=K, J=heat["J"], N=N)
+    quad_tol = heat["quad_tol"]
+    if not quad_tol > 0:
+        raise SchemaError("quadrature tolerance must be positive, got "
+                          f"{quad_tol}", "$.heat.quad_tol")
+    points = heat.get("points")
+    if points is None and args.output == "csv":
+        raise ValidationError(
+            'csv output needs a "points" list in the heat block')
+    result = {"coefficients": [jet_to_json(Phi)
+                               for Phi in heat_coefficients_jet(problem)]}
+    if points is None:
+        return {"quad_tol": quad_tol}, result, None
+    result["numeric"] = numeric = []
+    for q in points:
+        vals = heat_coefficients_numeric(problem, q, tol=quad_tol)
+        numeric.append({"point": [float(c) for c in q],
+                        "values": [v.tolist() for v in vals]})
+    header = [f"q{i}" for i in range(n)] + ["j"] \
+        + [f"phi_{r}{c}" for r in range(m) for c in range(m)]
+    rows = [entry["point"] + [j] + [c for row in mat for c in row]
+            for entry in numeric for j, mat in enumerate(entry["values"])]
+    return {"quad_tol": quad_tol}, result, (header, rows)
 
 
-def cmd_wkb(args):
-    raw, doc = _load_document(args.file)
-    if "wkb" not in doc:
-        raise SchemaError('this command needs a "wkb" block', "$")
-    path = "$.wkb"
-    obj = doc["wkb"]
-    _check_dict(obj, path, required=("V", "level", "J", "N"))
-    V = _decode_jet(obj["V"], path + ".V", n=1, allow_complex=False)
-    problem = WKBProblem(V=V,
-                         level=_as_int(obj["level"], path + ".level", minimum=0),
-                         J=_as_int(obj["J"], path + ".J", minimum=0),
-                         N=_as_int(obj["N"], path + ".N", minimum=1))
-    res = wkb_expand(problem)
+def cmd_wkb(args, doc):
+    wkb = _read(doc, "wkb", n=1, field="real")
+    res = wkb_expand(WKBProblem(V=wkb["V"], level=wkb["level"], J=wkb["J"],
+                                N=wkb["N"]))
     result = {
         "phi": jet_to_json(res.phi),
         "mu": res.mu,
@@ -515,80 +521,45 @@ def cmd_wkb(args):
         "lambda": [float(lam) for lam in res.lambdas],
         "a": [jet_to_json(a) for a in res.amplitudes],
     }
-    if args.output == "csv":
-        rows = [[j, float(lam)] for j, lam in enumerate(res.lambdas)]
-        _emit_csv(args, raw, {}, ["j", "lambda_j"], rows)
-    else:
-        _emit_json(args, raw, {}, result)
-    return 0
+    rows = [[j, float(lam)] for j, lam in enumerate(res.lambdas)]
+    return {}, result, (["j", "lambda_j"], rows)
 
 
-def cmd_verify_estimates(args):
-    raw, doc = _load_document(args.file)
-    if "estimates" not in doc:
-        raise SchemaError('this command needs an "estimates" block', "$")
-    path = "$.estimates"
-    obj = doc["estimates"]
-    _check_dict(obj, path, required=("A0", "eps", "t0", "path"),
-                optional=("mode",))
-    A0 = _as_matrix(obj["A0"], path + ".A0")
-    eps = _as_real(obj["eps"], path + ".eps")
-    t0 = _as_real(obj["t0"], path + ".t0")
-    mode = obj.get("mode", "direct")
-    if mode not in ("direct", "inverse"):
-        raise SchemaError('mode must be "direct" or "inverse"', path + ".mode")
-    pobj = obj["path"]
-    _check_dict(pobj, path + ".path", required=("rate",),
-                optional=("B", "t_min", "samples"))
-    rate = _as_real(pobj["rate"], path + ".path.rate")
+def cmd_verify_estimates(args, doc):
+    est = _read(doc, "estimates")
+    A0, path = est["A0"], est["path"]
+    rate, t_min = path["rate"], path["t_min"]
     if rate <= 0:
         raise SchemaError("rate must be positive (the perturbation is "
                           "A0 + exp(rate * t) B for t <= 0)",
-                          path + ".path.rate")
-    B = (_as_matrix(pobj["B"], path + ".path.B") if "B" in pobj
-         else np.zeros_like(A0))
+                          "$.estimates.path.rate")
+    B = path.get("B", np.zeros_like(A0))
     if B.shape != A0.shape:
-        raise SchemaError("B must match the shape of A0", path + ".path.B")
-    t_min = _as_real(pobj.get("t_min", -15.0), path + ".path.t_min")
+        raise SchemaError("B must match the shape of A0", "$.estimates.path.B")
     if t_min >= 0:
-        raise SchemaError("t_min must be negative", path + ".path.t_min")
-    samples = _as_int(pobj.get("samples", 151), path + ".path.samples",
-                      minimum=2)
+        raise SchemaError("t_min must be negative", "$.estimates.path.t_min")
     mpath = MatrixPath(fn=lambda t: A0 + math.exp(rate * t) * B,
-                       sample_times=np.linspace(t_min, 0.0, samples))
-    check = two_regime_bound if mode == "direct" else inverse_two_regime_bound
-    report = check(A0, mpath, eps, t0)
-    tolerances = {"ode_rel_tol": ODE_REL_TOL, "ode_abs_tol": ODE_ABS_TOL}
-    if args.output == "csv":
-        rows = [[t, measured, bound] for t, measured, bound in report.samples]
-        _emit_csv(args, raw, tolerances, ["t", "measured", "bound"], rows)
-    else:
-        _emit_json(args, raw, tolerances, report.to_json())
-    return 0
+                       sample_times=np.linspace(t_min, 0.0, path["samples"]))
+    check = (two_regime_bound if est["mode"] == "direct"
+             else inverse_two_regime_bound)
+    report = check(A0, mpath, est["eps"], est["t0"])
+    return ({"ode_rel_tol": ODE_REL_TOL, "ode_abs_tol": ODE_ABS_TOL},
+            report.to_json(),
+            (["t", "measured", "bound"], [list(s) for s in report.samples]))
 
 
-def cmd_sternberg(args):
-    raw, doc = _load_document(args.file)
+def cmd_sternberg(args, doc):
     if "sternberg" in doc:
-        path = "$.sternberg"
-        _check_dict(doc["sternberg"], path, required=("mu",))
-        if not isinstance(doc["sternberg"]["mu"], list):
-            raise SchemaError("mu must be a list of numbers", path + ".mu")
-        allow_complex = doc.get("field", "real") == "complex"
-        mu = np.array([_as_scalar(x, f"{path}.mu[{i}]", allow_complex)
-                       for i, x in enumerate(doc["sternberg"]["mu"])],
-                      dtype=complex)
+        mu = _read(doc, "sternberg")["mu"]
     else:
-        p = _decode_problem(doc)
-        mu = linearization_spectrum(p.X)
+        mu = linearization_spectrum(_problem(doc).X)
     violations = sternberg_resonance_check(mu, tol=args.tol)
     result = {
         "mu": [_encode_number(u) for u in mu],
         "violations": [{"j": j, "alpha": list(alpha)} for j, alpha in violations],
         "resonance_free": not violations,
     }
-    _emit_json(args, raw, {"tol": args.tol}, result)
-    return 0
+    return {"tol": args.tol}, result, None
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +610,7 @@ def _build_parser():
         if output is not None:
             sp.add_argument("--output", choices=("json", "csv"),
                             default=output, help="output format")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, output=output or "json")
         return sp
 
     sp = add("spectrum", cmd_spectrum,
@@ -688,16 +659,22 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UnsolvableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raw, doc = _load_document(args.file)
+        tolerances, result, table, *code = args.func(args, doc)
+        prov = _provenance(args, raw, tolerances)
+        text = (_csv_text(prov, *table) if args.output == "csv" else
+                json.dumps({"provenance": prov, "result": result},
+                           sort_keys=True, indent=2) + "\n")
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        return code[0] if code else 0
     except TransportKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return (4 if isinstance(exc, UnsolvableError)
+                else 2 if isinstance(exc, ValidationError) else 3)
 
 
 if __name__ == "__main__":

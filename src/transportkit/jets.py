@@ -38,6 +38,7 @@ vector field with no constant term descend to P_N as well.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -61,6 +62,11 @@ __all__ = [
 ]
 
 
+# The most coefficients jet_from_json allocates (8 MiB of float64), far
+# above the P_dim(3, 64) = 47,905 rows of a three-variable jet at MAX_ORDER.
+MAX_COEFFS = 1 << 20
+
+
 def P_dim(n: int, N: int) -> int:
     """Dimension of the space of polynomials of degree <= N in n variables."""
     return math.comb(n + N, n)
@@ -69,6 +75,12 @@ def P_dim(n: int, N: int) -> int:
 def H_dim(n: int, k: int) -> int:
     """Dimension of the space of homogeneous polynomials of degree k."""
     return math.comb(n + k - 1, k) if k >= 0 else 0
+
+
+def fits(n: int, N: int, width: int = 1) -> bool:
+    """True when P_dim(n, N) rows of width entries stay within MAX_COEFFS."""
+    # P_dim(n, N) >= C(2k, k) > MAX_COEFFS for k = min(n, N) >= 32
+    return min(n, N) < 32 and P_dim(n, N) * width <= MAX_COEFFS
 
 
 def grlex_key(alpha):
@@ -192,10 +204,8 @@ def _diff_table(n: int, N: int, i: int):
 def _as_value_shape(shape) -> tuple:
     if shape in ((), "scalar", None):
         return ()
-    if isinstance(shape, tuple):
-        if len(shape) in (1, 2):
-            return shape
-        raise ShapeMismatchError(f"unsupported value shape {shape!r}")
+    if isinstance(shape, tuple) and len(shape) in (1, 2):
+        return shape
     raise ShapeMismatchError(f"unsupported value shape {shape!r}")
 
 
@@ -597,13 +607,18 @@ def _encode_value(v):
     return [_encode_value(x) for x in v]
 
 
-def _decode_value(obj):
-    if isinstance(obj, dict):
-        return complex(obj["re"], obj["im"])
+def _decode_value(obj, where):
+    """A coefficient: a number, {re, im}, or nested lists of them."""
     if isinstance(obj, list):
-        vals = [_decode_value(x) for x in obj]
-        return np.array(vals)
-    return float(obj)
+        try:
+            return np.array([_decode_value(x, where) for x in obj])
+        except ValueError:
+            raise ValueError(f"{where} is a ragged array") from None
+    parts = ((obj["re"], obj["im"]) if isinstance(obj, dict)
+             and obj.keys() == {"re", "im"} else (obj,))
+    if not all(type(x) in (int, float) for x in parts):
+        raise TypeError(f"{where} must hold numbers or {{re, im}} objects")
+    return complex(*parts) if len(parts) == 2 else float(obj)
 
 
 def jet_to_json(u: Jet) -> dict:
@@ -625,27 +640,33 @@ def jet_to_json(u: Jet) -> dict:
 
 
 def jet_from_json(obj: dict) -> Jet:
-    n = int(obj["n"])
-    N = int(obj["N"])
+    """Decode the jet_to_json encoding; anything else, or a jet of more
+    than MAX_COEFFS coefficients, raises TypeError or ValueError."""
+    n, N = obj["n"], obj["N"]
+    if type(n) is not int or type(N) is not int or n < 1 or N < 0:
+        raise ValueError("n and N must be integers >= 1 and >= 0")
     shape_tag = obj.get("shape", "scalar")
-    if shape_tag == "scalar":
-        vs = ()
-    elif shape_tag.startswith("vector:"):
-        vs = (int(shape_tag.split(":")[1]),)
-    elif shape_tag.startswith("matrix:"):
-        m = int(shape_tag.split(":")[1])
-        vs = (m, m)
-    else:
-        raise ValueError(f"unknown shape tag {shape_tag!r}")
+    match = isinstance(shape_tag, str) and re.fullmatch(
+        r"scalar|(vector|matrix):([1-9][0-9]*)", shape_tag)
+    if not match:
+        raise ValueError('shape must be "scalar", "vector:<m>" or '
+                         f'"matrix:<m>", got {shape_tag!r}')
+    kind, m = match.groups()
+    vs = () if kind is None else (int(m),) * (1 if kind == "vector" else 2)
+    if not fits(n, N, math.prod(vs)):
+        raise ValueError(f"the jet needs more than {MAX_COEFFS} coefficients")
     terms = {}
     cplx = False
-    for t in obj.get("terms", []):
-        val = _decode_value(t["coeff"])
-        val = np.asarray(val)
+    for i, t in enumerate(obj.get("terms", [])):
+        alpha = t["alpha"]
+        if not isinstance(alpha, list) or any(type(a) is not int
+                                               for a in alpha):
+            raise TypeError(f"terms[{i}].alpha must be a list of integers")
+        val = np.asarray(_decode_value(t["coeff"], f"terms[{i}].coeff"))
         if val.shape != vs:
             raise ShapeMismatchError(
                 f"coefficient shape {val.shape} does not match {shape_tag}")
-        terms[tuple(t["alpha"])] = val
+        terms[tuple(alpha)] = val
         cplx = cplx or np.iscomplexobj(val)
     return Jet.from_terms(n, N, terms, shape=vs,
                           dtype=np.complex128 if cplx else np.float64)

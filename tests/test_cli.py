@@ -91,6 +91,151 @@ def result_of(out):
     return json.loads(out)["result"]
 
 
+DELETE = object()
+
+
+def single_fault(command, where, value):
+    """A valid document for command with the value at where replaced
+    (or deleted, for DELETE)."""
+    if command == "verify-estimates":
+        doc = {"schema_version": 1,
+               "estimates": {"A0": [[1.0, 1.0], [0.0, 1.0]], "eps": 0.25,
+                             "t0": -1.0, "mode": "direct",
+                             "path": {"rate": 1.0, "t_min": -6.0,
+                                      "samples": 11}}}
+    elif command == "heat":
+        doc = {"schema_version": 1,
+               "heat": {"n": 2, "m": 1, "J": 1, "N": 3, "points": [[0.3, 0.2]],
+                        "K": {"n": 2, "N": 3, "shape": "scalar",
+                              "terms": [scalar_term((2, 0), 1.0)]}}}
+    elif command == "sternberg":
+        doc = {"schema_version": 1, "sternberg": {"mu": [1.0, 2.5]}}
+    elif command == "wkb":
+        doc = {"schema_version": 1,
+               "wkb": {"level": 0, "J": 1, "N": 6,
+                       "V": {"n": 1, "N": 6, "shape": "scalar",
+                             "terms": [scalar_term((2,), 1.0)]}}}
+    else:
+        doc = radial_doc(1.0, [scalar_term((2,), [1.0])], N=3,
+                         grid={"points": [[0.1]], "config": {}})
+        doc["field"] = "real"
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
+    return doc
+
+
+# one document per message the command line writes itself; the texts are
+# part of the interface and are compared byte for byte
+GOLDEN = [
+    ("solve-jet", ("bogus",), 1, (), "$: unknown key 'bogus'"),
+    ("solve-jet", ("schema_version",), DELETE, (),
+     "$: missing required key 'schema_version'"),
+    ("solve-jet", ("schema_version",), 2, (),
+     "$.schema_version: unsupported schema_version (expected 1)"),
+    ("solve-jet", ("field",), "quaternion", (),
+     '$.field: field must be "real" or "complex"'),
+    ("solve-jet", ("problem",), DELETE, (),
+     '$: this command needs a "problem" block'),
+    ("solve-jet", ("problem",), None, (), "$.problem: expected an object"),
+    ("solve-jet", ("problem", "lambda"), DELETE, (),
+     "$.problem: missing required key 'lambda'"),
+    ("solve-jet", ("problem", "n"), 1.5, (),
+     "$.problem.n: expected an integer"),
+    ("solve-jet", ("problem", "N"), 0, (), "$.problem.N: must be >= 1"),
+    ("solve-jet", ("problem", "lambda"), "x", (),
+     "$.problem.lambda: expected a number"),
+    ("solve-jet", ("problem", "lambda"), 10**400, (),
+     "$.problem.lambda: expected a finite number"),
+    ("solve-jet", ("problem", "lambda"), {"re": 0.0, "im": 1.0}, (),
+     '$.problem.lambda: complex value in a file with "field": "real"'),
+    ("solve-jet", ("problem", "lambda"), {"re": 0.0}, (),
+     "$.problem.lambda: missing required key 'im'"),
+    ("solve-jet", ("problem", "X"), [], (),
+     "$.problem.X: X must be a list of 1 component jets"),
+    ("solve-jet", ("problem", "A"),
+     {"n": 1, "N": 3, "shape": "matrix:2", "terms": []}, (),
+     "$.problem.A: A must be matrix:1"),
+    ("solve-jet", ("problem", "v"),
+     {"n": 1, "N": 3, "shape": "vector:2", "terms": []}, (),
+     "$.problem.v: v must be vector:1"),
+    ("solve-jet", ("problem", "X", 0), {"n": 1, "N": 0, "terms": []}, (),
+     "$.problem: vector field jets need order N >= 1 to carry a linear part"),
+    ("solve-jet", ("problem", "X", 0), [], (),
+     "$.problem.X[0]: expected an object"),
+    ("solve-jet", ("problem", "v", "n"), 2, (),
+     "$.problem.v.n: jet must have n=1 variables"),
+    ("solve-jet", ("problem", "v", "N"), -1, (),
+     "$.problem.v.N: must be >= 0"),
+    ("solve-jet", ("problem", "v", "terms"), {}, (),
+     "$.problem.v.terms: expected a list of terms"),
+    ("solve-jet", ("problem", "v", "terms", 0), "x", (),
+     "$.problem.v.terms[0]: expected an object"),
+    ("solve-jet", ("problem", "v", "terms", 0, "coeff"), DELETE, (),
+     "$.problem.v.terms[0]: missing required key 'coeff'"),
+    ("solve-jet", ("problem", "v", "terms", 0, "coeff"), [10**400], (),
+     "$.problem.v.terms[0].coeff: expected finite coefficients"),
+    ("solve-jet", ("problem", "v", "terms", 0, "coeff"),
+     [{"re": 1.0, "im": 1.0}], (),
+     '$.problem.v: complex coefficient in a file with "field": "real"'),
+    ("solve-grid", ("grid",), DELETE, (), '$: this command needs a "grid" block'),
+    ("solve-grid", ("grid", "config"), [], (),
+     "$.grid.config: expected an object"),
+    ("solve-grid", ("grid", "config", "bogus"), 1, (),
+     "$.grid.config: unknown key 'bogus'"),
+    ("solve-grid", ("grid", "config", "split_order"), 0, (),
+     "$.grid.config.split_order: must be >= 1"),
+    ("solve-grid", ("grid", "config", "radius"), True, (),
+     "$.grid.config.radius: expected a number"),
+    ("solve-grid", ("grid", "points"), [], (),
+     "$.grid.points: expected a non-empty list of points"),
+    ("solve-grid", ("grid", "points", 0), [0.1, 0.2], (),
+     "$.grid.points[0]: expected a point with 1 coordinates"),
+    ("solve-grid", ("grid", "points", 0, 0), "x", (),
+     "$.grid.points[0][0]: expected a number"),
+    ("heat", ("heat",), DELETE, (), '$: this command needs a "heat" block'),
+    ("heat", ("heat", "J"), -1, (), "$.heat.J: must be >= 0"),
+    ("heat", ("heat", "K", "n"), 1, (),
+     "$.heat.K.n: jet must have n=2 variables"),
+    ("heat", ("heat", "K", "terms", 0, "coeff"), {"re": 1.0, "im": 1.0}, (),
+     '$.heat.K: complex coefficient in a file with "field": "real"'),
+    ("heat", ("heat", "points"), DELETE, ("--output", "csv"),
+     'csv output needs a "points" list in the heat block'),
+    ("wkb", ("bogus",), 1, (), "$: unknown key 'bogus'"),
+    ("verify-estimates", ("estimates",), DELETE, (),
+     '$: this command needs an "estimates" block'),
+    ("verify-estimates", ("estimates", "A0"), "x", (),
+     "$.estimates.A0: expected a numeric matrix"),
+    ("verify-estimates", ("estimates", "A0"), [[1.0, 2.0]], (),
+     "$.estimates.A0: expected a square matrix"),
+    ("verify-estimates", ("estimates", "A0"), [[10**400]], (),
+     "$.estimates.A0: expected finite matrix entries"),
+    ("verify-estimates", ("estimates", "eps"), None, (),
+     "$.estimates.eps: expected a number"),
+    ("verify-estimates", ("estimates", "mode"), "both", (),
+     '$.estimates.mode: mode must be "direct" or "inverse"'),
+    ("verify-estimates", ("estimates", "path"), None, (),
+     "$.estimates.path: expected an object"),
+    ("verify-estimates", ("estimates", "path", "rate"), 0, (),
+     "$.estimates.path.rate: rate must be positive (the perturbation is "
+     "A0 + exp(rate * t) B for t <= 0)"),
+    ("verify-estimates", ("estimates", "path", "B"), [[1.0]], (),
+     "$.estimates.path.B: B must match the shape of A0"),
+    ("verify-estimates", ("estimates", "path", "t_min"), 0, (),
+     "$.estimates.path.t_min: t_min must be negative"),
+    ("verify-estimates", ("estimates", "path", "samples"), 1, (),
+     "$.estimates.path.samples: must be >= 2"),
+    ("sternberg", ("sternberg", "mu"), 1.0, (),
+     "$.sternberg.mu: mu must be a list of numbers"),
+    ("sternberg", ("sternberg", "mu", 0), [1.0], (),
+     "$.sternberg.mu[0]: expected a number"),
+]
+
+
 class TestSchemaValidation:
     def test_unknown_key_reports_path(self, run):
         doc = euler_doc([])
@@ -120,6 +265,12 @@ class TestSchemaValidation:
         path.write_text("{not json")
         assert main(["solve-jet", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema_version": 1, "field": "r\xe9al"}')
+        assert main(["solve-jet", str(path)]) == 2
+        assert "$: invalid JSON: 'utf-8' codec" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["solve-jet", "/nonexistent/problem.json"]) == 2
@@ -245,6 +396,48 @@ class TestSchemaValidation:
         code, _, err = run("solve-grid", doc)
         assert code == 2
         assert "$.grid.points[0]" in err
+
+    @pytest.mark.parametrize("command,where,value,message", [
+        # values JSON has a type for, which used to be truncated or read as 1
+        ("solve-jet", ("problem", "v", "terms", 0, "alpha", 0), 1.5,
+         "$.problem.v: terms[0].alpha must be a list of integers"),
+        ("solve-jet", ("problem", "v", "terms", 0, "alpha", 0), True,
+         "$.problem.v: terms[0].alpha must be a list of integers"),
+        ("solve-jet", ("problem", "v", "terms", 0, "alpha", 0), [1.0],
+         "$.problem.v: terms[0].alpha must be a list of integers"),
+        ("solve-jet", ("problem", "v", "terms", 0, "coeff", 0), True,
+         "$.problem.v: terms[0].coeff must hold numbers or {re, im} objects"),
+        ("verify-estimates", ("estimates", "A0", 0, 1), True,
+         "$.estimates.A0: expected a numeric matrix"),
+        ("verify-estimates", ("estimates", "A0", 0, 1), "1.5",
+         "$.estimates.A0: expected a numeric matrix"),
+        ("solve-jet", ("schema_version",), True,
+         "$.schema_version: unsupported schema_version (expected 1)"),
+        # sizes that used to reach an allocation or a long computation
+        ("solve-jet", ("problem", "v", "N"), 2_000_000,
+         "$.problem.v: the jet needs more than 1048576 coefficients"),
+        ("solve-jet", ("problem", "N"), 2_000_000,
+         "$.problem.N: needs more than 1048576 coefficients at this order"),
+        ("verify-estimates", ("estimates", "path", "samples"), 10**12,
+         "$.estimates.path.samples: must be <= 262144"),
+        ("heat", ("heat", "N"), 67, "$.heat.N: must be <= 66"),
+        ("wkb", ("wkb", "N"), 3000, "$.wkb.N: must be <= 66"),
+        ("sternberg", ("sternberg", "mu"), [], "$.sternberg.mu: mu must not be empty"),
+        # nesting that used to exhaust the interpreter stack
+        ("solve-jet", ("problem", "v", "terms", 0, "coeff"),
+         json.loads("[" * 600 + "1.0" + "]" * 600),
+         "$.problem.v.terms[0].coeff: expected a scalar, vector or matrix"),
+    ])
+    def test_rejected_at_the_schema(self, run, command, where, value, message):
+        doc = single_fault(command, where, value)
+        code, out, err = run(command, doc)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command,where,value,flags,message", GOLDEN)
+    def test_golden_message(self, run, command, where, value, flags, message):
+        doc = single_fault(command, where, value)
+        code, out, err = run(command, doc, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSpectrum:
@@ -490,6 +683,12 @@ class TestHeat:
     def test_nonpositive_quad_tol_exits_2(self, run, quad_tol):
         code, out, err = run("heat", self.doc(points=[[0.3, -0.2]],
                                               quad_tol=quad_tol))
+        assert code == 2 and out == ""
+        assert "quadrature tolerance must be positive" in err
+
+    @pytest.mark.parametrize("quad_tol", [-1, 0])
+    def test_nonpositive_quad_tol_without_points_exits_2(self, run, quad_tol):
+        code, out, err = run("heat", self.doc(quad_tol=quad_tol))
         assert code == 2 and out == ""
         assert "quadrature tolerance must be positive" in err
 
