@@ -9,6 +9,8 @@ evaluation), estimates (transition-matrix norm bounds), applications
 (heat coefficients, WKB expansions), cli (command-line front end).
 """
 
+from types import ModuleType as _ModuleType
+
 from .applications import (
     HeatProblem,
     WKBExpansion,
@@ -86,68 +88,7 @@ from .taylor import JetSolution, residual, solve_to_order
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Jet",
-    "VectorFieldJet",
-    "jet_mul",
-    "jet_to_json",
-    "jet_from_json",
-    "ProblemData",
-    "OperatorMatrix",
-    "assemble",
-    "apply_operator",
-    "jet_to_vec",
-    "vec_to_jet",
-    "ResonanceEntry",
-    "linearization_spectrum",
-    "endo_spectrum",
-    "enumerate_resonances",
-    "kernel_basis",
-    "dual_kernel_basis",
-    "DualDistribution",
-    "solvability_test",
-    "sternberg_resonance_check",
-    "JetSolution",
-    "solve_to_order",
-    "residual",
-    "FieldSampler",
-    "EvalConfig",
-    "EvaluationResult",
-    "FlowState",
-    "FlowTrajectory",
-    "integrate_flow",
-    "evaluate_solution",
-    "empirical_decay_rate",
-    "ell",
-    "compute_M",
-    "MatrixPath",
-    "LemmaBound",
-    "perturbation_bound",
-    "EstimateReport",
-    "two_regime_bound",
-    "inverse_two_regime_bound",
-    "HeatProblem",
-    "heat_coefficients_jet",
-    "heat_coefficients_numeric",
-    "WKBProblem",
-    "WKBExpansion",
-    "wkb_expand",
-    "TransportKitError",
-    "ValidationError",
-    "SchemaError",
-    "FieldMismatchError",
-    "ShapeMismatchError",
-    "NumericError",
-    "UnsolvableError",
-    "ResonantProblemError",
-    "RegionExitError",
-    "FlowIntegrationError",
-    "TailDecayError",
-    "QuantityUnderflowError",
-    "HypothesisViolationError",
-    "OrderBudgetError",
-    "RankAmbiguityWarning",
-    "NearResonanceWarning",
-    "IllConditionedWarning",
-]
+# every name imported above; the submodules are reached as attributes
+__all__ = ["__version__"] + [name for name, obj in list(globals().items())
+                             if not name.startswith("_")
+                             and not isinstance(obj, _ModuleType)]

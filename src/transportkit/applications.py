@@ -133,8 +133,8 @@ def _gauss_01(k: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def heat_coefficients_numeric(h: HeatProblem, q, *, tol: float = 1e-10,
-                              max_nodes: int = 512) -> list:
+def heat_coefficients_numeric(h: HeatProblem, q, *,
+                              tol: float = 1e-10) -> list:
     """Phi_0(q) .. Phi_J(q) by quadrature of the recursion integral.
 
     Along the straight segment s -> s q the recursion reads
@@ -143,7 +143,7 @@ def heat_coefficients_numeric(h: HeatProblem, q, *, tol: float = 1e-10,
 
     with Phi_0 = id on the flat trivial bundle.  The jets supply the
     derivatives inside L; Gauss-Legendre with node doubling supplies the
-    s-integral.  Raises NumericError if doubling stalls above max_nodes,
+    s-integral.  Raises NumericError if doubling stalls above 512 nodes,
     and ValidationError unless tol is positive.
     """
     if not tol > 0:
@@ -172,7 +172,7 @@ def heat_coefficients_numeric(h: HeatProblem, q, *, tol: float = 1e-10,
                 out.append(nxt)
                 break
             val = nxt
-            if nodes > max_nodes:
+            if nodes > 512:
                 raise NumericError(
                     f"quadrature for Phi_{j} did not settle by {nodes} nodes")
     return out

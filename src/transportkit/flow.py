@@ -57,6 +57,10 @@ _FRAME_OVERFLOW = 1e100
 _UNDERFLOW = 1e-250
 # solve_ivp raises a smaller rtol to this floor, with a warning
 _MIN_REL_TOL = 100 * np.finfo(float).eps
+# empirical_decay_rate fits quantities spanning many decades, which needs
+# relative accuracy: an essentially zero absolute tolerance leaves the
+# error control purely relative
+_DECAY_ABS_TOL = 1e-280
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,9 @@ class FieldSampler:
     module docstring): the flow evaluates it as one monomial vector times
     one coefficient matrix per point, and X_eval, A_eval, v_eval are read
     off that joint value.  dataclasses.replace drops the joint map, so a
-    replaced sampler is sampled through its three callables.
+    replaced sampler is a plain callable sampler: it is sampled through
+    its three callables, and its split-mode remainder is evaluated
+    pointwise from them.
     """
 
     X_eval: object
@@ -110,7 +116,6 @@ class FieldSampler:
     source: np.ndarray
     radius: float = math.inf
     consistent_jets: ProblemData | None = None
-    polynomial: bool = False  # samplers are exactly the jet polynomials
     # -X components and the rows of (-A | v) as one jet, values of length
     # n + m*(m+1)
     _joint: Jet | None = field(default=None, init=False, repr=False,
@@ -200,13 +205,11 @@ class FieldSampler:
         joint = Jet(p.n, p.N, np.hstack(
             [-c.coeffs[:, None] for c in p.X.components]
             + [block.reshape(rows, -1)]))
-        return cls._fused(joint, p.m, radius, consistent_jets=p,
-                          polynomial=True)
+        return cls._fused(joint, p.m, radius, consistent_jets=p)
 
     @classmethod
     def _fused(cls, joint: Jet, m: int, radius: float,
-               consistent_jets: ProblemData | None = None,
-               polynomial: bool = False) -> "FieldSampler":
+               consistent_jets: ProblemData | None = None) -> "FieldSampler":
         """Sampler of the joint polynomial [-X | rows of (-A | v)], source at the origin."""
         n = joint.n
         a_cols, v_cols = _block_columns(n, m)
@@ -214,7 +217,7 @@ class FieldSampler:
                 A_eval=lambda y: -_joint_at(joint, y)[a_cols],
                 v_eval=lambda y: _joint_at(joint, y)[v_cols],
                 source=np.zeros(n), radius=radius,
-                consistent_jets=consistent_jets, polynomial=polynomial)
+                consistent_jets=consistent_jets)
         object.__setattr__(f, "_joint", joint)
         return f
 
@@ -267,10 +270,6 @@ class FlowTrajectory:
         W = _frame_block(z, self.n, self.m)
         return FlowState(t=float(t), y_t=z[:self.n], Finv=W[:, :-1],
                          I=W[:, -1])
-
-    @property
-    def final(self) -> FlowState:
-        return self.at(self.t_end)
 
 
 def _pack(y: np.ndarray, Finv: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -361,7 +360,13 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """u(y) with convergence diagnostics of the tail integration."""
+    """u(y) with convergence diagnostics of the tail integration.
+
+    tail_estimate is g(horizon) / rate, with g the integrand norm at the
+    horizon: the size of the neglected tail if the fitted exponential
+    decay holds beyond it.  It is an estimate, not an error bound; below
+    the integrator's abs_tol it is integrator noise.
+    """
 
     u: np.ndarray
     tail_estimate: float
@@ -443,8 +448,7 @@ def _shifted(f: FieldSampler, lam: float) -> FieldSampler:
     if f._joint is not None:
         coeffs = np.array(f._joint.coeffs)
         coeffs[0, np.diag(_block_columns(n, m)[0])] += lam  # the block holds -A
-        return FieldSampler._fused(Jet(n, f._joint.N, coeffs), m, f.radius,
-                                   polynomial=f.polynomial)
+        return FieldSampler._fused(Jet(n, f._joint.N, coeffs), m, f.radius)
     A_orig = f.A_eval
     return replace(f, A_eval=lambda q: np.asarray(A_orig(q), dtype=float)
                    - lam * np.eye(m), consistent_jets=None)
@@ -502,7 +506,7 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     if N > MAX_ORDER:
         raise ValidationError(
             f"splitting needs head order {N}, beyond the solver cap")
-    if not f.polynomial and p.N < N:
+    if f._joint is None and p.N < N:
         raise ValidationError(
             f"jet data of order {p.N} cannot support a split at order {N}; "
             "supply deeper jets or polynomial samplers")
@@ -539,49 +543,36 @@ def _remainder_sampler(f: FieldSampler, p: ProblemData, lam: float,
                        u_head: Jet, N: int) -> FieldSampler:
     """Sampler of X, A - lam and the flat remainder that replaces v."""
     shifted = _shifted(f, lam)
-    if f.polynomial:
+    if shifted._joint is not None:
+        # swap the v block for the remainder jet; X and A are zero-extended
         r_poly = _remainder_jet(p, u_head, N)
-        if shifted._joint is not None:
-            # swap the v block for r_poly; X and A are zero-extended
-            D = max(r_poly.N, shifted._joint.N)
-            coeffs = np.array(shifted._joint.extend(D).coeffs)
-            coeffs[:, _block_columns(f.n, f.m)[1]] = r_poly.extend(D).coeffs
-            return FieldSampler._fused(Jet(f.n, D, coeffs), f.m, f.radius)
-        v_remainder = lambda q: np.asarray(r_poly.evaluate(q), dtype=float)
-    else:
-        grads = [u_head.partial(i) for i in range(f.n)]
-        A_orig, v_orig, X_orig = f.A_eval, f.v_eval, f.X_eval
-        m = f.m
+        D = max(r_poly.N, shifted._joint.N)
+        coeffs = np.array(shifted._joint.extend(D).coeffs)
+        coeffs[:, _block_columns(f.n, f.m)[1]] = r_poly.extend(D).coeffs
+        return FieldSampler._fused(Jet(f.n, D, coeffs), f.m, f.radius)
+    grads = [u_head.partial(i) for i in range(f.n)]
+    A_orig, v_orig, X_orig = f.A_eval, f.v_eval, f.X_eval
+    m = f.m
 
-        def v_remainder(q):
-            Xq = np.asarray(X_orig(q), dtype=float)
-            Aq = np.asarray(A_orig(q), dtype=float) - lam * np.eye(m)
-            uq = np.asarray(u_head.evaluate(q), dtype=float)
-            du = sum(Xq[i] * np.asarray(g.evaluate(q), dtype=float)
-                     for i, g in enumerate(grads))
-            return np.asarray(v_orig(q), dtype=float) - du - Aq @ uq
+    def v_remainder(q):
+        Xq = np.asarray(X_orig(q), dtype=float)
+        Aq = np.asarray(A_orig(q), dtype=float) - lam * np.eye(m)
+        uq = np.asarray(u_head.evaluate(q), dtype=float)
+        du = sum(Xq[i] * np.asarray(g.evaluate(q), dtype=float)
+                 for i, g in enumerate(grads))
+        return np.asarray(v_orig(q), dtype=float) - du - Aq @ uq
 
-    return replace(shifted, v_eval=v_remainder, consistent_jets=None,
-                   polynomial=False)
+    return replace(shifted, v_eval=v_remainder, consistent_jets=None)
 
 
 def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,
-                         horizon: float = 30.0,
-                         window_fraction: float = 0.3,
-                         n_samples: int = 60,
-                         rel_tol: float = 1e-9,
-                         abs_tol: float = 1e-280) -> float:
+                         horizon: float = 30.0) -> float:
     """Fitted exponential rate of a quantity along the backward flow.
 
     quantity is "flow" (distance of y_t to the source), "transition"
     (spectral norm of Finv), or a callable FlowState -> float.  The rate
-    is the least-squares slope of its log against t over the tail window,
-    so a positive value means decay as t goes to -inf.
-
-    The fit needs relative accuracy of quantities spanning many decades,
-    so the default absolute tolerance is essentially zero and the error
-    control is purely relative; raise abs_tol only for states with
-    components that cross zero.
+    is the least-squares slope of its log against t over the last 30% of
+    the horizon, so a positive value means decay as t goes to -inf.
     """
     if quantity == "flow":
         qfun = lambda st: float(np.linalg.norm(st.y_t - f.source))
@@ -592,9 +583,9 @@ def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,
     else:
         raise ValidationError(
             "quantity must be 'flow', 'transition', or a callable")
-    traj = integrate_flow(f, y, -horizon, rel_tol=rel_tol, abs_tol=abs_tol,
+    traj = integrate_flow(f, y, -horizon, rel_tol=1e-9, abs_tol=_DECAY_ABS_TOL,
                           first_step=min(1e-3, 0.01 * horizon))
-    ts = np.linspace(-horizon, -horizon * (1.0 - window_fraction), n_samples)
+    ts = np.linspace(-horizon, -0.7 * horizon, 60)
     vals = np.array([qfun(traj.at(t)) for t in ts])
     if np.any(vals < _UNDERFLOW):
         raise QuantityUnderflowError(

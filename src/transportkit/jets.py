@@ -43,11 +43,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldMismatchError, ShapeMismatchError
+from .errors import FieldMismatchError, ShapeMismatchError, ValidationError
 
 __all__ = [
     "P_dim",
-    "H_dim",
     "monomials",
     "monomial_rank",
     "monomial_powers",
@@ -56,25 +55,21 @@ __all__ = [
     "Jet",
     "VectorFieldJet",
     "jet_mul",
-    "jet_directional_derivative",
     "jet_to_json",
     "jet_from_json",
 ]
 
 
 # The most coefficients jet_from_json allocates (8 MiB of float64), far
-# above the P_dim(3, 64) = 47,905 rows of a three-variable jet at MAX_ORDER.
+# above the P_dim(3, 64) = 47,905 rows of a three-variable jet at MAX_ORDER;
+# also the most index triples _mul_table builds and the most multi-indices
+# a resonance enumeration visits.
 MAX_COEFFS = 1 << 20
 
 
 def P_dim(n: int, N: int) -> int:
     """Dimension of the space of polynomials of degree <= N in n variables."""
     return math.comb(n + N, n)
-
-
-def H_dim(n: int, k: int) -> int:
-    """Dimension of the space of homogeneous polynomials of degree k."""
-    return math.comb(n + k - 1, k) if k >= 0 else 0
 
 
 def fits(n: int, N: int, width: int = 1) -> bool:
@@ -169,8 +164,14 @@ def _mul_table(n: int, N: int):
     """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k, degrees <= N.
 
     Sorted by i, then j.  The basis is graded, so monomial i pairs with
-    exactly the prefix j < degree_starts(n, N)[N + 1 - deg i].
+    exactly the prefix j < degree_starts(n, N)[N + 1 - deg i].  The
+    triples are the monomials of degree <= N in 2n variables; more than
+    MAX_COEFFS of them raise ValidationError before anything is allocated.
     """
+    if not fits(2 * n, N):
+        raise ValidationError(
+            f"the product table of {n}-variable jets of order {N} needs "
+            f"more than {MAX_COEFFS} index triples")
     E = monomial_powers(n, N)
     counts = degree_starts(n, N)[N + 1 - E.sum(axis=1)]
     ii = np.repeat(np.arange(E.shape[0], dtype=np.intp), counts)
@@ -309,16 +310,6 @@ class Jet:
         """Euclidean norm of the coefficient array."""
         return float(np.linalg.norm(self._coeffs.ravel()))
 
-    def vanishing_order(self, tol: float = 0.0):
-        """Smallest degree with a coefficient of magnitude > tol; inf for the zero jet."""
-        starts = degree_starts(self.n, self.N)
-        flat = self._coeffs.reshape(self._coeffs.shape[0], -1)
-        for k in range(self.N + 1):
-            block = flat[starts[k]:starts[k + 1]]
-            if block.size and np.max(np.abs(block)) > tol:
-                return k
-        return math.inf
-
     # -- structural ops ------------------------------------------------
 
     def project(self, K: int) -> "Jet":
@@ -338,15 +329,6 @@ class Jet:
         out = np.zeros((P_dim(self.n, K),) + self.value_shape, dtype=self.dtype)
         out[:self._coeffs.shape[0]] = self._coeffs
         return Jet(self.n, K, out, copy=False)
-
-    def homogeneous_part(self, k: int) -> "Jet":
-        """The degree-k slice, returned as an order-N jet."""
-        if not 0 <= k <= self.N:
-            raise ValueError(f"degree {k} outside [0, {self.N}]")
-        starts = degree_starts(self.n, self.N)
-        out = np.zeros_like(self._coeffs)
-        out[starts[k]:starts[k + 1]] = self._coeffs[starts[k]:starts[k + 1]]
-        return Jet(self.n, self.N, out, copy=False)
 
     def partial(self, i: int) -> "Jet":
         """Partial derivative d/dy_i as an order N-1 jet."""
@@ -573,27 +555,6 @@ class VectorFieldJet:
         return f"VectorFieldJet(n={self.n}, N={self.N})"
 
 
-def jet_directional_derivative(X: VectorFieldJet, u: Jet) -> Jet:
-    """The derivative sum_i X^i * du/dy_i, exact on P_N because X(0) = 0.
-
-    The degree-k part of the result depends only on coefficients of u of
-    degree <= k, so the operation descends to the quotient P_N.
-    """
-    if X.n != u.n:
-        raise ShapeMismatchError(f"field in {X.n} variables, jet in {u.n}")
-    if X.N != u.N:
-        raise ShapeMismatchError(f"field order {X.N} != jet order {u.N}")
-    if u.N == 0:
-        return Jet.zero(u.n, 0, u.value_shape, dtype=np.result_type(X.dtype, u.dtype))
-    out = None
-    for i in range(u.n):
-        # padding the (unknown) top-degree slot of du/dy_i with zeros is
-        # harmless: it only ever multiplies the vanishing constant term of X
-        term = jet_mul(X.components[i], u.partial(i).extend(u.N))
-        out = term if out is None else out + term
-    return out
-
-
 # -- JSON encoding ----------------------------------------------------
 
 def _encode_value(v):
@@ -662,6 +623,9 @@ def jet_from_json(obj: dict) -> Jet:
         if not isinstance(alpha, list) or any(type(a) is not int
                                                for a in alpha):
             raise TypeError(f"terms[{i}].alpha must be a list of integers")
+        if tuple(alpha) in terms:  # terms lists each multi-index once, in order
+            raise ValueError(f"terms[{i}].alpha repeats the multi-index of "
+                             f"terms[{list(terms).index(tuple(alpha))}]")
         val = np.asarray(_decode_value(t["coeff"], f"terms[{i}].coeff"))
         if val.shape != vs:
             raise ShapeMismatchError(

@@ -12,9 +12,10 @@ product and derivative (jets._mul_table, jets._diff_table) into a sparse
 matrix, so integer inputs yield integer matrix entries.  The basis is
 graded, so the rows and columns of degree <= k are exactly the operator
 at order k: the jet solver cuts its degree slices and the resonant head
-block from the one matrix it builds per solve.  assemble is the dense
-form of the same matrix, the public reference; apply_operator is the
-same operator by jet arithmetic, an independent check on it.
+block from the one matrix it builds per solve.  assemble is its dense
+form, the public reference, and apply_operator its product with one
+jet, so the package has one implementation of the operator; the
+independent check on it, by jet arithmetic, is a test oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .jets import (
     _diff_table,
     _mul_table,
     degree_starts,
-    jet_directional_derivative,
-    jet_mul,
     monomials,
 )
 
@@ -118,9 +117,6 @@ class ProblemData:
     def with_v(self, v: Jet) -> "ProblemData":
         return ProblemData(self.X, self.A, v, self.lam, self.N)
 
-    def with_lam(self, lam) -> "ProblemData":
-        return ProblemData(self.X, self.A, self.v, lam, self.N)
-
     @classmethod
     def scalar(cls, X: VectorFieldJet, a: Jet, v: Jet, lam, N: int) -> "ProblemData":
         """Convenience wrapper for scalar problems (m = 1)."""
@@ -170,10 +166,14 @@ def _common_field(p: ProblemData, u: Jet):
 
 
 def apply_operator(p: ProblemData, u: Jet) -> Jet:
-    """(D_X + A) u by jet arithmetic at order min(p.N, u.N)."""
+    """(D_X + A) u at order min(p.N, u.N), for an m-vector-valued jet u."""
+    if u.n != p.n or u.value_shape != (p.m,):
+        raise ShapeMismatchError(
+            f"u must be a vector:{p.m} jet in {p.n} variables, got "
+            f"value shape {u.value_shape} in {u.n}")
     order = min(p.N, u.N)
     q, uu = _common_field(p.at_order(order), u.project(order))
-    return jet_directional_derivative(q.X, uu) + jet_mul(q.A, uu)
+    return vec_to_jet(_sparse_operator(q) @ jet_to_vec(uu), q.n, order, q.m)
 
 
 def _sparse_operator(p: ProblemData) -> csr_array:
@@ -203,7 +203,8 @@ def _sparse_operator(p: ProblemData) -> csr_array:
     keep = vals != 0
     dim = m * P_dim(n, N)
     # add repeated entries in the order D_0, ..., D_{n-1}, A, the order of
-    # apply_operator, so the matrix is its action on each basis jet bit for bit
+    # the jet-arithmetic oracle reference_apply_operator of the tests, so
+    # the matrix is its action on each basis jet bit for bit
     keys, slot = np.unique(rows[keep] * dim + cols[keep], return_inverse=True)
     entries = np.zeros(keys.size, dtype=vals.dtype)
     np.add.at(entries, slot, vals[keep])

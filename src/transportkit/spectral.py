@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
-from .jets import Jet, P_dim, VectorFieldJet, grlex_key, monomial_rank, monomials
+from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, fits, grlex_key,
+                   monomials)
 from .opmatrix import ProblemData, _sparse_operator
 
 __all__ = [
@@ -112,47 +113,52 @@ def _degree_bound(mu: np.ndarray, rho: np.ndarray, re_target: float,
     slack = re_target - float(np.min(rho.real)) + tol
     if slack < 0:
         return -1
-    return int(math.floor(slack / nu))
+    # the cap keeps an unbounded ratio finite; _combinations refuses it
+    return int(min(slack / nu, MAX_COEFFS))
 
 
 def _combinations(mu: np.ndarray, rho: np.ndarray, re_target: float,
                   tol: float):
     """Yield (alpha, j, alpha . mu + rho_j) for |alpha| up to _degree_bound.
 
-    alpha runs in graded-lex order, then j over the rho indices.
+    alpha runs in graded-lex order, then j over the rho indices.  More
+    than MAX_COEFFS multi-indices raise ValidationError before the first.
     """
     amax = _degree_bound(mu, rho, re_target, tol)
     if amax < 0:
         return
+    if not fits(mu.shape[0], amax):
+        raise ValidationError(
+            f"resonance enumeration up to degree {amax} in {mu.shape[0]} "
+            f"variables visits more than {MAX_COEFFS} multi-indices")
     for alpha in monomials(mu.shape[0], amax):
         base = sum(a * u for a, u in zip(alpha, mu))
         for j in range(rho.shape[0]):
             yield alpha, j, base + rho[j]
 
 
-def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL,
-                         warn_tol: float = NEAR_RESONANCE_TOL):
+def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL):
     """Find every (alpha, j) with |alpha . mu + rho_j - lam| <= tol.
 
     Returns a ResonanceEntry, or None when lambda is non-resonant.
-    Combinations missing lambda by less than warn_tol (but more than tol)
-    trigger a NearResonanceWarning; a negative tolerance is a
+    Combinations missing lambda by less than NEAR_RESONANCE_TOL (but more
+    than tol) trigger a NearResonanceWarning; a negative tolerance is a
     ValidationError.  Representations are listed in graded-lex order on
     alpha, then by rho index.
     """
-    if not (tol >= 0 and warn_tol >= 0):
-        raise ValidationError(
-            f"tolerances must be nonnegative (tol={tol}, warn_tol={warn_tol})")
+    if not tol >= 0:
+        raise ValidationError(f"tolerances must be nonnegative (tol={tol})")
     mu = np.asarray(mu, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     lam = complex(lam)
     reps = []
     near = []
-    for alpha, j, val in _combinations(mu, rho, lam.real, max(tol, warn_tol)):
+    for alpha, j, val in _combinations(mu, rho, lam.real,
+                                       max(tol, NEAR_RESONANCE_TOL)):
         gap = abs(val - lam)
         if gap <= tol:
             reps.append((alpha, j))
-        elif gap <= warn_tol:
+        elif gap <= NEAR_RESONANCE_TOL:
             near.append((alpha, j, gap))
     for alpha, j, gap in near:
         warnings.warn(
@@ -213,16 +219,16 @@ class RankReport:
     gap: float  # ratio of smallest kept to largest dropped singular value
 
 
-def _svd_rank(mat: np.ndarray, rtol: float):
+def _svd_rank(mat: np.ndarray):
     """SVD of mat and its rank decision: (U, s, Vh, RankReport).
 
-    The rank threshold is rtol * sigma_max.  A gap below 1e3 between the
+    The rank threshold is RANK_RTOL * sigma_max.  A gap below 1e3 between the
     singular values on either side of the threshold triggers
     RankAmbiguityWarning.
     """
     U, s, Vh = np.linalg.svd(mat)
     sigma_max = s[0] if s.size else 0.0
-    threshold = rtol * sigma_max
+    threshold = RANK_RTOL * sigma_max
     rank = int(np.sum(s > threshold))
     nullity = mat.shape[1] - rank
     kept = s[rank - 1] if rank > 0 else np.inf
@@ -236,10 +242,10 @@ def _svd_rank(mat: np.ndarray, rtol: float):
                                 rank=rank, nullity=nullity, gap=gap)
 
 
-def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL):
+def nullspace(mat: np.ndarray):
     """Orthonormal right null basis, shape (dim, nullity), and its RankReport."""
     mat = np.asarray(mat)
-    _, _, Vh, report = _svd_rank(mat, rtol)
+    _, _, Vh, report = _svd_rank(mat)
     return _canonicalize_columns(Vh[report.rank:].conj().T), report
 
 
@@ -259,8 +265,7 @@ def _canonicalize_columns(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
-                 tol: float = RESONANCE_TOL):
+def kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     """Jets spanning the kernel of (D_X + A - lambda) on P_N tensor V.
 
     The working order is raised to the largest resonance degree when the
@@ -272,7 +277,7 @@ def kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
     if entry is None:
         return []
     q = p.at_order(max(p.N, n_star))
-    return list(_solve_family(q, entry, n_star, 0.0, rtol).kernel_extensions)
+    return list(_solve_family(q, entry, n_star, 0.0).kernel_extensions)
 
 
 class DualDistribution:
@@ -329,19 +334,6 @@ class DualDistribution:
                 out[alpha] = c / fact
         return out
 
-    @classmethod
-    def from_delta_form(cls, n: int, order: int, deltas: dict, m: int):
-        """Inverse of to_delta_form: multiplies each covector by alpha!."""
-        coeffs = np.zeros((P_dim(n, order), m))
-        cplx = any(np.iscomplexobj(np.asarray(v)) for v in deltas.values())
-        if cplx:
-            coeffs = coeffs.astype(complex)
-        rank = monomial_rank(n, order)
-        for alpha, xi in deltas.items():
-            fact = math.prod(math.factorial(a) for a in alpha)
-            coeffs[rank[tuple(alpha)]] = np.asarray(xi) * fact
-        return cls(n, order, coeffs, copy=False)
-
     def to_json(self) -> dict:
         from .jets import _encode_value
         terms = []
@@ -355,7 +347,7 @@ class DualDistribution:
         return f"DualDistribution(n={self.n}, order={self.order}, m={self.m})"
 
 
-def _head_split(p: ProblemData, L, order: int, rtol: float):
+def _head_split(p: ProblemData, L, order: int):
     """One SVD of the head block (degrees <= order) of D_X + A - lambda.
 
     L is the sparse operator of p at any working order >= max(order, 1);
@@ -367,7 +359,7 @@ def _head_split(p: ProblemData, L, order: int, rtol: float):
     one rank decision.
     """
     h = P_dim(p.n, order) * p.m
-    U, s, Vh, report = _svd_rank(L[:h, :h].toarray() - p.lam * np.eye(h), rtol)
+    U, s, Vh, report = _svd_rank(L[:h, :h].toarray() - p.lam * np.eye(h))
     r = report.rank
     left = _canonicalize_columns(U[:, r:].conj())
     duals = [DualDistribution(p.n, order, left[:, k].reshape(-1, p.m))
@@ -379,8 +371,7 @@ def _head_split(p: ProblemData, L, order: int, rtol: float):
     return _canonicalize_columns(Vh[r:].conj().T), duals, solve
 
 
-def dual_kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
-                      tol: float = RESONANCE_TOL):
+def dual_kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     """Distributions spanning the kernel of the adjoint of (D_X + A - lambda).
 
     Above the largest resonance degree N' the operator is block lower
@@ -393,7 +384,7 @@ def dual_kernel_basis(p: ProblemData, rtol: float = RANK_RTOL,
     if entry is None:
         return []
     L = _sparse_operator(p.at_order(max(n_prime, 1)))
-    return _head_split(p, L, n_prime, rtol)[1]
+    return _head_split(p, L, n_prime)[1]
 
 
 @dataclass(frozen=True)
@@ -402,15 +393,14 @@ class SolvabilityResult:
     obstructions: tuple  # values of the dual kernel basis on v
 
 
-def solvability_test(p: ProblemData, tol: float = 1e-9,
-                     rtol: float = RANK_RTOL) -> SolvabilityResult:
+def solvability_test(p: ProblemData, tol: float = 1e-9) -> SolvabilityResult:
     """Check whether every dual kernel functional annihilates v.
 
     The aggregate criterion sqrt(sum |T_i(v)|^2) <= tol * ||v|| matches the
     least-squares residual of the projected system because the T_i form an
     orthonormal basis of the left null space.
     """
-    return _screen(dual_kernel_basis(p, rtol), p.v, tol)
+    return _screen(dual_kernel_basis(p), p.v, tol)
 
 
 def _screen(duals, v: Jet, tol: float) -> SolvabilityResult:

@@ -21,6 +21,8 @@ solve, with a dense matrix only where the theory needs one:
    sparse product target[k] - L[k, <k] U[<k].  The solutions on P_N
    tensor V form the family particular + span(kernel_extensions).
 
+residual checks a candidate with the same matrix, through apply_operator.
+
 Jet methods only see Taylor data at the base point; a solution that is
 flat there (all derivatives zero without vanishing identically) is
 invisible to this solver, which is what the flow-integral solver is for.
@@ -38,8 +40,7 @@ from .errors import IllConditionedWarning, ValidationError
 from .jets import Jet, degree_starts
 from .opmatrix import (ProblemData, _common_field, _sparse_operator,
                        apply_operator, jet_to_vec, vec_to_jet)
-from .spectral import (RANK_RTOL, RESONANCE_TOL, _head_split, _screen,
-                       resonance_degree)
+from .spectral import RESONANCE_TOL, _head_split, _screen, resonance_degree
 
 __all__ = ["JetSolution", "solve_to_order", "residual", "MAX_ORDER"]
 
@@ -71,12 +72,11 @@ class JetSolution:
 
 def solve_to_order(p: ProblemData, M: int, *,
                    tol: float = RESONANCE_TOL,
-                   obstruction_tol: float = 1e-9,
-                   max_order: int = MAX_ORDER) -> JetSolution:
+                   obstruction_tol: float = 1e-9) -> JetSolution:
     """Solve (D_X + A - lambda) u = v on P_M tensor V.
 
     M is raised to the largest resonance degree when the request sits
-    below it, and capped at max_order.  Jets of lower order than the
+    below it, and capped at MAX_ORDER.  Jets of lower order than the
     working order are treated as polynomial data.
     """
     if not obstruction_tol >= 0:
@@ -84,16 +84,15 @@ def solve_to_order(p: ProblemData, M: int, *,
             f"obstruction_tol must be nonnegative, got {obstruction_tol}")
     entry, n_star = resonance_degree(p, tol)
     M = max(M, n_star)
-    if M > max_order:
+    if M > MAX_ORDER:
         raise ValidationError(
-            f"requested order {M} exceeds the solver cap {max_order}")
-    return _solve_family(p.at_order(M), entry, n_star, obstruction_tol,
-                         RANK_RTOL)
+            f"requested order {M} exceeds the solver cap {MAX_ORDER}")
+    return _solve_family(p.at_order(M), entry, n_star, obstruction_tol)
 
 
-def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
-                  rtol: float) -> JetSolution:
-    """solve_to_order at the working order q.N >= n_star, rank threshold rtol."""
+def _solve_family(q: ProblemData, entry, n_star: int,
+                  obstruction_tol: float) -> JetSolution:
+    """solve_to_order at the working order q.N >= n_star."""
     n, N, m = q.n, q.N, q.m
     offsets = degree_starts(n, N) * m
     L = _sparse_operator(q)
@@ -101,7 +100,7 @@ def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
     solvable = True
     heads = np.zeros((0, 1))
     if entry is not None:
-        kernel, duals, head_solve = _head_split(q, L, n_star, rtol)
+        kernel, duals, head_solve = _head_split(q, L, n_star)
         screen = _screen(duals, q.v, obstruction_tol)
         obstructions, solvable = screen.obstructions, screen.solvable
         heads = kernel if not solvable else np.column_stack(
@@ -139,7 +138,7 @@ def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
 
 
 def residual(p: ProblemData, u: Jet) -> Jet:
-    """(D_X + A - lambda) u - v by jet arithmetic at order min(p.N, u.N)."""
+    """(D_X + A - lambda) u - v at order min(p.N, u.N), by apply_operator."""
     order = min(p.N, u.N)
     q, uu = _common_field(p.at_order(order), u.project(order))
     return apply_operator(q, uu) - q.lam * uu - q.v

@@ -7,10 +7,13 @@ matrix, the path that the head-block SVD of spectral replaced, and the
 flow references sample X, A and v through one Jet.evaluate call each,
 the path that the fused polynomial sampler of flow replaced, and
 reference_tail_integrate is the RK45 tail integration that DOP853 replaced.
-reference_assemble is the dense operator built by one apply_operator
-call per basis jet, the path that the index-built sparse operator of
-opmatrix replaced, and the whole-matrix references use it, so they share
-no code with that builder.  reference_solve_family is the jet solver that
+reference_apply_operator is D_X + A by jet arithmetic (jet_mul and
+partial derivatives), the path that the index-built sparse operator of
+opmatrix replaced; reference_assemble is the dense operator built by one
+reference_apply_operator call per basis jet, and the whole-matrix
+references use it, so they share no code with that builder but the
+product table jets._mul_table, which test_jets checks against
+reference_mul_table.  reference_solve_family is the jet solver that
 assembled the whole dense operator and read the head and the degree
 slices off it, the path that the degree-by-degree forward substitution
 of taylor replaced.  reference_mul_table is the double loop over monomial
@@ -51,9 +54,10 @@ from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
 from transportkit.flow import EvaluationResult
 
-from transportkit.jets import (Jet, P_dim, degree_starts, monomial_powers,
-                               monomial_rank, monomials)
-from transportkit.opmatrix import (OperatorMatrix, apply_operator, jet_to_vec,
+from transportkit.errors import ShapeMismatchError
+from transportkit.jets import (Jet, P_dim, degree_starts, jet_mul,
+                               monomial_powers, monomial_rank, monomials)
+from transportkit.opmatrix import (OperatorMatrix, _common_field, jet_to_vec,
                                    vec_to_jet)
 from transportkit.spectral import (RANK_RTOL, RESONANCE_TOL, DualDistribution,
                                    _canonicalize_columns, _screen, _svd_rank,
@@ -154,8 +158,43 @@ def reference_mul_table(n, N):
             np.array(kk, dtype=np.intp))
 
 
+def reference_directional_derivative(X, u):
+    """The derivative sum_i X^i * du/dy_i, exact on P_N because X(0) = 0.
+
+    The degree-k part of the result depends only on coefficients of u of
+    degree <= k, so the operation descends to the quotient P_N.
+    """
+    if X.n != u.n:
+        raise ShapeMismatchError(f"field in {X.n} variables, jet in {u.n}")
+    if X.N != u.N:
+        raise ShapeMismatchError(f"field order {X.N} != jet order {u.N}")
+    if u.N == 0:
+        return Jet.zero(u.n, 0, u.value_shape,
+                        dtype=np.result_type(X.dtype, u.dtype))
+    out = None
+    for i in range(u.n):
+        # padding the (unknown) top-degree slot of du/dy_i with zeros is
+        # harmless: it only ever multiplies the vanishing constant term of X
+        term = jet_mul(X.components[i], u.partial(i).extend(u.N))
+        out = term if out is None else out + term
+    return out
+
+
+def reference_apply_operator(p, u):
+    """(D_X + A) u by jet arithmetic at order min(p.N, u.N).
+
+    The directional derivative is summed over i = 0, ..., n-1 and A u
+    added last, the order in which opmatrix._sparse_operator adds
+    repeated entries.
+    """
+    order = min(p.N, u.N)
+    q, uu = _common_field(p.at_order(order), u.project(order))
+    return reference_directional_derivative(q.X, uu) + jet_mul(q.A, uu)
+
+
 def reference_assemble(p):
-    """Dense matrix of D_X + A, column (alpha, j) = apply_operator on y^alpha e_j."""
+    """Dense matrix of D_X + A, column (alpha, j) = reference_apply_operator
+    on y^alpha e_j."""
     n, N, m = p.n, p.N, p.m
     dim = m * P_dim(n, N)
     dtype = np.complex128 if p.is_complex else np.float64
@@ -164,7 +203,8 @@ def reference_assemble(p):
     for col, (alpha, j) in enumerate(basis):
         unit = np.zeros((P_dim(n, N), m), dtype=dtype)
         unit[monomial_rank(n, N)[alpha], j] = 1.0
-        entries[:, col] = jet_to_vec(apply_operator(p, Jet(n, N, unit)))
+        entries[:, col] = jet_to_vec(reference_apply_operator(
+            p, Jet(n, N, unit)))
     return OperatorMatrix(entries=entries, n=n, N=N, m=m, basis=basis,
                           offsets=degree_starts(n, N) * m)
 
@@ -210,8 +250,7 @@ def projector_distance(a, b):
     return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
 
 
-def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
-                           rtol=RANK_RTOL):
+def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9):
     """taylor._solve_family on the whole assembled operator of q.
 
     One SVD of the head block (degrees <= n_star) when lambda is resonant,
@@ -244,7 +283,7 @@ def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
     particular_head = None
     kernel_extensions = ()
     if entry is not None:
-        U, s, Vh, report = _svd_rank(head, rtol)
+        U, s, Vh, report = _svd_rank(head)
         r = report.rank
         left = _canonicalize_columns(U[:, r:].conj())
         duals = [DualDistribution(q.n, n_star, left[:, k].reshape(-1, q.m))

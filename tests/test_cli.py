@@ -427,6 +427,10 @@ class TestSchemaValidation:
         ("solve-jet", ("problem", "v", "terms", 0, "coeff"),
          json.loads("[" * 600 + "1.0" + "]" * 600),
          "$.problem.v.terms[0].coeff: expected a scalar, vector or matrix"),
+        # a repeated multi-index used to keep the last term silently
+        ("solve-jet", ("problem", "v", "terms"),
+         [scalar_term((2,), [1.0]), scalar_term((2,), [5.0])],
+         "$.problem.v: terms[1].alpha repeats the multi-index of terms[0]"),
     ])
     def test_rejected_at_the_schema(self, run, command, where, value, message):
         doc = single_fault(command, where, value)
@@ -831,6 +835,57 @@ class TestSternberg:
         res = result_of(out)
         assert res["mu"] == [1.0, 1.0]
         assert res["resonance_free"] is True
+
+
+class TestResourceCeilings:
+    """Inputs that pass the schema but would build more than MAX_COEFFS
+    index triples or multi-indices exit 2 before allocating them."""
+
+    TABLE = ("the product table of 3-variable jets of order 27 needs more "
+             "than 1048576 index triples")
+
+    @staticmethod
+    def euler3_doc(N, a=1.0):
+        """y . grad u + a u = y1^2 in three variables, at order N."""
+        jet = lambda terms, shape: {"n": 3, "N": N, "shape": shape,
+                                    "terms": terms}
+        X = [jet([scalar_term(tuple(int(i == j) for j in range(3)), 1.0)],
+                 "scalar") for i in range(3)]
+        return {"schema_version": 1, "problem": {
+            "n": 3, "m": 1, "N": N, "lambda": 0.0, "X": X,
+            "A": jet([scalar_term((0, 0, 0), [[a]])], "matrix:1"),
+            "v": jet([scalar_term((2, 0, 0), [1.0])], "vector:1")}}
+
+    def test_solve_jet_product_table(self, run):
+        code, out, err = run("solve-jet", self.euler3_doc(27))
+        assert (code, out, err) == (2, "", f"error: {self.TABLE}\n")
+
+    def test_solve_grid_keeps_the_error_in_its_row(self, run):
+        # a = -1/2 splits off a head of order 1, and the remainder is
+        # computed at order 26 + 1
+        doc = self.euler3_doc(26, a=-0.5)
+        doc["grid"] = {"points": [[0.1, 0.0, 0.0]]}
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        assert code == 0
+        (row,) = result_of(out)["points"]
+        assert (row["u"], row["error"]) == (None, self.TABLE)
+
+    @pytest.mark.parametrize("command,doc,flags,message", [
+        # mu_2 / mu_1 = 1449: every alpha of degree <= 1449 in 2 variables
+        ("sternberg", {"schema_version": 1,
+                       "sternberg": {"mu": [6.9e-4, 1.0]}}, (),
+         "resonance enumeration up to degree 1449 in 2 variables visits "
+         "more than 1048576 multi-indices"),
+        ("spectrum", euler_doc([]), ("--max-re", "1447"),
+         "resonance enumeration up to degree 1447 in 2 variables visits "
+         "more than 1048576 multi-indices"),
+        ("solve-jet", euler_doc([], lam=1e300), (),
+         "resonance enumeration up to degree 1048576 in 2 variables visits "
+         "more than 1048576 multi-indices"),
+    ])
+    def test_resonance_enumeration(self, run, command, doc, flags, message):
+        code, out, err = run(command, doc, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestOutputContract:

@@ -65,7 +65,7 @@ class TestFieldSampler:
         expected = np.array([q[0] + 2 * q[0] * q[1], q[0] ** 2 + 2 * q[1]])
         assert np.allclose(f.X_eval(q), expected, atol=1e-14)
         assert f.n == 2 and f.m == 1
-        assert f.polynomial
+        assert f._joint is not None
 
     def test_nonvanishing_source_rejected(self):
         with pytest.raises(ValidationError, match="vanish"):
@@ -160,7 +160,7 @@ class TestFusedSampler:
         p = random_flow_problem(rng, 2, 2, 4, 0.7)
         f = FieldSampler.from_problem(p)
         generic = replace(f)  # replace drops the joint map: three callables
-        assert generic._joint is None and generic.polynomial
+        assert generic._joint is None
         y = np.array([0.3, -0.2])
         joint = f._sample(y)  # [-X | rows of (-A | v)]
         assert np.array_equal(joint, generic._sample(y))
@@ -314,6 +314,16 @@ class TestEvaluateSolution:
         res = evaluate_solution(f, p, [0.6])
         assert res.mode == "split"
         assert res.split_order >= 2
+        assert res.u[0] == pytest.approx(2 * 0.36, rel=1e-7)
+
+    def test_split_mode_with_callable_samplers(self):
+        # a replaced sampler has no joint map: its remainder is evaluated
+        # pointwise from the three callables
+        p = scalar_euler_problem(-1.5, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        f = replace(FieldSampler.from_problem(p))
+        assert f._joint is None
+        res = evaluate_solution(f, p, [0.6])
+        assert (res.mode, res.split_order) == ("split", 2)
         assert res.u[0] == pytest.approx(2 * 0.36, rel=1e-7)
 
     def test_split_order_independence(self):

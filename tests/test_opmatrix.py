@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from transportkit.errors import ShapeMismatchError
 from transportkit.jets import Jet, P_dim, VectorFieldJet, monomials
 from transportkit.opmatrix import (
     OperatorMatrix,
@@ -15,7 +16,7 @@ from transportkit.opmatrix import (
     jet_to_vec,
 )
 
-from conftest import reference_assemble
+from conftest import reference_apply_operator, reference_assemble
 
 
 def gradient_example_problem(N=2, lam=0.0):
@@ -77,13 +78,44 @@ def test_matrix_matches_operator_application(rng):
         p = _random_problem(rng, n, m, N, complex_field=cplx)
         M = assemble(p)
         assert M.entries.dtype == (np.complex128 if cplx else np.float64)
-        # entries are added in apply_operator's order: equal bit for bit
+        # entries are added in the oracle's order: equal bit for bit
         assert np.array_equal(M.entries, reference_assemble(p).entries)
         for _ in range(5):
             u = Jet(n, N, rng.standard_normal((P_dim(n, N), m)))
-            np.testing.assert_allclose(M.entries @ jet_to_vec(u),
-                                       jet_to_vec(apply_operator(p, u)),
-                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                M.entries @ jet_to_vec(u),
+                jet_to_vec(reference_apply_operator(p, u)), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_apply_operator_matches_jet_arithmetic(seed):
+    # real, complex and mixed-field pairs of problem and jet, each applied
+    # at the jet's order and at an order below the problem's
+    rng = np.random.default_rng(700 + seed)
+    n, m = (int(k) for k in rng.integers(1, 4, size=2))
+    N = int(rng.integers(1, 9))
+    p_cplx, u_cplx = [(False, False), (True, True), (False, True),
+                      (True, False)][seed % 4]
+    p = _random_problem(rng, n, m, N, complex_field=p_cplx)
+    for order in (N, max(1, N - 2)):
+        coeffs = rng.standard_normal((P_dim(n, order), m))
+        if u_cplx:
+            coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+        u = Jet(n, order, coeffs)
+        got = apply_operator(p, u)
+        want = reference_apply_operator(p, u)
+        assert (got.n, got.N, got.value_shape, got.dtype) == \
+            (want.n, want.N, want.value_shape, want.dtype)
+        assert (got - want).norm() <= 1e-13 * want.norm()
+
+
+@pytest.mark.parametrize("n,shape", [(2, ()), (2, (2, 2)), (2, (3,)),
+                                     (1, (2,))])
+def test_apply_operator_needs_a_vector_jet_of_the_problem(rng, n, shape):
+    p = _random_problem(rng, n=2, m=2, N=3)
+    with pytest.raises(ShapeMismatchError,
+                       match="u must be a vector:2 jet in 2 variables"):
+        apply_operator(p, Jet.zero(n, 3, shape))
 
 
 def test_leading_block_is_lower_order_operator(rng):

@@ -88,7 +88,7 @@ def test_resonance_requires_positive_linearization():
         enumerate_resonances([1.0, -0.5], [0.0], 1.0)
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": -1e-9}, {"warn_tol": -1e-6}])
+@pytest.mark.parametrize("kwargs", [{"tol": -1e-9}])
 def test_resonance_rejects_negative_tolerance(kwargs):
     with pytest.raises(ValidationError, match="nonnegative"):
         enumerate_resonances([1.0], [0.0], 2.0, **kwargs)
@@ -206,8 +206,9 @@ def test_dual_delta_form_roundtrip():
     T = DualDistribution(2, 2, coeffs)
     deltas = T.to_delta_form()
     assert np.allclose(deltas[(2, 0)], [3.0])
-    back = DualDistribution.from_delta_form(2, 2, deltas, 1)
-    assert np.allclose(back.coeffs, T.coeffs)
+    # multiplying by alpha! converts back
+    assert list(deltas) == [(2, 0)]
+    assert np.allclose(deltas[(2, 0)] * 2, T.coeffs[3])
 
 
 def test_dual_pairing_matrix_nonsingular_semisimple():
@@ -385,8 +386,7 @@ def _random_structured_problem(rng, resonant):
         lam = float(np.dot(alpha, mu) + rho[j])
     else:
         lam = float(rng.uniform(0.05, 4.0)) + 0.318309886  # irrational-ish offset
-        while enumerate_resonances(mu, rho, lam, tol=1e-6,
-                                   warn_tol=1e-6) is not None:
+        while enumerate_resonances(mu, rho, lam, tol=1e-6) is not None:
             lam += 0.1
     return ProblemData(X, A, v, lam, N), mu, rho
 

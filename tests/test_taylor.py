@@ -10,6 +10,7 @@ Closed forms used as oracles:
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,16 +251,16 @@ class TestSolverPolicies:
         assert sol.solvable and len(sol.kernel_extensions) == 1
         assert orders == [6] and svds == [(6, 6)]  # head: degrees <= 2
         orders.clear()
-        sol = solve_to_order(p.with_lam(0.5), 6)  # non-resonant: no head
+        sol = solve_to_order(replace(p, lam=0.5), 6)  # non-resonant: no head
         assert sol.solvable and orders == [6] and svds == [(6, 6)]  # no SVD
         orders.clear()
         assert len(spectral.dual_kernel_basis(p)) == 1
         assert orders == [2]  # max(N', 1)
         orders.clear()
-        q = p.with_lam(0.0)  # resonant at degree 0: N' = 0
+        q = replace(p, lam=0.0)  # resonant at degree 0: N' = 0
         assert len(spectral.dual_kernel_basis(q)) == 1 and orders == [1]
         orders.clear()
-        assert spectral.dual_kernel_basis(p.with_lam(0.5)) == []
+        assert spectral.dual_kernel_basis(replace(p, lam=0.5)) == []
         assert orders == []
 
 
@@ -306,7 +307,7 @@ def test_degree_loop_matches_reference_complex(rng):
         p = _random_resonant_problem(rng, complex_field=True)
         assert p.is_complex
         seen.add(_assert_matches_reference(p))
-        seen.add(_assert_matches_reference(p.with_lam(p.lam + 0.37)))
+        seen.add(_assert_matches_reference(replace(p, lam=p.lam + 0.37)))
     assert seen == {(False, True), (True, True), (True, False)}
 
 
