@@ -42,7 +42,7 @@ from .errors import (
 )
 from .estimates import (ODE_ABS_TOL, ODE_REL_TOL, MatrixPath,
                         inverse_two_regime_bound, two_regime_bound)
-from .flow import EvalConfig, FieldSampler, evaluate_solution
+from .flow import EvalConfig, FieldSampler, _plan
 from .jets import (MAX_COEFFS, Jet, VectorFieldJet, fits, grlex_key,
                    jet_from_json, jet_to_json)
 from .opmatrix import ProblemData
@@ -418,7 +418,7 @@ def cmd_solve_grid(args, doc):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     cfg = EvalConfig(**cfg)
-    sampler = FieldSampler.from_problem(p, radius=radius)
+    evaluate = _plan(FieldSampler.from_problem(p, radius=radius), p, cfg)
 
     fields = ["tail_estimate", "horizon", "rate", "mode", "split_order"]
     rows = []
@@ -426,7 +426,7 @@ def cmd_solve_grid(args, doc):
         row = {"point": [float(c) for c in y], "u": None, "error": None,
                **dict.fromkeys(fields)}
         try:
-            res = evaluate_solution(sampler, p, y, cfg)
+            res = evaluate(y)
         except TransportKitError as exc:
             row["error"] = str(exc)
         else:

@@ -11,10 +11,14 @@ Wanner (Solving Ordinary Differential Equations I, ch. II).  The state
 is stored as [y | rows of (Finv | I)]: the (m, m+1) block W = [Finv | I]
 has derivative Finv [-A | v], so with the samplers' values stored as
 [-X | rows of (-A | v)] one RHS call is one sample and one matrix product.
+The evaluator steps scipy's DOP853 solver directly and reads the
+integrand's decay at its accepted steps; integrate_flow, which returns a
+dense trajectory, goes through solve_ivp.
 
 When A(p) - lambda has an eigenvalue with nonpositive real part the raw
 integral diverges; the solution splits into a polynomial head (from the
 order-by-order solver) plus a flat remainder whose integral does decay.
+That head is prepared once per problem and shared by all its points.
 
 Everything here is real arithmetic.  Complex eigenvalue shifts are the
 jet solver's territory; they are rejected up front.
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import (
     FlowIntegrationError,
@@ -34,6 +38,7 @@ from .errors import (
     RegionExitError,
     ResonantProblemError,
     TailDecayError,
+    TransportKitError,
     ValidationError,
 )
 from .jets import Jet, P_dim, _monomial_vector, degree_starts
@@ -295,55 +300,15 @@ def _reversed_rhs(f: FieldSampler):
     return rhs
 
 
-def _events(f: FieldSampler):
-    n, m = f.n, f.m
-    events = []
-    if math.isfinite(f.radius):
-        def exit_event(_tau, z, _f=f):
-            return _f.radius - float(np.linalg.norm(z[:n] - _f.source))
-        exit_event.terminal = True
-        events.append(("exit", exit_event))
-
-    def overflow_event(_tau, z):
-        Finv = _frame_block(z, n, m)[:, :m]
-        return _FRAME_OVERFLOW - float(np.linalg.norm(Finv))
-    overflow_event.terminal = True
-    events.append(("overflow", overflow_event))
-    return events
-
-
-def _integrate_segment(f: FieldSampler, z0: np.ndarray, tau0: float,
-                       tau1: float, rel_tol: float, abs_tol: float,
-                       first_step: float | None = None):
-    """One solve_ivp call on [tau0, tau1]; returns the scipy result."""
-    named = _events(f)
-    res = solve_ivp(_reversed_rhs(f), (tau0, tau1), z0, method=_METHOD,
-                    rtol=rel_tol, atol=abs_tol, dense_output=True,
-                    first_step=first_step,
-                    events=[ev for _, ev in named])
-    if res.status == -1:
-        raise FlowIntegrationError(f"integrator failed: {res.message}")
-    if res.status == 1:
-        n = f.n
-        for (name, _), t_hits, z_hits in zip(named, res.t_events, res.y_events):
-            if len(t_hits) == 0:
-                continue
-            if name == "exit":
-                raise RegionExitError(
-                    "trajectory left the declared region of radius "
-                    f"{f.radius:g} at t = {-t_hits[0]:.6g}",
-                    point=z_hits[0][:n], t=-float(t_hits[0]))
-            raise FlowIntegrationError(
-                f"inverse frame norm exceeded {_FRAME_OVERFLOW:.0e} at "
-                f"t = {-t_hits[0]:.6g}; the integral cannot converge")
-    return res
-
-
 def integrate_flow(f: FieldSampler, y, t_end: float, *,
                    rel_tol: float = 1e-9,
                    abs_tol: float = 1e-12,
                    first_step: float | None = None) -> FlowTrajectory:
-    """Integrate the joint (y_t, Finv, I) system from 0 back to t_end <= 0."""
+    """Integrate the joint (y_t, Finv, I) system from 0 back to t_end <= 0.
+
+    Region exit and frame overflow are solve_ivp events, so a
+    RegionExitError reports the root-found crossing of the region's boundary.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.n,):
         raise ValidationError(f"point must have shape ({f.n},), got {y.shape}")
@@ -354,8 +319,38 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
     z0 = _pack(y, np.eye(f.m), np.zeros(f.m))
     if t_end == 0.0:
         return FlowTrajectory(f, lambda _tau: z0.copy(), 0.0)
-    res = _integrate_segment(f, z0, 0.0, -t_end, rel_tol, abs_tol, first_step)
+    n, m = f.n, f.m
+
+    def exit_event(_tau, z):  # constant +inf for an unbounded region
+        return f.radius - float(np.linalg.norm(z[:n] - f.source))
+
+    def overflow_event(_tau, z):
+        Finv = _frame_block(z, n, m)[:, :m]
+        return _FRAME_OVERFLOW - float(np.linalg.norm(Finv))
+
+    exit_event.terminal = overflow_event.terminal = True
+    res = solve_ivp(_reversed_rhs(f), (0.0, -t_end), z0, method=_METHOD,
+                    rtol=rel_tol, atol=abs_tol, dense_output=True,
+                    first_step=first_step, events=[exit_event, overflow_event])
+    if res.status == -1:
+        raise FlowIntegrationError(f"integrator failed: {res.message}")
+    (t_exit, t_overflow), (z_exit, _) = res.t_events, res.y_events
+    if len(t_exit):
+        raise _region_exit(f, -float(t_exit[0]), z_exit[0][:n])
+    if len(t_overflow):
+        raise _frame_overflow(-float(t_overflow[0]))
     return FlowTrajectory(f, res.sol, t_end)
+
+
+def _region_exit(f: FieldSampler, t: float, point) -> RegionExitError:
+    return RegionExitError("trajectory left the declared region of radius "
+                           f"{f.radius:g} at t = {t:.6g}", point=point, t=t)
+
+
+def _frame_overflow(t: float) -> FlowIntegrationError:
+    return FlowIntegrationError(
+        f"inverse frame norm exceeded {_FRAME_OVERFLOW:.0e} at "
+        f"t = {t:.6g}; the integral cannot converge")
 
 
 @dataclass(frozen=True)
@@ -376,7 +371,7 @@ class EvaluationResult:
     split_order: int | None
     nfev: int  # RHS evaluations, summed over the integration chunks
     n_steps: int  # accepted integrator steps, summed over the chunks
-    n_chunks: int  # solve_ivp segments between tail checks
+    n_chunks: int  # integration chunks, one DOP853 solver each
     method: str = _METHOD  # the scipy integrator
 
 
@@ -390,13 +385,16 @@ def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
 def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
     """Integrate until the integrand decays below tail_tol, in chunks.
 
-    Returns a direct-mode EvaluationResult whose u is the integral.  The
-    integrand norm g(t) = |Finv v(y_t)| is sampled at 16 times per chunk,
-    as one stack, and fitted against t over the trailing window; the stop
-    requires both g <= tail_tol and a positive fitted rate.
+    Returns a direct-mode EvaluationResult whose u is the integral.  Each
+    chunk is one DOP853 solver, stepped directly.  Every accepted step end
+    is checked for region exit and frame overflow and kept as a tail
+    sample; the integrand norm g(t) = |Finv v(y_t)| is computed on a
+    chunk's samples as one stack and fitted against t over the trailing
+    window.  The stop requires both g <= tail_tol and a positive fitted rate.
     """
     n, m = f.n, f.m
     v_cols = _block_columns(n, m)[1]
+    rhs = _reversed_rhs(f)
     z = _pack(np.asarray(y, dtype=float), np.eye(m), np.zeros(m))
     tau = 0.0
     window_ts = np.empty(0)
@@ -409,19 +407,28 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
                                 mode="direct", split_order=None, **counts)
 
     while True:
-        tau1 = min(tau + cfg.chunk, cfg.max_horizon)
-        res = _integrate_segment(f, z, tau, tau1, cfg.rel_tol, cfg.abs_tol)
-        counts["nfev"] += int(res.nfev)
-        counts["n_steps"] += len(res.t) - 1
+        solver = DOP853(rhs, tau, z, min(tau + cfg.chunk, cfg.max_horizon),
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        taus, zs = [], []
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise FlowIntegrationError(f"integrator failed: {message}")
+            tau, z = solver.t, solver.y
+            if np.linalg.norm(z[:n] - f.source) > f.radius:
+                raise _region_exit(f, -tau, z[:n])
+            if np.linalg.norm(_frame_block(z, n, m)[:, :m]) > _FRAME_OVERFLOW:
+                raise _frame_overflow(-tau)
+            taus.append(tau)
+            zs.append(z)
+        counts["nfev"] += solver.nfev
+        counts["n_steps"] += len(taus)
         counts["n_chunks"] += 1
-        taus = np.linspace(tau, tau1, 17)[1:]
-        zs = res.sol(taus).T
+        zs = np.array(zs)
         Finv = _frame_block(zs, n, m)[..., :m]
         v = f._sample(zs[:, :n])[:, v_cols]
         gs = np.linalg.norm((Finv @ v[:, :, None])[..., 0], axis=1)
-        z = res.y[:, -1]
-        tau = tau1
-        window_ts = np.concatenate([window_ts, -taus])
+        window_ts = np.concatenate([window_ts, -np.array(taus)])
         window_gs = np.concatenate([window_gs, gs])
         keep = window_ts <= -tau + 2.5 * cfg.chunk
         window_ts, window_gs = window_ts[keep], window_gs[keep]
@@ -465,6 +472,15 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     solver, so p (or f.consistent_jets) must carry jet data.  Resonant
     lambda has no canonical decaying solution and is rejected.
     """
+    return _plan(f, p, cfg)(y)
+
+
+def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
+    """evaluate_solution with its per-problem work done once: y -> result.
+
+    An error of that work is raised at every point, after the point's own
+    checks, so each point reports what evaluate_solution would.
+    """
     if p is None:
         p = f.consistent_jets
     if p is None:
@@ -473,13 +489,32 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     if p.is_complex or abs(complex(p.lam).imag) > 0:
         raise ValidationError("flow evaluation is real arithmetic; complex "
                               "problems are only supported by the jet solver")
-    lam = float(np.real(p.lam))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (f.n,):
-        raise ValidationError(f"point must have shape ({f.n},), got {y.shape}")
-    if np.linalg.norm(y - f.source) > f.radius:
-        raise ValidationError("evaluation point outside the declared region")
+    error = None
+    try:
+        g, head, N = _prepare(f, p, float(np.real(p.lam)), cfg)
+    except TransportKitError as exc:
+        error = exc
 
+    def evaluate(y) -> EvaluationResult:
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.shape != (f.n,):
+            raise ValidationError(
+                f"point must have shape ({f.n},), got {y.shape}")
+        if np.linalg.norm(y - f.source) > f.radius:
+            raise ValidationError("evaluation point outside the declared region")
+        if error is not None:  # raised afresh, so tracebacks do not pile up
+            raise error.with_traceback(None)
+        res = _tail_integrate(g, y, cfg)
+        if head is None:
+            return res
+        u = np.asarray(head.evaluate(y), dtype=float) + res.u
+        return replace(res, u=u, mode="split", split_order=N)
+
+    return evaluate
+
+
+def _prepare(f: FieldSampler, p: ProblemData, lam: float, cfg: EvalConfig):
+    """(sampler to integrate, polynomial head or None, split order or None)."""
     if resonance_degree(p)[0] is not None:
         raise ResonantProblemError(
             f"lambda = {lam:g} is resonant; the decaying solution is not "
@@ -490,7 +525,7 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     nu = float(np.min(linearization_spectrum(p.X).real))
 
     if mu_star > 1e-12:
-        return _tail_integrate(_shifted(f, lam), y, cfg)
+        return _shifted(f, lam), None, None
 
     # split mode: peel off the polynomial head to order N
     if cfg.split_order is not None:
@@ -515,11 +550,8 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     if not sol.solvable:
         raise ResonantProblemError(
             "head solve is obstructed; no decaying solution exists")
-    u_head = sol.particular
-
-    res = _tail_integrate(_remainder_sampler(f, p, lam, u_head, N), y, cfg)
-    u = np.asarray(u_head.evaluate(y), dtype=float) + res.u
-    return replace(res, u=u, mode="split", split_order=N)
+    return (_remainder_sampler(f, p, lam, sol.particular, N),
+            sol.particular, N)
 
 
 def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:

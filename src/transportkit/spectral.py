@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
-from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, fits, grlex_key,
-                   monomials)
+from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions, fits,
+                   grlex_key, monomials)
 from .opmatrix import ProblemData, _sparse_operator
 
 __all__ = [
@@ -131,10 +131,12 @@ def _combinations(mu: np.ndarray, rho: np.ndarray, re_target: float,
         raise ValidationError(
             f"resonance enumeration up to degree {amax} in {mu.shape[0]} "
             f"variables visits more than {MAX_COEFFS} multi-indices")
-    for alpha in monomials(mu.shape[0], amax):
-        base = sum(a * u for a, u in zip(alpha, mu))
-        for j in range(rho.shape[0]):
-            yield alpha, j, base + rho[j]
+    # degree by degree, so that no table of multi-indices is built or cached
+    for degree in range(amax + 1):
+        for alpha in _compositions(degree, mu.shape[0]):
+            base = sum(a * u for a, u in zip(alpha, mu))
+            for j in range(rho.shape[0]):
+                yield alpha, j, base + rho[j]
 
 
 def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL):

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,15 @@ import pytest
 
 import transportkit
 from transportkit import (
+    FieldSampler,
     Jet,
     ProblemData,
     VectorFieldJet,
+    evaluate_solution,
     jet_from_json,
     solve_to_order,
 )
+from transportkit import flow
 from transportkit.cli import main
 from transportkit.jets import monomial_rank
 
@@ -602,6 +606,52 @@ class TestSolveGrid:
         assert "Traceback" not in err
         assert "UserWarning" not in err
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+    def test_problem_prepared_once_per_document(self, run, monkeypatch):
+        calls = dict.fromkeys(("solve_to_order", "resonance_degree"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(flow, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(flow, name, counting)
+        doc = radial_doc(-0.5, [scalar_term((2,), [1.0])], grid=self.grid())
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        rows = result_of(out)["points"]
+        assert code == 0 and [r["mode"] for r in rows] == ["split"] * 3
+        assert calls == {"solve_to_order": 1, "resonance_degree": 1}
+        # each row is bit for bit what evaluate_solution gives at its point
+        p = ProblemData(VectorFieldJet.euler(1, 4),
+                        Jet.constant(1, 4, np.array([[-0.5]])),
+                        Jet.from_terms(1, 4, {(2,): [1.0]}, shape=(1,)), 0.0, 4)
+        f = FieldSampler.from_problem(p)
+        for row in rows:
+            res = evaluate_solution(f, p, row["point"])
+            assert row["u"] == res.u.tolist()
+            assert [row[k] for k in ("tail_estimate", "horizon", "rate")] == \
+                [float(res.tail_estimate), res.horizon, res.rate]
+            assert (row["mode"], row["split_order"]) == ("split", res.split_order)
+
+    @pytest.mark.parametrize("obstructed", [False, True])
+    def test_problem_error_in_each_row_after_its_own_checks(
+            self, run, monkeypatch, obstructed):
+        if obstructed:
+            # a head solve the resonance check lets through is never
+            # obstructed, so the obstruction is forced
+            solve = flow.solve_to_order
+            monkeypatch.setattr(flow, "solve_to_order", lambda p, N: replace(
+                solve(p, N), particular=None))
+            message = "head solve is obstructed; no decaying solution exists"
+        else:
+            message = ("lambda = 0 is resonant; the decaying solution is "
+                       "not unique, use the order-by-order solver's family "
+                       "instead")
+        doc = radial_doc(-0.5 if obstructed else -1.0,
+                         [scalar_term((2,), [1.0])], grid=self.grid(radius=0.7))
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        assert code == 0
+        assert [(r["u"], r["error"]) for r in result_of(out)["points"]] == [
+            (None, message), (None, message),
+            (None, "evaluation point outside the declared region")]
 
     def test_grid_block_required(self, run):
         code, _, err = run("solve-grid", radial_doc(1.0, []))

@@ -17,6 +17,7 @@ import pytest
 
 from transportkit import flow
 from transportkit.errors import (
+    FlowIntegrationError,
     QuantityUnderflowError,
     RegionExitError,
     ResonantProblemError,
@@ -44,6 +45,27 @@ from conftest import (
 from test_acceptance import _random_flow_problem
 from test_opmatrix import gradient_example_problem
 from test_taylor import scalar_euler_problem
+
+
+@pytest.fixture
+def solvers(monkeypatch):
+    """Every DOP853 solver the flow evaluator makes, recording its step ends."""
+    made = []
+
+    class Recording(flow.DOP853):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.ends = []  # (t, state) after each accepted step
+            made.append(self)
+
+        def step(self):
+            message = super().step()
+            if self.status != "failed":
+                self.ends.append((self.t, self.y.copy()))
+            return message
+
+    monkeypatch.setattr(flow, "DOP853", Recording)
+    return made
 
 
 def sampler_1d(a: float, vfun, radius=math.inf) -> FieldSampler:
@@ -401,22 +423,45 @@ class TestEvaluateSolution:
         assert np.allclose(res.u, [-2.5, 0.5], rtol=1e-7)
 
     @pytest.mark.parametrize("a", [1.0, -0.5])
-    def test_counts_match_the_integrator(self, monkeypatch, a):
-        segments = []
-        original = flow.solve_ivp
-
-        def counting(*args, **kwargs):
-            res = original(*args, **kwargs)
-            segments.append(res)
-            return res
-
-        monkeypatch.setattr(flow, "solve_ivp", counting)
+    def test_counts_match_the_integrator(self, solvers, a):
         p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
         res = evaluate_solution(FieldSampler.from_problem(p), p, [0.6],
                                 EvalConfig(chunk=3.0))
-        assert res.n_chunks == len(segments) >= 2
-        assert res.nfev == sum(r.nfev for r in segments)
-        assert res.n_steps == sum(len(r.t) - 1 for r in segments)
+        assert res.n_chunks == len(solvers) >= 2
+        assert res.nfev == sum(s.nfev for s in solvers)
+        assert res.n_steps == sum(len(s.ends) for s in solvers)
+
+    def test_frame_overflow_stops_the_tail(self, solvers):
+        # A = -10: Finv(t) = e^{-10t} passes 1e100 near t = -23, well before
+        # max_horizon, and the growing integrand never meets the stop rule
+        f = sampler_1d(-10.0, lambda y: 1.0)
+        with pytest.raises(FlowIntegrationError,
+                           match="inverse frame norm exceeded") as info:
+            flow._tail_integrate(f, np.array([0.3]), EvalConfig())
+        ends = [(t, z) for s in solvers for t, z in s.ends]
+        tau, z = ends[-1]
+        assert abs(z[1]) > 1e100 > max(abs(z[1]) for _, z in ends[:-1])
+        assert f"at t = {-tau:.6g};" in str(info.value)
+        assert tau == pytest.approx(100 * math.log(10) / 10, abs=0.5)
+
+    def test_region_exit_at_the_first_step_outside(self, solvers):
+        # X = y + y^2: the backward flow from y0 = -1.5 is
+        # y(t) = y0 e^t / (1 + y0 (1 - e^t)), which crosses |y| = 3 at
+        # t = -ln 2; the error reports the first accepted step beyond it
+        X = VectorFieldJet([Jet.from_terms(1, 2, {(1,): 1.0, (2,): 1.0})])
+        p = ProblemData(X, Jet.constant(1, 2, np.eye(1)),
+                        Jet.from_terms(1, 2, {(2,): [1.0]}, shape=(1,)), 0.0, 2)
+        f = FieldSampler.from_problem(p, radius=3.0)
+        with pytest.raises(RegionExitError) as info:
+            evaluate_solution(f, p, [-1.5])
+        ends = [(t, z[:1]) for s in solvers for t, z in s.ends]
+        outside = [abs(y[0]) > 3.0 for _, y in ends]
+        assert outside == [False] * (len(ends) - 1) + [True]
+        tau, y = ends[-1]
+        assert info.value.t == -tau < -math.log(2.0)
+        assert np.array_equal(info.value.point, y)
+        e = math.exp(info.value.t)
+        assert y[0] == pytest.approx(-1.5 * e / (1 - 1.5 * (1 - e)), rel=1e-7)
 
     @pytest.mark.parametrize("field,value", [
         ("rel_tol", 0.0), ("rel_tol", -1e-9), ("abs_tol", -1e-12),

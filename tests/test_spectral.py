@@ -107,6 +107,15 @@ def test_resonance_deterministic_order():
         ((1, 0), 0), ((1, 0), 1), ((0, 1), 0), ((0, 1), 1))
 
 
+def test_resonance_enumeration_caches_no_multi_indices():
+    # an enumeration up to a new degree (here 40 in 3 variables) must not
+    # leave its multi-indices in the monomials cache
+    before = monomials.cache_info().currsize
+    entry = enumerate_resonances([1.0, 1.0, 1.0], [0.0], 40.0)
+    assert len(entry.representations) == P_dim(3, 40) - P_dim(3, 39)
+    assert monomials.cache_info().currsize == before
+
+
 def test_resonance_matches_assembled_spectrum(rng):
     # every matrix eigenvalue is resonant, anything off-spectrum is not
     n, m, N = 2, 2, 3
