@@ -10,11 +10,12 @@ from A0) and a two-regime bound (deviation merely small for t <= t0,
 bounded overall) follow.  The same machinery applied to -A(t)^T bounds
 the inverse transition matrix from below.
 
-M is computed from one eigendecomposition S = V diag(w) V^{-1} of the
-shifted matrix: exp(tS) = V diag(exp(t w)) V^{-1} for a whole array of
-times at once.  That formula loses about 1e-16 cond(V) relative
-accuracy, so when cond(V) exceeds _EIG_COND_MAX = 1e3 (S close to
-defective) the same arrays of times go through batched expm calls.
+One eigendecomposition S0 = V diag(w) V^{-1} of S0 = A0 - ell id serves
+every eps: exp(t (S0 + eps id)) = exp(t eps) V diag(exp(t w)) V^{-1} for a
+whole array of times at once.  That formula loses about 1e-16 cond(V)
+relative accuracy, so when cond(V) exceeds _EIG_COND_MAX = 1e3 (S0 close
+to defective) the same arrays of times go through batched expm calls.
+Each 2-norm of such a stack comes from its Gram matrix (see _norm2).
 
 Conventions: operator 2-norm throughout, so every constant here is
 norm-dependent.  Time paths live on t <= 0 and are given as a callable
@@ -77,6 +78,14 @@ def _check_eps(eps) -> None:
         raise ValidationError(f"eps must be finite, got {eps!r}")
 
 
+def _norm2(E) -> np.ndarray:
+    """Stacked 2-norms s sqrt(lambda_max(F^T F)), F = E / s, s = max |E_ij|:
+    the scaling keeps F^T F from over- or underflowing; 0 where s = 0."""
+    s = np.abs(E).max(axis=(-2, -1))
+    F = E / np.where(s > 0.0, s, 1.0)[:, None, None]
+    return s * np.sqrt(np.linalg.eigvalsh(F.swapaxes(-2, -1) @ F)[:, -1])
+
+
 def _exp_norms(S):
     """The map ts -> |exp(t S)| (2-norm) for each t of an array ts.
 
@@ -94,19 +103,19 @@ def _exp_norms(S):
         def stack(ts):
             return ((V * np.exp(ts[:, None] * w)[:, None, :]) @ V_inv).real
 
-    return lambda ts: np.linalg.svd(stack(ts), compute_uv=False)[:, 0]
+    return lambda ts: _norm2(stack(ts))
 
 
 def _golden_max(fn, lo, hi, iters: int = 80) -> np.ndarray:
     """Maxima of a unimodal fn on each bracket [lo_i, hi_i].
 
     The golden-section searches run in lockstep, so each step is one call
-    of fn on an array of times; a search stops once its bracket is below
-    1e-12 relative.
+    of fn on an array of times shaped like lo (a stack of two at the first
+    step); a search stops once its bracket is below 1e-12 relative.
     """
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = np.split(fn(np.concatenate([x1, x2])), 2)
+    f1, f2 = fn(np.stack([x1, x2]))
     live = np.ones(lo.shape, dtype=bool)
     for _ in range(iters):
         right = live & (f1 < f2)  # keep [x1, hi]: x2 becomes the new x1
@@ -125,36 +134,45 @@ def _golden_max(fn, lo, hi, iters: int = 80) -> np.ndarray:
     return np.maximum(f1, f2)
 
 
-def compute_M(A0, eps: float) -> float:
-    """sup over t <= 0 of |exp(t (A0 - (ell(A0) - eps) id))| (2-norm).
+def _sup_norms(A0, epss):
+    """ell(A0) and [M(A0, eps) for eps in epss], each >= 1 (t = 0).
 
-    The shifted matrix S has all eigenvalue real parts >= eps, so the norm
-    decays eventually; the sup is found on a log-spaced grid over an
-    adaptively chosen window, refined by golden-section search around the
-    three best grid candidates.  Each step evaluates exp(tS) for an array
-    of times, from one eigendecomposition of S or, when S is close to
-    defective, from expm (see _exp_norms).  Always >= 1 (the value at t = 0).
+    |exp(t (S0 + eps id))| = exp(t eps) |exp(t S0)|, S0 = A0 - ell id, so one
+    norm map of S0 serves every eps.  Per eps the sup is taken on a log grid
+    over a doubling window, refined by golden-section search around the
+    three best grid points; all eps run in lockstep, one norm call a step.
     """
-    _check_eps(eps)
+    for eps in epss:
+        _check_eps(eps)
     A0 = _real_matrix(A0)
-    S = A0 - (ell(A0) - eps) * np.eye(A0.shape[0])
-    f = _exp_norms(S)
+    lam = ell(A0)
+    g = _exp_norms(A0 - lam * np.eye(A0.shape[0]))
+    eps = np.array(epss, dtype=float)[:, None]
+
+    def f(ts):  # ts[..., i, j]: a time for eps[i]
+        return np.exp(ts * eps) * g(ts.ravel()).reshape(ts.shape)
 
     # window [-T, 0]: beyond -T the norm is safely below the t=0 value
     T = 10.0 / eps
-    while T < 1e7:
-        far, half = f(np.array([-T, -T / 2.0]))
-        if far < 0.5 and far <= half:
-            break
-        T *= 2.0
+    grow = T < 1e7
+    while grow.any():
+        far, half = f(np.stack([-T, -T / 2.0]))
+        grow &= ~((far < 0.5) & (far <= half))
+        T[grow] *= 2.0
+        grow &= T < 1e7
     ts = np.sort(np.concatenate([-T * np.geomspace(1e-7, 1.0, _GRID_POINTS),
-                                 [0.0]]))
+                                 np.zeros_like(T)], axis=1))
     vals = f(ts)
+    top = np.argsort(vals)[:, ::-1][:, :3]  # brackets: the grid neighbours
+    refined = _golden_max(f, *np.take_along_axis(
+        ts[None], np.clip(top + [[[-1]], [[1]]], 0, _GRID_POINTS), 2))
+    return lam, np.hstack([np.ones_like(T), vals, refined]).max(1).tolist()
 
-    top = np.argsort(vals)[::-1][:3]
-    refined = _golden_max(f, ts[np.maximum(top - 1, 0)],
-                          ts[np.minimum(top + 1, ts.size - 1)])
-    return float(max(1.0, vals[top].max(), refined.max()))  # f(0) = |id| = 1
+
+def compute_M(A0, eps: float) -> float:
+    """sup over t <= 0 of |exp(t (A0 - (ell(A0) - eps) id))| (2-norm), always
+    >= 1 (the value at t = 0); see _sup_norms."""
+    return _sup_norms(A0, (eps,))[1][0]
 
 
 @dataclass(frozen=True)
@@ -220,8 +238,8 @@ def perturbation_bound(A0, path: MatrixPath, eps: float) -> LemmaBound:
     supremum of the deviation is taken over the path's sample grid.
     """
     A0 = _real_matrix(A0)
-    M_val = compute_M(A0, eps)
-    return LemmaBound(ell=ell(A0), eps=eps, M_val=M_val,
+    lam, (M_val,) = _sup_norms(A0, (eps,))
+    return LemmaBound(ell=lam, eps=eps, M_val=M_val,
                       deviation=path.deviation(A0))
 
 
@@ -296,9 +314,7 @@ def _two_regime(A0, path: MatrixPath, eps: float, t0: float, *, kind: str,
         raise ValidationError(f"t0 must be finite, got {t0!r}")
     if t0 > 0:
         raise ValidationError("t0 must be nonpositive")
-    B0 = system(A0)
-    M_half = compute_M(B0, eps / 2.0)
-    M_full = compute_M(B0, eps)
+    lam, (M_half, M_full) = _sup_norms(system(A0), (eps / 2.0, eps))
     ts = path.sample_times
     devs = path.deviations(A0)
     threshold = (eps / 2.0) / M_half
@@ -308,7 +324,6 @@ def _two_regime(A0, path: MatrixPath, eps: float, t0: float, *, kind: str,
         raise HypothesisViolationError(
             f"|A(t) - A0| = {dev:.6g} is not below (eps/2)/M(A0, eps/2) "
             f"= {threshold:.6g} at t = {t:g}", t=float(t))
-    lam = ell(B0)
     try:
         C = M_half * M_full * math.exp(-t0 * M_full * float(devs.max()))
         bounds = [envelope(t, lam, C) for t in ts]

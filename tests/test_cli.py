@@ -864,6 +864,27 @@ class TestVerifyEstimates:
         assert "$.estimates.path.rate" in err
 
 
+    @pytest.mark.parametrize("case", range(4))
+    def test_matches_recorded_output(self, run, case):
+        # Recorded before M came from the Gram-based norm of one shared
+        # eigendecomposition: two criterion-06 families (perfbench/recipes.py
+        # estimate_family), each direct and inverse.  The transition norms
+        # are untouched; M, C and the bounds may move in their last bits.
+        path = Path(__file__).parent / "data" / "verify_estimates_parent.json"
+        recorded = json.loads(path.read_text())[case]
+        code, out, _ = run("verify-estimates", recorded["document"])
+        assert code == recorded["exit_code"] == 0
+        res, old = result_of(out), recorded["output"]["result"]
+        for key in ("violated", "kind", "ell", "eps", "t0"):
+            assert res[key] == old[key]
+        for key in ("M", "C"):
+            assert res[key] == pytest.approx(old[key], rel=1e-15, abs=0.0)
+        assert len(res["samples"]) == len(old["samples"])
+        for got, want in zip(res["samples"], old["samples"]):
+            assert (got["t"], got["measured"]) == (want["t"], want["measured"])
+            assert got["bound"] == pytest.approx(want["bound"], rel=1e-15,
+                                                 abs=0.0)
+
 class TestSternberg:
     def test_explicit_spectrum(self, run):
         doc = {"schema_version": 1, "sternberg": {"mu": [1.0, 2.0]}}

@@ -162,6 +162,71 @@ class TestComputeMExpmCalls:
         assert any(shape[0] > 3 for shape in expm_calls)  # the grid in one call
 
 
+class TestStackedNorm:
+    """The Gram-based stacked 2-norm against the SVD."""
+
+    @staticmethod
+    def check(E):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimates._norm2(E)
+        want = np.linalg.svd(E, compute_uv=False)[:, 0]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_random_stacks(self, rng, m):
+        self.check(rng.standard_normal((200, m, m)))
+
+    def test_near_rank_one(self, rng):
+        u, v = rng.standard_normal((2, 50, 3, 1))
+        noise = 1e-9 * rng.standard_normal((50, 3, 3))
+        self.check(u @ v.swapaxes(1, 2) + noise)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_extreme_scales(self, rng, scale):
+        # unscaled, the Gram product would underflow or overflow
+        self.check(scale * rng.standard_normal((50, 3, 3)))
+
+    def test_zero_matrix(self, rng):
+        E = rng.standard_normal((3, 3, 3))
+        E[1] = 0.0
+        self.check(E)
+        assert estimates._norm2(E)[1] == 0.0
+
+
+class TestOneSpectralPass:
+    """Both M constants of a two-regime bound come from one norm map."""
+
+    @pytest.mark.parametrize("bound", [two_regime_bound,
+                                       inverse_two_regime_bound],
+                             ids=["direct", "inverse"])
+    def test_one_norm_map_and_golden_search(self, monkeypatch, rng, bound):
+        A0, path, eps, t0 = next(recipe_paths(rng, 1))
+        calls = {"norm maps": 0, "golden": 0}
+        exp_norms, golden_max = estimates._exp_norms, estimates._golden_max
+
+        def counting_norms(S):
+            calls["norm maps"] += 1
+            return exp_norms(S)
+
+        def counting_golden(*args, **kwargs):
+            calls["golden"] += 1
+            return golden_max(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "_exp_norms", counting_norms)
+        monkeypatch.setattr(estimates, "_golden_max", counting_golden)
+        bound(A0, path, eps, t0)
+        assert calls == {"norm maps": 1, "golden": 1}
+
+    def test_pair_matches_single_calls(self, rng):
+        for A0 in [JORDAN] + [rng.standard_normal((m, m)) for m in (2, 3, 4)]:
+            eps = 0.1 + 0.4 * rng.random()
+            lam, pair = estimates._sup_norms(A0, (eps / 2.0, eps))
+            assert lam == ell(A0)
+            assert pair == [compute_M(A0, eps / 2.0), compute_M(A0, eps)]
+
+
 @pytest.mark.parametrize("fn,args", [
     (compute_M, (np.eye(2), math.nan)),
     (compute_M, (np.eye(2), math.inf)),

@@ -398,7 +398,7 @@ class TestEvaluateSolution:
             source=np.zeros(1),
         )
         from transportkit.flow import _tail_integrate
-        with pytest.raises((TailDecayError, Exception)):
+        with pytest.raises(TailDecayError):
             _tail_integrate(f, np.array([0.3]),
                             EvalConfig(max_horizon=40.0))
 
