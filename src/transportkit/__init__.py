@@ -35,7 +35,6 @@ from .errors import (
     ShapeMismatchError,
     TailDecayError,
     TransportKitError,
-    UnsolvableError,
     ValidationError,
 )
 from .estimates import (

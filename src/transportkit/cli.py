@@ -37,14 +37,13 @@ from .applications import (
 from .errors import (
     SchemaError,
     TransportKitError,
-    UnsolvableError,
     ValidationError,
 )
 from .estimates import (ODE_ABS_TOL, ODE_REL_TOL, MatrixPath,
                         inverse_two_regime_bound, two_regime_bound)
 from .flow import EvalConfig, FieldSampler, _plan
-from .jets import (MAX_COEFFS, Jet, VectorFieldJet, fits, grlex_key,
-                   jet_from_json, jet_to_json)
+from .jets import (MAX_COEFFS, Jet, VectorFieldJet, fits, jet_from_json,
+                   jet_to_json)
 from .opmatrix import ProblemData
 from .spectral import (
     RESONANCE_TOL,
@@ -466,7 +465,7 @@ def cmd_dual_kernel(args, doc):
         enc["delta_form"] = [
             {"alpha": list(alpha),
              "covector": [_encode_number(c) for c in np.atleast_1d(xi)]}
-            for alpha, xi in sorted(delta.items(), key=lambda kv: grlex_key(kv[0]))]
+            for alpha, xi in delta.items()]
         out.append(enc)
     return {"tol": args.tol}, {"dimension": len(out), "duals": out}, None
 
@@ -673,8 +672,7 @@ def main(argv=None):
         return code[0] if code else 0
     except TransportKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return (4 if isinstance(exc, UnsolvableError)
-                else 2 if isinstance(exc, ValidationError) else 3)
+        return 2 if isinstance(exc, ValidationError) else 3
 
 
 if __name__ == "__main__":

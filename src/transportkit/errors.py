@@ -43,10 +43,6 @@ class IllConditionedWarning(UserWarning):
     """A linear solve ran with condition number beyond the trust threshold."""
 
 
-class UnsolvableError(TransportKitError):
-    """The projected equation has a nonzero obstruction."""
-
-
 class ResonantProblemError(NumericError):
     """lambda is resonant, so no canonical single-valued numeric solution exists."""
 

@@ -103,7 +103,9 @@ class FieldSampler:
     radius bounds the trusted ball around the source; trajectories are
     stopped with RegionExitError when they leave it.  consistent_jets,
     when given, is cross-checked at construction: the finite-difference
-    linearization of X_eval must match the jet linearization.
+    linearization of X_eval must match the jet linearization.  from_problem
+    attaches its p after construction, since its samplers are p's own
+    polynomials and the check could only misfire on them.
 
     Samplers made by from_problem are one polynomial map
     y -> [-X | rows of (-A | v)], the layout of the flow RHS (see the
@@ -174,15 +176,9 @@ class FieldSampler:
         return self._shape[1]
 
     def _sample(self, y: np.ndarray) -> np.ndarray:
-        """-X(y) and the rows of (-A(y) | v(y)) as one vector of length n + m*(m+1).
-
-        y may also be a stack of points, one per row; the values are then
-        stacked the same way.
-        """
+        """-X(y) and the rows of (-A(y) | v(y)) as one vector of length n + m*(m+1)."""
         if self._joint is not None:
             return _joint_at(self._joint, y)
-        if np.ndim(y) == 2:
-            return np.array([self._sample(q) for q in y])
         A = np.asarray(self.A_eval(y), dtype=float)
         v = np.asarray(self.v_eval(y), dtype=float)
         return np.concatenate([-np.asarray(self.X_eval(y), dtype=float),
@@ -210,25 +206,25 @@ class FieldSampler:
         joint = Jet(p.n, p.N, np.hstack(
             [-c.coeffs[:, None] for c in p.X.components]
             + [block.reshape(rows, -1)]))
-        return cls._fused(joint, p.m, radius, consistent_jets=p)
+        f = cls._fused(joint, p.m, radius)
+        object.__setattr__(f, "consistent_jets", p)
+        return f
 
     @classmethod
-    def _fused(cls, joint: Jet, m: int, radius: float,
-               consistent_jets: ProblemData | None = None) -> "FieldSampler":
+    def _fused(cls, joint: Jet, m: int, radius: float) -> "FieldSampler":
         """Sampler of the joint polynomial [-X | rows of (-A | v)], source at the origin."""
         n = joint.n
         a_cols, v_cols = _block_columns(n, m)
         f = cls(X_eval=lambda y: -_joint_at(joint, y)[:n],
                 A_eval=lambda y: -_joint_at(joint, y)[a_cols],
                 v_eval=lambda y: _joint_at(joint, y)[v_cols],
-                source=np.zeros(n), radius=radius,
-                consistent_jets=consistent_jets)
+                source=np.zeros(n), radius=radius)
         object.__setattr__(f, "_joint", joint)
         return f
 
 
 def _joint_at(joint: Jet, y) -> np.ndarray:
-    """One monomial vector (or matrix, for a stack of points) times the coefficients."""
+    """One monomial vector times the coefficients."""
     return _monomial_vector(np.asarray(y, dtype=float), joint.N) @ joint.coeffs
 
 
@@ -239,8 +235,8 @@ def _block_columns(n: int, m: int):
 
 
 def _frame_block(z: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The block [Finv | I], shape (m, m+1), of a joint state or of each row of a stack."""
-    return z[..., n:].reshape(z.shape[:-1] + (m, m + 1))
+    """The block [Finv | I], shape (m, m+1), of a joint state."""
+    return z[n:].reshape(m, m + 1)
 
 
 @dataclass(frozen=True)
@@ -388,12 +384,12 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
     Returns a direct-mode EvaluationResult whose u is the integral.  Each
     chunk is one DOP853 solver, stepped directly.  Every accepted step end
     is checked for region exit and frame overflow and kept as a tail
-    sample; the integrand norm g(t) = |Finv v(y_t)| is computed on a
-    chunk's samples as one stack and fitted against t over the trailing
-    window.  The stop requires both g <= tail_tol and a positive fitted rate.
+    sample, with the integrand norm g(t) = |Finv v(y_t)| read off the RHS
+    DOP853 evaluated there (first same as last): the I column of
+    Finv [-A | v].  g is fitted against t over the trailing window; the
+    stop requires both g <= tail_tol and a positive fitted rate.
     """
     n, m = f.n, f.m
-    v_cols = _block_columns(n, m)[1]
     rhs = _reversed_rhs(f)
     z = _pack(np.asarray(y, dtype=float), np.eye(m), np.zeros(m))
     tau = 0.0
@@ -409,7 +405,7 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
     while True:
         solver = DOP853(rhs, tau, z, min(tau + cfg.chunk, cfg.max_horizon),
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
-        taus, zs = [], []
+        taus, gs = [], []
         while solver.status == "running":
             message = solver.step()
             if solver.status == "failed":
@@ -420,14 +416,10 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
             if np.linalg.norm(_frame_block(z, n, m)[:, :m]) > _FRAME_OVERFLOW:
                 raise _frame_overflow(-tau)
             taus.append(tau)
-            zs.append(z)
+            gs.append(np.linalg.norm(solver.f[n + m::m + 1]))
         counts["nfev"] += solver.nfev
         counts["n_steps"] += len(taus)
         counts["n_chunks"] += 1
-        zs = np.array(zs)
-        Finv = _frame_block(zs, n, m)[..., :m]
-        v = f._sample(zs[:, :n])[:, v_cols]
-        gs = np.linalg.norm((Finv @ v[:, :, None])[..., 0], axis=1)
         window_ts = np.concatenate([window_ts, -np.array(taus)])
         window_gs = np.concatenate([window_gs, gs])
         keep = window_ts <= -tau + 2.5 * cfg.chunk

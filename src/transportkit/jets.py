@@ -136,15 +136,12 @@ def _power_index(n: int, N: int):
 def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
     """All monomials point**alpha with |alpha| <= N, in graded-lex order.
 
-    point is one point, shape (n,), or a stack of K points, shape (K, n);
-    the result has shape (P_dim,) or (K, P_dim).  One power table
+    point has shape (n,); the result has shape (P_dim,).  One power table
     y_j**k (k <= N) is gathered per multi-index and multiplied along the
     variables; the values are those of ``prod(point**alpha)`` bit for bit.
     """
-    idx, exponents = _power_index(point.shape[-1], N)
-    table = point[..., None] ** exponents
-    if point.ndim == 2:  # each point gathers from its own power table
-        idx = idx + table[0].size * np.arange(point.shape[0])[:, None, None]
+    idx, exponents = _power_index(point.shape[0], N)
+    table = point[:, None] ** exponents
     # the ufunc reduction np.prod runs, without its per-call dispatch cost
     return np.multiply.reduce(table.take(idx), axis=-1)
 

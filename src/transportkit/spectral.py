@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
 from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions, fits,
-                   grlex_key, monomials)
+                   monomials)
 from .opmatrix import ProblemData, _sparse_operator
 
 __all__ = [
@@ -188,8 +188,9 @@ def resonance_degree(p: ProblemData, tol: float = RESONANCE_TOL):
 def eigenvalue_table(mu, rho, max_re: float, tol: float = RESONANCE_TOL):
     """Eigenvalues alpha . mu + rho_j of D_X + A with Re <= max_re + tol.
 
-    Sorted by (Re, Im), then graded-lex on alpha, then j.  A value within
-    tol of the first value of the current cluster joins that cluster.
+    Sorted by (Re, Im); the sort is stable, so ties keep the enumeration's
+    graded-lex order on alpha, then j.  A value within tol of the first
+    value of the current cluster joins that cluster.
     Returns one dict per cluster with keys re, im, multiplicity and
     representations (a list of {"alpha": [...], "j": j}).
     """
@@ -198,7 +199,7 @@ def eigenvalue_table(mu, rho, max_re: float, tol: float = RESONANCE_TOL):
     found = [(complex(val), alpha, j)
              for alpha, j, val in _combinations(mu, rho, max_re, tol)
              if val.real <= max_re + tol]
-    found.sort(key=lambda t: (t[0].real, t[0].imag, grlex_key(t[1]), t[2]))
+    found.sort(key=lambda t: (t[0].real, t[0].imag))
     clusters = []
     for lam, alpha, j in found:
         rep = {"alpha": list(alpha), "j": j}

@@ -20,6 +20,9 @@ of taylor replaced.  reference_mul_table is the double loop over monomial
 pairs that the graded index arithmetic of jets._mul_table replaced.
 reference_compute_M evaluates exp(tS) one time at a time with scipy's
 expm, the path that the batched eigendecomposition of estimates replaced.
+reference_tangent is the derivative of the solution with respect to the
+data, one more jet solve built from public calls, which the tests compare
+with central differences of the flow evaluator.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from transportkit.opmatrix import (OperatorMatrix, _common_field, jet_to_vec,
 from transportkit.spectral import (RANK_RTOL, RESONANCE_TOL, DualDistribution,
                                    _canonicalize_columns, _screen, _svd_rank,
                                    resonance_degree)
-from transportkit.taylor import JetSolution
+from transportkit.taylor import JetSolution, solve_to_order
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -178,6 +181,24 @@ def reference_directional_derivative(X, u):
         term = jet_mul(X.components[i], u.partial(i).extend(u.N))
         out = term if out is None else out + term
     return out
+
+
+def reference_tangent(p, dX, dA, dv, dlam, order):
+    """Derivative of the solution u of (D_X + A - lam) u = v along the
+    direction (dX, dA, dv, dlam) of the data, as a jet of the given order.
+
+    Differentiating the equation gives one more solve with the same
+    operator: (D_X + A - lam) du = dv - dX.grad u - dA u + dlam u.  Every
+    step is a public call (solve_to_order, jet_mul, Jet.partial,
+    ProblemData.with_v).  dX must vanish at the origin and lam must be
+    non-resonant, so that u and du are unique.
+    """
+    q = p.at_order(order)
+    u = solve_to_order(q, order).particular
+    rhs = (dv.extend(order)
+           - reference_directional_derivative(dX.extend(order), u)
+           - jet_mul(dA.extend(order), u) + dlam * u)
+    return solve_to_order(q.with_v(rhs), order).particular
 
 
 def reference_apply_operator(p, u):

@@ -567,6 +567,27 @@ class TestSolveGrid:
         assert rows[0].split(",")[:2] == ["y0", "u0"]
         assert len(rows) == 4
 
+    def test_stiff_polynomial_field_is_accepted(self, run):
+        # X = y + 1e9 y^3: the sampler is the document's own polynomial, so
+        # no finite-difference check may refuse it; inside the radius of
+        # convergence (about 3e-5) the order-7 jet solution is accurate
+        grid = {"points": [[3e-6], [-2e-6], [1e-6]],
+                "config": {"radius": 1e-4, "rel_tol": 1e-10,
+                           "abs_tol": 1e-20, "tail_tol": 1e-18}}
+        doc = radial_doc(1.0, [scalar_term((1,), [1.0])], N=7, grid=grid)
+        doc["problem"]["X"][0]["terms"].append(scalar_term((3,), 1e9))
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        assert code == 0
+        X = VectorFieldJet([Jet.from_terms(1, 7, {(1,): 1.0, (3,): 1e9})])
+        p = ProblemData(X, Jet.constant(1, 7, np.eye(1)),
+                        Jet.from_terms(1, 7, {(1,): [1.0]}, shape=(1,)),
+                        0.0, 7)
+        jet_u = solve_to_order(p, 7).particular
+        for row in result_of(out)["points"]:
+            assert row["mode"] == "direct"
+            expected = jet_u.evaluate(np.array(row["point"]))[0]
+            assert row["u"][0] == pytest.approx(expected, rel=1e-8)
+
     def test_resonant_point_reports_error_not_abort(self, run):
         doc = radial_doc(-1.0, [scalar_term((2,), [1.0])],
                          grid=self.grid())

@@ -41,8 +41,9 @@ from conftest import (
     reference_flow_segment,
     reference_reversed_rhs,
     reference_tail_integrate,
+    reference_tangent,
 )
-from test_acceptance import _random_flow_problem
+from test_acceptance import _benchmark_problems, _random_flow_problem
 from test_opmatrix import gradient_example_problem
 from test_taylor import scalar_euler_problem
 
@@ -112,6 +113,17 @@ class TestFieldSampler:
     def test_fd_linearization(self):
         f = sampler_1d(1.0, lambda y: 0.0)
         assert f.linearization() == pytest.approx(np.array([[1.0]]), abs=1e-8)
+
+    def test_from_problem_does_not_check_its_own_polynomial(self):
+        # X = y + 1e9 y^3: the central difference with step 1e-6 reads
+        # 1 + 1e9 * 1e-12, which the cross-check would refuse, though the
+        # sampler is the jet polynomial itself
+        X = VectorFieldJet([Jet.from_terms(1, 3, {(1,): 1.0, (3,): 1e9})])
+        p = ProblemData(X, Jet.constant(1, 3, np.eye(1)),
+                        Jet.zero(1, 3, shape=(1,)), 0.0, 3)
+        f = FieldSampler.from_problem(p)
+        assert f.consistent_jets is p
+        assert f.linearization()[0, 0] == pytest.approx(1.001, rel=1e-9)
 
 
 def random_jet(rng, n, N, shape=()):
@@ -189,11 +201,6 @@ class TestFusedSampler:
         assert np.array_equal(f.X_eval(y), -joint[:2])
         assert np.array_equal(f.A_eval(y), -joint[[2, 3, 5, 6]].reshape(2, 2))
         assert np.array_equal(f.v_eval(y), joint[[4, 7]])
-        ys = np.array([y, [0.1, 0.25], [-0.4, 0.0]])
-        # a stack is one matrix product, so it may differ in the last bits
-        assert np.allclose(f._sample(ys), generic._sample(ys),
-                           rtol=1e-14, atol=1e-15)
-        assert np.array_equal(generic._sample(ys)[0], joint)
         shifted = flow._shifted(generic, 0.7)
         assert np.allclose(shifted.A_eval(y), flow._shifted(f, 0.7).A_eval(y),
                            rtol=1e-14, atol=1e-14)
@@ -422,6 +429,44 @@ class TestEvaluateSolution:
         # u = int_{-inf}^0 exp(sA) v ds = A^{-1} v
         assert np.allclose(res.u, [-2.5, 0.5], rtol=1e-7)
 
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("mode", ["direct", "split"])
+    def test_tail_samples_are_the_integrand_at_each_step(
+            self, solvers, monkeypatch, rng, fused, mode):
+        # every g the stop rule fits is |Finv v(y_t)| at an accepted step
+        # end, with v sampled afresh through the integrated sampler
+        p = random_flow_problem(rng, 2, 2, 4, 0.0)
+        mu = float(np.min(np.linalg.eigvals(p.A.coeffs[0]).real))
+        p = replace(p, lam=mu - 1.0 if mode == "direct" else mu + 0.3)
+        f = FieldSampler.from_problem(p)
+        if not fused:
+            f = replace(f)
+        integrated, fits = [], []
+        tail_integrate, fit_rate = flow._tail_integrate, flow._fit_rate
+
+        def recording_tail(g, y, cfg):
+            integrated.append(g)
+            return tail_integrate(g, y, cfg)
+
+        def recording_fit(ts, gs):
+            fits.append((ts.copy(), gs.copy()))
+            return fit_rate(ts, gs)
+
+        monkeypatch.setattr(flow, "_tail_integrate", recording_tail)
+        monkeypatch.setattr(flow, "_fit_rate", recording_fit)
+        res = evaluate_solution(f, p, [0.3, -0.2], EvalConfig(chunk=3.0))
+        assert res.mode == mode and res.n_chunks >= 2
+        (g,) = integrated
+        assert (g._joint is not None) == fused
+        ends = {-t: z for s in solvers for t, z in s.ends}
+        assert {t for ts, _ in fits for t in ts} == set(ends)
+        for ts, gs in fits:
+            for t, g_t in zip(ts, gs):
+                z = ends[t]
+                Finv = z[2:].reshape(2, 3)[:, :2]
+                assert g_t == pytest.approx(
+                    np.linalg.norm(Finv @ g.v_eval(z[:2])), rel=1e-13)
+
     @pytest.mark.parametrize("a", [1.0, -0.5])
     def test_counts_match_the_integrator(self, solvers, a):
         p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
@@ -553,6 +598,82 @@ class TestAgainstRK45Oracle:
             assert np.allclose(st.Finv, z[2:6].reshape(2, 2), rtol=1e-8,
                                atol=1e-10)
             assert np.allclose(st.I, z[6:], rtol=1e-8, atol=1e-10)
+
+
+class TestSmoothDependence:
+    """The jet tangent against a central difference of evaluate_solution.
+
+    Each direction moves X, A, v and lambda together.  The points lie at
+    radius 0.3 to 0.5, where a tangent solved at the data's own order N
+    instead of ORDER is off by 6e-5 to 3e-4 on the criterion-10 problems;
+    ORDER is high enough that its truncation does not show there.
+    """
+
+    EPS = 1e-4
+    ORDER = 24
+    CFG = EvalConfig(rel_tol=1e-10, abs_tol=1e-13, tail_tol=1e-11)
+    # the eps^2 term of the central difference: measured at most 3.0e-7
+    TOL = 1e-6
+
+    @staticmethod
+    def along(p, d, eps):
+        dX, dA, dv, dlam = d
+        X = VectorFieldJet([c + eps * e
+                            for c, e in zip(p.X.components, dX.components)])
+        return ProblemData(X, p.A + eps * dA, p.v + eps * dv,
+                           p.lam + eps * dlam, p.N)
+
+    @staticmethod
+    def points(rng, n, count):
+        ys = rng.standard_normal((count, n))
+        return ys * (rng.uniform(0.3, 0.5, size=(count, 1))
+                     / np.linalg.norm(ys, axis=1, keepdims=True))
+
+    def assert_tangent_matches(self, p, d, ys, mode):
+        tangent = reference_tangent(p, *d, self.ORDER)
+        plus, minus = self.along(p, d, self.EPS), self.along(p, d, -self.EPS)
+        f_plus = FieldSampler.from_problem(plus)
+        f_minus = FieldSampler.from_problem(minus)
+        for y in ys:
+            hi = evaluate_solution(f_plus, plus, y, self.CFG)
+            lo = evaluate_solution(f_minus, minus, y, self.CFG)
+            assert hi.mode == lo.mode == mode
+            fd = (hi.u - lo.u) / (2 * self.EPS)
+            assert np.max(np.abs(tangent.evaluate(y) - fd)) <= self.TOL
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_criterion_10_problems(self, k):
+        p, dirs, _ = _benchmark_problems()[k]
+        d = (VectorFieldJet([Jet(p.n, p.N, c) for c in dirs["X"]]),
+             Jet(p.n, p.N, dirs["A"]), Jet(p.n, p.N, dirs["v"]), 1.0)
+        self.assert_tangent_matches(
+            p, d, self.points(np.random.default_rng(3100 + k), p.n, 3),
+            "direct")
+
+    def test_split_mode_criterion_04_problems(self):
+        # criterion 04's problems, replaying its draws of problems and
+        # points; the directions are scaled by 0.1 since they move all ten
+        # orders of the data
+        rng = np.random.default_rng(20250818)
+        for trial in range(20):
+            p = _random_flow_problem(rng, indefinite=trial >= 10)
+            for _ in range(50):  # its points
+                rng.standard_normal(p.n)
+                rng.uniform(0.02, 0.2)
+            if trial < 10:
+                continue
+            test_rng = np.random.default_rng(3200 + trial)
+            dX = []
+            for _ in range(p.n):
+                c = 0.1 * test_rng.standard_normal(P_dim(p.n, p.N))
+                c[0] = 0.0  # keep the source at the origin
+                dX.append(Jet(p.n, p.N, c))
+            d = (VectorFieldJet(dX),
+                 Jet(p.n, p.N, 0.1 * test_rng.standard_normal(p.A.coeffs.shape)),
+                 Jet(p.n, p.N, 0.1 * test_rng.standard_normal(p.v.coeffs.shape)),
+                 1.0)
+            self.assert_tangent_matches(p, d, self.points(test_rng, p.n, 2),
+                                        "split")
 
 
 class TestEmpiricalDecayRate:

@@ -17,7 +17,7 @@ import pytest
 
 import transportkit
 from transportkit import opmatrix, spectral, taylor
-from transportkit.errors import UnsolvableError, ValidationError
+from transportkit.errors import ValidationError
 from transportkit.jets import Jet, VectorFieldJet
 from transportkit.opmatrix import ProblemData, apply_operator, jet_to_vec
 from transportkit.spectral import resonance_degree
