@@ -102,10 +102,10 @@ class FieldSampler:
     (m, m) and (m,).  They must be pure.
     radius bounds the trusted ball around the source; trajectories are
     stopped with RegionExitError when they leave it.  consistent_jets,
-    when given, is cross-checked at construction: the finite-difference
-    linearization of X_eval must match the jet linearization.  from_problem
-    attaches its p after construction, since its samplers are p's own
-    polynomials and the check could only misfire on them.
+    when given, is cross-checked at construction: X_eval minus the jet
+    polynomial of X must have zero central differences at the source, to
+    1e-4.  from_problem attaches its p after construction, since its
+    samplers are p's own polynomials.
 
     Samplers made by from_problem are one polynomial map
     y -> [-X | rows of (-A | v)], the layout of the flow RHS (see the
@@ -159,13 +159,16 @@ class FieldSampler:
                 raise ValidationError(
                     f"consistent_jets has (n, m) = {(jets.n, jets.m)}, "
                     f"samplers have {(n, m)}")
-            fd = self.linearization()
-            exact = jets.X.linearization
-            if np.max(np.abs(fd - exact)) > 1e-4:
+            # central differences of X_eval minus the jet polynomial: the
+            # jet's own higher-order terms cancel, only a mismatch is left
+            def off(y):
+                return np.asarray(self.X_eval(source + y)) - jets.X.evaluate(y)
+            dev = max(np.max(np.abs(off(h) - off(-h)))
+                      for h in 1e-6 * np.eye(n)) / 2e-6
+            if dev > 1e-4:
                 raise ValidationError(
                     "finite-difference linearization of X_eval disagrees with "
-                    f"the declared jets (max deviation "
-                    f"{np.max(np.abs(fd - exact)):.3e})")
+                    f"the declared jets (max deviation {dev:.3e})")
 
     @property
     def n(self) -> int:
@@ -203,9 +206,7 @@ class FieldSampler:
                                   "jet solver for complex problems")
         rows = P_dim(p.n, p.N)
         block = np.concatenate([-p.A.coeffs, p.v.coeffs[:, :, None]], axis=2)
-        joint = Jet(p.n, p.N, np.hstack(
-            [-c.coeffs[:, None] for c in p.X.components]
-            + [block.reshape(rows, -1)]))
+        joint = Jet(p.n, p.N, np.hstack([-p.X.coeffs, block.reshape(rows, -1)]))
         f = cls._fused(joint, p.m, radius)
         object.__setattr__(f, "consistent_jets", p)
         return f

@@ -17,6 +17,10 @@ the coefficient array has shape ``(P_dim(n, N), *value_shape)``.  Jets are
 immutable: every operation returns a new jet and the coefficient buffer is
 marked read-only.
 
+A vector field X is an (n,)-valued jet (:class:`VectorFieldJet`); u, v and
+the dual-kernel distributions (``spectral.DualDistribution``) are
+(m,)-valued, and A is (m, m)-valued.
+
 The scalar field is carried by the coefficient dtype (float64 or
 complex128).  Mixing fields raises ``FieldMismatchError``; promote a real
 jet explicitly with :meth:`Jet.to_complex`.
@@ -309,13 +313,17 @@ class Jet:
 
     # -- structural ops ------------------------------------------------
 
+    def _like(self, N: int, coeffs: np.ndarray) -> "Jet":
+        """A jet of this class in the same variables, owning coeffs."""
+        return Jet(self.n, N, coeffs, copy=False)
+
     def project(self, K: int) -> "Jet":
         """Truncate to order K <= N (the quotient map P_N -> P_K)."""
         if K > self.N:
             raise ValueError(f"cannot project order-{self.N} jet up to order {K}")
         if K == self.N:
             return self
-        return Jet(self.n, K, self._coeffs[:P_dim(self.n, K)])
+        return self._like(K, self._coeffs[:P_dim(self.n, K)].copy())
 
     def extend(self, K: int) -> "Jet":
         """Zero-pad to order K >= N, treating the jet as polynomial data."""
@@ -325,7 +333,7 @@ class Jet:
             return self
         out = np.zeros((P_dim(self.n, K),) + self.value_shape, dtype=self.dtype)
         out[:self._coeffs.shape[0]] = self._coeffs
-        return Jet(self.n, K, out, copy=False)
+        return self._like(K, out)
 
     def partial(self, i: int) -> "Jet":
         """Partial derivative d/dy_i as an order N-1 jet."""
@@ -345,7 +353,7 @@ class Jet:
         return np.tensordot(mono, self._coeffs, axes=1)
 
     def astype(self, dtype) -> "Jet":
-        return Jet(self.n, self.N, self._coeffs.astype(dtype))
+        return self._like(self.N, self._coeffs.astype(dtype))
 
     def to_complex(self) -> "Jet":
         return self.astype(np.complex128)
@@ -457,10 +465,14 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return Jet(a.n, a.N, out, copy=False)
 
 
-class VectorFieldJet:
-    """A vector field given by n scalar jets with vanishing constant term."""
+class VectorFieldJet(Jet):
+    """A vector field: an (n,)-valued jet of order >= 1 vanishing at 0.
 
-    __slots__ = ("components",)
+    Column i holds the coefficients of d/dy_i.  project, extend and
+    to_complex keep the class; arithmetic gives plain jets.
+    """
+
+    __slots__ = ()
 
     def __init__(self, components):
         components = tuple(components)
@@ -476,61 +488,49 @@ class VectorFieldJet:
         if len(components) != n:
             raise ShapeMismatchError(
                 f"{len(components)} components for n={n} variables")
+        self._init(n, N, np.stack([c.coeffs for c in components], axis=1))
+
+    def _init(self, n: int, N: int, coeffs: np.ndarray) -> "VectorFieldJet":
+        """Check the order and the constant term, then set the coefficients."""
         if N < 1:
             raise ShapeMismatchError(
                 "vector field jets need order N >= 1 to carry a linear part")
-        for i, c in enumerate(components):
-            if np.any(c.coeffs[0] != 0):
-                raise ValueError(
-                    f"component {i} has a nonzero constant term; "
-                    "the field must vanish at the base point")
-        self.components = components
+        nonzero = np.flatnonzero(coeffs[0])
+        if nonzero.size:
+            raise ValueError(
+                f"component {nonzero[0]} has a nonzero constant term; "
+                "the field must vanish at the base point")
+        Jet.__init__(self, n, N, coeffs, copy=False)
+        return self
+
+    def _like(self, N: int, coeffs: np.ndarray) -> "VectorFieldJet":
+        return object.__new__(type(self))._init(self.n, N, coeffs)
 
     @property
-    def n(self) -> int:
-        return self.components[0].n
-
-    @property
-    def N(self) -> int:
-        return self.components[0].N
-
-    @property
-    def dtype(self):
-        return np.result_type(*(c.dtype for c in self.components))
+    def components(self) -> tuple:
+        """The n scalar component jets."""
+        return tuple(Jet(self.n, self.N, c) for c in self.coeffs.T)
 
     @property
     def linearization(self) -> np.ndarray:
         """Matrix a[i, j] = coefficient of y_j in component i."""
-        n, N = self.n, self.N
-        rank = monomial_rank(n, N)
-        A = np.zeros((n, n), dtype=self.dtype)
-        for i, c in enumerate(self.components):
-            for j in range(n):
-                e_j = tuple(1 if k == j else 0 for k in range(n))
-                A[i, j] = c.coeffs[rank[e_j]]
-        return A
+        return self.coeffs[1:self.n + 1].T
 
     @classmethod
     def euler(cls, n: int, N: int, dtype=np.float64) -> "VectorFieldJet":
         """The radial field sum_i y_i d/dy_i."""
-        return cls(tuple(Jet.coordinate(n, N, i, dtype=dtype) for i in range(n)))
+        return cls.from_linear(np.eye(n, dtype=dtype), N)
 
     @classmethod
     def from_linear(cls, A: np.ndarray, N: int) -> "VectorFieldJet":
         """The linear field with dX(0) = A."""
         A = np.asarray(A)
         n = A.shape[0]
-        comps = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                if A[i, j] != 0:
-                    e_j = tuple(1 if k == j else 0 for k in range(n))
-                    terms[e_j] = A[i, j]
-            comps.append(Jet.from_terms(n, N, terms,
-                                        dtype=np.complex128 if np.iscomplexobj(A)
-                                        else np.float64))
-        return cls(comps)
+        # the degree-1 rows exist at order 1; _init refuses a lower order
+        coeffs = np.zeros((P_dim(n, max(N, 1)), n), dtype=np.complex128
+                          if np.iscomplexobj(A) else np.float64)
+        coeffs[1:n + 1] = A.T
+        return object.__new__(cls)._init(n, N, coeffs[:P_dim(n, N)])
 
     @classmethod
     def from_gradient(cls, phi: Jet) -> "VectorFieldJet":
@@ -538,15 +538,6 @@ class VectorFieldJet:
         if phi.value_shape != ():
             raise ShapeMismatchError("gradient needs a scalar jet")
         return cls(tuple(phi.partial(i).extend(phi.N) for i in range(phi.n)))
-
-    def to_complex(self) -> "VectorFieldJet":
-        return VectorFieldJet(tuple(c.to_complex() for c in self.components))
-
-    def extend(self, K: int) -> "VectorFieldJet":
-        return VectorFieldJet(tuple(c.extend(K) for c in self.components))
-
-    def project(self, K: int) -> "VectorFieldJet":
-        return VectorFieldJet(tuple(c.project(K) for c in self.components))
 
     def __repr__(self):
         return f"VectorFieldJet(n={self.n}, N={self.N})"

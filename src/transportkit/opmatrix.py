@@ -80,21 +80,15 @@ class ProblemData:
             raise ShapeMismatchError("X, A, v must share the variable count")
         if self.N < 1:
             raise ValidationError("order N must be at least 1")
+        jets = {"X": self.X, "A": self.A, "v": self.v}
         lam = complex(self.lam)
-        X, A, v = self.X, self.A, self.v
-        if lam.imag != 0.0 or any(j.is_complex for j in (A, v)) \
-                or X.dtype == np.complex128:
-            X, A, v = X.to_complex(), A.to_complex(), v.to_complex()
-        if lam.imag == 0.0 and not A.is_complex:
-            lam = lam.real
-        # pad everything to the working order once
-        object.__setattr__(self, "X", X.extend(self.N) if X.N < self.N
-                           else X.project(self.N))
-        object.__setattr__(self, "A", A.extend(self.N) if A.N < self.N
-                           else A.project(self.N))
-        object.__setattr__(self, "v", v.extend(self.N) if v.N < self.N
-                           else v.project(self.N))
-        object.__setattr__(self, "lam", lam)
+        cplx = lam.imag != 0.0 or any(j.is_complex for j in jets.values())
+        # promote to one field and pad everything to the working order once
+        for key, j in jets.items():
+            j = j.to_complex() if cplx else j
+            object.__setattr__(self, key, j.extend(self.N) if j.N < self.N
+                               else j.project(self.N))
+        object.__setattr__(self, "lam", lam if cplx else lam.real)
 
     @property
     def n(self) -> int:
@@ -189,11 +183,11 @@ def _sparse_operator(p: ProblemData) -> csr_array:
     # X(0) = 0; for gamma != 0 the cofactor y^delta = y^(beta - e_i) has
     # degree < N, and _diff_table lists beta at the rank of delta
     gamma, delta, row = (a[ii != 0] for a in (ii, jj, kk))
-    for i, X_i in enumerate(p.X.components):
+    for i in range(n):
         beta, beta_i = (a[delta] for a in _diff_table(n, N, i))
         rows.append(row[:, None] * m + r)
         cols.append(beta[:, None] * m + r)
-        vals.append(np.repeat(beta_i * X_i.coeffs[gamma], m))
+        vals.append(np.repeat(beta_i * p.X.coeffs[gamma, i], m))
     rows.append(np.broadcast_to(kk[:, None, None] * m + r[:, None],
                                 (kk.size, m, m)))
     cols.append(np.broadcast_to(jj[:, None, None] * m + r, (kk.size, m, m)))

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
-from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions, fits,
-                   monomials)
+from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions,
+                   _encode_value, fits)
 from .opmatrix import ProblemData, _sparse_operator
 
 __all__ = [
@@ -283,29 +283,26 @@ def kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     return list(_solve_family(q, entry, n_star, 0.0).kernel_extensions)
 
 
-class DualDistribution:
+class DualDistribution(Jet):
     """A functional supported at the base point, of finite order.
 
-    Stores one covector per multi-index with |alpha| <= order, shape
-    (P_dim(n, order), m).  Pairing: T(u) = sum_alpha coeffs[alpha] . u_alpha
-    against Taylor-normalized coefficients of u.
+    An (m,)-valued jet of order N = order: one covector t_alpha per row.
+    Pairing: T(u) = sum_alpha t_alpha . u_alpha against Taylor-normalized
+    coefficients of u.
     """
 
-    __slots__ = ("n", "order", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, n: int, order: int, coeffs: np.ndarray, *, copy=True):
-        coeffs = np.array(coeffs, copy=copy)
-        if coeffs.shape[0] != P_dim(n, order) or coeffs.ndim != 2:
+        coeffs = np.asarray(coeffs)
+        if coeffs.ndim != 2 or coeffs.shape[0] != P_dim(n, order):
             raise ValidationError(
                 f"dual coefficients must have shape (P_dim({n},{order}), m)")
-        coeffs.setflags(write=False)
-        self.n = n
-        self.order = order
-        self._coeffs = coeffs
+        super().__init__(n, order, coeffs, copy=copy)
 
     @property
-    def coeffs(self) -> np.ndarray:
-        return self._coeffs
+    def order(self) -> int:
+        return self.N
 
     @property
     def m(self) -> int:
@@ -329,22 +326,13 @@ class DualDistribution:
         Those functionals act on a jet as alpha! times the Taylor
         coefficient, so the stored covectors are divided by alpha!.
         """
-        out = {}
-        for r, alpha in enumerate(monomials(self.n, self.order)):
-            c = self._coeffs[r]
-            if np.any(c != 0):
-                fact = math.prod(math.factorial(a) for a in alpha)
-                out[alpha] = c / fact
-        return out
+        return {alpha: c / math.prod(math.factorial(a) for a in alpha)
+                for alpha, c in self.terms()}
 
     def to_json(self) -> dict:
-        from .jets import _encode_value
-        terms = []
-        for r, alpha in enumerate(monomials(self.n, self.order)):
-            c = self._coeffs[r]
-            if np.any(c != 0):
-                terms.append({"alpha": list(alpha), "covector": _encode_value(c)})
-        return {"n": self.n, "order": self.order, "m": self.m, "terms": terms}
+        return {"n": self.n, "order": self.order, "m": self.m,
+                "terms": [{"alpha": list(alpha), "covector": _encode_value(c)}
+                          for alpha, c in self.terms()]}
 
     def __repr__(self):
         return f"DualDistribution(n={self.n}, order={self.order}, m={self.m})"

@@ -125,6 +125,44 @@ class TestFieldSampler:
         assert f.consistent_jets is p
         assert f.linearization()[0, 0] == pytest.approx(1.001, rel=1e-9)
 
+    @staticmethod
+    def stiff_problem():
+        X = VectorFieldJet([Jet.from_terms(1, 3, {(1,): 1.0, (3,): 1e9})])
+        return ProblemData(X, Jet.constant(1, 3, np.eye(1)),
+                           Jet.zero(1, 3, shape=(1,)), 0.0, 3)
+
+    def test_cross_check_accepts_a_stiff_callable_matching_its_jets(self):
+        # the central difference of X_eval alone reads 1.001; the jet's
+        # cubic term cancels once the jet polynomial is subtracted
+        f = FieldSampler(X_eval=lambda y: y + 1e9 * y**3,
+                         A_eval=lambda y: np.eye(1),
+                         v_eval=lambda y: np.zeros(1),
+                         source=np.zeros(1),
+                         consistent_jets=self.stiff_problem())
+        assert f.linearization()[0, 0] == pytest.approx(1.001, rel=1e-9)
+
+    def test_cross_check_accepts_a_replaced_stiff_sampler(self):
+        p = self.stiff_problem()
+        f = replace(FieldSampler.from_problem(p, radius=1e-4), radius=1e-3)
+        assert f.radius == 1e-3 and f.consistent_jets is p
+
+    def test_cross_check_refuses_a_stiff_callable_with_another_jacobian(self):
+        with pytest.raises(ValidationError, match="deviation 1.000e-02"):
+            FieldSampler(X_eval=lambda y: 1.01 * y + 1e9 * y**3,
+                         A_eval=lambda y: np.eye(1),
+                         v_eval=lambda y: np.zeros(1),
+                         source=np.zeros(1),
+                         consistent_jets=self.stiff_problem())
+
+    def test_cross_check_uses_coordinates_around_the_source(self):
+        # the jets live at the source; X_eval is sampled around it
+        s = np.array([0.3])
+        f = FieldSampler(X_eval=lambda y: (y - s) + 1e9 * (y - s)**3,
+                         A_eval=lambda y: np.eye(1),
+                         v_eval=lambda y: np.zeros(1),
+                         source=s, consistent_jets=self.stiff_problem())
+        assert f.source[0] == 0.3
+
 
 def random_jet(rng, n, N, shape=()):
     """Coefficients shrinking like 0.6**degree, so values stay O(1) on the unit ball."""

@@ -267,6 +267,107 @@ def test_linearization_matrix():
     assert np.array_equal(X.linearization, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+def _random_field_components(rng, n, N, dtype):
+    """n scalar jets without constant term, real or complex."""
+    comps = []
+    for _ in range(n):
+        c = rng.standard_normal(P_dim(n, N)).astype(dtype)
+        if dtype == np.complex128:
+            c += 1j * rng.standard_normal(P_dim(n, N))
+        c[0] = 0.0
+        comps.append(Jet(n, N, c))
+    return comps
+
+
+def _loop_linearization(X):
+    """a[i, j] = coefficient of y_j in component i, one entry at a time."""
+    A = np.zeros((X.n, X.n), dtype=X.dtype)
+    for i, c in enumerate(X.components):
+        for j in range(X.n):
+            A[i, j] = c.coefficient(tuple(int(k == j) for k in range(X.n)))
+    return A
+
+
+class TestVectorFieldJetInvariants:
+    """Every way of making a VectorFieldJet gives an (n,)-valued jet of
+    order >= 1 with zero constant term."""
+
+    @staticmethod
+    def fields(rng):
+        comps = _random_field_components(rng, 3, 4, np.float64)
+        X = VectorFieldJet(comps)
+        phi = Jet.from_terms(2, 3, {(2, 0): 0.5, (2, 1): 1.0, (0, 2): 1.0})
+        return {
+            "constructor": X,
+            "euler": VectorFieldJet.euler(2, 3),
+            "euler_complex": VectorFieldJet.euler(2, 3, dtype=np.complex128),
+            "from_linear": VectorFieldJet.from_linear(
+                rng.standard_normal((3, 3)), 2),
+            "from_linear_complex": VectorFieldJet.from_linear(
+                np.array([[1.0, 1j], [0.0, 2.0]]), 1),
+            "from_gradient": VectorFieldJet.from_gradient(phi),
+            "extend": X.extend(6),
+            "project": X.project(1),
+            "to_complex": X.to_complex(),
+        }
+
+    @pytest.mark.parametrize("how", [
+        "constructor", "euler", "euler_complex", "from_linear",
+        "from_linear_complex", "from_gradient", "extend", "project",
+        "to_complex"])
+    def test_result_is_a_vector_field(self, rng, how):
+        X = self.fields(rng)[how]
+        assert type(X) is VectorFieldJet
+        assert X.value_shape == (X.n,)
+        assert X.N >= 1
+        assert not np.any(X.coeffs[0])
+        assert X.dtype in (np.float64, np.complex128)
+
+    def test_structural_ops_keep_the_data(self, rng):
+        fields = self.fields(rng)
+        X = fields["constructor"]
+        assert fields["extend"].project(X.N) == X
+        assert np.array_equal(fields["project"].coeffs, X.coeffs[:P_dim(3, 1)])
+        assert fields["to_complex"].dtype == np.complex128
+        assert np.array_equal(fields["to_complex"].coeffs, X.coeffs)
+        assert fields["euler_complex"].dtype == np.complex128
+
+    def test_project_below_order_one_is_refused(self, rng):
+        X = self.fields(rng)["constructor"]
+        with pytest.raises(ShapeMismatchError, match="order N >= 1"):
+            X.project(0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_components_round_trip_bit_for_bit(self, rng, dtype):
+        comps = _random_field_components(rng, 3, 5, dtype)
+        X = VectorFieldJet(comps)
+        assert X.coeffs.shape == (P_dim(3, 5), 3)
+        assert len(X.components) == 3
+        for got, want in zip(X.components, comps):
+            assert type(got) is Jet
+            assert got.dtype == want.dtype
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_linearization_matches_the_entrywise_formula(self, rng, dtype, n):
+        X = VectorFieldJet(_random_field_components(rng, n, 3, dtype))
+        assert X.linearization.dtype == dtype
+        assert np.array_equal(X.linearization, _loop_linearization(X))
+
+    def test_from_linear_has_the_given_linearization(self, rng):
+        A = rng.standard_normal((3, 3))
+        X = VectorFieldJet.from_linear(A, 3)
+        assert np.array_equal(X.linearization, A)
+        assert not np.any(X.coeffs[P_dim(3, 1):])
+
+    def test_constant_term_message_names_the_component(self):
+        comps = [Jet.coordinate(2, 2, 0),
+                 Jet.from_terms(2, 2, {(0, 0): 1.0, (0, 1): 1.0})]
+        with pytest.raises(ValueError, match="component 1 has a nonzero"):
+            VectorFieldJet(comps)
+
+
 # -- evaluation and derivatives ------------------------------------------
 
 def test_evaluate_matches_dict_oracle(rng):
