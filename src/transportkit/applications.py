@@ -6,10 +6,11 @@ Phi_j of exp(-t(Delta + K)) satisfy the transport recursion
     D_X Phi_0 = 0,  Phi_0(0) = id,
     (D_X + j) Phi_j = -L Phi_{j-1},   L = Delta + K,
 
-along the radial field X = sum_i x_i d_i (linearization = identity, so
-lambda = -j is non-resonant for every j >= 1 and the recursion has a
-unique solution).  The Laplacian here is the geometer's Delta = -sum of
-second partials; with the analyst's convention K flips sign.
+along the radial field X = sum_i x_i d_i.  X acts as the degree operator,
+D_X x^alpha = |alpha| x^alpha, so lambda = -j is non-resonant for every
+j >= 1 and each step divides degree k by k + j.  The Laplacian here is
+the geometer's Delta = -sum of second partials; with the analyst's
+convention K flips sign.
 
 WKB side: for -hbar^2 u'' + V u = E u near a nondegenerate minimum
 (V = mu^2 x^2 + higher, mu > 0), the ansatz e^{-phi/hbar} sum hbar^j a_j
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, OrderBudgetError, ValidationError
-from .jets import Jet, VectorFieldJet, jet_mul
+from .jets import Jet, VectorFieldJet, jet_mul, monomial_powers
 from .opmatrix import ProblemData
-from .spectral import dual_kernel_basis, enumerate_resonances
+from .spectral import dual_kernel_basis
 from .taylor import solve_to_order
 
 __all__ = [
@@ -98,33 +99,20 @@ def _apply_L(K: Jet, Phi: Jet) -> Jet:
     return out
 
 
-def _column(Phi: Jet, i: int) -> Jet:
-    return Jet(Phi.n, Phi.N, Phi.coeffs[:, :, i])
-
-
 def heat_coefficients_jet(h: HeatProblem) -> list:
     """The jets Phi_0 .. Phi_J, with Phi_j of order N - 2j.
 
     Phi_0 is the constant identity: at lambda = 0 the radial field's
     kernel is the constants and the initial condition Phi_0(0) = id pins
-    the member.  Each later Phi_j is the unique solution of the
-    non-resonant transport equation (D_X + j) Phi_j = -L Phi_{j-1}.
+    the member.  Later Phi_j solve (D_X + j) Phi_j = -L Phi_{j-1}; D_X
+    multiplies degree k by k, so dividing degree k of the right-hand
+    side by k + j, nonzero for j >= 1, gives the unique solution.
     """
     out = [Jet.constant(h.n, h.N, np.eye(h.m))]
-    mu = np.ones(h.n)
     for j in range(1, h.J + 1):
-        assert enumerate_resonances(mu, np.zeros(h.m), -float(j)) is None
-        M_j = h.N - 2 * j
         rhs = -_apply_L(h.K, out[-1])
-        X = VectorFieldJet.euler(h.n, M_j)
-        A = Jet.zero(h.n, M_j, (h.m, h.m))
-        cols = []
-        for i in range(h.m):
-            p = ProblemData(X, A, _column(rhs, i), -float(j), M_j)
-            sol = solve_to_order(p, M_j)
-            cols.append(sol.particular)
-        coeffs = np.stack([c.coeffs for c in cols], axis=2)
-        out.append(Jet(h.n, M_j, coeffs, copy=False))
+        degree = monomial_powers(h.n, rhs.N).sum(axis=1)[:, None, None]
+        out.append(Jet(h.n, rhs.N, rhs.coeffs / (degree + j), copy=False))
     return out
 
 
@@ -250,8 +238,7 @@ def _sqrt_one_plus(w: Jet) -> Jet:
 
 def _antiderivative_1d(u: Jet) -> Jet:
     out = np.zeros(u.N + 2, dtype=u.dtype)
-    for k in range(u.N + 1):
-        out[k + 1] = u.coeffs[k] / (k + 1)
+    out[1:] = u.coeffs / np.arange(1, u.N + 2)
     return Jet(1, u.N + 1, out, copy=False)
 
 

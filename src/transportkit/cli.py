@@ -257,7 +257,7 @@ def _sub(spec):
     return lambda x, path, ctx: _block(x, path, spec, ctx)
 
 
-# heat and wkb solve at orders N - 2 and below
+# wkb solves at orders N - 2 and below; heat keeps the same cap
 _APP_ORDER = MAX_ORDER + 2
 _TOO_LARGE = f"needs more than {MAX_COEFFS} coefficients at this order"
 

@@ -187,17 +187,6 @@ class FieldSampler:
         return np.concatenate([-np.asarray(self.X_eval(y), dtype=float),
                                np.hstack([-A, v[:, None]]).reshape(-1)])
 
-    def linearization(self, step: float = 1e-6) -> np.ndarray:
-        """Jacobian of X_eval at the source by central differences."""
-        n = self.n
-        J = np.zeros((n, n))
-        for j in range(n):
-            h = np.zeros(n)
-            h[j] = step
-            J[:, j] = (np.asarray(self.X_eval(self.source + h))
-                       - np.asarray(self.X_eval(self.source - h))) / (2 * step)
-        return J
-
     @classmethod
     def from_problem(cls, p: ProblemData, radius: float = math.inf) -> "FieldSampler":
         """Samplers that evaluate the jet polynomials exactly (source at the origin)."""

@@ -22,7 +22,10 @@ reference_compute_M evaluates exp(tS) one time at a time with scipy's
 expm, the path that the batched eigendecomposition of estimates replaced.
 reference_tangent is the derivative of the solution with respect to the
 data, one more jet solve built from public calls, which the tests compare
-with central differences of the flow evaluator.
+with central differences of the flow evaluator and of the jet solver.
+reference_heat_coefficients is the heat ladder by one resonant jet solve
+per column per step, the path that the division by degree of
+applications replaced.
 """
 
 from __future__ import annotations
@@ -53,18 +56,20 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
+from transportkit.applications import _apply_L
 from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
 from transportkit.flow import EvaluationResult
 
 from transportkit.errors import ShapeMismatchError
-from transportkit.jets import (Jet, P_dim, degree_starts, jet_mul,
-                               monomial_powers, monomial_rank, monomials)
-from transportkit.opmatrix import (OperatorMatrix, _common_field, jet_to_vec,
-                                   vec_to_jet)
+from transportkit.jets import (Jet, P_dim, VectorFieldJet, degree_starts,
+                               jet_mul, monomial_powers, monomial_rank,
+                               monomials)
+from transportkit.opmatrix import (OperatorMatrix, ProblemData, _common_field,
+                                   jet_to_vec, vec_to_jet)
 from transportkit.spectral import (RANK_RTOL, RESONANCE_TOL, DualDistribution,
                                    _canonicalize_columns, _screen, _svd_rank,
-                                   resonance_degree)
+                                   enumerate_resonances, resonance_degree)
 from transportkit.taylor import JetSolution, solve_to_order
 
 
@@ -199,6 +204,31 @@ def reference_tangent(p, dX, dA, dv, dlam, order):
            - reference_directional_derivative(dX.extend(order), u)
            - jet_mul(dA.extend(order), u) + dlam * u)
     return solve_to_order(q.with_v(rhs), order).particular
+
+
+def reference_heat_coefficients(h):
+    """Phi_0 .. Phi_J of a HeatProblem by one solve_to_order per column
+    per j, the general resonant jet solver applied to the radial field
+    with A = 0, the path that the division by |alpha| + j of
+    applications.heat_coefficients_jet replaced.  The right-hand sides
+    come from applications._apply_L, as there."""
+    out = [Jet.constant(h.n, h.N, np.eye(h.m))]
+    mu = np.ones(h.n)
+    for j in range(1, h.J + 1):
+        assert enumerate_resonances(mu, np.zeros(h.m), -float(j)) is None
+        M_j = h.N - 2 * j
+        rhs = -_apply_L(h.K, out[-1])
+        X = VectorFieldJet.euler(h.n, M_j)
+        A = Jet.zero(h.n, M_j, (h.m, h.m))
+        cols = []
+        for i in range(h.m):
+            column = Jet(rhs.n, rhs.N, rhs.coeffs[:, :, i])
+            p = ProblemData(X, A, column, -float(j), M_j)
+            sol = solve_to_order(p, M_j)
+            cols.append(sol.particular)
+        coeffs = np.stack([c.coeffs for c in cols], axis=2)
+        out.append(Jet(h.n, M_j, coeffs, copy=False))
+    return out
 
 
 def reference_apply_operator(p, u):

@@ -1,7 +1,10 @@
-"""The public API: every name listed in an __all__ resolves."""
+"""The public API: every name listed in an __all__ resolves, and no
+module checks anything with an assert statement."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +29,13 @@ def test_submodule_all_resolves_and_star_imports(name):
     namespace = {}
     exec(f"from transportkit.{name} import *", namespace)
     assert set(names) <= set(namespace)
+
+
+@pytest.mark.parametrize("path", sorted(Path(transportkit.__file__).parent
+                                        .glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # an assert vanishes under python -O, and a failing one reaches the
+    # CLI as a raw traceback instead of one of its exit codes
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []

@@ -14,7 +14,9 @@ Closed forms used as oracles:
     Richardson extrapolation in both the grid spacing and hbar.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +30,12 @@ from transportkit.applications import (
     wkb_expand,
 )
 from transportkit.errors import OrderBudgetError, ValidationError
-from transportkit.jets import Jet, VectorFieldJet, jet_mul
+from transportkit.jets import P_dim, Jet, VectorFieldJet, jet_from_json, jet_mul
 from transportkit.opmatrix import ProblemData
 from transportkit.spectral import enumerate_resonances
 from transportkit.taylor import residual
+
+from conftest import reference_heat_coefficients
 
 
 def random_scalar_potential(rng, n, N, amplitude=1.0):
@@ -110,6 +114,33 @@ class TestHeatJet:
     def test_recursion_is_nonresonant(self):
         for j in range(1, 6):
             assert enumerate_resonances(np.ones(3), np.zeros(2), -float(j)) is None
+
+    @staticmethod
+    def assert_matches_oracle(h):
+        got, ref = heat_coefficients_jet(h), reference_heat_coefficients(h)
+        assert len(got) == len(ref) == h.J + 1
+        for a, b in zip(got, ref):
+            assert a.N == b.N and a.coeffs.dtype == b.coeffs.dtype
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_division_by_degree_matches_the_jet_solver(self):
+        # every diagonal block of D_X + j on the radial field is (k + j) I
+        # and no other block is nonzero, so the slice LU divides too
+        rng = np.random.default_rng(1717)
+        for _ in range(200):
+            n, m, J = (int(x) for x in rng.integers([1, 1, 0], [3, 3, 4],
+                                                    endpoint=True))
+            N = 2 * J + 1 + int(rng.integers(0, 3, endpoint=True))
+            order = int(rng.integers(0, N, endpoint=True))
+            K = Jet(n, order, rng.standard_normal((P_dim(n, order), m, m)))
+            self.assert_matches_oracle(HeatProblem(n=n, m=m, K=K, J=J, N=N))
+
+    def test_golden_heat_block_matches_the_jet_solver(self):
+        doc = json.loads((Path(__file__).parent / "data" / "cli_golden"
+                          / "apps.json").read_text())["heat"]
+        self.assert_matches_oracle(HeatProblem(
+            n=doc["n"], m=doc["m"], K=jet_from_json(doc["K"]), J=doc["J"],
+            N=doc["N"]))
 
 
 class TestHeatNumeric:
