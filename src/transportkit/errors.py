@@ -44,7 +44,7 @@ class IllConditionedWarning(UserWarning):
 
 
 class ResonantProblemError(NumericError):
-    """lambda is resonant, so no canonical single-valued numeric solution exists."""
+    """lambda is resonant and the dual kernel does not annihilate v: no solution exists."""
 
 
 class RegionExitError(NumericError):

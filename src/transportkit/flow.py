@@ -18,7 +18,8 @@ dense trajectory, goes through solve_ivp.
 When A(p) - lambda has an eigenvalue with nonpositive real part the raw
 integral diverges; the solution splits into a polynomial head (from the
 order-by-order solver) plus a flat remainder whose integral does decay.
-That head is prepared once per problem and shared by all its points.
+That head, prepared once per problem for all its points, is the jet
+solver's particular solution, so its Fredholm screen decides resonance.
 
 Everything here is real arithmetic.  Complex eigenvalue shifts are the
 jet solver's territory; they are rejected up front.
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .jets import Jet, P_dim, _monomial_vector, degree_starts
 from .opmatrix import ProblemData
-from .spectral import linearization_spectrum, resonance_degree
+from .spectral import RESONANCE_TOL, linearization_spectrum
 from .taylor import MAX_ORDER, residual, solve_to_order
 
 __all__ = [
@@ -92,6 +93,10 @@ class EvalConfig:
         if self.rel_tol < _MIN_REL_TOL:
             raise ValidationError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} "
                                   f"(100 machine epsilons), got {self.rel_tol!r}")
+        if self.split_order is not None and not (isinstance(
+                self.split_order, int) and 1 <= self.split_order <= MAX_ORDER):
+            raise ValidationError(
+                f"split_order must be None or an integer in [1, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
@@ -295,13 +300,9 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
     Region exit and frame overflow are solve_ivp events, so a
     RegionExitError reports the root-found crossing of the region's boundary.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (f.n,):
-        raise ValidationError(f"point must have shape ({f.n},), got {y.shape}")
+    y = _point(f, y)
     if t_end > 0:
         raise ValidationError("t_end must be nonpositive")
-    if np.linalg.norm(y - f.source) > f.radius:
-        raise ValidationError("evaluation point outside the declared region")
     z0 = _pack(y, np.eye(f.m), np.zeros(f.m))
     if t_end == 0.0:
         return FlowTrajectory(f, lambda _tau: z0.copy(), 0.0)
@@ -326,6 +327,15 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
     if len(t_overflow):
         raise _frame_overflow(-float(t_overflow[0]))
     return FlowTrajectory(f, res.sol, t_end)
+
+
+def _point(f: FieldSampler, y) -> np.ndarray:
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (f.n,):
+        raise ValidationError(f"point must have shape ({f.n},), got {y.shape}")
+    if np.linalg.norm(y - f.source) > f.radius:
+        raise ValidationError("evaluation point outside the declared region")
+    return y
 
 
 def _region_exit(f: FieldSampler, t: float, point) -> RegionExitError:
@@ -447,12 +457,13 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
                       cfg: EvalConfig = EvalConfig()) -> EvaluationResult:
     """u(y) for (D_X + A) u = lambda u + v via the backward-flow integral.
 
-    When every eigenvalue of A(p) - lambda has positive real part the
-    integral converges as it stands (direct mode).  Otherwise the
-    polynomial head of the solution is split off at an order high enough
-    that the remainder decays (split mode); that head comes from the jet
-    solver, so p (or f.consistent_jets) must carry jet data.  Resonant
-    lambda has no canonical decaying solution and is rejected.
+    When every eigenvalue of A(p) - lambda has real part above
+    RESONANCE_TOL the integral converges as it stands (direct mode).
+    Otherwise the polynomial head of the solution is split off at an order
+    high enough that the remainder decays (split mode); that head comes
+    from the jet solver, so p (or f.consistent_jets) must carry jet data.
+    At a resonant lambda, u is the member whose jet is solve_to_order's
+    particular solution, or ResonantProblemError names the obstruction.
     """
     return _plan(f, p, cfg)(y)
 
@@ -468,22 +479,17 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
     if p is None:
         raise ValidationError("evaluate_solution needs problem jets: pass p "
                               "or build the sampler with consistent_jets")
-    if p.is_complex or abs(complex(p.lam).imag) > 0:
+    if p.is_complex:
         raise ValidationError("flow evaluation is real arithmetic; complex "
                               "problems are only supported by the jet solver")
     error = None
     try:
-        g, head, N = _prepare(f, p, float(np.real(p.lam)), cfg)
+        g, head, N = _prepare(f, p, cfg)
     except TransportKitError as exc:
         error = exc
 
     def evaluate(y) -> EvaluationResult:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (f.n,):
-            raise ValidationError(
-                f"point must have shape ({f.n},), got {y.shape}")
-        if np.linalg.norm(y - f.source) > f.radius:
-            raise ValidationError("evaluation point outside the declared region")
+        y = _point(f, y)
         if error is not None:  # raised afresh, so tracebacks do not pile up
             raise error.with_traceback(None)
         res = _tail_integrate(g, y, cfg)
@@ -495,34 +501,24 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
     return evaluate
 
 
-def _prepare(f: FieldSampler, p: ProblemData, lam: float, cfg: EvalConfig):
+def _prepare(f: FieldSampler, p: ProblemData, cfg: EvalConfig):
     """(sampler to integrate, polynomial head or None, split order or None)."""
-    if resonance_degree(p)[0] is not None:
-        raise ResonantProblemError(
-            f"lambda = {lam:g} is resonant; the decaying solution is not "
-            "unique, use the order-by-order solver's family instead")
-
-    A_p = np.asarray(f.A_eval(f.source), dtype=float) - lam * np.eye(f.m)
-    mu_star = float(np.min(np.linalg.eigvals(A_p).real))
     nu = float(np.min(linearization_spectrum(p.X).real))
+    if nu <= 0:
+        raise ValidationError("flow evaluation needs an expanding source: "
+                              f"min Re mu = {nu:g} for the linearization of X")
+    A_p = np.asarray(f.A_eval(f.source), dtype=float) - p.lam * np.eye(f.m)
+    mu_star = float(np.min(np.linalg.eigvals(A_p).real))
+    if mu_star > RESONANCE_TOL:  # a resonant lambda has mu_star <= RESONANCE_TOL
+        return _shifted(f, p.lam), None, None
 
-    if mu_star > 1e-12:
-        return _shifted(f, lam), None, None
-
-    # split mode: peel off the polynomial head to order N
-    if cfg.split_order is not None:
-        N = int(cfg.split_order)
-        if N < 1:
-            raise ValidationError("split_order must be at least 1")
-        if mu_star + N * nu <= 0:
-            raise ValidationError(
-                f"split_order {N} cannot decay: min Re spec(A(p) - lam) + "
-                f"N nu = {mu_star + N * nu:.3e} <= 0")
-    else:
-        N = max(1, math.floor((0.05 * nu - mu_star) / nu) + 1)
-    if N > MAX_ORDER:
+    N = cfg.split_order
+    if N is None:  # the smallest decaying order, kept finite past MAX_ORDER
+        N = max(1, math.floor(min((0.05 * nu - mu_star) / nu, MAX_ORDER)) + 1)
+    elif mu_star + N * nu <= 0:
         raise ValidationError(
-            f"splitting needs head order {N}, beyond the solver cap")
+            f"split_order {N} cannot decay: min Re spec(A(p) - lam) + "
+            f"N nu = {mu_star + N * nu:.3e} <= 0")
     if f._joint is None and p.N < N:
         raise ValidationError(
             f"jet data of order {p.N} cannot support a split at order {N}; "
@@ -531,9 +527,9 @@ def _prepare(f: FieldSampler, p: ProblemData, lam: float, cfg: EvalConfig):
     sol = solve_to_order(p, N)
     if not sol.solvable:
         raise ResonantProblemError(
-            "head solve is obstructed; no decaying solution exists")
-    return (_remainder_sampler(f, p, lam, sol.particular, N),
-            sol.particular, N)
+            f"lambda = {p.lam:g} is resonant and v is obstructed: dual kernel "
+            f"pairings {', '.join(f'{o:.6g}' for o in sol.obstructions)}")
+    return _remainder_sampler(f, p, p.lam, sol.particular, N), sol.particular, N
 
 
 def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:

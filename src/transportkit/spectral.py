@@ -353,6 +353,9 @@ def _head_split(p: ProblemData, L, order: int):
     U, s, Vh, report = _svd_rank(L[:h, :h].toarray() - p.lam * np.eye(h))
     r = report.rank
     left = _canonicalize_columns(U[:, r:].conj())
+    tiny = 10 * h * np.finfo(float).eps * np.abs(left).max(axis=0, initial=0.0)
+    for part in (left.real, left.imag) if np.iscomplexobj(left) else (left,):
+        part[np.abs(part) < tiny] = 0.0  # round-off, not support
     duals = [DualDistribution(p.n, order, left[:, k].reshape(-1, p.m))
              for k in range(left.shape[1])]
 

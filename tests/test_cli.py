@@ -20,7 +20,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +35,10 @@ from transportkit import (
     jet_from_json,
     solve_to_order,
 )
-from transportkit import flow
+from transportkit import flow, taylor
 from transportkit.cli import main
 from transportkit.jets import monomial_rank
+from transportkit.taylor import MAX_ORDER
 
 
 def scalar_term(alpha, c):
@@ -588,14 +588,17 @@ class TestSolveGrid:
             expected = jet_u.evaluate(np.array(row["point"]))[0]
             assert row["u"][0] == pytest.approx(expected, rel=1e-8)
 
-    def test_resonant_point_reports_error_not_abort(self, run):
+    def test_resonant_point_gives_the_family_member(self, run):
+        # y u' - u = y^2 at lambda = 0 is resonant at degree 1 with
+        # solutions y^2 + c y; the minimum-norm head picks c = 0
         doc = radial_doc(-1.0, [scalar_term((2,), [1.0])],
-                         grid=self.grid())
+                         grid=self.grid(rel_tol=1e-10))
         code, out, _ = run("solve-grid", doc, "--output", "json")
         assert code == 0
         for row in result_of(out)["points"]:
-            assert row["u"] is None
-            assert "resonant" in row["error"]
+            y = row["point"][0]
+            assert (row["mode"], row["error"]) == ("split", None)
+            assert abs(row["u"][0] - y * y) < 1e-8
 
     def test_flag_overrides_file_config(self, run):
         doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
@@ -628,13 +631,33 @@ class TestSolveGrid:
         assert "UserWarning" not in err
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
+    @pytest.mark.parametrize("value", [
+        MAX_ORDER + 1, pytest.param(10**400, id="10**400")])
+    def test_split_order_beyond_the_solver_cap_exits_2(self, run, value):
+        # there is no --split-order flag; the document's value is checked
+        # when the config is built
+        doc = radial_doc(-0.5, [scalar_term((2,), [1.0])],
+                         grid=self.grid(split_order=value))
+        code, out, err = run("solve-grid", doc)
+        assert (code, out) == (2, "")
+        assert f"error: split_order must be None or an integer in [1, " \
+            f"{MAX_ORDER}]" in err
+        assert "Traceback" not in err
+
     def test_problem_prepared_once_per_document(self, run, monkeypatch):
-        calls = dict.fromkeys(("solve_to_order", "resonance_degree"), 0)
-        for name in calls:
-            def counting(*args, _name=name, _fn=getattr(flow, name), **kw):
+        calls = {"solve_to_order": 0, "resonance_degree": 0}
+        for module, name in ((flow, "solve_to_order"),
+                             (taylor, "resonance_degree")):
+            def counting(*args, _name=name, _fn=getattr(module, name), **kw):
                 calls[_name] += 1
                 return _fn(*args, **kw)
-            monkeypatch.setattr(flow, name, counting)
+            monkeypatch.setattr(module, name, counting)
+        # a direct-mode document enumerates no resonances
+        doc = radial_doc(1.0, [scalar_term((2,), [1.0])], grid=self.grid())
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        rows = result_of(out)["points"]
+        assert code == 0 and [r["mode"] for r in rows] == ["direct"] * 3
+        assert calls == {"solve_to_order": 0, "resonance_degree": 0}
         doc = radial_doc(-0.5, [scalar_term((2,), [1.0])], grid=self.grid())
         code, out, _ = run("solve-grid", doc, "--output", "json")
         rows = result_of(out)["points"]
@@ -652,27 +675,38 @@ class TestSolveGrid:
                 [float(res.tail_estimate), res.horizon, res.rate]
             assert (row["mode"], row["split_order"]) == ("split", res.split_order)
 
-    @pytest.mark.parametrize("obstructed", [False, True])
+    @pytest.mark.parametrize("contracting", [False, True])
     def test_problem_error_in_each_row_after_its_own_checks(
-            self, run, monkeypatch, obstructed):
-        if obstructed:
-            # a head solve the resonance check lets through is never
-            # obstructed, so the obstruction is forced
-            solve = flow.solve_to_order
-            monkeypatch.setattr(flow, "solve_to_order", lambda p, N: replace(
-                solve(p, N), particular=None))
-            message = "head solve is obstructed; no decaying solution exists"
+            self, run, contracting):
+        # X = y, A = -1, lambda = 0 is resonant at degree 1, where v = y is
+        # obstructed; X = -y has no expanding source
+        doc = radial_doc(-1.0, [scalar_term((1,), [1.0])],
+                         grid=self.grid(radius=0.7))
+        if contracting:
+            doc["problem"]["X"][0]["terms"][0]["coeff"] = -1.0
+            message = ("flow evaluation needs an expanding source: "
+                       "min Re mu = -1 for the linearization of X")
         else:
-            message = ("lambda = 0 is resonant; the decaying solution is "
-                       "not unique, use the order-by-order solver's family "
-                       "instead")
-        doc = radial_doc(-0.5 if obstructed else -1.0,
-                         [scalar_term((2,), [1.0])], grid=self.grid(radius=0.7))
+            message = ("lambda = 0 is resonant and v is obstructed: "
+                       "dual kernel pairings 1")
         code, out, _ = run("solve-grid", doc, "--output", "json")
         assert code == 0
         assert [(r["u"], r["error"]) for r in result_of(out)["points"]] == [
             (None, message), (None, message),
             (None, "evaluation point outside the declared region")]
+
+    @pytest.mark.parametrize("a", [1.0, -0.5], ids=["direct", "split"])
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_non_expanding_source_is_an_error_row(self, run, x, a):
+        doc = radial_doc(a, [scalar_term((2,), [1.0])], grid=self.grid())
+        doc["problem"]["X"][0]["terms"][0]["coeff"] = x
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        assert code == 0
+        for row in result_of(out)["points"]:
+            assert (row["u"], row["mode"]) == (None, None)
+            assert row["error"] == ("flow evaluation needs an expanding "
+                                    f"source: min Re mu = {x:g} for the "
+                                    "linearization of X")
 
     def test_grid_block_required(self, run):
         code, _, err = run("solve-grid", radial_doc(1.0, []))

@@ -38,7 +38,7 @@ def _document(**blocks):
 
 
 # lambda = 2 is resonant at degree 1 and solvable, so the kernel commands
-# have a kernel to report; solve-grid needs a non-resonant lambda
+# have a kernel to report and solve-grid runs in split mode
 BASE = {
     "spectrum": _document(problem=_problem(2.0)),
     "solve-jet": _document(problem=_problem(2.0)),
@@ -46,7 +46,7 @@ BASE = {
     "dual-kernel": _document(problem=_problem(2.0)),
     "solvable": _document(problem=_problem(2.0)),
     "solve-grid": _document(
-        problem=_problem(0.0),
+        problem=_problem(2.0),
         grid={"points": [[0.1], [0.5]],
               "config": {"rel_tol": 1e-8, "split_order": "auto",
                          "radius": 10.0}}),

@@ -34,8 +34,9 @@ from transportkit.flow import (
     integrate_flow,
 )
 from transportkit.jets import P_dim, Jet, VectorFieldJet
-from transportkit.opmatrix import ProblemData
-from transportkit.taylor import solve_to_order
+from transportkit.opmatrix import ProblemData, apply_operator
+from transportkit.spectral import resonance_degree
+from transportkit.taylor import MAX_ORDER, solve_to_order
 
 from conftest import (
     reference_flow_segment,
@@ -419,11 +420,57 @@ class TestEvaluateSolution:
         with pytest.raises(ValidationError, match="cannot decay"):
             evaluate_solution(f, p, [0.1], EvalConfig(split_order=2))
 
-    def test_resonant_lambda_rejected(self):
+    @pytest.mark.parametrize("N", [0, -1, MAX_ORDER + 1,
+                                   pytest.param(10**400, id="10**400"),
+                                   2.0, "3"])
+    def test_split_order_outside_the_solver_range_is_refused(self, N):
+        # refused when the config is built, before any problem is seen
+        with pytest.raises(ValidationError, match="split_order must be"):
+            EvalConfig(split_order=N)
+
+    def test_resonant_solvable_lambda_gives_the_jet_particular(self):
+        # gradient field at the resonant lambda = 2 with v = (D_X - 2) w in
+        # the range: u is the member of w + kernel whose jet is the
+        # particular solution
         p = gradient_example_problem(N=3, lam=2.0)
+        w = Jet.from_terms(2, 3, {(0, 0): [1.0], (1, 0): [0.5], (0, 1): [-1.0]},
+                           shape=(1,))
+        p = p.with_v(apply_operator(p, w) - 2.0 * w)
+        jet = solve_to_order(p, 10).particular
         f = FieldSampler.from_problem(p)
-        with pytest.raises(ResonantProblemError):
-            evaluate_solution(f, p, [0.1, 0.1])
+        for y in ([0.1, 0.1], [-0.2, 0.05]):
+            res = evaluate_solution(f, p, y)
+            assert res.mode == "split"
+            assert res.u[0] == pytest.approx(jet.evaluate(np.array(y))[0],
+                                             abs=1e-9)
+
+    def test_obstructed_resonant_lambda_names_the_obstruction(self):
+        # X = y, A = -1, lambda = 0 is resonant at degree 1, where the dual
+        # kernel (the y coefficient) pairs v = y to 1
+        p = scalar_euler_problem(-1.0, Jet.from_terms(1, 4, {(1,): 1.0}), 0.0, 4)
+        f = FieldSampler.from_problem(p)
+        with pytest.raises(ResonantProblemError,
+                           match="lambda = 0 is resonant and v is obstructed: "
+                                 "dual kernel pairings 1$"):
+            evaluate_solution(f, p, [0.1])
+
+    def test_decay_order_past_the_float_range_is_refused(self):
+        # -A(p) / nu = 1e310 overflows a float; the decaying order must
+        # still reach solve_to_order's checks, not an OverflowError
+        X = VectorFieldJet([Jet.from_terms(1, 4, {(1,): 1e-10})])
+        p = ProblemData.scalar(X, Jet.constant(1, 4, -1e300),
+                               Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        with pytest.raises(ValidationError):
+            evaluate_solution(FieldSampler.from_problem(p), p, [0.1])
+
+    @pytest.mark.parametrize("a", [1.0, -0.5], ids=["direct", "split"])
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_non_expanding_source_is_refused(self, x, a):
+        X = VectorFieldJet([Jet.from_terms(1, 4, {(1,): x})])
+        p = ProblemData.scalar(X, Jet.constant(1, 4, a),
+                               Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        with pytest.raises(ValidationError, match="needs an expanding source"):
+            evaluate_solution(FieldSampler.from_problem(p), p, [0.1])
 
     def test_complex_problem_rejected(self):
         p = scalar_euler_problem(1.0, Jet.from_terms(1, 3, {(2,): 1.0}),
@@ -568,6 +615,87 @@ class TestEvaluateSolution:
         lhs = (u(y0 * math.exp(-h)) - u(y0)) / (-h)  # d/dt u(Phi_t y) at 0
         rhs = y0 ** 2 - a * u(y0)
         assert lhs == pytest.approx(rhs, abs=1e-5)
+
+
+def resonant_problem(rng):
+    """A resonant lambda with v in the range, (n, m) <= (2, 2), order 4.
+
+    lambda = alpha . mu + rho_j for a drawn (alpha, j) with |alpha| <= 2,
+    and v = (D_X + A - lambda) w for a cubic w, so v passes the Fredholm
+    screen.  X has quadratic and A linear terms, so the kernel sections
+    are not polynomials.
+    """
+    n, m = (int(k) for k in rng.integers(1, 3, size=2))
+    N = 4
+    mu = 1.0 + rng.uniform(0.0, 1.0, size=n)
+    rho = rng.uniform(-0.5, 0.5, size=m)
+    X = np.zeros((P_dim(n, N), n))
+    X[1:1 + n] = np.diag(mu)
+    X[1 + n:P_dim(n, 2)] = 0.1 * rng.standard_normal((P_dim(n, 2) - 1 - n, n))
+    A = np.zeros((P_dim(n, N), m, m))
+    A[0] = np.diag(rho)
+    A[1:1 + n] = 0.1 * rng.standard_normal((n, m, m))
+    alpha = rng.multinomial(int(rng.integers(0, 3)), np.ones(n) / n)
+    lam = float(alpha @ mu + rho[rng.integers(m)])
+    w = np.zeros((P_dim(n, N), m))
+    w[:P_dim(n, 3)] = rng.standard_normal((P_dim(n, 3), m))
+    w = Jet(n, N, w)
+    p = ProblemData(VectorFieldJet([Jet(n, N, X[:, i]) for i in range(n)]),
+                    Jet(n, N, A), Jet.zero(n, N, (m,)), lam, N)
+    return p.with_v(apply_operator(p, w) - lam * w)
+
+
+def ball_point(rng, n):
+    """A point at a distance of 0.02 to 0.2 from the source."""
+    y = rng.standard_normal(n)
+    return y * rng.uniform(0.02, 0.2) / np.linalg.norm(y)
+
+
+class TestResonantEvaluation:
+    """At a resonant lambda with v in the range, the flow evaluator returns
+    the member of the solution family whose jet is the jet solver's
+    particular solution (25 problems from resonant_problem)."""
+
+    CFG = EvalConfig(rel_tol=1e-9, abs_tol=1e-12, tail_tol=1e-10)
+
+    @staticmethod
+    def problems():
+        rng = np.random.default_rng(1800)
+        return [(resonant_problem(rng), rng) for _ in range(25)]
+
+    def test_matches_the_order_10_jet_particular(self):
+        # 100 points; the worst difference measured is 1.7e-12
+        worst = 0.0
+        for p, rng in self.problems():
+            assert resonance_degree(p)[0] is not None
+            jet = solve_to_order(p, 10).particular
+            evaluate = flow._plan(FieldSampler.from_problem(p), p, self.CFG)
+            for _ in range(4):
+                y = ball_point(rng, p.n)
+                res = evaluate(y)
+                assert res.mode == "split"
+                worst = max(worst, np.max(np.abs(res.u - jet.evaluate(y))))
+        assert worst <= 1e-7
+
+    def test_split_order_does_not_move_u(self):
+        for p, rng in self.problems():
+            f = FieldSampler.from_problem(p)
+            y = ball_point(rng, p.n)
+            res = evaluate_solution(f, p, y, self.CFG)
+            more = evaluate_solution(f, p, y, replace(
+                self.CFG, split_order=res.split_order + 2))
+            assert more.split_order == res.split_order + 2
+            assert np.max(np.abs(res.u - more.u)) <= 1e-7
+
+    def test_decay_order_is_above_the_resonance_degree(self):
+        # the head solve at the decay order sees every resonant degree
+        degrees = set()
+        for p, _ in self.problems():
+            n_star = resonance_degree(p)[1]
+            _, _, N = flow._prepare(FieldSampler.from_problem(p), p, EvalConfig())
+            assert N > n_star
+            degrees.add(n_star)
+        assert degrees == {0, 1, 2}
 
 
 class TestAgainstRK45Oracle:

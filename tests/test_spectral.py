@@ -209,6 +209,25 @@ def test_dual_kernel_gradient_example_lambda2():
     assert np.allclose(np.abs(T.coeffs[:, 0]), dense, atol=1e-10)
 
 
+def test_dual_kernel_support_is_exact_over_the_complex_field():
+    # the problem of tests/data/cli_golden/complex.json: X = (y1 + 0.5i y2,
+    # 2 y2 + (1 - i) y1^2), A = i, lambda = 2 + i, resonant at degree 1.
+    # t (D_X + A - lambda) = 0 on degrees <= 2 forces t00 = t20 = t11 =
+    # t02 = 0 and t10 = 0.5i t01, so the unit dual is i/sqrt5 at (1, 0)
+    # and 2/sqrt5 at (0, 1); round-off must not show up as support
+    X = VectorFieldJet([Jet.from_terms(2, 3, {(1, 0): 1.0, (0, 1): 0.5j}),
+                        Jet.from_terms(2, 3, {(0, 1): 2.0, (2, 0): 1 - 1j})])
+    v = Jet.from_terms(2, 3, {(2, 0): [1 + 2j], (0, 1): [1.0]}, shape=(1,))
+    p = ProblemData(X, Jet.constant(2, 3, np.array([[1j]])), v, 2 + 1j, 3)
+    (T,) = dual_kernel_basis(p)
+    terms = dict(T.terms())
+    assert list(terms) == [(1, 0), (0, 1)]
+    assert abs(terms[(1, 0)][0] - 1j / math.sqrt(5)) <= 1e-15
+    assert abs(terms[(0, 1)][0] - 2 / math.sqrt(5)) <= 1e-15
+    (obstruction,) = solvability_test(p).obstructions
+    assert abs(obstruction - 2 / math.sqrt(5)) <= 1e-15
+
+
 def test_dual_delta_form_roundtrip():
     coeffs = np.zeros((P_dim(2, 2), 1))
     coeffs[3] = 6.0   # multi-index (2,0), alpha! = 2
