@@ -42,8 +42,8 @@ from .errors import (
 from .estimates import (ODE_ABS_TOL, ODE_REL_TOL, MatrixPath,
                         inverse_two_regime_bound, two_regime_bound)
 from .flow import EvalConfig, FieldSampler, _plan
-from .jets import (MAX_COEFFS, Jet, VectorFieldJet, fits, jet_from_json,
-                   jet_to_json)
+from .jets import (MAX_COEFFS, Jet, VectorFieldJet, _encode_value, fits,
+                   jet_from_json, jet_to_json)
 from .opmatrix import ProblemData
 from .spectral import (
     RESONANCE_TOL,
@@ -463,8 +463,7 @@ def cmd_dual_kernel(args, doc):
         enc = d.to_json()
         delta = d.to_delta_form()
         enc["delta_form"] = [
-            {"alpha": list(alpha),
-             "covector": [_encode_number(c) for c in np.atleast_1d(xi)]}
+            {"alpha": list(alpha), "covector": _encode_value(np.atleast_1d(xi))}
             for alpha, xi in delta.items()]
         out.append(enc)
     return {"tol": args.tol}, {"dimension": len(out), "duals": out}, None

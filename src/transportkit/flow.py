@@ -11,9 +11,11 @@ Wanner (Solving Ordinary Differential Equations I, ch. II).  The state
 is stored as [y | rows of (Finv | I)]: the (m, m+1) block W = [Finv | I]
 has derivative Finv [-A | v], so with the samplers' values stored as
 [-X | rows of (-A | v)] one RHS call is one sample and one matrix product.
-The evaluator steps scipy's DOP853 solver directly and reads the
-integrand's decay at its accepted steps; integrate_flow, which returns a
-dense trajectory, goes through solve_ivp.
+_integrand builds that sample once per plan, with lambda absorbed into A
+and in split mode the remainder in place of v.  The evaluator steps
+scipy's DOP853 solver directly and reads the integrand's decay at its
+accepted steps; integrate_flow, which returns a dense trajectory, goes
+through solve_ivp.
 
 When A(p) - lambda has an eigenvalue with nonpositive real part the raw
 integral diverges; the solution splits into a polynomial head (from the
@@ -114,12 +116,13 @@ class FieldSampler:
 
     Samplers made by from_problem are one polynomial map
     y -> [-X | rows of (-A | v)], the layout of the flow RHS (see the
-    module docstring): the flow evaluates it as one monomial vector times
-    one coefficient matrix per point, and X_eval, A_eval, v_eval are read
-    off that joint value.  dataclasses.replace drops the joint map, so a
-    replaced sampler is a plain callable sampler: it is sampled through
-    its three callables, and its split-mode remainder is evaluated
-    pointwise from them.
+    module docstring): X_eval, A_eval, v_eval are read off that joint
+    value, and the flow's integrand shifts its coefficients and swaps in
+    the split-mode remainder jet, so each RHS call is one monomial vector
+    times one coefficient matrix.  dataclasses.replace drops the joint
+    map, so a replaced sampler is a plain callable sampler: the integrand
+    calls each of its three callables once per RHS call, and its
+    split-mode remainder is evaluated pointwise from those values.
     """
 
     X_eval: object
@@ -201,20 +204,14 @@ class FieldSampler:
         rows = P_dim(p.n, p.N)
         block = np.concatenate([-p.A.coeffs, p.v.coeffs[:, :, None]], axis=2)
         joint = Jet(p.n, p.N, np.hstack([-p.X.coeffs, block.reshape(rows, -1)]))
-        f = cls._fused(joint, p.m, radius)
-        object.__setattr__(f, "consistent_jets", p)
-        return f
-
-    @classmethod
-    def _fused(cls, joint: Jet, m: int, radius: float) -> "FieldSampler":
-        """Sampler of the joint polynomial [-X | rows of (-A | v)], source at the origin."""
-        n = joint.n
-        a_cols, v_cols = _block_columns(n, m)
+        n = p.n
+        a_cols, v_cols = _block_columns(n, p.m)
         f = cls(X_eval=lambda y: -_joint_at(joint, y)[:n],
                 A_eval=lambda y: -_joint_at(joint, y)[a_cols],
                 v_eval=lambda y: _joint_at(joint, y)[v_cols],
                 source=np.zeros(n), radius=radius)
         object.__setattr__(f, "_joint", joint)
+        object.__setattr__(f, "consistent_jets", p)
         return f
 
 
@@ -252,7 +249,6 @@ class FlowTrajectory:
     """Dense-output trajectory of (y_t, Finv, I) on [t_end, 0]."""
 
     def __init__(self, sampler: FieldSampler, dense, t_end: float):
-        self._sampler = sampler
         self._dense = dense
         self.t_end = t_end
         self.n = sampler.n
@@ -273,17 +269,16 @@ def _pack(y: np.ndarray, Finv: np.ndarray, I: np.ndarray) -> np.ndarray:
     return np.concatenate([y, np.hstack([Finv, I[:, None]]).reshape(-1)])
 
 
-def _reversed_rhs(f: FieldSampler):
+def _reversed_rhs(sample, n: int, m: int):
     """RHS of the time-reversed joint system in tau = -t >= 0.
 
-    d/dtau (y, [Finv | I]) = (-X, Finv [-A | v]): one sample and one
-    (m, m) @ (m, m+1) product.  A fused sampler is one monomial vector
-    and one coefficient matmul.
+    With sample: y -> [-X | rows of (-A | v)] (see _integrand), d/dtau (y,
+    [Finv | I]) = (-X, Finv [-A | v]) is one sample and one (m, m) @ (m, m+1)
+    product.  A fused sample is one monomial vector and one coefficient matmul.
     """
-    n, m = f.n, f.m
 
     def rhs(_tau, z):
-        s = f._sample(z[:n])
+        s = sample(z[:n])
         Finv = z[n:].reshape(m, m + 1)[:, :m]
         dW = Finv @ s[n:].reshape(m, m + 1)
         return np.concatenate([s[:n], dW.ravel()])
@@ -316,8 +311,8 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
         return _FRAME_OVERFLOW - float(np.linalg.norm(Finv))
 
     exit_event.terminal = overflow_event.terminal = True
-    res = solve_ivp(_reversed_rhs(f), (0.0, -t_end), z0, method=_METHOD,
-                    rtol=rel_tol, atol=abs_tol, dense_output=True,
+    res = solve_ivp(_reversed_rhs(f._sample, n, m), (0.0, -t_end), z0,
+                    method=_METHOD, rtol=rel_tol, atol=abs_tol, dense_output=True,
                     first_step=first_step, events=[exit_event, overflow_event])
     if res.status == -1:
         raise FlowIntegrationError(f"integrator failed: {res.message}")
@@ -372,15 +367,18 @@ class EvaluationResult:
 
 
 def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
-    """Least-squares slope of log g against t."""
+    """Least-squares slope of log g against t, or 0 (no decay) if t cannot be fitted."""
+    if not np.sum(ts * ts) > 0:  # polyfit scales t by this norm; LAPACK fails on 0
+        return 0.0
     logs = np.log(np.maximum(gs, _UNDERFLOW * 1e-40))
     slope = np.polyfit(ts, logs, 1)[0]
     return float(slope)
 
 
-def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
+def _tail_integrate(f: FieldSampler, sample, y: np.ndarray, cfg: EvalConfig):
     """Integrate until the integrand decays below tail_tol, in chunks.
 
+    sample is the integrand (see _integrand), f gives n, m and the region.
     Returns a direct-mode EvaluationResult whose u is the integral.  Each
     chunk is one DOP853 solver, stepped directly.  Every accepted step end
     is checked for region exit and frame overflow and kept as a tail
@@ -390,7 +388,7 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
     stop requires both g <= tail_tol and a positive fitted rate.
     """
     n, m = f.n, f.m
-    rhs = _reversed_rhs(f)
+    rhs = _reversed_rhs(sample, n, m)
     z = _pack(np.asarray(y, dtype=float), np.eye(m), np.zeros(m))
     tau = 0.0
     window_ts = np.empty(0)
@@ -439,20 +437,6 @@ def _tail_integrate(f: FieldSampler, y: np.ndarray, cfg: EvalConfig):
             return result(g_last / rate, rate)
 
 
-def _shifted(f: FieldSampler, lam: float) -> FieldSampler:
-    """Absorb the eigenvalue: A <- A - lam id."""
-    if lam == 0.0:
-        return f
-    n, m = f.n, f.m
-    if f._joint is not None:
-        coeffs = np.array(f._joint.coeffs)
-        coeffs[0, np.diag(_block_columns(n, m)[0])] += lam  # the block holds -A
-        return FieldSampler._fused(Jet(n, f._joint.N, coeffs), m, f.radius)
-    A_orig = f.A_eval
-    return replace(f, A_eval=lambda q: np.asarray(A_orig(q), dtype=float)
-                   - lam * np.eye(m), consistent_jets=None)
-
-
 def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
                       cfg: EvalConfig = EvalConfig()) -> EvaluationResult:
     """u(y) for (D_X + A) u = lambda u + v via the backward-flow integral.
@@ -484,7 +468,7 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
                               "problems are only supported by the jet solver")
     error = None
     try:
-        g, head, N = _prepare(f, p, cfg)
+        sample, head, N = _prepare(f, p, cfg)
     except TransportKitError as exc:
         error = exc
 
@@ -492,7 +476,7 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
         y = _point(f, y)
         if error is not None:  # raised afresh, so tracebacks do not pile up
             raise error.with_traceback(None)
-        res = _tail_integrate(g, y, cfg)
+        res = _tail_integrate(f, sample, y, cfg)
         if head is None:
             return res
         u = np.asarray(head.evaluate(y), dtype=float) + res.u
@@ -502,7 +486,7 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
 
 
 def _prepare(f: FieldSampler, p: ProblemData, cfg: EvalConfig):
-    """(sampler to integrate, polynomial head or None, split order or None)."""
+    """(integrand from _integrand, polynomial head or None, split order or None)."""
     nu = float(np.min(linearization_spectrum(p.X).real))
     if nu <= 0:
         raise ValidationError("flow evaluation needs an expanding source: "
@@ -510,7 +494,7 @@ def _prepare(f: FieldSampler, p: ProblemData, cfg: EvalConfig):
     A_p = np.asarray(f.A_eval(f.source), dtype=float) - p.lam * np.eye(f.m)
     mu_star = float(np.min(np.linalg.eigvals(A_p).real))
     if mu_star > RESONANCE_TOL:  # a resonant lambda has mu_star <= RESONANCE_TOL
-        return _shifted(f, p.lam), None, None
+        return _integrand(f, p), None, None
 
     N = cfg.split_order
     if N is None:  # the smallest decaying order, kept finite past MAX_ORDER
@@ -529,7 +513,7 @@ def _prepare(f: FieldSampler, p: ProblemData, cfg: EvalConfig):
         raise ResonantProblemError(
             f"lambda = {p.lam:g} is resonant and v is obstructed: dual kernel "
             f"pairings {', '.join(f'{o:.6g}' for o in sol.obstructions)}")
-    return _remainder_sampler(f, p, p.lam, sol.particular, N), sol.particular, N
+    return _integrand(f, p, sol.particular, N), sol.particular, N
 
 
 def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:
@@ -549,30 +533,37 @@ def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:
     return Jet(p.n, D, coeffs)
 
 
-def _remainder_sampler(f: FieldSampler, p: ProblemData, lam: float,
-                       u_head: Jet, N: int) -> FieldSampler:
-    """Sampler of X, A - lam and the flat remainder that replaces v."""
-    shifted = _shifted(f, lam)
-    if shifted._joint is not None:
-        # swap the v block for the remainder jet; X and A are zero-extended
-        r_poly = _remainder_jet(p, u_head, N)
-        D = max(r_poly.N, shifted._joint.N)
-        coeffs = np.array(shifted._joint.extend(D).coeffs)
-        coeffs[:, _block_columns(f.n, f.m)[1]] = r_poly.extend(D).coeffs
-        return FieldSampler._fused(Jet(f.n, D, coeffs), f.m, f.radius)
-    grads = [u_head.partial(i) for i in range(f.n)]
-    A_orig, v_orig, X_orig = f.A_eval, f.v_eval, f.X_eval
-    m = f.m
+def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
+               N: int | None = None):
+    """The flow's sample y -> [-X | rows of (-(A - lam) | w)], w = v or the remainder.
 
-    def v_remainder(q):
-        Xq = np.asarray(X_orig(q), dtype=float)
-        Aq = np.asarray(A_orig(q), dtype=float) - lam * np.eye(m)
-        uq = np.asarray(u_head.evaluate(q), dtype=float)
-        du = sum(Xq[i] * np.asarray(g.evaluate(q), dtype=float)
-                 for i, g in enumerate(grads))
-        return np.asarray(v_orig(q), dtype=float) - du - Aq @ uq
+    With a head u_head of order N, w = v - (D_X + A - lam) u_head.  A
+    from_problem sampler gets lam and the remainder jet in its coefficient
+    matrix; a callable sampler is sampled once per call, and the shift and
+    the pointwise remainder are read off that sample.
+    """
+    n, m, lam = f.n, f.m, p.lam
+    a_cols, v_cols = _block_columns(n, m)
+    if f._joint is not None:
+        D = f._joint.N if u_head is None else max(p.N + N, f._joint.N)
+        coeffs = np.array(f._joint.extend(D).coeffs)
+        if u_head is not None:
+            coeffs[:, v_cols] = _remainder_jet(p, u_head, N).extend(D).coeffs
+        coeffs[0, np.diag(a_cols)] += lam  # the block holds -A
+        return lambda y: _monomial_vector(y, D) @ coeffs
+    shift = lam * np.eye(m)
+    grads = [] if u_head is None else [u_head.partial(i) for i in range(n)]
 
-    return replace(shifted, v_eval=v_remainder, consistent_jets=None)
+    def sample(y):
+        s = f._sample(y)
+        A = -s[a_cols] - shift
+        s[a_cols] = -A
+        if u_head is not None:
+            du = sum(-s[i] * g.evaluate(y) for i, g in enumerate(grads))
+            s[v_cols] = s[v_cols] - du - A @ u_head.evaluate(y)
+        return s
+
+    return sample
 
 
 def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,

@@ -399,24 +399,42 @@ def reference_flow_segment(f, z0, tau0: float, tau1: float, rel_tol: float,
                                (-Finv @ A).reshape(-1),
                                Finv @ np.asarray(f.v_eval(y), dtype=float)])
 
+    return _rk45_segment(rhs, z0, tau0, tau1, rel_tol, abs_tol)
+
+
+def _rk45_segment(rhs, z0, tau0, tau1, rel_tol, abs_tol):
     res = solve_ivp(rhs, (tau0, tau1), z0, method="RK45", rtol=rel_tol,
                     atol=abs_tol, dense_output=True)
     assert res.success, res.message
     return res
 
 
-def reference_tail_integrate(f, y, cfg):
+def reference_tail_integrate(f, sample, y, cfg):
     """Direct-mode evaluation by RK45, checking the tail one sample at a time.
 
     The flow evaluator's tail integration before it moved to DOP853 and
     the (y, rows of [Finv | I]) layout: chunks of cfg.chunk, 16 samples
     of g(t) = |Finv v(y_t)| per chunk, each from its own dense-output and
-    v_eval call, and the same stopping rule.  There are no region-exit or
-    overflow events; the corpora it is run on stay inside both.  Monkeypatch
-    it over flow._tail_integrate to evaluate through the RK45 path.
+    sample call, and the same stopping rule.  sample is the integrand
+    y -> [-X | rows of (-A | v)] of flow._tail_integrate, whose layout
+    TestFusedSampler checks against reference_reversed_rhs.  There are no
+    region-exit or overflow events; the corpora it is run on stay inside
+    both.  Monkeypatch it over flow._tail_integrate to evaluate through
+    the RK45 path.
     """
     n, m = f.n, f.m
     k = n + m * m
+
+    def parts(y):  # (-X, -A, v) at y
+        s = sample(y)
+        block = s[n:].reshape(m, m + 1)
+        return s[:n], block[:, :m], block[:, m]
+
+    def rhs(_tau, z):
+        minus_X, minus_A, v = parts(z[:n])
+        Finv = z[n:k].reshape(m, m)
+        return np.concatenate([minus_X, (Finv @ minus_A).reshape(-1),
+                               Finv @ v])
     z = np.concatenate([np.asarray(y, dtype=float), np.eye(m).reshape(-1),
                         np.zeros(m)])
     tau = 0.0
@@ -430,7 +448,7 @@ def reference_tail_integrate(f, y, cfg):
 
     while True:
         tau1 = min(tau + cfg.chunk, cfg.max_horizon)
-        res = reference_flow_segment(f, z, tau, tau1, cfg.rel_tol, cfg.abs_tol)
+        res = _rk45_segment(rhs, z, tau, tau1, cfg.rel_tol, cfg.abs_tol)
         counts["nfev"] += int(res.nfev)
         counts["n_steps"] += len(res.t) - 1
         counts["n_chunks"] += 1
@@ -438,7 +456,7 @@ def reference_tail_integrate(f, y, cfg):
             zz = res.sol(tk)
             window_ts.append(-tk)
             window_gs.append(float(np.linalg.norm(
-                zz[n:k].reshape(m, m) @ np.asarray(f.v_eval(zz[:n])))))
+                zz[n:k].reshape(m, m) @ parts(zz[:n])[2])))
         z = res.y[:, -1]
         tau = tau1
         keep = [i for i, t in enumerate(window_ts)

@@ -708,6 +708,30 @@ class TestSolveGrid:
                                     f"source: min Re mu = {x:g} for the "
                                     "linearization of X")
 
+    @pytest.mark.parametrize("via_flag", [False, True])
+    @pytest.mark.parametrize("horizon", [1e-300, 1e-200])
+    def test_tiny_max_horizon_is_an_error_row(self, tmp_path, capfd,
+                                              horizon, via_flag):
+        # the tail window's squared times underflow to zero, which polyfit
+        # cannot scale; LAPACK reports that on the stdout file descriptor
+        doc = json.loads((Path(__file__).parent / "data" / "cli_golden"
+                          / "grid.json").read_text())
+        flags = ["--max-horizon", repr(horizon)] if via_flag else []
+        if not via_flag:
+            doc["grid"]["config"]["max_horizon"] = horizon
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve-grid", str(path), "--no-timestamp", "--output",
+                     "json", *flags])
+        out, err = capfd.readouterr()
+        assert code == 0 and "Traceback" not in err
+        assert "DLASCL" not in out
+        rows = result_of(out)["points"]
+        assert [r["error"] for r in rows] == 2 * [
+            "integrand shows no decay within the horizon (fitted rate "
+            "0.000e+00 at t = -0.0)"] + [
+            "evaluation point outside the declared region"]
+
     def test_grid_block_required(self, run):
         code, _, err = run("solve-grid", radial_doc(1.0, []))
         assert code == 2

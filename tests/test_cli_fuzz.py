@@ -15,8 +15,8 @@ import pytest
 
 from transportkit.cli import main
 
-MUTATIONS = (None, True, "x", -1, 0, 1.5, 10**400, [], {}, [[1.0, 2.0]],
-             {"re": 1.0, "im": 2.0}, "matrix:1")
+MUTATIONS = (None, True, "x", -1, 0, 1.5, 1e-300, 10**400, [], {},
+             [[1.0, 2.0]], {"re": 1.0, "im": 2.0}, "matrix:1")
 
 
 def _jet(n, N, shape, terms):
@@ -24,12 +24,12 @@ def _jet(n, N, shape, terms):
             "terms": [{"alpha": alpha, "coeff": c} for alpha, c in terms]}
 
 
-def _problem(lam):
-    # y u' + u = lam u + y^2 at the source 0 of X = y
+def _problem(lam, v_terms=(([2], [1.0]),)):
+    # y u' + u = lam u + v at the source 0 of X = y, v = y^2 by default
     return {"n": 1, "m": 1, "N": 3,
             "X": [_jet(1, 3, "scalar", [([1], 1.0)])],
             "A": _jet(1, 3, "matrix:1", [([0], [[1.0]])]),
-            "v": _jet(1, 3, "vector:1", [([2], [1.0])]),
+            "v": _jet(1, 3, "vector:1", list(v_terms)),
             "lambda": lam}
 
 
@@ -38,7 +38,9 @@ def _document(**blocks):
 
 
 # lambda = 2 is resonant at degree 1 and solvable, so the kernel commands
-# have a kernel to report and solve-grid runs in split mode
+# have a kernel to report and solve-grid runs in split mode.  Its head at
+# the split order 2 holds all of y^2, so solve-grid's v has a y^3 term as
+# well: the remainder is not zero and the tail fit and horizon rule run
 BASE = {
     "spectrum": _document(problem=_problem(2.0)),
     "solve-jet": _document(problem=_problem(2.0)),
@@ -46,10 +48,10 @@ BASE = {
     "dual-kernel": _document(problem=_problem(2.0)),
     "solvable": _document(problem=_problem(2.0)),
     "solve-grid": _document(
-        problem=_problem(2.0),
+        problem=_problem(2.0, (([2], [1.0]), ([3], [1.0]))),
         grid={"points": [[0.1], [0.5]],
               "config": {"rel_tol": 1e-8, "split_order": "auto",
-                         "radius": 10.0}}),
+                         "radius": 10.0, "max_horizon": 200.0}}),
     "heat": _document(heat={"n": 1, "m": 1, "J": 1, "N": 3,
                             "K": _jet(1, 3, "scalar", [([2], 1.0)]),
                             "points": [[0.3]], "quad_tol": 1e-10}),
