@@ -307,7 +307,8 @@ def _problem(doc):
 
 def _load_document(filename):
     try:
-        raw = open(filename, "rb").read()
+        with open(filename, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {filename}: {exc.strerror}") from exc
     try:
@@ -421,13 +422,12 @@ def cmd_solve_grid(args, doc):
 
     fields = ["tail_estimate", "horizon", "rate", "mode", "split_order"]
     rows = []
-    for y in grid["points"]:  # a failure stays in its point's row
+    points = grid["points"]
+    for y, res in zip(points, evaluate(points)):  # a failure stays in its row
         row = {"point": [float(c) for c in y], "u": None, "error": None,
                **dict.fromkeys(fields)}
-        try:
-            res = evaluate(y)
-        except TransportKitError as exc:
-            row["error"] = str(exc)
+        if isinstance(res, TransportKitError):
+            row["error"] = str(res)
         else:
             row.update({k: getattr(res, k) for k in fields},
                        u=[float(c) for c in np.atleast_1d(res.u)])

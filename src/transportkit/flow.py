@@ -12,10 +12,12 @@ is stored as [y | rows of (Finv | I)]: the (m, m+1) block W = [Finv | I]
 has derivative Finv [-A | v], so with the samplers' values stored as
 [-X | rows of (-A | v)] one RHS call is one sample and one matrix product.
 _integrand builds that sample once per plan, with lambda absorbed into A
-and in split mode the remainder in place of v.  The evaluator steps
-scipy's DOP853 solver directly and reads the integrand's decay at its
-accepted steps; integrate_flow, which returns a dense trajectory, goes
-through solve_ivp.
+and in split mode the remainder in place of v.  Every point of a plan call
+shares X, A and v, so the evaluator integrates the points as one state of
+P joint states (method of lines), steps scipy's DOP853 solver directly
+and reads each point's decay at the accepted steps; each point keeps its
+own stop and its own error.  integrate_flow, which returns a dense
+trajectory, goes through solve_ivp.
 
 When A(p) - lambda has an eigenvalue with nonpositive real part the raw
 integral diverges; the solution splits into a polynomial head (from the
@@ -62,6 +64,7 @@ __all__ = [
 
 _METHOD = "DOP853"  # the scipy integrator of every flow segment
 _FRAME_OVERFLOW = 1e100
+_MAX_CHUNKS = 10_000  # ceiling on max_horizon / chunk, one solver per chunk
 _UNDERFLOW = 1e-250
 # solve_ivp raises a smaller rtol to this floor, with a warning
 _MIN_REL_TOL = 100 * np.finfo(float).eps
@@ -92,6 +95,10 @@ class EvalConfig:
             if not getattr(self, name) >= 0:
                 raise ValidationError(
                     f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        if self.max_horizon / self.chunk > _MAX_CHUNKS:
+            raise ValidationError(
+                f"max_horizon / chunk must be at most {_MAX_CHUNKS}, got "
+                f"max_horizon {self.max_horizon!r} and chunk {self.chunk!r}")
         if self.rel_tol < _MIN_REL_TOL:
             raise ValidationError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} "
                                   f"(100 machine epsilons), got {self.rel_tol!r}")
@@ -118,11 +125,12 @@ class FieldSampler:
     y -> [-X | rows of (-A | v)], the layout of the flow RHS (see the
     module docstring): X_eval, A_eval, v_eval are read off that joint
     value, and the flow's integrand shifts its coefficients and swaps in
-    the split-mode remainder jet, so each RHS call is one monomial vector
-    times one coefficient matrix.  dataclasses.replace drops the joint
-    map, so a replaced sampler is a plain callable sampler: the integrand
-    calls each of its three callables once per RHS call, and its
-    split-mode remainder is evaluated pointwise from those values.
+    the split-mode remainder jet, so each RHS call is one monomial matrix
+    (one row per point) times one coefficient matrix.  dataclasses.replace
+    drops the joint map, so a replaced sampler is a plain callable sampler:
+    the integrand calls each of its three callables once per point and RHS
+    call, and its split-mode remainder is evaluated pointwise from those
+    values.
     """
 
     X_eval: object
@@ -186,14 +194,15 @@ class FieldSampler:
     def m(self) -> int:
         return self._shape[1]
 
-    def _sample(self, y: np.ndarray) -> np.ndarray:
-        """-X(y) and the rows of (-A(y) | v(y)) as one vector of length n + m*(m+1)."""
+    def _sample(self, ys: np.ndarray) -> np.ndarray:
+        """[-X(y) | rows of (-A(y) | v(y))] for each row y of ys, one row per point."""
         if self._joint is not None:
-            return _joint_at(self._joint, y)
-        A = np.asarray(self.A_eval(y), dtype=float)
-        v = np.asarray(self.v_eval(y), dtype=float)
-        return np.concatenate([-np.asarray(self.X_eval(y), dtype=float),
-                               np.hstack([-A, v[:, None]]).reshape(-1)])
+            return _joint_at(self._joint, ys)
+        row = lambda y: np.concatenate([  # one point per call of each callable
+            -np.asarray(self.X_eval(y), dtype=float),
+            np.column_stack([-np.asarray(self.A_eval(y), dtype=float),
+                             np.asarray(self.v_eval(y), dtype=float)]).ravel()])
+        return np.array([row(y) for y in ys])
 
     @classmethod
     def from_problem(cls, p: ProblemData, radius: float = math.inf) -> "FieldSampler":
@@ -216,7 +225,7 @@ class FieldSampler:
 
 
 def _joint_at(joint: Jet, y) -> np.ndarray:
-    """One monomial vector times the coefficients."""
+    """The monomials of each point (one row per point) times the coefficients."""
     return _monomial_vector(np.asarray(y, dtype=float), joint.N) @ joint.coeffs
 
 
@@ -224,11 +233,6 @@ def _block_columns(n: int, m: int):
     """Positions of -A, shape (m, m), and of v, shape (m,), in a sampled vector."""
     cols = n + np.arange(m * (m + 1)).reshape(m, m + 1)
     return cols[:, :m], cols[:, m]
-
-
-def _frame_block(z: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The block [Finv | I], shape (m, m+1), of a joint state."""
-    return z[n:].reshape(m, m + 1)
 
 
 @dataclass(frozen=True)
@@ -259,29 +263,28 @@ class FlowTrajectory:
             raise ValidationError(
                 f"time {t} outside the integrated window [{self.t_end}, 0]")
         z = self._dense(-t)
-        W = _frame_block(z, self.n, self.m)
+        W = z[self.n:].reshape(self.m, self.m + 1)  # [Finv | I]
         return FlowState(t=float(t), y_t=z[:self.n], Finv=W[:, :-1],
                          I=W[:, -1])
 
 
-def _pack(y: np.ndarray, Finv: np.ndarray, I: np.ndarray) -> np.ndarray:
-    """The joint state [y | rows of (Finv | I)]."""
-    return np.concatenate([y, np.hstack([Finv, I[:, None]]).reshape(-1)])
-
-
 def _reversed_rhs(sample, n: int, m: int):
-    """RHS of the time-reversed joint system in tau = -t >= 0.
+    """RHS of the time-reversed joint system in tau = -t >= 0, for P points at once.
 
-    With sample: y -> [-X | rows of (-A | v)] (see _integrand), d/dtau (y,
-    [Finv | I]) = (-X, Finv [-A | v]) is one sample and one (m, m) @ (m, m+1)
-    product.  A fused sample is one monomial vector and one coefficient matmul.
+    The state is P joint states, the rows of a (P, n + m*(m+1)) array,
+    flattened.  With sample: rows y -> [-X | rows of (-A | v)] (see
+    _integrand), d/dtau (y, [Finv | I]) = (-X, Finv [-A | v]) is one sample
+    of the P positions and one batched (P, m, m) @ (P, m, m+1) product.  A
+    fused sample is one (P, P_dim) monomial matrix and one coefficient matmul.
     """
+    width = n + m * (m + 1)
 
     def rhs(_tau, z):
-        s = sample(z[:n])
-        Finv = z[n:].reshape(m, m + 1)[:, :m]
-        dW = Finv @ s[n:].reshape(m, m + 1)
-        return np.concatenate([s[:n], dW.ravel()])
+        z = z.reshape(-1, width)
+        s = sample(z[:, :n])
+        Finv = z[:, n:].reshape(-1, m, m + 1)[:, :, :m]
+        s[:, n:] = (Finv @ s[:, n:].reshape(-1, m, m + 1)).reshape(len(z), -1)
+        return s.ravel()
 
     return rhs
 
@@ -298,7 +301,7 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
     y = _point(f, y)
     if t_end > 0:
         raise ValidationError("t_end must be nonpositive")
-    z0 = _pack(y, np.eye(f.m), np.zeros(f.m))
+    z0 = np.concatenate([y, np.eye(f.m, f.m + 1).ravel()])  # Finv = id, I = 0
     if t_end == 0.0:
         return FlowTrajectory(f, lambda _tau: z0.copy(), 0.0)
     n, m = f.n, f.m
@@ -307,7 +310,7 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
         return f.radius - float(np.linalg.norm(z[:n] - f.source))
 
     def overflow_event(_tau, z):
-        Finv = _frame_block(z, n, m)[:, :m]
+        Finv = z[n:].reshape(m, m + 1)[:, :m]
         return _FRAME_OVERFLOW - float(np.linalg.norm(Finv))
 
     exit_event.terminal = overflow_event.terminal = True
@@ -351,7 +354,9 @@ class EvaluationResult:
     tail_estimate is g(horizon) / rate, with g the integrand norm at the
     horizon: the size of the neglected tail if the fitted exponential
     decay holds beyond it.  It is an estimate, not an error bound; below
-    the integrator's abs_tol it is integrator noise.
+    the integrator's abs_tol it is integrator noise.  The points of one
+    evaluation share their solvers, so nfev, n_steps and n_chunks count
+    the solvers this point rode in, whatever the number of points in them.
     """
 
     u: np.ndarray
@@ -363,6 +368,7 @@ class EvaluationResult:
     nfev: int  # RHS evaluations, summed over the integration chunks
     n_steps: int  # accepted integrator steps, summed over the chunks
     n_chunks: int  # integration chunks, one DOP853 solver each
+    n_points: int = 1  # points in the first solver; 1 for evaluate_solution
     method: str = _METHOD  # the scipy integrator
 
 
@@ -371,70 +377,89 @@ def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
     if not np.sum(ts * ts) > 0:  # polyfit scales t by this norm; LAPACK fails on 0
         return 0.0
     logs = np.log(np.maximum(gs, _UNDERFLOW * 1e-40))
-    slope = np.polyfit(ts, logs, 1)[0]
-    return float(slope)
+    return float(np.polyfit(ts, logs, 1)[0])
 
 
-def _tail_integrate(f: FieldSampler, sample, y: np.ndarray, cfg: EvalConfig):
-    """Integrate until the integrand decays below tail_tol, in chunks.
+def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
+    """Integrate the rows of ys until each point's integrand decays below tail_tol.
 
-    sample is the integrand (see _integrand), f gives n, m and the region.
-    Returns a direct-mode EvaluationResult whose u is the integral.  Each
-    chunk is one DOP853 solver, stepped directly.  Every accepted step end
-    is checked for region exit and frame overflow and kept as a tail
-    sample, with the integrand norm g(t) = |Finv v(y_t)| read off the RHS
-    DOP853 evaluated there (first same as last): the I column of
-    Finv [-A | v].  g is fitted against t over the trailing window; the
-    stop requires both g <= tail_tol and a positive fitted rate.
+    ys has shape (P, n), sample is the integrand (see _integrand), and f
+    gives n, m and the region.
+    Returns per point a direct-mode EvaluationResult (u is the integral) or
+    a TransportKitError.  The points are one DOP853 state (_reversed_rhs),
+    one solver per chunk, stepped directly.  rel_tol is not scaled by
+    1/sqrt(P) for scipy's RMS error norm: measured against per-point
+    solvers, no accuracy was lost.  Each accepted step end is checked at
+    every point for region exit and frame overflow and is a tail sample of
+    g(t) = |Finv v(y_t)|, the I column of the RHS DOP853 evaluated there
+    (first same as last).  Each point fits its own trailing window of g and
+    stops, at the next solver boundary, when g <= tail_tol and the fitted
+    rate is positive.  A point that fails ends its solver with the error in
+    its row; the others go on in a new solver from that tau.  A failed
+    solver names no point, so its points are integrated again one by one.
     """
     n, m = f.n, f.m
     rhs = _reversed_rhs(sample, n, m)
-    z = _pack(np.asarray(y, dtype=float), np.eye(m), np.zeros(m))
+    # the live rows' joint states [y | rows of (Finv | I)], Finv = id, I = 0
+    z = np.hstack([ys, np.tile(np.eye(m, m + 1).ravel(), (len(ys), 1))])
+    out = [None] * len(z)
+    live = np.arange(len(z))
     tau = 0.0
     window_ts = np.empty(0)
-    window_gs = np.empty(0)
+    window_gs = np.empty((0, len(z)))  # one column per live row
     counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0}
 
-    def result(tail, rate):
-        return EvaluationResult(u=_frame_block(z, n, m)[:, m],
-                                tail_estimate=tail, horizon=-tau, rate=rate,
-                                mode="direct", split_order=None, **counts)
+    def verdict(zk, gs):  # the row's result or error if its window stops it
+        g_last, rate = gs[-1], math.inf
+        if not g_last <= _UNDERFLOW:
+            rate = _fit_rate(window_ts, gs)
+            if tau < cfg.max_horizon and not (
+                    tau >= cfg.t_min and g_last <= cfg.tail_tol and rate > 0):
+                return None
+            if rate <= 0:
+                return TailDecayError(
+                    "integrand shows no decay within the horizon "
+                    f"(fitted rate {rate:.3e} at t = {-tau:.1f})")
+        return EvaluationResult(u=zk[n + m::m + 1].copy(), tail_estimate=g_last / rate,
+                                horizon=-tau, rate=rate, mode="direct",
+                                split_order=None, n_points=len(ys), **counts)
 
-    while True:
-        solver = DOP853(rhs, tau, z, min(tau + cfg.chunk, cfg.max_horizon),
+    while live.size:
+        solver = DOP853(rhs, tau, z.ravel(), min(tau + cfg.chunk, cfg.max_horizon),
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
-        taus, gs = [], []
-        while solver.status == "running":
+        taus, gs, failed = [], [], {}  # failed: position in live -> error
+        while solver.status == "running" and not failed:
             message = solver.step()
             if solver.status == "failed":
-                raise FlowIntegrationError(f"integrator failed: {message}")
-            tau, z = solver.t, solver.y
-            if np.linalg.norm(z[:n] - f.source) > f.radius:
-                raise _region_exit(f, -tau, z[:n])
-            if np.linalg.norm(_frame_block(z, n, m)[:, :m]) > _FRAME_OVERFLOW:
-                raise _frame_overflow(-tau)
+                if live.size > 1:
+                    for j in live:
+                        out[j] = _tail_integrate(f, sample, ys[j:j + 1], cfg)[0]
+                    return out
+                failed[0] = FlowIntegrationError(f"integrator failed: {message}")
+                break
+            tau, z = solver.t, solver.y.reshape(live.size, -1)
+            exits = np.linalg.norm(z[:, :n] - f.source, axis=1) > f.radius
+            frames = np.linalg.norm(z[:, n:].reshape(-1, m, m + 1)[:, :, :m],
+                                    axis=(1, 2))
+            for k in np.flatnonzero(exits | (frames > _FRAME_OVERFLOW)):
+                failed[k] = (_region_exit(f, -tau, z[k, :n]) if exits[k]
+                             else _frame_overflow(-tau))
             taus.append(tau)
-            gs.append(np.linalg.norm(solver.f[n + m::m + 1]))
+            dI = solver.f.reshape(live.size, -1)[:, n + m::m + 1]
+            # |dI| per row, with the bits of np.linalg.norm of each row
+            gs.append(np.sqrt((dI[:, None] @ dI[:, :, None]).ravel()))
         counts["nfev"] += solver.nfev
         counts["n_steps"] += len(taus)
         counts["n_chunks"] += 1
         window_ts = np.concatenate([window_ts, -np.array(taus)])
-        window_gs = np.concatenate([window_gs, gs])
+        window_gs = np.concatenate([window_gs, np.reshape(gs, (-1, live.size))])
         keep = window_ts <= -tau + 2.5 * cfg.chunk
         window_ts, window_gs = window_ts[keep], window_gs[keep]
-
-        g_last = window_gs[-1]
-        if g_last <= _UNDERFLOW:
-            return result(0.0, math.inf)
-        rate = _fit_rate(window_ts, window_gs)
-        if tau >= cfg.t_min and g_last <= cfg.tail_tol and rate > 0:
-            return result(g_last / rate, rate)
-        if tau >= cfg.max_horizon:
-            if rate <= 0:
-                raise TailDecayError(
-                    "integrand shows no decay within the horizon "
-                    f"(fitted rate {rate:.3e} at t = {-tau:.1f})")
-            return result(g_last / rate, rate)
+        for k, j in enumerate(live):
+            out[j] = failed[k] if k in failed else verdict(z[k], window_gs[:, k])
+        going = np.array([out[j] is None for j in live], dtype=bool)
+        live, z, window_gs = live[going], z[going], window_gs[:, going]
+    return out
 
 
 def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
@@ -448,15 +473,22 @@ def evaluate_solution(f: FieldSampler, p: ProblemData | None, y,
     from the jet solver, so p (or f.consistent_jets) must carry jet data.
     At a resonant lambda, u is the member whose jet is solve_to_order's
     particular solution, or ResonantProblemError names the obstruction.
+    This is the one-point case of _plan's evaluator.
     """
-    return _plan(f, p, cfg)(y)
+    (row,) = _plan(f, p, cfg)([y])
+    if isinstance(row, TransportKitError):
+        raise row
+    return row
 
 
 def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
-    """evaluate_solution with its per-problem work done once: y -> result.
+    """evaluate_solution with its per-problem work done once: points -> rows.
 
-    An error of that work is raised at every point, after the point's own
-    checks, so each point reports what evaluate_solution would.
+    The evaluator takes a list of points and returns one EvaluationResult
+    or one TransportKitError per point, in order.  The points that pass
+    _point's checks are integrated together (see _tail_integrate).  An
+    error of the per-problem work is the row of each such point, so each
+    row reports what evaluate_solution would at its point.
     """
     if p is None:
         p = f.consistent_jets
@@ -472,15 +504,24 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
     except TransportKitError as exc:
         error = exc
 
-    def evaluate(y) -> EvaluationResult:
-        y = _point(f, y)
-        if error is not None:  # raised afresh, so tracebacks do not pile up
-            raise error.with_traceback(None)
-        res = _tail_integrate(f, sample, y, cfg)
-        if head is None:
-            return res
-        u = np.asarray(head.evaluate(y), dtype=float) + res.u
-        return replace(res, u=u, mode="split", split_order=N)
+    def evaluate(points) -> list:
+        rows, todo = [], []
+        for y in points:
+            try:
+                todo.append((len(rows), _point(f, y)))
+            except ValidationError as exc:
+                rows.append(exc)
+            else:
+                rows.append(error)
+        if error is not None or not todo:
+            return rows
+        ys = np.array([y for _, y in todo])
+        for (k, y), res in zip(todo, _tail_integrate(f, sample, ys, cfg)):
+            if head is not None and isinstance(res, EvaluationResult):
+                u = np.asarray(head.evaluate(y), dtype=float) + res.u
+                res = replace(res, u=u, mode="split", split_order=N)
+            rows[k] = res
+        return rows
 
     return evaluate
 
@@ -535,12 +576,14 @@ def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:
 
 def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
                N: int | None = None):
-    """The flow's sample y -> [-X | rows of (-(A - lam) | w)], w = v or the remainder.
+    """The flow's sample, rows y -> [-X | rows of (-(A - lam) | w)], w = v or remainder.
 
+    The sample maps positions of shape (P, n) to shape (P, n + m*(m+1)).
     With a head u_head of order N, w = v - (D_X + A - lam) u_head.  A
     from_problem sampler gets lam and the remainder jet in its coefficient
-    matrix; a callable sampler is sampled once per call, and the shift and
-    the pointwise remainder are read off that sample.
+    matrix, so a sample is one (P, P_dim) monomial matrix times it.  A
+    callable sampler is sampled once per point and call, and the shift and
+    the pointwise remainder are read off that sample, point by point.
     """
     n, m, lam = f.n, f.m, p.lam
     a_cols, v_cols = _block_columns(n, m)
@@ -550,17 +593,18 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
         if u_head is not None:
             coeffs[:, v_cols] = _remainder_jet(p, u_head, N).extend(D).coeffs
         coeffs[0, np.diag(a_cols)] += lam  # the block holds -A
-        return lambda y: _monomial_vector(y, D) @ coeffs
+        return lambda ys: _monomial_vector(ys, D) @ coeffs
     shift = lam * np.eye(m)
     grads = [] if u_head is None else [u_head.partial(i) for i in range(n)]
 
-    def sample(y):
-        s = f._sample(y)
-        A = -s[a_cols] - shift
-        s[a_cols] = -A
+    def sample(ys):
+        s = f._sample(ys)
+        A = -s[:, a_cols] - shift
+        s[:, a_cols] = -A
         if u_head is not None:
-            du = sum(-s[i] * g.evaluate(y) for i, g in enumerate(grads))
-            s[v_cols] = s[v_cols] - du - A @ u_head.evaluate(y)
+            for k, y in enumerate(ys):
+                du = sum(-s[k, i] * g.evaluate(y) for i, g in enumerate(grads))
+                s[k, v_cols] = s[k, v_cols] - du - A[k] @ u_head.evaluate(y)
         return s
 
     return sample

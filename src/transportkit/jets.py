@@ -140,14 +140,15 @@ def _power_index(n: int, N: int):
 def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
     """All monomials point**alpha with |alpha| <= N, in graded-lex order.
 
-    point has shape (n,); the result has shape (P_dim,).  One power table
-    y_j**k (k <= N) is gathered per multi-index and multiplied along the
-    variables; the values are those of ``prod(point**alpha)`` bit for bit.
+    point has shape (..., n); the result has shape (..., P_dim), one row
+    per point.  One power table y_j**k (k <= N) is gathered per
+    multi-index and multiplied along the variables; the values are those
+    of ``prod(point**alpha)`` bit for bit, with or without batch axes.
     """
-    idx, exponents = _power_index(point.shape[0], N)
-    table = point[:, None] ** exponents
+    idx, exponents = _power_index(point.shape[-1], N)
+    table = (point[..., None] ** exponents).reshape(point.shape[:-1] + (-1,))
     # the ufunc reduction np.prod runs, without its per-call dispatch cost
-    return np.multiply.reduce(table.take(idx), axis=-1)
+    return np.multiply.reduce(table.take(idx, axis=-1), axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -409,24 +409,30 @@ def _rk45_segment(rhs, z0, tau0, tau1, rel_tol, abs_tol):
     return res
 
 
-def reference_tail_integrate(f, sample, y, cfg):
-    """Direct-mode evaluation by RK45, checking the tail one sample at a time.
+def reference_tail_integrate(f, sample, ys, cfg):
+    """Direct-mode evaluation by RK45, one point at a time, checking the
+    tail one sample at a time.
 
-    The flow evaluator's tail integration before it moved to DOP853 and
-    the (y, rows of [Finv | I]) layout: chunks of cfg.chunk, 16 samples
-    of g(t) = |Finv v(y_t)| per chunk, each from its own dense-output and
-    sample call, and the same stopping rule.  sample is the integrand
-    y -> [-X | rows of (-A | v)] of flow._tail_integrate, whose layout
-    TestFusedSampler checks against reference_reversed_rhs.  There are no
-    region-exit or overflow events; the corpora it is run on stay inside
-    both.  Monkeypatch it over flow._tail_integrate to evaluate through
-    the RK45 path.
+    The flow evaluator's tail integration before it moved to DOP853, the
+    (y, rows of [Finv | I]) layout and shared solvers: chunks of
+    cfg.chunk, 16 samples of g(t) = |Finv v(y_t)| per chunk, each from
+    its own dense-output and sample call, and the same stopping rule.
+    sample is the integrand, rows y -> [-X | rows of (-A | v)], of
+    flow._tail_integrate, whose layout TestFusedSampler checks against
+    reference_reversed_rhs; ys has one point per row, and the result is
+    one EvaluationResult per point.  There are no region-exit or overflow
+    events; the corpora it is run on stay inside both.  Monkeypatch it
+    over flow._tail_integrate to evaluate through the RK45 path.
     """
+    return [_reference_tail_point(f, sample, y, cfg) for y in ys]
+
+
+def _reference_tail_point(f, sample, y, cfg):
     n, m = f.n, f.m
     k = n + m * m
 
     def parts(y):  # (-X, -A, v) at y
-        s = sample(y)
+        s = sample(y[None])[0]
         block = s[n:].reshape(m, m + 1)
         return s[:n], block[:, :m], block[:, m]
 

@@ -16,6 +16,7 @@ Closed forms used as expected values:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -663,17 +664,48 @@ class TestSolveGrid:
         rows = result_of(out)["points"]
         assert code == 0 and [r["mode"] for r in rows] == ["split"] * 3
         assert calls == {"solve_to_order": 1, "resonance_degree": 1}
-        # each row is bit for bit what evaluate_solution gives at its point
+        # each row is bit for bit one plan evaluated on the document's
+        # points; the points share solvers, so against evaluate_solution at
+        # each point mode and split_order are equal and u agrees to
+        # rel_tol max(1, |u|) (measured: 9.6e-14)
         p = ProblemData(VectorFieldJet.euler(1, 4),
                         Jet.constant(1, 4, np.array([[-0.5]])),
                         Jet.from_terms(1, 4, {(2,): [1.0]}, shape=(1,)), 0.0, 4)
         f = FieldSampler.from_problem(p)
-        for row in rows:
-            res = evaluate_solution(f, p, row["point"])
-            assert row["u"] == res.u.tolist()
+        cfg = flow.EvalConfig()
+        results = flow._plan(f, p, cfg)([row["point"] for row in rows])
+        for row, res in zip(rows, results):
+            assert row["u"] == res.u.tolist() and res.n_points == 3
             assert [row[k] for k in ("tail_estimate", "horizon", "rate")] == \
                 [float(res.tail_estimate), res.horizon, res.rate]
-            assert (row["mode"], row["split_order"]) == ("split", res.split_order)
+            alone = evaluate_solution(f, p, row["point"])
+            assert (row["mode"], row["split_order"]) == \
+                (alone.mode, alone.split_order) == ("split", res.split_order)
+            tol = cfg.rel_tol * max(1.0, float(np.max(np.abs(alone.u))))
+            assert np.max(np.abs(res.u - alone.u)) <= tol
+
+    def test_one_point_leaving_the_region_mid_flight(self, run):
+        # X = y + y^2: the backward flow from -1.5 crosses |y| = 3 at
+        # t = -ln 2, after the point passed the radius check; 0.3 and -0.5
+        # flow into the source.  Their rows agree with a run without -1.5
+        # to rel_tol max(1, |u|) (measured: 1.9e-13)
+        doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
+                         grid={"points": [[0.3], [-1.5], [-0.5]],
+                               "config": {"radius": 3.0}})
+        doc["problem"]["X"][0]["terms"].append(scalar_term((2,), 1.0))
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        rows = result_of(out)["points"]
+        assert code == 0 and rows[1]["u"] is None
+        prefix = "trajectory left the declared region of radius 3 at t = "
+        assert rows[1]["error"].startswith(prefix)
+        assert float(rows[1]["error"][len(prefix):]) < -math.log(2.0)
+        doc["grid"]["points"] = [[0.3], [-0.5]]
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        assert code == 0
+        for row, ref in zip(rows[::2], result_of(out)["points"]):
+            assert (row["error"], row["mode"]) == (None, "direct")
+            tol = 1e-9 * max(1.0, abs(ref["u"][0]))
+            assert abs(row["u"][0] - ref["u"][0]) <= tol
 
     @pytest.mark.parametrize("contracting", [False, True])
     def test_problem_error_in_each_row_after_its_own_checks(
@@ -1039,6 +1071,16 @@ class TestResourceCeilings:
 
 
 class TestOutputContract:
+    def test_document_file_is_closed(self, run):
+        # an unclosed input file shows as a ResourceWarning when it is freed
+        doc = radial_doc(1.0, [scalar_term((2,), [1.0])])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run("spectrum", doc)
+        assert code == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
     def test_byte_identical_reruns(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(euler_doc([scalar_term((2, 0), [1.0])])))

@@ -58,6 +58,7 @@ def solvers(monkeypatch):
     class Recording(flow.DOP853):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.start = (self.t, self.y.copy())
             self.ends = []  # (t, state) after each accepted step
             made.append(self)
 
@@ -250,7 +251,7 @@ class TestFusedSampler:
         for _ in range(5):
             y = rng.normal(size=n)
             y *= rng.uniform(0.0, 0.9) / np.linalg.norm(y)
-            w = sample(y)[n:].reshape(m, m + 1)[:, m]
+            w = sample(y[None])[0, n:].reshape(m, m + 1)[:, m]
             assert np.max(np.abs(w - r_poly.evaluate(y))) <= 1e-13
 
     def test_views_and_callable_samplers_agree(self, rng):
@@ -259,13 +260,14 @@ class TestFusedSampler:
         generic = replace(f)  # replace drops the joint map: three callables
         assert generic._joint is None
         y = np.array([0.3, -0.2])
-        joint = f._sample(y)  # [-X | rows of (-A | v)]
-        assert np.array_equal(joint, generic._sample(y))
+        joint = f._sample(y[None])[0]  # [-X | rows of (-A | v)]
+        assert np.array_equal(joint, generic._sample(y[None])[0])
         assert np.array_equal(f.X_eval(y), -joint[:2])
         assert np.array_equal(f.A_eval(y), -joint[[2, 3, 5, 6]].reshape(2, 2))
         assert np.array_equal(f.v_eval(y), joint[[4, 7]])
-        assert np.allclose(flow._integrand(generic, p)(y),
-                           flow._integrand(f, p)(y), rtol=1e-14, atol=1e-14)
+        assert np.allclose(flow._integrand(generic, p)(y[None]),
+                           flow._integrand(f, p)(y[None]), rtol=1e-14,
+                           atol=1e-14)
 
     def test_callable_split_samples_each_field_once_per_rhs_call(self):
         # X = y, A = -1, v = y^2 + y^3 runs in split mode; the plan reads
@@ -286,7 +288,7 @@ class TestFusedSampler:
                          source=np.zeros(1))
         evaluate = flow._plan(f, p, EvalConfig())
         calls.update(dict.fromkeys(calls, 0))
-        res = evaluate([0.5])
+        (res,) = evaluate([[0.5]])
         assert res.mode == "split" and res.nfev > 100
         assert calls == dict.fromkeys(calls, res.nfev)
 
@@ -536,9 +538,9 @@ class TestEvaluateSolution:
             source=np.zeros(1),
         )
         from transportkit.flow import _tail_integrate
-        with pytest.raises(TailDecayError):
-            _tail_integrate(f, f._sample, np.array([0.3]),
-                            EvalConfig(max_horizon=40.0))
+        (row,) = _tail_integrate(f, f._sample, np.array([[0.3]]),
+                                 EvalConfig(max_horizon=40.0))
+        assert isinstance(row, TailDecayError)
 
     @pytest.mark.parametrize("a", [1.0, -0.5], ids=["direct", "split"])
     def test_unfittable_horizon_reports_no_decay(self, capfd, a):
@@ -561,8 +563,8 @@ class TestEvaluateSolution:
             ProblemData(VectorFieldJet.euler(1, 2), A, v, 0.0, 2))
         if not fused:
             f = replace(f)  # the per-point fallback of callable samplers
-        res = flow._tail_integrate(f, f._sample, np.array([0.5]),
-                                   EvalConfig(tail_tol=1e-8, abs_tol=1e-30))
+        (res,) = flow._tail_integrate(f, f._sample, np.array([[0.5]]),
+                                      EvalConfig(tail_tol=1e-8, abs_tol=1e-30))
         t = res.horizon
         g = math.hypot(5 * (math.exp(2 * t) - math.exp(t)), math.exp(2 * t))
         assert res.rate == pytest.approx(1.0, rel=1e-3)
@@ -585,9 +587,9 @@ class TestEvaluateSolution:
         integrated, fits = [], []
         tail_integrate, fit_rate = flow._tail_integrate, flow._fit_rate
 
-        def recording_tail(f, sample, y, cfg):
+        def recording_tail(f, sample, ys, cfg):
             integrated.append(sample)
-            return tail_integrate(f, sample, y, cfg)
+            return tail_integrate(f, sample, ys, cfg)
 
         def recording_fit(ts, gs):
             fits.append((ts.copy(), gs.copy()))
@@ -610,7 +612,7 @@ class TestEvaluateSolution:
             for t, g_t in zip(ts, gs):
                 z = ends[t]
                 Finv = z[2:].reshape(2, 3)[:, :2]
-                v = sample(z[:2])[2:].reshape(2, 3)[:, 2]
+                v = sample(z[None, :2])[0, 2:].reshape(2, 3)[:, 2]
                 assert g_t == pytest.approx(np.linalg.norm(Finv @ v), rel=1e-13)
         # a from_problem integrand is its coefficient matrix alone
         n_samples = sum(len(ts) for ts, _ in fits)
@@ -629,13 +631,14 @@ class TestEvaluateSolution:
         # A = -10: Finv(t) = e^{-10t} passes 1e100 near t = -23, well before
         # max_horizon, and the growing integrand never meets the stop rule
         f = sampler_1d(-10.0, lambda y: 1.0)
-        with pytest.raises(FlowIntegrationError,
-                           match="inverse frame norm exceeded") as info:
-            flow._tail_integrate(f, f._sample, np.array([0.3]), EvalConfig())
+        (error,) = flow._tail_integrate(f, f._sample, np.array([[0.3]]),
+                                        EvalConfig())
+        assert isinstance(error, FlowIntegrationError)
+        assert "inverse frame norm exceeded" in str(error)
         ends = [(t, z) for s in solvers for t, z in s.ends]
         tau, z = ends[-1]
         assert abs(z[1]) > 1e100 > max(abs(z[1]) for _, z in ends[:-1])
-        assert f"at t = {-tau:.6g};" in str(info.value)
+        assert f"at t = {-tau:.6g};" in str(error)
         assert tau == pytest.approx(100 * math.log(10) / 10, abs=0.5)
 
     def test_region_exit_at_the_first_step_outside(self, solvers):
@@ -665,6 +668,25 @@ class TestEvaluateSolution:
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValidationError, match=field):
             EvalConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_horizon,chunk", [
+        (200.0, 1e-300), (200.0, 1e-2), (1e6, 10.0), (1e300, 1e-300)])
+    def test_config_bounds_the_chunk_count(self, max_horizon, chunk):
+        # one solver per chunk: max_horizon / chunk above 10,000 is refused
+        # when the config is built, before any integration
+        with pytest.raises(ValidationError, match="max_horizon / chunk") as info:
+            EvalConfig(max_horizon=max_horizon, chunk=chunk)
+        assert f"max_horizon {max_horizon!r} and chunk {chunk!r}" in \
+            str(info.value)
+
+    def test_config_chunks_within_the_bound_are_accepted(self):
+        cfg = EvalConfig(max_horizon=200.0, chunk=0.02)
+        assert cfg.max_horizon / cfg.chunk == 10_000
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.5],
+                                EvalConfig(chunk=3.0))
+        assert res.n_chunks >= 2
+        assert res.u[0] == pytest.approx(0.25 / 3.0, rel=1e-8)
 
     def test_config_accepts_zero_abs_tol_and_t_min(self):
         cfg = EvalConfig(abs_tol=0.0, t_min=0.0)
@@ -736,10 +758,9 @@ class TestResonantEvaluation:
             assert resonance_degree(p)[0] is not None
             jet = solve_to_order(p, 10).particular
             evaluate = flow._plan(FieldSampler.from_problem(p), p, self.CFG)
-            for _ in range(4):
-                y = ball_point(rng, p.n)
-                res = evaluate(y)
-                assert res.mode == "split"
+            ys = [ball_point(rng, p.n) for _ in range(4)]
+            for y, res in zip(ys, evaluate(ys)):  # one solver for the four
+                assert res.mode == "split" and res.n_points == 4
                 worst = max(worst, np.max(np.abs(res.u - jet.evaluate(y))))
         assert worst <= 1e-7
 
@@ -828,6 +849,112 @@ class TestAgainstRK45Oracle:
             assert np.allclose(st.Finv, z[2:6].reshape(2, 2), rtol=1e-8,
                                atol=1e-10)
             assert np.allclose(st.I, z[6:], rtol=1e-8, atol=1e-10)
+
+
+class TestSharedSolvers:
+    """The points of one plan call share their solvers, and each keeps its
+    own row: its tail window and stop, its failure, and u to within the
+    tolerance of its own solver."""
+
+    CFG = EvalConfig(rel_tol=1e-8, abs_tol=1e-11, tail_tol=1e-8)
+
+    @staticmethod
+    def escaping_problem():
+        # X = y + y^2: the backward flow from -1.5 blows up at t = -ln 3
+        # and crosses |y| = 3 at t = -ln 2; from 0.3 and -0.5 it falls
+        # into the source.  A = 1, v = y^2
+        X = VectorFieldJet([Jet.from_terms(1, 2, {(1,): 1.0, (2,): 1.0})])
+        return ProblemData(X, Jet.constant(1, 2, np.eye(1)),
+                           Jet.from_terms(1, 2, {(2,): [1.0]}, shape=(1,)),
+                           0.0, 2)
+
+    def test_rows_agree_with_per_point_evaluation(self):
+        # 10 criterion-04 problems (5 direct, 5 split), 5 points each in one
+        # call.  Global errors stay below rel_tol max(1, |u|) for each
+        # point's own solver (TestAgainstRK45Oracle); measured here: 4.3e-11,
+        # 0.23% of that bound
+        rng = np.random.default_rng(20260919)
+        modes = set()
+        for trial in range(10):
+            p = _random_flow_problem(rng, indefinite=trial >= 5)
+            f = FieldSampler.from_problem(p)
+            ys = [ball_point(rng, p.n) for _ in range(5)]
+            rows = flow._plan(f, p, self.CFG)(ys)
+            for y, res in zip(ys, rows):
+                alone = evaluate_solution(f, p, y, self.CFG)
+                assert (res.mode, res.split_order, res.n_points) == \
+                    (alone.mode, alone.split_order, 5)
+                assert alone.n_points == 1
+                tol = self.CFG.rel_tol * max(1.0, float(np.max(np.abs(alone.u))))
+                assert np.max(np.abs(res.u - alone.u)) <= tol
+                modes.add(res.mode)
+        assert modes == {"direct", "split"}
+
+    def test_counts_are_those_of_the_solvers_a_point_rode_in(self, solvers):
+        # 0.1 and 0.5 stop a solver before 0.9, which rode in them all
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        rows = flow._plan(FieldSampler.from_problem(p), p, EvalConfig(chunk=3.0))(
+            [[0.1], [0.5], [0.9]])
+        widths = [s.y.size // 3 for s in solvers]  # points per solver
+        assert widths[0] == 3 and widths == sorted(widths, reverse=True)
+        assert len({res.n_chunks for res in rows}) == 2
+        for res in rows:
+            rode = solvers[:res.n_chunks]
+            assert res.n_points == 3
+            assert res.nfev == sum(s.nfev for s in rode)
+            assert res.n_steps == sum(len(s.ends) for s in rode)
+            assert res.horizon == -rode[-1].t
+        assert max(res.n_chunks for res in rows) == len(solvers)
+
+    def test_a_point_that_leaves_the_region_keeps_the_error(self, solvers):
+        # all three points are inside the radius, so _point passes them;
+        # -1.5 leaves the ball mid-flight, and the other two go on in a new
+        # solver from the step where it left
+        p = self.escaping_problem()
+        f = FieldSampler.from_problem(p, radius=3.0)
+        evaluate = flow._plan(f, p, self.CFG)
+        good, bad, other = evaluate([[0.3], [-1.5], [-0.5]])
+        assert isinstance(bad, RegionExitError)
+        assert bad.t < -math.log(2.0) and abs(bad.point[0]) > 3.0
+        widths = [s.y.size // 3 for s in solvers]
+        k = widths.index(2)  # the first solver without the bad point
+        assert widths[:k] == [3] * k
+        assert solvers[k - 1].t == -bad.t < solvers[k - 1].t_bound
+        tau, z = solvers[k - 1].ends[-1]
+        assert solvers[k].start[0] == tau
+        assert np.array_equal(solvers[k].start[1], z.reshape(3, 3)[::2].ravel())
+        alone = evaluate([[0.3], [-0.5]])
+        for res, ref in zip((good, other), alone):
+            assert (res.mode, res.n_points) == ("direct", 3)
+            tol = self.CFG.rel_tol * max(1.0, float(np.max(np.abs(ref.u))))
+            assert np.max(np.abs(res.u - ref.u)) <= tol
+
+    def test_a_solver_failure_integrates_each_point_alone(self):
+        # with no radius the blow-up at -1.5 fails the shared solver, which
+        # cannot say which point failed; each point is integrated again on
+        # its own, so the other rows are exactly their per-point values
+        p = self.escaping_problem()
+        f = FieldSampler.from_problem(p)
+        rows = flow._plan(f, p, self.CFG)([[0.3], [-1.5], [-0.5]])
+        assert isinstance(rows[1], FlowIntegrationError)
+        assert "integrator failed" in str(rows[1])
+        for res, y in zip(rows[::2], ([0.3], [-0.5])):
+            alone = evaluate_solution(f, p, y, self.CFG)
+            assert res.n_points == 1
+            assert res.u.tobytes() == alone.u.tobytes()
+            assert (res.rate, res.horizon, res.nfev) == \
+                (alone.rate, alone.horizon, alone.nfev)
+
+    def test_point_checks_stay_in_their_rows(self):
+        p = self.escaping_problem()
+        f = FieldSampler.from_problem(p, radius=1.0)
+        rows = flow._plan(f, p, self.CFG)([[0.3], [2.0], [0.1, 0.2], [-0.5]])
+        assert [type(r).__name__ for r in rows] == [
+            "EvaluationResult", "ValidationError", "ValidationError",
+            "EvaluationResult"]
+        assert str(rows[1]) == "evaluation point outside the declared region"
+        assert rows[0].n_points == rows[3].n_points == 2
+        assert flow._plan(f, p, self.CFG)([]) == []
 
 
 class TestSmoothDependence:
