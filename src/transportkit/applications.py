@@ -37,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, OrderBudgetError, ValidationError
-from .jets import Jet, VectorFieldJet, jet_mul, monomial_powers
+from .jets import (Jet, VectorFieldJet, _monomial_vector, jet_mul,
+                   monomial_powers)
 from .opmatrix import ProblemData
-from .spectral import dual_kernel_basis
+from .spectral import NEAR_RESONANCE_TOL, dual_kernel_basis
 from .taylor import solve_to_order
 
 __all__ = [
@@ -116,11 +117,6 @@ def heat_coefficients_jet(h: HeatProblem) -> list:
     return out
 
 
-def _gauss_01(k: int):
-    x, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def heat_coefficients_numeric(h: HeatProblem, q, *,
                               tol: float = 1e-10) -> list:
     """Phi_0(q) .. Phi_J(q) by quadrature of the recursion integral.
@@ -130,9 +126,10 @@ def heat_coefficients_numeric(h: HeatProblem, q, *,
         Phi_j(q) = -Phi_0(q) int_0^1 s^{j-1} Phi_0(sq)^{-1} (L Phi_{j-1})(sq) ds,
 
     with Phi_0 = id on the flat trivial bundle.  The jets supply the
-    derivatives inside L; Gauss-Legendre with node doubling supplies the
-    s-integral.  Raises NumericError if doubling stalls above 512 nodes,
-    and ValidationError unless tol is positive.
+    derivatives inside L, at all nodes of a rule in one monomial product;
+    Gauss-Legendre with node doubling supplies the s-integral.  Raises
+    NumericError if doubling stalls above 512 nodes, and ValidationError
+    unless tol is positive.
     """
     if not tol > 0:
         raise ValidationError(f"quadrature tolerance must be positive, got {tol}")
@@ -143,26 +140,21 @@ def heat_coefficients_numeric(h: HeatProblem, q, *,
     out = [np.eye(h.m)]
     for j in range(1, h.J + 1):
         Lj = _apply_L(h.K, jets[j - 1])
-
-        def quad(k: int):
-            s, w = _gauss_01(k)
-            acc = np.zeros((h.m, h.m))
-            for si, wi in zip(s, w):
-                acc += wi * si ** (j - 1) * Lj.evaluate(si * q)
-            return -acc
-
-        nodes = 8
-        val = quad(nodes)
-        while True:
-            nodes *= 2
-            nxt = quad(nodes)
-            if np.max(np.abs(nxt - val)) <= tol * (1.0 + np.max(np.abs(nxt))):
-                out.append(nxt)
+        val = None
+        for nodes in (8, 16, 32, 64, 128, 256, 512, 1024):
+            x, w = np.polynomial.legendre.leggauss(nodes)
+            s, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
+            values = np.tensordot(_monomial_vector(s[:, None] * q, Lj.N),
+                                  Lj.coeffs, axes=1)  # L Phi_{j-1} at each node
+            nxt = -np.tensordot(w * s ** (j - 1), values, axes=1)
+            if val is not None and (np.max(np.abs(nxt - val))
+                                    <= tol * (1.0 + np.max(np.abs(nxt)))):
                 break
             val = nxt
-            if nodes > 512:
-                raise NumericError(
-                    f"quadrature for Phi_{j} did not settle by {nodes} nodes")
+        else:
+            raise NumericError(
+                f"quadrature for Phi_{j} did not settle by {nodes} nodes")
+        out.append(nxt)
     return out
 
 
@@ -172,7 +164,9 @@ class WKBProblem:
 
     V is a scalar jet in one variable with V(0) = 0, V'(0) = 0 and
     V''(0) > 0; level is the quantum number alpha; J the number of
-    lambda terms past lambda_0; N the jet order budget.
+    lambda terms past lambda_0; N the jet order budget.  The well
+    frequency mu (V = mu^2 x^2 + higher) must exceed half of
+    spectral.NEAR_RESONANCE_TOL, or ValidationError names it.
     """
 
     V: Jet
@@ -201,6 +195,10 @@ class WKBProblem:
         if V.coefficient((2,)) <= 0:
             raise ValidationError("V''(0) must be positive")
         object.__setattr__(self, "V", V)
+        if 2 * self.mu <= NEAR_RESONANCE_TOL:  # an absolute tolerance
+            raise ValidationError(
+                f"the well frequency mu = {self.mu:.3g} is too small: levels "
+                f"2 mu apart fall within the tolerance {NEAR_RESONANCE_TOL:g}")
 
     @property
     def mu(self) -> float:
@@ -262,7 +260,7 @@ def wkb_expand(w: WKBProblem, *, amplitude_scale: float = 1.0) -> WKBExpansion:
     root = _sqrt_one_plus(shifted).extend(N - 1)
     phi_prime = jet_mul(Jet.coordinate(1, N - 1, 0), root) * mu
     eik = jet_mul(phi_prime.extend(N), phi_prime.extend(N)) - V
-    if eik.norm() > 1e-9 * max(1.0, V.norm()):
+    if not eik.norm() <= 1e-9 * max(1.0, V.norm()):  # NaN fails too
         raise NumericError("eiconal self-check failed; V data inconsistent")
     phi = _antiderivative_1d(phi_prime)
 

@@ -42,8 +42,8 @@ from .errors import (
 from .estimates import (ODE_ABS_TOL, ODE_REL_TOL, MatrixPath,
                         inverse_two_regime_bound, two_regime_bound)
 from .flow import EvalConfig, FieldSampler, _plan
-from .jets import (MAX_COEFFS, Jet, VectorFieldJet, _encode_value, fits,
-                   jet_from_json, jet_to_json)
+from .jets import (MAX_COEFFS, Jet, VectorFieldJet, _encode_value, _fields,
+                   _integer, fits, jet_from_json, jet_to_json)
 from .opmatrix import ProblemData
 from .spectral import (
     RESONANCE_TOL,
@@ -70,14 +70,8 @@ __all__ = ["main"]
 
 def _block(obj, path, spec, ctx):
     """Check obj's keys against spec, then read them in table order."""
-    if not isinstance(obj, dict):
-        raise SchemaError("expected an object", path)
-    for key in obj:
-        if key not in spec:
-            raise SchemaError(f"unknown key {key!r}", path)
-    for key, entry in spec.items():
-        if len(entry) == 1 and key not in obj:
-            raise SchemaError(f"missing required key {key!r}", path)
+    _fields(obj, path, [key for key, entry in spec.items() if len(entry) == 1],
+            spec)
     out = {}
     for key, (reader, *default) in spec.items():
         if key in obj:
@@ -96,18 +90,8 @@ def _read(doc, name, **ctx):
                   {"field": doc["field"], **ctx})
 
 
-def _as_int(x, path, minimum=None, maximum=None):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError("expected an integer", path)
-    if minimum is not None and x < minimum:
-        raise SchemaError(f"must be >= {minimum}", path)
-    if maximum is not None and x > maximum:
-        raise SchemaError(f"must be <= {maximum}", path)
-    return x
-
-
 def _int(minimum, maximum=None):
-    return lambda x, path, ctx: _as_int(x, path, minimum, maximum)
+    return lambda x, path, ctx: _integer(x, path, minimum, maximum)
 
 
 def _real(x, path, ctx=None):
@@ -182,47 +166,16 @@ def _points(x, path, ctx):
     return out
 
 
-def _coeff(x, path, ctx, depth=0):
-    """x, with every number in it finite.  A matrix of {re, im} nests three
-    levels deep; the walk stops well past that, before the stack runs out."""
-    if depth > 32:
-        raise SchemaError("expected a scalar, vector or matrix", path)
-    if isinstance(x, (list, dict)):
-        for c in x.values() if isinstance(x, dict) else x:
-            _coeff(c, path, ctx, depth + 1)
-    elif isinstance(x, (int, float)) and not abs(x) <= sys.float_info.max:
-        raise SchemaError("expected finite coefficients", path)
-    return x
-
-
-def _jet_n(x, path, ctx):
-    if _as_int(x, path, minimum=1) != ctx["n"]:
-        raise SchemaError(f"jet must have n={ctx['n']} variables", path)
-    return x
-
-
-_TERM = {"alpha": (_raw,), "coeff": (_coeff,)}
-
-
-def _terms(x, path, ctx):
-    if not isinstance(x, list):
-        raise SchemaError("expected a list of terms", path)
-    for i, term in enumerate(x):
-        _block(term, f"{path}[{i}]", _TERM, ctx)
-    return x
-
-
-_JET = {"n": (_jet_n,), "N": (_int(0),), "terms": (_terms,),
-        "shape": (_raw, None)}
-
-
 def _decode_jet(x, path, ctx):
-    """A jet in ctx["n"] variables; jets.jet_from_json decodes the terms."""
-    _block(x, path, _JET, ctx)
+    """A jet in ctx["n"] variables, decoded by jets.jet_from_json."""
+    n = x.get("n") if isinstance(x, dict) else None
+    if type(n) is int and 1 <= n != ctx["n"]:  # first: else every alpha fails
+        raise SchemaError(f"jet must have n={ctx['n']} variables", f"{path}.n")
     try:
         jet = jet_from_json(x)
-    except (TransportKitError, ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), path) from exc
+    except SchemaError as exc:
+        raise SchemaError(exc.message, f"{path}.{exc.path}" if exc.path
+                          else path) from exc
     if jet.is_complex and ctx["field"] != "complex":
         raise SchemaError('complex coefficient in a file with "field": "real"',
                           path)
@@ -237,11 +190,11 @@ def _components(x, path, ctx):
 
 
 def _split_order(x, path, ctx):
-    return None if x == "auto" else _as_int(x, path, minimum=1)
+    return None if x == "auto" else _integer(x, path, 1)
 
 
 def _samples(x, path, ctx):
-    return _as_int(x, path, minimum=2, maximum=MAX_COEFFS // ctx["A0"].size)
+    return _integer(x, path, 2, MAX_COEFFS // ctx["A0"].size)
 
 
 def _mu(x, path, ctx):

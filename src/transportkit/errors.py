@@ -11,11 +11,12 @@ class ValidationError(TransportKitError):
     """Malformed input data (bad schema, bad shapes, bad preconditions)."""
 
 
-class SchemaError(ValidationError):
-    """A problem file fails structural validation; path locates the offender."""
+class SchemaError(ValidationError, ValueError):
+    """A document fails structural validation; path locates the offender."""
 
     def __init__(self, message, path="$"):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
+        self.message = message
         self.path = path
 
 

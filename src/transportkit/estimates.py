@@ -191,6 +191,8 @@ class MatrixPath:
         ts = np.sort(np.asarray(self.sample_times, dtype=float))
         if ts.size < 2:
             raise ValidationError("a path needs at least two sample times")
+        if not np.all(np.isfinite(ts)):
+            raise ValidationError("sample times must be finite")
         if ts[-1] > 0.0:
             raise ValidationError("sample times must satisfy t <= 0")
         object.__setattr__(self, "sample_times", ts)

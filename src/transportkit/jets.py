@@ -41,13 +41,16 @@ vector field with no constant term descend to P_N as well.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+import sys
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldMismatchError, ShapeMismatchError, ValidationError
+from .errors import (FieldMismatchError, SchemaError, ShapeMismatchError,
+                     ValidationError)
 
 __all__ = [
     "P_dim",
@@ -88,13 +91,12 @@ def grlex_key(alpha):
 
 
 def _compositions(total: int, parts: int):
-    """Weak compositions of `total` into `parts` slots, first slot largest first."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Weak compositions of `total` into `parts` slots, first slot largest
+    first: the gaps between parts - 1 bars in total + parts - 1 places,
+    found without recursion, so that any n fits the stack."""
+    places = total + parts - 1
+    for bars in reversed(list(itertools.combinations(range(places), parts - 1))):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
 
 
 @lru_cache(maxsize=None)
@@ -548,38 +550,65 @@ class VectorFieldJet(Jet):
 
 def _encode_value(v):
     v = np.asarray(v)
-    if np.iscomplexobj(v):
-        if v.ndim == 0:
-            return {"re": float(v.real), "im": float(v.imag)}
+    if v.ndim:
         return [_encode_value(x) for x in v]
-    if v.ndim == 0:
-        return float(v)
-    return [_encode_value(x) for x in v]
+    if np.iscomplexobj(v):
+        return {"re": float(v.real), "im": float(v.imag)}
+    return float(v)
 
 
-def _decode_value(obj, where):
-    """A coefficient: a number, {re, im}, or nested lists of them."""
+def _fields(obj, path, required, optional=()):
+    """Refuse obj unless it is an object with every required key and no
+    key outside required and optional; the command line shares it."""
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", path)
+    for key in obj:
+        if key not in required and key not in optional:
+            raise SchemaError(f"unknown key {key!r}", path)
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"missing required key {key!r}", path)
+
+
+def _integer(x, path, minimum, maximum=None):
+    if type(x) is not int:  # not true, not 1.0
+        raise SchemaError("expected an integer", path)
+    if x < minimum:
+        raise SchemaError(f"must be >= {minimum}", path)
+    if maximum is not None and x > maximum:
+        raise SchemaError(f"must be <= {maximum}", path)
+    return x
+
+
+def _number(x, i):
+    if type(x) not in (int, float):
+        raise SchemaError(
+            f"terms[{i}].coeff must hold numbers or {{re, im}} objects", "")
+    if not abs(x) <= sys.float_info.max:  # NaN, inf or a huge integer
+        raise SchemaError("expected finite coefficients", f"terms[{i}].coeff")
+    return float(x)
+
+
+def _decode_value(obj, i, depth=0):
+    """The coefficient of term i: a number, {re, im}, or lists of them."""
     if isinstance(obj, list):
+        if depth == 2:  # lists inside a matrix's rows
+            raise SchemaError("expected a scalar, vector or matrix",
+                              f"terms[{i}].coeff")
+        items = [_decode_value(x, i, depth + 1) for x in obj]
         try:
-            return np.array([_decode_value(x, where) for x in obj])
+            return np.array(items)
         except ValueError:
-            raise ValueError(f"{where} is a ragged array") from None
-    parts = ((obj["re"], obj["im"]) if isinstance(obj, dict)
-             and obj.keys() == {"re", "im"} else (obj,))
-    if not all(type(x) in (int, float) for x in parts):
-        raise TypeError(f"{where} must hold numbers or {{re, im}} objects")
-    return complex(*parts) if len(parts) == 2 else float(obj)
+            raise SchemaError(f"terms[{i}].coeff is a ragged array", "") from None
+    if isinstance(obj, dict) and obj.keys() == {"re", "im"}:
+        return complex(_number(obj["re"], i), _number(obj["im"], i))
+    return _number(obj, i)
 
 
 def jet_to_json(u: Jet) -> dict:
     """Encode a jet; zero coefficients are omitted."""
     vs = u.value_shape
-    if vs == ():
-        shape = "scalar"
-    elif len(vs) == 1:
-        shape = f"vector:{vs[0]}"
-    else:
-        shape = f"matrix:{vs[0]}"
+    shape = f"{('vector', 'matrix')[len(vs) - 1]}:{vs[0]}" if vs else "scalar"
     return {
         "n": u.n,
         "N": u.N,
@@ -590,36 +619,52 @@ def jet_to_json(u: Jet) -> dict:
 
 
 def jet_from_json(obj: dict) -> Jet:
-    """Decode the jet_to_json encoding; anything else, or a jet of more
-    than MAX_COEFFS coefficients, raises TypeError or ValueError."""
-    n, N = obj["n"], obj["N"]
-    if type(n) is not int or type(N) is not int or n < 1 or N < 0:
-        raise ValueError("n and N must be integers >= 1 and >= 0")
+    """Decode the jet_to_json encoding; anything else raises SchemaError.
+
+    A jet is {"n" >= 1, "N" >= 0, "terms"} and an optional "shape":
+    "scalar" (the default), "vector:<m>" or "matrix:<m>".  Each term is
+    {"alpha", "coeff"}: alpha n nonnegative integers of sum <= N, once
+    per jet, and coeff a finite number or {re, im}, or a vector or
+    matrix of them in the tagged shape.  Omitted terms are zero; any
+    {re, im} makes the jet complex.  SchemaError is a ValueError, and its
+    path (such as "terms[0].coeff", or empty when the message names the
+    term) locates the fault: an unknown or missing key, NaN, Infinity,
+    an integer beyond the float range, nesting past a matrix, or more
+    than MAX_COEFFS coefficients.
+    """
+    _fields(obj, "", ("n", "N", "terms"), ("shape",))
+    n, N = _integer(obj["n"], "n", 1), _integer(obj["N"], "N", 0)
     shape_tag = obj.get("shape", "scalar")
     match = isinstance(shape_tag, str) and re.fullmatch(
         r"scalar|(vector|matrix):([1-9][0-9]*)", shape_tag)
     if not match:
-        raise ValueError('shape must be "scalar", "vector:<m>" or '
-                         f'"matrix:<m>", got {shape_tag!r}')
+        raise SchemaError('shape must be "scalar", "vector:<m>" or '
+                          f'"matrix:<m>", got {shape_tag!r}', "")
     kind, m = match.groups()
     vs = () if kind is None else (int(m),) * (1 if kind == "vector" else 2)
     if not fits(n, N, math.prod(vs)):
-        raise ValueError(f"the jet needs more than {MAX_COEFFS} coefficients")
+        raise SchemaError(f"the jet needs more than {MAX_COEFFS} coefficients",
+                          "")
+    if not isinstance(obj["terms"], list):
+        raise SchemaError("expected a list of terms", "terms")
     terms = {}
-    cplx = False
-    for i, t in enumerate(obj.get("terms", [])):
+    for i, t in enumerate(obj["terms"]):
+        _fields(t, f"terms[{i}]", ("alpha", "coeff"))
         alpha = t["alpha"]
         if not isinstance(alpha, list) or any(type(a) is not int
                                                for a in alpha):
-            raise TypeError(f"terms[{i}].alpha must be a list of integers")
-        if tuple(alpha) in terms:  # terms lists each multi-index once, in order
-            raise ValueError(f"terms[{i}].alpha repeats the multi-index of "
-                             f"terms[{list(terms).index(tuple(alpha))}]")
-        val = np.asarray(_decode_value(t["coeff"], f"terms[{i}].coeff"))
-        if val.shape != vs:
-            raise ShapeMismatchError(
-                f"coefficient shape {val.shape} does not match {shape_tag}")
-        terms[tuple(alpha)] = val
-        cplx = cplx or np.iscomplexobj(val)
-    return Jet.from_terms(n, N, terms, shape=vs,
-                          dtype=np.complex128 if cplx else np.float64)
+            raise SchemaError(f"terms[{i}].alpha must be a list of integers",
+                              "")
+        alpha = tuple(alpha)
+        if len(alpha) != n or min(alpha) < 0 or sum(alpha) > N:
+            raise SchemaError(f"expected n={n} nonnegative integers of sum "
+                              f"<= N={N}", f"terms[{i}].alpha")
+        if alpha in terms:  # terms lists each multi-index once, in order
+            raise SchemaError(f"terms[{i}].alpha repeats the multi-index of "
+                              f"terms[{list(terms).index(alpha)}]", "")
+        val = _decode_value(t["coeff"], i)
+        if np.shape(val) != vs:
+            raise SchemaError(f"coefficient shape {np.shape(val)} does not "
+                              f"match {shape_tag}", f"terms[{i}].coeff")
+        terms[alpha] = val
+    return Jet.from_terms(n, N, terms, shape=vs)

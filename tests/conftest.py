@@ -25,7 +25,9 @@ data, one more jet solve built from public calls, which the tests compare
 with central differences of the flow evaluator and of the jet solver.
 reference_heat_coefficients is the heat ladder by one resonant jet solve
 per column per step, the path that the division by degree of
-applications replaced.
+applications replaced, and reference_heat_numeric its quadrature by one
+Jet.evaluate per node, the path that one monomial product per rule
+replaced.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from transportkit.applications import _apply_L
+from transportkit.applications import _apply_L, heat_coefficients_jet
 from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
 from transportkit.flow import EvaluationResult
@@ -228,6 +230,33 @@ def reference_heat_coefficients(h):
             cols.append(sol.particular)
         coeffs = np.stack([c.coeffs for c in cols], axis=2)
         out.append(Jet(h.n, M_j, coeffs, copy=False))
+    return out
+
+
+def reference_heat_numeric(h, q, tol=1e-10):
+    """Phi_0(q) .. Phi_J(q) as applications.heat_coefficients_numeric
+    computes them, but summing Jet.evaluate over the Gauss-Legendre nodes
+    one node at a time."""
+    jets = heat_coefficients_jet(h)
+    out = [np.eye(h.m)]
+    for j in range(1, h.J + 1):
+        Lj = _apply_L(h.K, jets[j - 1])
+
+        def quad(k):
+            x, w = np.polynomial.legendre.leggauss(k)
+            acc = np.zeros((h.m, h.m))
+            for si, wi in zip(0.5 * (x + 1.0), 0.5 * w):
+                acc += wi * si ** (j - 1) * Lj.evaluate(si * q)
+            return -acc
+
+        nodes, val = 8, quad(8)
+        while True:
+            nodes *= 2
+            nxt = quad(nodes)
+            if np.max(np.abs(nxt - val)) <= tol * (1.0 + np.max(np.abs(nxt))):
+                break
+            val = nxt
+        out.append(nxt)
     return out
 
 

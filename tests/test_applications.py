@@ -29,13 +29,14 @@ from transportkit.applications import (
     heat_coefficients_numeric,
     wkb_expand,
 )
-from transportkit.errors import OrderBudgetError, ValidationError
+from transportkit.errors import (NumericError, OrderBudgetError,
+                                 ValidationError)
 from transportkit.jets import P_dim, Jet, VectorFieldJet, jet_from_json, jet_mul
 from transportkit.opmatrix import ProblemData
 from transportkit.spectral import enumerate_resonances
 from transportkit.taylor import residual
 
-from conftest import reference_heat_coefficients
+from conftest import reference_heat_coefficients, reference_heat_numeric
 
 
 def random_scalar_potential(rng, n, N, amplitude=1.0):
@@ -168,6 +169,21 @@ class TestHeatNumeric:
             for j in range(1, 3):
                 assert np.allclose(vals[j], jets[j].evaluate(q), atol=1e-9)
 
+    @pytest.mark.parametrize("n,m,J", [(1, 1, 3), (2, 2, 2), (3, 1, 2),
+                                       (3, 2, 1)])
+    def test_matches_the_per_node_loop(self, rng, n, m, J):
+        # the nodes are summed in another order: set beforehand, 1e-13 is
+        # about 450 roundings of the largest entry
+        N = 2 * J + 2
+        K = Jet(n, N, 0.5 * rng.standard_normal((P_dim(n, N), m, m)))
+        h = HeatProblem(n=n, m=m, K=K, J=J, N=N)
+        for _ in range(3):
+            q = rng.uniform(-1.0, 1.0, size=n)
+            for got, want in zip(heat_coefficients_numeric(h, q),
+                                 reference_heat_numeric(h, q)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(
+                    1.0, np.max(np.abs(want)))
+
     def test_point_shape_checked(self):
         h = HeatProblem(n=2, m=1, K=Jet.zero(2, 5), J=1, N=5)
         with pytest.raises(ValidationError):
@@ -196,6 +212,23 @@ class TestWKBProblem:
     def test_rejects_multivariate(self):
         with pytest.raises(ValidationError):
             WKBProblem(V=Jet.zero(2, 8), level=0, J=1, N=8)
+
+    @pytest.mark.parametrize("v2,named", [(1e-300, "1e-150"), (2e-13, "4.47e-07")])
+    def test_rejects_unresolvable_well_frequency(self, v2, named):
+        # V = 1e-300 x^2 + 0.1 x^4 used to overflow in the eiconal series
+        # and then blame the resonance enumeration ceiling; below
+        # mu = 5e-7 the levels 2 mu apart fall within the near-resonance
+        # tolerance of the jet solver
+        with pytest.raises(ValidationError, match=f"mu = {named} is too small"):
+            WKBProblem(V=Jet.from_terms(1, 6, {(2,): v2, (4,): 0.1}),
+                       level=0, J=1, N=6)
+        WKBProblem(V=Jet.from_terms(1, 6, {(2,): 3e-13, (4,): 0.1}),
+                   level=0, J=1, N=6)
+
+    def test_nan_eiconal_fails_the_self_check(self):
+        V = Jet.from_terms(1, 8, {(2,): 1.0, (4,): math.nan})
+        with pytest.raises(NumericError, match="eiconal self-check"):
+            wkb_expand(WKBProblem(V=V, level=0, J=1, N=8))
 
 
 class TestWKBHarmonic:

@@ -390,6 +390,13 @@ class TestTwoRegime:
         with pytest.raises(ValidationError):
             MatrixPath(fn=lambda t: A0, sample_times=[0.5, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_nonfinite_sample_times_rejected(self, bad):
+        # a NaN time used to reach a raw LinAlgError in two_regime_bound,
+        # and a -inf time a bound that never returned; neither is called
+        with pytest.raises(ValidationError, match="finite"):
+            MatrixPath(fn=lambda t: np.eye(2), sample_times=[bad, -1.0, 0.0])
+
     def test_json_form(self):
         A0 = np.diag([1.0, 2.0])
         rep = two_regime_bound(A0, MatrixPath.constant(A0), 0.5, -1.0)

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from transportkit.errors import (FieldMismatchError, ShapeMismatchError,
-                                 ValidationError)
+from transportkit.errors import (FieldMismatchError, SchemaError,
+                                 ShapeMismatchError, ValidationError)
 from transportkit.jets import (
     MAX_COEFFS,
     Jet,
@@ -442,6 +444,66 @@ def test_json_omitted_terms_are_zero():
            "terms": [{"alpha": [1, 0], "coeff": 3.0}]}
     u = jet_from_json(obj)
     assert u == Jet.from_terms(2, 2, {(1, 0): 3.0})
+
+
+@st.composite
+def _any_jet(draw):
+    n, N = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    vs = draw(st.sampled_from([(), (1,), (3,), (1, 1), (2, 2)]))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    finite = (st.floats(allow_nan=False, allow_infinity=False)
+              if dtype is np.float64 else
+              st.complex_numbers(allow_nan=False, allow_infinity=False))
+    coeffs = draw(arrays(dtype, (P_dim(n, N),) + vs,
+                         elements=st.one_of(st.just(0), finite)))
+    return Jet(n, N, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_jet())
+def test_json_roundtrip_any_jet(u):
+    assert jet_from_json(json.loads(json.dumps(jet_to_json(u)))) == u
+
+
+def _nested(depth):
+    x = 1.0
+    for _ in range(depth):
+        x = [x]
+    return x
+
+
+def _one_term(coeff, **extra):
+    return {"n": 1, "N": 2, "shape": "scalar",
+            "terms": [{"alpha": [1], "coeff": coeff, **extra}]}
+
+
+@pytest.mark.parametrize("obj,path,message", [
+    # each of these used to decode, or to escape as OverflowError or
+    # RecursionError
+    ({"n": 1, "N": 2, "term": []}, "", "unknown key 'term'"),
+    ({"n": 1, "N": 2}, "", "missing required key 'terms'"),
+    (_one_term(math.nan), "terms[0].coeff", "expected finite coefficients"),
+    (_one_term(-math.inf), "terms[0].coeff", "expected finite coefficients"),
+    (_one_term({"re": 1e400, "im": 0}), "terms[0].coeff",
+     "expected finite coefficients"),
+    (_one_term(10**400), "terms[0].coeff", "expected finite coefficients"),
+    (_one_term(_nested(5000)), "terms[0].coeff",
+     "expected a scalar, vector or matrix"),
+    (_one_term(1.0, bogus=1), "terms[0]", "unknown key 'bogus'"),
+])
+def test_json_fault_names_its_path(obj, path, message):
+    with pytest.raises(ValueError) as info:
+        jet_from_json(obj)
+    assert isinstance(info.value, SchemaError)
+    assert (info.value.path, info.value.message) == (path, message)
+    assert str(info.value) == (f"{path}: {message}" if path else message)
+
+
+def test_json_jet_in_many_variables():
+    # the multi-indices used to be enumerated by one recursion per
+    # variable, which ran out of stack at n = 1000
+    obj = {"n": 5000, "N": 0, "terms": [{"alpha": [0] * 5000, "coeff": 2.0}]}
+    assert jet_from_json(obj) == Jet.constant(5000, 0, 2.0)
 
 
 def test_json_repeated_multi_index_rejected():
