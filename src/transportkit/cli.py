@@ -434,7 +434,7 @@ def cmd_solvable(args, doc):
 def cmd_heat(args, doc):
     heat = _read(doc, "heat", field="real")
     n, m, K, N = heat["n"], heat["m"], heat["K"], heat["N"]
-    if not fits(n, N, K.coeffs[0].size):  # K padded to order N
+    if not fits(n, N, max(n, K.coeffs[0].size)):  # K and monomials to order N
         raise SchemaError(_TOO_LARGE, "$.heat.N")
     problem = HeatProblem(n=n, m=m, K=K, J=heat["J"], N=N)
     quad_tol = heat["quad_tol"]

@@ -41,7 +41,6 @@ vector field with no constant term descend to P_N as well.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
@@ -92,11 +91,20 @@ def grlex_key(alpha):
 
 def _compositions(total: int, parts: int):
     """Weak compositions of `total` into `parts` slots, first slot largest
-    first: the gaps between parts - 1 bars in total + parts - 1 places,
-    found without recursion, so that any n fits the stack."""
-    places = total + parts - 1
-    for bars in reversed(list(itertools.combinations(range(places), parts - 1))):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
+    first; lazy and without recursion, so that any n fits the stack."""
+    alpha = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(alpha)
+        # the last nonzero slot before the final one gives up a unit, and
+        # the slot after it takes that unit and the final slot's share
+        i = parts - 2
+        while i >= 0 and alpha[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        rest, alpha[-1] = alpha[-1] + 1, 0
+        alpha[i] -= 1
+        alpha[i + 1] = rest
 
 
 @lru_cache(maxsize=None)
@@ -550,11 +558,13 @@ class VectorFieldJet(Jet):
 
 def _encode_value(v):
     v = np.asarray(v)
-    if v.ndim:
-        return [_encode_value(x) for x in v]
     if np.iscomplexobj(v):
-        return {"re": float(v.real), "im": float(v.imag)}
-    return float(v)
+        if v.ndim == 0:
+            return {"re": float(v.real), "im": float(v.imag)}
+        return [_encode_value(x) for x in v]
+    if v.ndim == 0:
+        return float(v)
+    return [_encode_value(x) for x in v]
 
 
 def _fields(obj, path, required, optional=()):
@@ -608,7 +618,12 @@ def _decode_value(obj, i, depth=0):
 def jet_to_json(u: Jet) -> dict:
     """Encode a jet; zero coefficients are omitted."""
     vs = u.value_shape
-    shape = f"{('vector', 'matrix')[len(vs) - 1]}:{vs[0]}" if vs else "scalar"
+    if vs == ():
+        shape = "scalar"
+    elif len(vs) == 1:
+        shape = f"vector:{vs[0]}"
+    else:
+        shape = f"matrix:{vs[0]}"
     return {
         "n": u.n,
         "N": u.N,
@@ -630,7 +645,7 @@ def jet_from_json(obj: dict) -> Jet:
     path (such as "terms[0].coeff", or empty when the message names the
     term) locates the fault: an unknown or missing key, NaN, Infinity,
     an integer beyond the float range, nesting past a matrix, or more
-    than MAX_COEFFS coefficients.
+    than MAX_COEFFS coefficients or entries of the monomial table.
     """
     _fields(obj, "", ("n", "N", "terms"), ("shape",))
     n, N = _integer(obj["n"], "n", 1), _integer(obj["N"], "N", 0)
@@ -642,7 +657,7 @@ def jet_from_json(obj: dict) -> Jet:
                           f'"matrix:<m>", got {shape_tag!r}', "")
     kind, m = match.groups()
     vs = () if kind is None else (int(m),) * (1 if kind == "vector" else 2)
-    if not fits(n, N, math.prod(vs)):
+    if not fits(n, N, max(n, math.prod(vs))):  # and the n-wide monomial table
         raise SchemaError(f"the jet needs more than {MAX_COEFFS} coefficients",
                           "")
     if not isinstance(obj["terms"], list):

@@ -1052,6 +1052,17 @@ class TestResourceCeilings:
         (row,) = result_of(out)["points"]
         assert (row["u"], row["error"]) == (None, self.TABLE)
 
+    def test_heat_monomial_table(self, run):
+        # K is a constant, but the heat expansion to order 1 would build
+        # 20,001 multi-indices of 20,000 entries each
+        K = {"n": 20000, "N": 0, "shape": "scalar", "terms": []}
+        doc = {"schema_version": 1, "heat": {"n": 20000, "m": 1, "J": 0,
+                                             "N": 1, "K": K}}
+        code, out, err = run("heat", doc)
+        assert (code, out, err) == (
+            2, "", "error: $.heat.N: needs more than 1048576 coefficients "
+                   "at this order\n")
+
     @pytest.mark.parametrize("command,doc,flags,message", [
         # mu_2 / mu_1 = 1449: every alpha of degree <= 1449 in 2 variables
         ("sternberg", {"schema_version": 1,

@@ -506,6 +506,14 @@ def test_json_jet_in_many_variables():
     assert jet_from_json(obj) == Jet.constant(5000, 0, 2.0)
 
 
+def test_json_monomial_table_counts_against_the_ceiling():
+    # P_dim(20000, 1) = 20,001 coefficients fit, but their table of
+    # multi-indices holds 20,001 tuples of 20,000 entries (about 3 GB)
+    with pytest.raises(SchemaError, match="^the jet needs more than 1048576 "
+                                          "coefficients$"):
+        jet_from_json({"n": 20000, "N": 1, "terms": []})
+
+
 def test_json_repeated_multi_index_rejected():
     # the second term used to overwrite the first without a message
     obj = {"n": 1, "N": 2, "shape": "vector:1",
