@@ -40,7 +40,7 @@ from .errors import NumericError, OrderBudgetError, ValidationError
 from .jets import (Jet, VectorFieldJet, _monomial_vector, jet_mul,
                    monomial_powers)
 from .opmatrix import ProblemData
-from .spectral import NEAR_RESONANCE_TOL, dual_kernel_basis
+from .spectral import NEAR_RESONANCE_TOL, RESONANCE_TOL, dual_kernel_basis
 from .taylor import solve_to_order
 
 __all__ = [
@@ -164,9 +164,9 @@ class WKBProblem:
 
     V is a scalar jet in one variable with V(0) = 0, V'(0) = 0 and
     V''(0) > 0; level is the quantum number alpha; J the number of
-    lambda terms past lambda_0; N the jet order budget.  The well
-    frequency mu (V = mu^2 x^2 + higher) must exceed half of
-    spectral.NEAR_RESONANCE_TOL, or ValidationError names it.
+    lambda terms past lambda_0; N the jet order budget.  The well frequency
+    mu (V = mu^2 x^2 + ...) needs 2 mu > NEAR_RESONANCE_TOL and lambda_0 =
+    (2 level + 1) mu <= RESONANCE_TOL / eps (4.5e6), else ValidationError.
     """
 
     V: Jet
@@ -199,6 +199,13 @@ class WKBProblem:
             raise ValidationError(
                 f"the well frequency mu = {self.mu:.3g} is too small: levels "
                 f"2 mu apart fall within the tolerance {NEAR_RESONANCE_TOL:g}")
+        # the level is matched as alpha (2 mu) + mu, rounded by lambda_0 eps
+        rounding = (2 * self.level + 1) * self.mu * np.finfo(float).eps
+        if rounding > RESONANCE_TOL:
+            raise ValidationError(
+                f"the well frequency mu = {self.mu:.3g} is too large for level "
+                f"{self.level}: lambda_0 rounds by up to {rounding:.3g}, above "
+                f"the resonance tolerance {RESONANCE_TOL:g}")
 
     @property
     def mu(self) -> float:
@@ -254,9 +261,9 @@ def wkb_expand(w: WKBProblem, *, amplitude_scale: float = 1.0) -> WKBExpansion:
     N, alpha, mu = w.N, w.level, w.mu
     V = w.V
 
-    # eiconal: V = mu^2 x^2 (1 + shifted), phi' = mu x sqrt(1 + shifted)
-    shifted = Jet(1, N - 2, V.coeffs[2:] / mu ** 2, copy=False) \
-        - Jet.constant(1, N - 2, 1.0)
+    # eiconal: V = mu^2 x^2 (1 + shifted), phi' = mu x sqrt(1 + shifted);
+    # shifted(0) = 0 exactly, or phi''(0) misses mu and level 0 by an ulp
+    shifted = Jet(1, N - 2, np.r_[0.0, V.coeffs[3:] / mu ** 2], copy=False)
     root = _sqrt_one_plus(shifted).extend(N - 1)
     phi_prime = jet_mul(Jet.coordinate(1, N - 1, 0), root) * mu
     eik = jet_mul(phi_prime.extend(N), phi_prime.extend(N)) - V

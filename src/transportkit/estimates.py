@@ -15,7 +15,8 @@ every eps: exp(t (S0 + eps id)) = exp(t eps) V diag(exp(t w)) V^{-1} for a
 whole array of times at once.  That formula loses about 1e-16 cond(V)
 relative accuracy, so when cond(V) exceeds _EIG_COND_MAX = 1e3 (S0 close
 to defective) the same arrays of times go through batched expm calls.
-Each 2-norm of such a stack comes from its Gram matrix (see _norm2).
+Each 2-norm of such a stack comes from its Gram matrix (see _norm2), and
+a sup over t is a log grid refined in a few batched passes (_sup_norms).
 
 Conventions: operator 2-norm throughout, so every constant here is
 norm-dependent.  Time paths live on t <= 0 and are given as a callable
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 _GRID_POINTS = 512
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_PASS_POINTS, _PASSES = 16, 9  # a bracket narrows by (2/15)^9, about 1e-8
 # eigenvector condition number above which exp(tS) comes from expm
 _EIG_COND_MAX = 1e3
 ODE_REL_TOL, ODE_ABS_TOL = 1e-10, 1e-13  # of the transition integration
@@ -106,32 +107,23 @@ def _exp_norms(S):
     return lambda ts: _norm2(stack(ts))
 
 
-def _golden_max(fn, lo, hi, iters: int = 80) -> np.ndarray:
-    """Maxima of a unimodal fn on each bracket [lo_i, hi_i].
+def _refine_max(fn, lo, hi) -> np.ndarray:
+    """Maxima of fn on each bracket [lo_i, hi_i], in _PASSES passes.
 
-    The golden-section searches run in lockstep, so each step is one call
-    of fn on an array of times shaped like lo (a stack of two at the first
-    step); a search stops once its bracket is below 1e-12 relative.
+    Each pass samples every bracket at _PASS_POINTS evenly spaced times in
+    one call of fn, then shrinks it to the two neighbours of its best
+    sample, so a bracket narrows by 2 / (_PASS_POINTS - 1) a pass.
     """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(np.stack([x1, x2]))
-    live = np.ones(lo.shape, dtype=bool)
-    for _ in range(iters):
-        right = live & (f1 < f2)  # keep [x1, hi]: x2 becomes the new x1
-        left = live & ~(f1 < f2)  # keep [lo, x2]: x1 becomes the new x2
-        lo, hi = np.where(right, x1, lo), np.where(left, x2, hi)
-        x1, x2 = np.where(right, x2, x1), np.where(left, x1, x2)
-        f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
-        probe = np.where(right, lo + _GOLDEN * (hi - lo),
-                         hi - _GOLDEN * (hi - lo))
-        f_probe = fn(probe)
-        x1, f1 = np.where(left, probe, x1), np.where(left, f_probe, f1)
-        x2, f2 = np.where(right, probe, x2), np.where(right, f_probe, f2)
-        live &= ~(hi - lo < 1e-12 * np.maximum(1.0, np.abs(lo)))
-        if not live.any():
-            break
-    return np.maximum(f1, f2)
+    u = np.linspace(0.0, 1.0, _PASS_POINTS)[:, None, None]
+    best = np.full(lo.shape, -np.inf)
+    for _ in range(_PASSES):
+        xs = lo + u * (hi - lo)
+        vals = fn(xs)
+        best = np.maximum(best, vals.max(0))
+        k = vals.argmax(0)[None]
+        lo = np.take_along_axis(xs, np.maximum(k - 1, 0), 0)[0]
+        hi = np.take_along_axis(xs, np.minimum(k + 1, _PASS_POINTS - 1), 0)[0]
+    return best
 
 
 def _sup_norms(A0, epss):
@@ -139,8 +131,9 @@ def _sup_norms(A0, epss):
 
     |exp(t (S0 + eps id))| = exp(t eps) |exp(t S0)|, S0 = A0 - ell id, so one
     norm map of S0 serves every eps.  Per eps the sup is taken on a log grid
-    over a doubling window, refined by golden-section search around the
-    three best grid points; all eps run in lockstep, one norm call a step.
+    over a doubling window, refined around the three best grid points; each
+    doubling step, the grid and each pass of _refine_max is one norm call
+    for all eps, 11 in all when the first window holds.
     """
     for eps in epss:
         _check_eps(eps)
@@ -164,7 +157,7 @@ def _sup_norms(A0, epss):
                                  np.zeros_like(T)], axis=1))
     vals = f(ts)
     top = np.argsort(vals)[:, ::-1][:, :3]  # brackets: the grid neighbours
-    refined = _golden_max(f, *np.take_along_axis(
+    refined = _refine_max(f, *np.take_along_axis(
         ts[None], np.clip(top + [[[-1]], [[1]]], 0, _GRID_POINTS), 2))
     return lam, np.hstack([np.ones_like(T), vals, refined]).max(1).tolist()
 

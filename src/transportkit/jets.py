@@ -319,8 +319,10 @@ class Jet:
                 yield alpha, c
 
     def norm(self) -> float:
-        """Euclidean norm of the coefficient array."""
-        return float(np.linalg.norm(self._coeffs.ravel()))
+        """Euclidean norm of the coefficient array, as s |c / s| with
+        s = max |c| so that no square overflows; s when 0, inf or NaN."""
+        s = float(np.abs(self._coeffs).max())
+        return s * float(np.linalg.norm(self._coeffs / s)) if 0 < s < math.inf else s
 
     # -- structural ops ------------------------------------------------
 

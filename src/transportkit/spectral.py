@@ -118,11 +118,11 @@ def _degree_bound(mu: np.ndarray, rho: np.ndarray, re_target: float,
 
 
 def _combinations(mu: np.ndarray, rho: np.ndarray, re_target: float,
-                  tol: float):
-    """Yield (alpha, j, alpha . mu + rho_j) for |alpha| up to _degree_bound.
-
-    alpha runs in graded-lex order, then j over the rho indices.  More
-    than MAX_COEFFS multi-indices raise ValidationError before the first.
+                  tol: float, min_degree: int = 0):
+    """Yield (alpha, j, alpha . mu + rho_j) for |alpha| from min_degree up
+    to _degree_bound, alpha in graded-lex order, then j over the rho
+    indices.  More than MAX_COEFFS multi-indices raise ValidationError
+    before the first.
     """
     amax = _degree_bound(mu, rho, re_target, tol)
     if amax < 0:
@@ -132,7 +132,7 @@ def _combinations(mu: np.ndarray, rho: np.ndarray, re_target: float,
             f"resonance enumeration up to degree {amax} in {mu.shape[0]} "
             f"variables visits more than {MAX_COEFFS} multi-indices")
     # degree by degree, so that no table of multi-indices is built or cached
-    for degree in range(amax + 1):
+    for degree in range(min_degree, amax + 1):
         for alpha in _compositions(degree, mu.shape[0]):
             base = sum(a * u for a, u in zip(alpha, mu))
             for j in range(rho.shape[0]):
@@ -411,14 +411,10 @@ def sternberg_resonance_check(mu, tol: float = RESONANCE_TOL):
 
     An empty list means the linearization spectrum admits no resonant
     integer combinations, the obstruction relevant for smooth
-    linearization of the field.
+    linearization of the field.  Some Re mu_i <= 0 is a ValidationError.
     """
     mu = np.asarray(mu, dtype=complex)
-    if np.min(mu.real) <= 0:
-        raise ValidationError("sternberg check needs Re mu_i > 0")
-    violations = []
-    for j in range(mu.shape[0]):
-        for alpha, _, val in _combinations(mu, np.zeros(1), mu[j].real, tol):
-            if sum(alpha) >= 2 and abs(val - mu[j]) <= tol:
-                violations.append((j, alpha))
-    return violations
+    # one enumeration of alpha . mu - mu_j for all j, stably sorted j first
+    hits = _combinations(mu, -mu, 0.0, tol, min_degree=2)
+    return sorted(((j, alpha) for alpha, j, val in hits if abs(val) <= tol),
+                  key=lambda hit: hit[0])

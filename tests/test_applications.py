@@ -16,6 +16,8 @@ Closed forms used as oracles:
 
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +227,33 @@ class TestWKBProblem:
         WKBProblem(V=Jet.from_terms(1, 6, {(2,): 3e-13, (4,): 0.1}),
                    level=0, J=1, N=6)
 
+    @pytest.mark.parametrize("level,mu,refused", [
+        (0, 4.4e6, False), (0, 4.6e6, True), (3, 6.4e5, False),
+        (3, 6.5e5, True), (0, 1e50, True)])
+    def test_well_frequency_ceiling(self, level, mu, refused):
+        # RESONANCE_TOL is absolute: past lambda_0 = 1e-9 / eps = 4.5e6 the
+        # rounding of (2 level + 1) mu can hide the level's own resonance;
+        # random curvatures first hid it at lambda_0 = 1.06e7
+        N = 2 * level + 6
+        V = Jet.from_terms(1, N, {(2,): mu * mu, (4,): 0.3 * mu * mu})
+        if refused:
+            with pytest.raises(ValidationError, match=(
+                    re.escape(f"mu = {mu:.3g} is too large for level {level}")
+                    + ".* resonance tolerance 1e-09")):
+                WKBProblem(V=V, level=level, J=1, N=N)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = wkb_expand(WKBProblem(V=V, level=level, J=1, N=N))
+        assert res.lambdas[0] == (2 * level + 1) * mu
+
+    def test_huge_potential_norm(self):
+        # |V| must not square an unscaled 1e200: the overflow, a
+        # RuntimeWarning and so an error in this suite, precedes the mu check
+        with pytest.raises(ValidationError, match="mu = 1e\\+100 is too large"):
+            WKBProblem(V=Jet.from_terms(1, 6, {(2,): 1e200}), level=0, J=1,
+                       N=6)
+
     def test_nan_eiconal_fails_the_self_check(self):
         V = Jet.from_terms(1, 8, {(2,): 1.0, (4,): math.nan})
         with pytest.raises(NumericError, match="eiconal self-check"):
@@ -232,6 +261,16 @@ class TestWKBProblem:
 
 
 class TestWKBHarmonic:
+    @pytest.mark.parametrize("v2", [0.5541966704634669, 159286836.53394154])
+    def test_curvature_off_a_square(self, v2):
+        # fl(sqrt(v2))^2 != v2, so V / (mu x)^2 - 1 has a constant of
+        # -2.2e-16 unless it is set to 0; the level 0 head block is then
+        # 1e-16, not 0, and the relative rank rule finds no kernel
+        res = wkb_expand(WKBProblem(V=Jet.from_terms(1, 8, {(2,): v2}),
+                                    level=0, J=2, N=8))
+        assert res.lambdas[0] == math.sqrt(v2)
+        assert [abs(lam) for lam in res.lambdas[1:]] == [0.0, 0.0]
+
     @pytest.mark.parametrize("alpha", [0, 1, 2])
     def test_lambda_series(self, alpha):
         mu = 1.3

@@ -1011,6 +1011,14 @@ class TestSternberg:
         assert code == 0
         assert result_of(out)["resonance_free"] is True
 
+    def test_many_equal_frequencies(self, run):
+        # every coincidence mu_j = mu_i has degree 1, so 300 equal entries
+        # are resonance free
+        doc = {"schema_version": 1, "sternberg": {"mu": [1.0] * 300}}
+        code, out, _ = run("sternberg", doc)
+        assert code == 0
+        assert result_of(out)["resonance_free"] is True
+
     def test_spectrum_from_problem_field(self, run):
         code, out, _ = run("sternberg", euler_doc([]))
         assert code == 0

@@ -201,23 +201,30 @@ class TestOneSpectralPass:
     @pytest.mark.parametrize("bound", [two_regime_bound,
                                        inverse_two_regime_bound],
                              ids=["direct", "inverse"])
-    def test_one_norm_map_and_golden_search(self, monkeypatch, rng, bound):
+    def test_one_norm_map_and_refinement(self, monkeypatch, rng, bound):
         A0, path, eps, t0 = next(recipe_paths(rng, 1))
-        calls = {"norm maps": 0, "golden": 0}
-        exp_norms, golden_max = estimates._exp_norms, estimates._golden_max
+        calls = {"norm maps": 0, "norm calls": 0, "refinements": 0}
+        exp_norms, refine_max = estimates._exp_norms, estimates._refine_max
 
         def counting_norms(S):
             calls["norm maps"] += 1
-            return exp_norms(S)
+            norms = exp_norms(S)
 
-        def counting_golden(*args, **kwargs):
-            calls["golden"] += 1
-            return golden_max(*args, **kwargs)
+            def counting_map(ts):
+                calls["norm calls"] += 1
+                return norms(ts)
+
+            return counting_map
+
+        def counting_refinement(*args, **kwargs):
+            calls["refinements"] += 1
+            return refine_max(*args, **kwargs)
 
         monkeypatch.setattr(estimates, "_exp_norms", counting_norms)
-        monkeypatch.setattr(estimates, "_golden_max", counting_golden)
+        monkeypatch.setattr(estimates, "_refine_max", counting_refinement)
         bound(A0, path, eps, t0)
-        assert calls == {"norm maps": 1, "golden": 1}
+        assert calls["norm maps"] == calls["refinements"] == 1
+        assert calls["norm calls"] <= 12
 
     def test_pair_matches_single_calls(self, rng):
         for A0 in [JORDAN] + [rng.standard_normal((m, m)) for m in (2, 3, 4)]:

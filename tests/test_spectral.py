@@ -368,6 +368,20 @@ def test_sternberg_mu_1_pi():
     assert sternberg_resonance_check([1.0, math.pi]) == []
 
 
+def test_sternberg_enumerates_once(monkeypatch):
+    calls = []
+    combinations = transportkit.spectral._combinations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return combinations(*args, **kwargs)
+
+    monkeypatch.setattr(transportkit.spectral, "_combinations", counting)
+    mu = [1.0, 2.0, 3.0]
+    assert sternberg_resonance_check(mu) == _sternberg_oracle(mu)
+    assert len(calls) == 1
+
+
 def test_sternberg_resonant_triple():
     got = sternberg_resonance_check([1.0, 1.0, 2.0])
     assert set(got) == set(_sternberg_oracle([1.0, 1.0, 2.0]))
