@@ -25,8 +25,9 @@ component along the kernel direction vanishes.
 
 Order bookkeeping is the binding constraint in both drivers: applying the
 Laplacian (or a second derivative) costs two jet orders per step, so J
-coefficients need N >= 2J + 1 (heat) respectively N >= 2J + alpha + 2
-(WKB).
+coefficients need N >= 2J + 1 (heat) respectively N >= 2J + max(alpha, 1)
++ 2 (WKB: the last transport solve, at order N - 2 - 2J, needs order at
+least alpha to see the level and at least 1 to carry X's linearization).
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class WKBProblem:
 
     V is a scalar jet in one variable with V(0) = 0, V'(0) = 0 and
     V''(0) > 0; level is the quantum number alpha; J the number of
-    lambda terms past lambda_0; N the jet order budget.  The well frequency
+    lambda terms past lambda_0; N the jet order budget, at least
+    2 J + max(level, 1) + 2 (else OrderBudgetError).  The well frequency
     mu (V = mu^2 x^2 + ...) needs 2 mu > NEAR_RESONANCE_TOL and lambda_0 =
     (2 level + 1) mu <= RESONANCE_TOL / eps (4.5e6), else ValidationError.
     """
@@ -182,7 +184,8 @@ class WKBProblem:
             raise ValidationError("V must be real")
         if self.level < 0 or self.J < 0:
             raise ValidationError("level and J must be nonnegative")
-        need = 2 * self.J + self.level + 2
+        # the last transport solve is at order N - 2 - 2 J >= max(level, 1)
+        need = 2 * self.J + max(self.level, 1) + 2
         if self.N < need:
             raise OrderBudgetError(
                 f"order budget N={self.N} cannot carry J={self.J} terms at "

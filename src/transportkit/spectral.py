@@ -10,7 +10,8 @@ hit a given lambda, so resonance enumeration terminates.  The geometric
 multiplicity of lambda lies between 1 and the number of representations.
 
 Kernel and dual kernel come from one SVD of the head block (degrees up to
-the resonance degree) with a relative rank threshold; dual kernels are
+the resonance degree) with a relative rank threshold, floored at the
+resonance tolerance; dual kernels are
 returned as distributions supported at the base point.  A distribution
 stores one covector per multi-index and pairs against Taylor-normalized
 jet coefficients:
@@ -222,16 +223,16 @@ class RankReport:
     gap: float  # ratio of smallest kept to largest dropped singular value
 
 
-def _svd_rank(mat: np.ndarray):
+def _svd_rank(mat: np.ndarray, floor: float = 0.0):
     """SVD of mat and its rank decision: (U, s, Vh, RankReport).
 
-    The rank threshold is RANK_RTOL * sigma_max.  A gap below 1e3 between the
-    singular values on either side of the threshold triggers
-    RankAmbiguityWarning.
+    The rank threshold is RANK_RTOL * sigma_max, raised to floor.  A gap
+    below 1e3 between the singular values on either side of the threshold
+    triggers RankAmbiguityWarning.
     """
     U, s, Vh = np.linalg.svd(mat)
     sigma_max = s[0] if s.size else 0.0
-    threshold = RANK_RTOL * sigma_max
+    threshold = max(RANK_RTOL * sigma_max, floor)
     rank = int(np.sum(s > threshold))
     nullity = mat.shape[1] - rank
     kept = s[rank - 1] if rank > 0 else np.inf
@@ -280,7 +281,7 @@ def kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     if entry is None:
         return []
     q = p.at_order(max(p.N, n_star))
-    return list(_solve_family(q, entry, n_star, 0.0).kernel_extensions)
+    return list(_solve_family(q, entry, n_star, 0.0, tol).kernel_extensions)
 
 
 class DualDistribution(Jet):
@@ -338,7 +339,7 @@ class DualDistribution(Jet):
         return f"DualDistribution(n={self.n}, order={self.order}, m={self.m})"
 
 
-def _head_split(p: ProblemData, L, order: int):
+def _head_split(p: ProblemData, L, order: int, tol: float):
     """One SVD of the head block (degrees <= order) of D_X + A - lambda.
 
     L is the sparse operator of p at any working order >= max(order, 1);
@@ -347,10 +348,13 @@ def _head_split(p: ProblemData, L, order: int):
     null basis as columns, the left null basis in the bilinear pairing (no
     conjugation) as DualDistributions of the given order, and the
     minimum-norm solve of head x = b on the kept singular values, all by
-    one rank decision.
+    one rank decision.  tol is the resonance screen's tolerance and floors
+    the rank threshold: the screen found an eigenvalue of the block within
+    tol of 0, and sigma_min <= |eigenvalue|, so the block keeps a kernel
+    even when it is all rounding residue and its own sigma_max is tiny.
     """
     h = P_dim(p.n, order) * p.m
-    U, s, Vh, report = _svd_rank(L[:h, :h].toarray() - p.lam * np.eye(h))
+    U, s, Vh, report = _svd_rank(L[:h, :h].toarray() - p.lam * np.eye(h), tol)
     r = report.rank
     left = _canonicalize_columns(U[:, r:].conj())
     tiny = 10 * h * np.finfo(float).eps * np.abs(left).max(axis=0, initial=0.0)
@@ -378,7 +382,7 @@ def dual_kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     if entry is None:
         return []
     L = _sparse_operator(p.at_order(max(n_prime, 1)))
-    return _head_split(p, L, n_prime)[1]
+    return _head_split(p, L, n_prime, tol)[1]
 
 
 @dataclass(frozen=True)

@@ -87,12 +87,12 @@ def solve_to_order(p: ProblemData, M: int, *,
     if M > MAX_ORDER:
         raise ValidationError(
             f"requested order {M} exceeds the solver cap {MAX_ORDER}")
-    return _solve_family(p.at_order(M), entry, n_star, obstruction_tol)
+    return _solve_family(p.at_order(M), entry, n_star, obstruction_tol, tol)
 
 
-def _solve_family(q: ProblemData, entry, n_star: int,
-                  obstruction_tol: float) -> JetSolution:
-    """solve_to_order at the working order q.N >= n_star."""
+def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
+                  tol: float) -> JetSolution:
+    """solve_to_order at the working order q.N >= n_star, entry found within tol."""
     n, N, m = q.n, q.N, q.m
     offsets = degree_starts(n, N) * m
     L = _sparse_operator(q)
@@ -100,7 +100,7 @@ def _solve_family(q: ProblemData, entry, n_star: int,
     solvable = True
     heads = np.zeros((0, 1))
     if entry is not None:
-        kernel, duals, head_solve = _head_split(q, L, n_star)
+        kernel, duals, head_solve = _head_split(q, L, n_star, tol)
         screen = _screen(duals, q.v, obstruction_tol)
         obstructions, solvable = screen.obstructions, screen.solvable
         heads = kernel if not solvable else np.column_stack(

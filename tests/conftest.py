@@ -6,7 +6,9 @@ The kernel references below instead decide rank on the whole assembled
 matrix, the path that the head-block SVD of spectral replaced, and the
 flow references sample X, A and v through one Jet.evaluate call each,
 the path that the fused polynomial sampler of flow replaced, and
-reference_tail_integrate is the RK45 tail integration that DOP853 replaced.
+reference_tail_integrate is the RK45 tail integration that DOP853 replaced,
+and reference_integrand the flow integrand at the full degree of its data,
+zero rows included, the path that the cut at the true degree replaced.
 reference_apply_operator is D_X + A by jet arithmetic (jet_mul and
 partial derivatives), the path that the index-built sparse operator of
 opmatrix replaced; reference_assemble is the dense operator built by one
@@ -61,7 +63,7 @@ from scipy.linalg import expm, lu_factor, lu_solve
 from transportkit.applications import _apply_L, heat_coefficients_jet
 from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
-from transportkit.flow import EvaluationResult
+from transportkit.flow import EvaluationResult, _remainder_jet
 
 from transportkit.errors import ShapeMismatchError
 from transportkit.jets import (Jet, P_dim, VectorFieldJet, degree_starts,
@@ -410,6 +412,25 @@ def reference_reversed_rhs(X, A, v, lam):
         return np.concatenate([-Xy, (-Finv @ Ay).reshape(-1), Finv @ vy])
 
     return rhs
+
+
+def reference_integrand(p, u_head=None, N=None):
+    """flow._integrand of FieldSampler.from_problem(p) at the full degree.
+
+    Rows y -> [-X | rows of (-(A - lam) | w)], w = v, or in split mode the
+    remainder jet of flow._remainder_jet for the head u_head of order N.
+    The coefficient matrix keeps every row up to p.N (direct mode) or
+    p.N + N (split mode), zero rows included, and each monomial is one
+    y**alpha product.
+    """
+    D = p.N if u_head is None else p.N + N
+    w = p.v if u_head is None else _remainder_jet(p, u_head, N)
+    A = np.array(p.A.extend(D).coeffs)
+    A[0] -= p.lam * np.eye(p.m)
+    block = np.concatenate([-A, w.extend(D).coeffs[:, :, None]], axis=2)
+    coeffs = np.hstack([-p.X.extend(D).coeffs, block.reshape(len(A), -1)])
+    powers = monomial_powers(p.n, D)
+    return lambda ys: np.prod(ys[:, None, :] ** powers, axis=2) @ coeffs
 
 
 def reference_flow_segment(f, z0, tau0: float, tau1: float, rel_tol: float,

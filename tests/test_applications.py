@@ -201,6 +201,15 @@ class TestWKBProblem:
         with pytest.raises(OrderBudgetError):
             WKBProblem(V=harmonic(1.0, 9), level=2, J=3, N=9)
 
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    def test_level_zero_budget_names_the_true_minimum(self, J):
+        # the last transport solve is at order N - 2 - 2J, at least 1
+        V = Jet.from_terms(1, 2 * J + 3, {(2,): 1.0, (4,): 0.1})
+        with pytest.raises(OrderBudgetError, match=f"need N >= {2 * J + 3}"):
+            WKBProblem(V=V.project(2 * J + 2), level=0, J=J, N=2 * J + 2)
+        res = wkb_expand(WKBProblem(V=V, level=0, J=J, N=2 * J + 3))
+        assert len(res.lambdas) == J + 1
+
     def test_rejects_bad_minima(self):
         with pytest.raises(ValidationError):
             WKBProblem(V=Jet.from_terms(1, 8, {(0,): 1.0, (2,): 1.0}),

@@ -41,6 +41,7 @@ from transportkit.taylor import MAX_ORDER, solve_to_order
 
 from conftest import (
     reference_flow_segment,
+    reference_integrand,
     reference_reversed_rhs,
     reference_tail_integrate,
     reference_tangent,
@@ -311,7 +312,89 @@ class TestFusedSampler:
         assert len(calls) <= 10
 
 
+def cut_above(jet: Jet, d: int) -> Jet:
+    """jet with its coefficients of degree > d set to zero, same order."""
+    return jet.project(d).extend(jet.N)
+
+
+class TestTrueDegree:
+    """The integrand cut at its true degree against the full-degree oracle."""
+
+    @pytest.mark.parametrize("top", [True, False])
+    @pytest.mark.parametrize("mode", ["direct", "split"])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_rows_match_the_full_degree_integrand(self, monkeypatch, n, m,
+                                                  mode, top):
+        # set before the run: the cut matmul sums the same nonzero products
+        # in another order, a few roundings of each RHS value
+        rng = np.random.default_rng(4700 + 8 * n + 4 * m + 2 * (mode == "split")
+                                    + top)
+        N = 5
+        p = random_flow_problem(rng, n, m, N, 0.0)
+        if not top:  # zero rows above degree 2 (X) and 3 (A and v)
+            X = VectorFieldJet([cut_above(c, 2) for c in p.X.components])
+            p = ProblemData(X, cut_above(p.A, 3), cut_above(p.v, 3), 0.0, N)
+        rho = np.linalg.eigvals(p.A.coeffs[0]).real
+        lam = float(np.min(rho)) + (-0.5 if mode == "direct" else 0.3)
+        p = replace(p, lam=lam)
+        f = FieldSampler.from_problem(p)
+        ys = [ball_point(rng, n) for _ in range(4)]
+        cfg = EvalConfig()
+        got = flow._plan(f, p, cfg)(ys)
+        monkeypatch.setattr(flow, "_integrand",
+                            lambda _f, p, *head: reference_integrand(p, *head))
+        want = flow._plan(f, p, cfg)(ys)
+        for g, w in zip(got, want):
+            assert (g.mode, g.split_order) == (w.mode, w.split_order)
+            assert g.mode == mode
+            assert (g.horizon, g.nfev, g.n_steps) == (w.horizon, w.nfev,
+                                                      w.n_steps)
+            assert np.max(np.abs(g.u - w.u)) <= 1e-14 * max(
+                1.0, np.max(np.abs(w.u)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_integrand_has_the_rows_of_its_true_degree(self, monkeypatch, n):
+        # X quadratic, A linear, v cubic at order 10: the direct integrand
+        # has degree 3, and a split at order k adds the remainder's degree
+        # k + 1 (A u_head and D_X u_head)
+        rng = np.random.default_rng(4800 + n)
+        p = random_flow_problem(rng, n, 1, 10, 0.0)
+        X = VectorFieldJet([cut_above(c, 2) for c in p.X.components])
+        p = ProblemData(X, cut_above(p.A, 1), cut_above(p.v, 3), 0.0, 10)
+        f = FieldSampler.from_problem(p)
+        assert f._joint.coeffs.shape[0] == P_dim(n, 3)
+        monomial_columns = []
+        real = flow._monomial_vector
+
+        def recording(ys, N):
+            out = real(ys, N)
+            monomial_columns.append(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(flow, "_monomial_vector", recording)
+        ys = np.full((3, n), 0.2)
+        flow._integrand(f, p)(ys)
+        for k in (1, 3):
+            u_head = solve_to_order(p, k).particular
+            flow._integrand(f, p, u_head, k)(ys)
+        assert monomial_columns == [P_dim(n, 3), P_dim(n, 3), P_dim(n, 4)]
+
+
 class TestIntegrateFlow:
+    def test_unbounded_region_registers_no_exit_event(self, monkeypatch):
+        events = []
+        real = flow.solve_ivp
+
+        def recording(*args, **kwargs):
+            events.append(len(kwargs["events"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "solve_ivp", recording)
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 2, {(2,): 1.0}), 0.0, 2)
+        integrate_flow(FieldSampler.from_problem(p), [0.5], -2.0)
+        integrate_flow(FieldSampler.from_problem(p, radius=2.0), [0.5], -2.0)
+        assert events == [1, 2]
+
     def test_scalar_closed_form(self):
         a, y0 = 0.7, 0.9
         f = sampler_1d(a, lambda y: y ** 2)
@@ -1070,6 +1153,16 @@ class TestSmoothDependence:
 
 
 class TestEmpiricalDecayRate:
+    @pytest.mark.parametrize("quantity", ["flow", "transition"])
+    def test_exit_event_leaves_the_steps_alone(self, quantity):
+        # radius 1e300 registers the region-exit event, which never fires;
+        # an unbounded region registers none
+        p = gradient_example_problem(N=3, lam=0.0)
+        rates = [empirical_decay_rate(FieldSampler.from_problem(p, radius=r),
+                                      [0.05, 0.05], quantity, horizon=25.0)
+                 for r in (math.inf, 1e300)]
+        assert rates[0] == rates[1]
+
     def test_euler_flow_rate(self):
         p = scalar_euler_problem(1.0, Jet.zero(1, 2), 0.0, 2)
         f = FieldSampler.from_problem(p)

@@ -20,6 +20,7 @@ from transportkit.spectral import (
     kernel_basis,
     linearization_spectrum,
     nullspace,
+    resonance_degree,
     solvability_test,
     sternberg_resonance_check,
 )
@@ -226,6 +227,21 @@ def test_dual_kernel_support_is_exact_over_the_complex_field():
     assert abs(terms[(0, 1)][0] - 2 / math.sqrt(5)) <= 1e-15
     (obstruction,) = solvability_test(p).obstructions
     assert abs(obstruction - 2 / math.sqrt(5)) <= 1e-15
+
+
+@pytest.mark.parametrize("shift", [1e-16, 1e-12])
+def test_head_of_rounding_residue_keeps_its_kernel(shift):
+    # the 1x1 head block a - lambda is all rounding residue here; at
+    # lambda = a exactly it is 0 and has a kernel and a dual
+    a = 0.7444438665631323
+    X = VectorFieldJet.from_linear(np.eye(1), 4)
+    p = ProblemData.scalar(X, Jet.constant(1, 4, a), Jet.zero(1, 4),
+                           a + shift, 4)
+    entry, degree = resonance_degree(p)
+    assert entry is not None and degree == 0
+    assert len(solve_to_order(p, 4).kernel_extensions) == 1
+    assert len(kernel_basis(p)) == 1
+    assert len(dual_kernel_basis(p)) == 1
 
 
 def test_dual_delta_form_roundtrip():
