@@ -123,15 +123,14 @@ class FieldSampler:
 
     Samplers made by from_problem are one polynomial map
     y -> [-X | rows of (-A | v)], the layout of the flow RHS (see the
-    module docstring), kept at its true degree (_at_true_degree): X_eval,
-    A_eval, v_eval are read off that joint value, and the flow's integrand
-    shifts its coefficients and swaps in the split-mode remainder jet, so
-    each RHS call is one monomial matrix (one row per point, one column
-    per monomial up to the integrand's own true degree) times one
-    coefficient matrix.  dataclasses.replace drops the joint map, so a
-    replaced sampler is a plain callable sampler: the integrand calls
-    each of its three callables once per point and RHS call, and its
-    split-mode remainder is evaluated pointwise from those values.
+    module docstring): X_eval, A_eval, v_eval are read off that joint
+    value, and the flow's integrand shifts its coefficients and swaps in
+    the split-mode remainder jet, so each RHS call is one monomial matrix
+    (one row per point) times one coefficient matrix.  dataclasses.replace
+    drops the joint map, so a replaced sampler is a plain callable sampler:
+    the integrand calls each of its three callables once per point and RHS
+    call, and its split-mode remainder is evaluated pointwise from those
+    values.
     """
 
     X_eval: object
@@ -213,8 +212,7 @@ class FieldSampler:
                                   "jet solver for complex problems")
         rows = P_dim(p.n, p.N)
         block = np.concatenate([-p.A.coeffs, p.v.coeffs[:, :, None]], axis=2)
-        joint = _at_true_degree(Jet(p.n, p.N, np.hstack(
-            [-p.X.coeffs, block.reshape(rows, -1)]), copy=False))
+        joint = Jet(p.n, p.N, np.hstack([-p.X.coeffs, block.reshape(rows, -1)]))
         n = p.n
         a_cols, v_cols = _block_columns(n, p.m)
         f = cls(X_eval=lambda y: -_joint_at(joint, y)[:n],
@@ -229,19 +227,6 @@ class FieldSampler:
 def _joint_at(joint: Jet, y) -> np.ndarray:
     """The monomials of each point (one row per point) times the coefficients."""
     return _monomial_vector(np.asarray(y, dtype=float), joint.N) @ joint.coeffs
-
-
-def _at_true_degree(joint: Jet) -> Jet:
-    """joint truncated after its highest degree with a nonzero coefficient row.
-
-    _joint_at builds one monomial per coefficient row and point, so zero
-    rows above that degree cost work and carry nothing.  A zero jet keeps
-    its constant row (order 0).
-    """
-    rows = np.flatnonzero(np.any(joint.coeffs != 0, axis=1))
-    last = rows[-1] if rows.size else 0
-    return joint.project(
-        int(np.searchsorted(degree_starts(joint.n, joint.N), last, "right")) - 1)
 
 
 def _block_columns(n: int, m: int):
@@ -310,9 +295,8 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
                    first_step: float | None = None) -> FlowTrajectory:
     """Integrate the joint (y_t, Finv, I) system from 0 back to t_end <= 0.
 
-    Frame overflow and, for a bounded region, region exit are solve_ivp
-    events, so a RegionExitError reports the root-found crossing of the
-    region's boundary.  Events do not change the steps.
+    Region exit and frame overflow are solve_ivp events, so a
+    RegionExitError reports the root-found crossing of the region's boundary.
     """
     y = _point(f, y)
     if t_end > 0:
@@ -322,7 +306,7 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
         return FlowTrajectory(f, lambda _tau: z0.copy(), 0.0)
     n, m = f.n, f.m
 
-    def exit_event(_tau, z):
+    def exit_event(_tau, z):  # constant +inf for an unbounded region
         return f.radius - float(np.linalg.norm(z[:n] - f.source))
 
     def overflow_event(_tau, z):
@@ -330,16 +314,14 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
         return _FRAME_OVERFLOW - float(np.linalg.norm(Finv))
 
     exit_event.terminal = overflow_event.terminal = True
-    bounded = math.isfinite(f.radius)  # no point leaves an unbounded region
-    events = [exit_event, overflow_event] if bounded else [overflow_event]
     res = solve_ivp(_reversed_rhs(f._sample, n, m), (0.0, -t_end), z0,
                     method=_METHOD, rtol=rel_tol, atol=abs_tol, dense_output=True,
-                    first_step=first_step, events=events)
+                    first_step=first_step, events=[exit_event, overflow_event])
     if res.status == -1:
         raise FlowIntegrationError(f"integrator failed: {res.message}")
-    if bounded and len(res.t_events[0]):
-        raise _region_exit(f, -float(res.t_events[0][0]), res.y_events[0][0][:n])
-    t_overflow = res.t_events[-1]
+    (t_exit, t_overflow), (z_exit, _) = res.t_events, res.y_events
+    if len(t_exit):
+        raise _region_exit(f, -float(t_exit[0]), z_exit[0][:n])
     if len(t_overflow):
         raise _frame_overflow(-float(t_overflow[0]))
     return FlowTrajectory(f, res.sol, t_end)
@@ -408,8 +390,7 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
     one solver per chunk, stepped directly.  rel_tol is not scaled by
     1/sqrt(P) for scipy's RMS error norm: measured against per-point
     solvers, no accuracy was lost.  Each accepted step end is checked at
-    every point for frame overflow, and for region exit when f.radius is
-    finite (no point leaves an unbounded region), and is a tail sample of
+    every point for region exit and frame overflow and is a tail sample of
     g(t) = |Finv v(y_t)|, the I column of the RHS DOP853 evaluated there
     (first same as last).  Each point fits its own trailing window of g and
     stops, at the next solver boundary, when g <= tail_tol and the fitted
@@ -418,7 +399,6 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
     solver names no point, so its points are integrated again one by one.
     """
     n, m = f.n, f.m
-    bounded = math.isfinite(f.radius)
     rhs = _reversed_rhs(sample, n, m)
     # the live rows' joint states [y | rows of (Finv | I)], Finv = id, I = 0
     z = np.hstack([ys, np.tile(np.eye(m, m + 1).ravel(), (len(ys), 1))])
@@ -458,8 +438,7 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
                 failed[0] = FlowIntegrationError(f"integrator failed: {message}")
                 break
             tau, z = solver.t, solver.y.reshape(live.size, -1)
-            exits = (np.linalg.norm(z[:, :n] - f.source, axis=1) > f.radius
-                     if bounded else np.zeros(len(z), dtype=bool))
+            exits = np.linalg.norm(z[:, :n] - f.source, axis=1) > f.radius
             frames = np.linalg.norm(z[:, n:].reshape(-1, m, m + 1)[:, :, :m],
                                     axis=(1, 2))
             for k in np.flatnonzero(exits | (frames > _FRAME_OVERFLOW)):
@@ -602,11 +581,10 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
     The sample maps positions of shape (P, n) to shape (P, n + m*(m+1)).
     With a head u_head of order N, w = v - (D_X + A - lam) u_head.  A
     from_problem sampler gets lam and the remainder jet in its coefficient
-    matrix, cut after its highest degree d with a nonzero row once per
-    plan (_at_true_degree), so a sample is one (P, P_dim(n, d)) monomial
-    matrix times it.  A callable sampler is sampled once per point and
-    call, and the shift and the pointwise remainder are read off that
-    sample, point by point.
+    matrix, cut once per plan after its highest degree d with a nonzero
+    row, so a sample is one (P, P_dim(n, d)) monomial matrix times it.  A
+    callable sampler is sampled once per point and call, and the shift and
+    the pointwise remainder are read off that sample, point by point.
     """
     n, m, lam = f.n, f.m, p.lam
     a_cols, v_cols = _block_columns(n, m)
@@ -616,8 +594,11 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
         if u_head is not None:
             coeffs[:, v_cols] = _remainder_jet(p, u_head, N).extend(D).coeffs
         coeffs[0, np.diag(a_cols)] += lam  # the block holds -A
-        joint = _at_true_degree(Jet(n, D, coeffs, copy=False))
-        return lambda ys: _joint_at(joint, ys)
+        # zero rows above degree d would cost monomials and carry nothing
+        last = np.flatnonzero(np.any(coeffs != 0, axis=1)).max(initial=0)
+        d = int(np.searchsorted(degree_starts(n, D), last, "right")) - 1
+        coeffs = coeffs[:P_dim(n, d)]
+        return lambda ys: _monomial_vector(ys, d) @ coeffs
     shift = lam * np.eye(m)
     grads = [] if u_head is None else [u_head.partial(i) for i in range(n)]
 

@@ -332,11 +332,13 @@ def projector_distance(a, b):
     return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
 
 
-def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9):
+def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
+                           tol=RESONANCE_TOL):
     """taylor._solve_family on the whole assembled operator of q.
 
     One SVD of the head block (degrees <= n_star) when lambda is resonant,
-    a dense solve of it otherwise; then each degree slice is factored and
+    its rank threshold floored at the resonance tolerance tol, a dense
+    solve of it otherwise; then each degree slice is factored and
     the particular solution and every head kernel vector are extended by
     block forward substitution on the dense rows.  No warnings.
     """
@@ -365,7 +367,7 @@ def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9):
     particular_head = None
     kernel_extensions = ()
     if entry is not None:
-        U, s, Vh, report = _svd_rank(head)
+        U, s, Vh, report = _svd_rank(head, tol)
         r = report.rank
         left = _canonicalize_columns(U[:, r:].conj())
         duals = [DualDistribution(q.n, n_star, left[:, k].reshape(-1, q.m))

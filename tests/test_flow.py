@@ -362,7 +362,6 @@ class TestTrueDegree:
         X = VectorFieldJet([cut_above(c, 2) for c in p.X.components])
         p = ProblemData(X, cut_above(p.A, 1), cut_above(p.v, 3), 0.0, 10)
         f = FieldSampler.from_problem(p)
-        assert f._joint.coeffs.shape[0] == P_dim(n, 3)
         monomial_columns = []
         real = flow._monomial_vector
 
@@ -381,20 +380,6 @@ class TestTrueDegree:
 
 
 class TestIntegrateFlow:
-    def test_unbounded_region_registers_no_exit_event(self, monkeypatch):
-        events = []
-        real = flow.solve_ivp
-
-        def recording(*args, **kwargs):
-            events.append(len(kwargs["events"]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(flow, "solve_ivp", recording)
-        p = scalar_euler_problem(1.0, Jet.from_terms(1, 2, {(2,): 1.0}), 0.0, 2)
-        integrate_flow(FieldSampler.from_problem(p), [0.5], -2.0)
-        integrate_flow(FieldSampler.from_problem(p, radius=2.0), [0.5], -2.0)
-        assert events == [1, 2]
-
     def test_scalar_closed_form(self):
         a, y0 = 0.7, 0.9
         f = sampler_1d(a, lambda y: y ** 2)
@@ -1153,16 +1138,6 @@ class TestSmoothDependence:
 
 
 class TestEmpiricalDecayRate:
-    @pytest.mark.parametrize("quantity", ["flow", "transition"])
-    def test_exit_event_leaves_the_steps_alone(self, quantity):
-        # radius 1e300 registers the region-exit event, which never fires;
-        # an unbounded region registers none
-        p = gradient_example_problem(N=3, lam=0.0)
-        rates = [empirical_decay_rate(FieldSampler.from_problem(p, radius=r),
-                                      [0.05, 0.05], quantity, horizon=25.0)
-                 for r in (math.inf, 1e300)]
-        assert rates[0] == rates[1]
-
     def test_euler_flow_rate(self):
         p = scalar_euler_problem(1.0, Jet.zero(1, 2), 0.0, 2)
         f = FieldSampler.from_problem(p)

@@ -11,6 +11,7 @@ from transportkit.errors import NearResonanceWarning, ValidationError
 from transportkit.jets import Jet, P_dim, VectorFieldJet, monomials
 from transportkit.opmatrix import ProblemData, apply_operator, assemble, jet_to_vec
 from transportkit.spectral import (
+    RESONANCE_TOL,
     DualDistribution,
     SolvabilityResult,
     dual_kernel_basis,
@@ -229,19 +230,35 @@ def test_dual_kernel_support_is_exact_over_the_complex_field():
     assert abs(obstruction - 2 / math.sqrt(5)) <= 1e-15
 
 
-@pytest.mark.parametrize("shift", [1e-16, 1e-12])
-def test_head_of_rounding_residue_keeps_its_kernel(shift):
-    # the 1x1 head block a - lambda is all rounding residue here; at
-    # lambda = a exactly it is 0 and has a kernel and a dual
+def _rounding_residue_problem(shift):
+    """X = y, A = a, lambda = a + shift: the 1x1 head block a - lambda is
+    all rounding residue for a tiny shift, and 0 with a kernel and a dual
+    at lambda = a exactly."""
     a = 0.7444438665631323
     X = VectorFieldJet.from_linear(np.eye(1), 4)
-    p = ProblemData.scalar(X, Jet.constant(1, 4, a), Jet.zero(1, 4),
-                           a + shift, 4)
+    return ProblemData.scalar(X, Jet.constant(1, 4, a), Jet.zero(1, 4),
+                              a + shift, 4)
+
+
+@pytest.mark.parametrize("shift", [1e-16, 1e-12])
+def test_head_of_rounding_residue_keeps_its_kernel(shift):
+    p = _rounding_residue_problem(shift)
     entry, degree = resonance_degree(p)
     assert entry is not None and degree == 0
-    assert len(solve_to_order(p, 4).kernel_extensions) == 1
-    assert len(kernel_basis(p)) == 1
-    assert len(dual_kernel_basis(p)) == 1
+    kernels = solve_to_order(p, 4).kernel_extensions
+    duals = dual_kernel_basis(p)
+    assert len(kernels) == 1 and len(kernel_basis(p)) == 1 and len(duals) == 1
+    op = assemble(p)
+    shifted = op.entries - p.lam * np.eye(op.dim)
+    # the kernel extension solves (D_X + A - lam) k = 0 to the screen's
+    # tolerance and spans the whole-matrix kernel
+    k = jet_to_vec(kernels[0])
+    assert np.linalg.norm(shifted @ k) <= RESONANCE_TOL * np.linalg.norm(k)
+    assert projector_distance(k[:, None], reference_kernel_basis(p)) <= 1e-8
+    # the dual pairs to zero against every column of the range
+    t = np.zeros(op.dim)
+    t[:duals[0].coeffs.size] = jet_to_vec(duals[0])
+    assert np.linalg.norm(t @ shifted) <= RESONANCE_TOL * np.linalg.norm(t)
 
 
 def test_dual_delta_form_roundtrip():

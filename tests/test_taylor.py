@@ -26,7 +26,7 @@ from transportkit.taylor import MAX_ORDER, JetSolution, residual, solve_to_order
 from conftest import load_recipes, projector_distance, reference_solve_family
 from test_acceptance import _random_fredholm_problem
 from test_opmatrix import gradient_example_problem
-from test_spectral import _random_resonant_problem
+from test_spectral import _random_resonant_problem, _rounding_residue_problem
 
 
 def scalar_euler_problem(a: float, v: Jet, lam: float, N: int) -> ProblemData:
@@ -298,6 +298,15 @@ def test_degree_loop_matches_reference_criterion_03(rng):
         p, _ = _random_fredholm_problem(rng)
         seen.add(_assert_matches_reference(p))
     assert seen == {(False, True), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-16, 1e-12])
+def test_degree_loop_matches_reference_rounding_residue(shift):
+    """A resonant head block that is all rounding residue keeps its kernel."""
+    assert _assert_matches_reference(_rounding_residue_problem(shift)) == (
+        True, True)
+    assert len(solve_to_order(_rounding_residue_problem(shift), 4)
+               .kernel_extensions) == 1
 
 
 def test_degree_loop_matches_reference_complex(rng):
