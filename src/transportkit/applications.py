@@ -41,7 +41,7 @@ from .errors import NumericError, OrderBudgetError, ValidationError
 from .jets import (Jet, VectorFieldJet, _monomial_vector, jet_mul,
                    monomial_powers)
 from .opmatrix import ProblemData
-from .spectral import NEAR_RESONANCE_TOL, RESONANCE_TOL, dual_kernel_basis
+from .spectral import NEAR_RESONANCE_TOL, RESONANCE_TOL
 from .taylor import solve_to_order
 
 __all__ = [
@@ -255,11 +255,11 @@ def _kernel_gauge(a: Jet, ker: Jet) -> Jet:
     return a - float(c.real) * ker
 
 
-def wkb_expand(w: WKBProblem, *, amplitude_scale: float = 1.0) -> WKBExpansion:
+def wkb_expand(w: WKBProblem) -> WKBExpansion:
     """Phase, eigenvalue series and amplitude jets for one level.
 
-    amplitude_scale rescales a_0 (the series is a line: every a_j scales
-    with it while the lambda_j are invariant).
+    a_0 has a unit x^level coefficient (the series is a line: every a_j
+    scales with a_0 while the lambda_j are invariant).
     """
     N, alpha, mu = w.N, w.level, w.mu
     V = w.V
@@ -289,12 +289,8 @@ def wkb_expand(w: WKBProblem, *, amplitude_scale: float = 1.0) -> WKBExpansion:
     top = ker0.coefficient((alpha,))[0]
     if abs(top) < 1e-12:
         raise NumericError("kernel element has no x^alpha component")
-    a0 = Jet(1, M0, ker0.coeffs[:, 0] * (amplitude_scale / top), copy=False)
-
-    duals = dual_kernel_basis(p0)
-    if len(duals) != 1:
-        raise NumericError("expected a one-dimensional dual kernel")
-    T = duals[0]
+    a0 = Jet(1, M0, ker0.coeffs[:, 0] / top, copy=False)
+    (T,) = sol0.duals  # one rank decision on the square head block
 
     def pair(u: Jet) -> float:
         return float(T.pair(Jet(1, u.N, u.coeffs.reshape(-1, 1))))

@@ -367,9 +367,9 @@ def cmd_solve_grid(args, doc):
     grid = _read(doc, "grid", n=p.n)
     cfg = grid.get("config", {})
     radius = cfg.pop("radius", math.inf)
-    for key in ("rel_tol", "abs_tol", "tail_tol", "max_horizon"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+    keys = ("rel_tol", "abs_tol", "tail_tol", "max_horizon")
+    cfg.update({key: getattr(args, key) for key in keys
+                if getattr(args, key) is not None})
     cfg = EvalConfig(**cfg)
     evaluate = _plan(FieldSampler.from_problem(p, radius=radius), p, cfg)
 
@@ -389,8 +389,7 @@ def cmd_solve_grid(args, doc):
               + fields + ["error"])
     table = [r["point"] + (r["u"] or [None] * p.m) + [r[k] for k in fields]
              + [r["error"] or ""] for r in rows]
-    tolerances = {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-                  "tail_tol": cfg.tail_tol, "max_horizon": cfg.max_horizon}
+    tolerances = {key: getattr(cfg, key) for key in keys}
     return tolerances, {"points": rows}, (header, table)
 
 
@@ -414,10 +413,9 @@ def cmd_dual_kernel(args, doc):
     out = []
     for d in duals:
         enc = d.to_json()
-        delta = d.to_delta_form()
         enc["delta_form"] = [
             {"alpha": list(alpha), "covector": _encode_value(np.atleast_1d(xi))}
-            for alpha, xi in delta.items()]
+            for alpha, xi in d.to_delta_form().items()]
         out.append(enc)
     return {"tol": args.tol}, {"dimension": len(out), "duals": out}, None
 
@@ -548,16 +546,17 @@ def _build_parser():
                         version=f"transportkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, output=None):
+    def add(name, func, help_text, *, output=None, tol=False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("file", help="problem file (JSON)")
         sp.add_argument("--out", default="-",
                         help="output path (default: stdout)")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-identical reruns")
-        sp.add_argument("--tol", type=_nonnegative_float,
-                        default=RESONANCE_TOL,
-                        help="resonance / obstruction tolerance")
+        if tol:  # the commands that decide resonance or solvability
+            sp.add_argument("--tol", type=_nonnegative_float,
+                            default=RESONANCE_TOL,
+                            help="resonance / obstruction tolerance")
         if output is not None:
             sp.add_argument("--output", choices=("json", "csv"),
                             default=output, help="output format")
@@ -566,12 +565,12 @@ def _build_parser():
 
     sp = add("spectrum", cmd_spectrum,
              "eigenvalue table of D_X + A up to a real-part bound",
-             output="json")
+             output="json", tol=True)
     sp.add_argument("--max-re", type=_finite_float, default=5.0,
                     help="enumerate eigenvalues with Re lambda <= this")
 
     sp = add("solve-jet", cmd_solve_jet,
-             "solve the transport equation in the jet algebra")
+             "solve the transport equation in the jet algebra", tol=True)
     sp.add_argument("--order", type=int, default=None,
                     help="target jet order (default: the problem order)")
     sp.add_argument("--obstruction-tol", type=_nonnegative_float,
@@ -586,14 +585,14 @@ def _build_parser():
     sp.add_argument("--tail-tol", type=_finite_float, default=None)
     sp.add_argument("--max-horizon", type=_finite_float, default=None)
 
-    sp = add("kernel", cmd_kernel, "kernel jets of D_X + A - lambda")
+    sp = add("kernel", cmd_kernel, "kernel jets of D_X + A - lambda", tol=True)
     sp.add_argument("--order", type=int, default=None,
                     help="extension order (default: the problem order)")
 
     add("dual-kernel", cmd_dual_kernel,
-        "distributional kernel of the transposed operator")
+        "distributional kernel of the transposed operator", tol=True)
     add("solvable", cmd_solvable,
-        "report the solvability obstructions for v")
+        "report the solvability obstructions for v", tol=True)
     add("heat", cmd_heat,
         "heat coefficient jets (and values on points)", output="json")
     add("wkb", cmd_wkb,
@@ -602,7 +601,7 @@ def _build_parser():
         "check the two-regime transition bound on a matrix path",
         output="json")
     add("sternberg", cmd_sternberg,
-        "integer resonance conditions on the linearization spectrum")
+        "integer resonance conditions on the linearization spectrum", tol=True)
     return parser
 
 

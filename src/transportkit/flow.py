@@ -64,7 +64,9 @@ __all__ = [
 
 _METHOD = "DOP853"  # the scipy integrator of every flow segment
 _FRAME_OVERFLOW = 1e100
-_MAX_CHUNKS = 10_000  # ceiling on max_horizon / chunk, one solver per chunk
+_CHUNK = 10.0  # horizon extension between tail checks, one solver per chunk
+_MAX_CHUNKS = 10_000  # so max_horizon is at most _MAX_CHUNKS * _CHUNK
+_T_MIN = 2.0  # earliest stop, for a solver that a point's region exit ends
 _UNDERFLOW = 1e-250
 # solve_ivp raises a smaller rtol to this floor, with a warning
 _MIN_REL_TOL = 100 * np.finfo(float).eps
@@ -83,22 +85,19 @@ class EvalConfig:
     tail_tol: float = 1e-12
     max_horizon: float = 200.0
     split_order: int | None = None  # None picks the smallest decaying order
-    chunk: float = 10.0  # horizon extension between tail checks
-    t_min: float = 2.0  # smallest |t| at which the tail may stop
 
     def __post_init__(self):
-        for name in ("rel_tol", "tail_tol", "max_horizon", "chunk"):
+        for name in ("rel_tol", "tail_tol", "max_horizon"):
             if not getattr(self, name) > 0:
                 raise ValidationError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("abs_tol", "t_min"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(
-                    f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if self.max_horizon / self.chunk > _MAX_CHUNKS:
+        if not self.abs_tol >= 0:
             raise ValidationError(
-                f"max_horizon / chunk must be at most {_MAX_CHUNKS}, got "
-                f"max_horizon {self.max_horizon!r} and chunk {self.chunk!r}")
+                f"abs_tol must be nonnegative, got {self.abs_tol!r}")
+        if self.max_horizon > _MAX_CHUNKS * _CHUNK:
+            raise ValidationError(
+                f"max_horizon must be at most {_MAX_CHUNKS * _CHUNK:g} ("
+                f"{_MAX_CHUNKS} chunks of {_CHUNK:g}), got {self.max_horizon!r}")
         if self.rel_tol < _MIN_REL_TOL:
             raise ValidationError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} "
                                   f"(100 machine epsilons), got {self.rel_tol!r}")
@@ -414,7 +413,7 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
         if not g_last <= _UNDERFLOW:
             rate = _fit_rate(window_ts, gs)
             if tau < cfg.max_horizon and not (
-                    tau >= cfg.t_min and g_last <= cfg.tail_tol and rate > 0):
+                    tau >= _T_MIN and g_last <= cfg.tail_tol and rate > 0):
                 return None
             if rate <= 0:
                 return TailDecayError(
@@ -425,7 +424,7 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
                                 split_order=None, n_points=len(ys), **counts)
 
     while live.size:
-        solver = DOP853(rhs, tau, z.ravel(), min(tau + cfg.chunk, cfg.max_horizon),
+        solver = DOP853(rhs, tau, z.ravel(), min(tau + _CHUNK, cfg.max_horizon),
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         taus, gs, failed = [], [], {}  # failed: position in live -> error
         while solver.status == "running" and not failed:
@@ -453,7 +452,7 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
         counts["n_chunks"] += 1
         window_ts = np.concatenate([window_ts, -np.array(taus)])
         window_gs = np.concatenate([window_gs, np.reshape(gs, (-1, live.size))])
-        keep = window_ts <= -tau + 2.5 * cfg.chunk
+        keep = window_ts <= -tau + 2.5 * _CHUNK
         window_ts, window_gs = window_ts[keep], window_gs[keep]
         for k, j in enumerate(live):
             out[j] = failed[k] if k in failed else verdict(z[k], window_gs[:, k])

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
 from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions,
                    _encode_value, fits)
-from .opmatrix import ProblemData, _sparse_operator
+from .opmatrix import ProblemData
 
 __all__ = [
     "RESONANCE_TOL",
@@ -122,8 +122,8 @@ def _combinations(mu: np.ndarray, rho: np.ndarray, re_target: float,
                   tol: float, min_degree: int = 0):
     """Yield (alpha, j, alpha . mu + rho_j) for |alpha| from min_degree up
     to _degree_bound, alpha in graded-lex order, then j over the rho
-    indices.  More than MAX_COEFFS multi-indices raise ValidationError
-    before the first.
+    indices.  More than MAX_COEFFS multi-indices, or 4 MAX_COEFFS operations
+    (n products and one sum per j each), raise ValidationError before the first.
     """
     amax = _degree_bound(mu, rho, re_target, tol)
     if amax < 0:
@@ -132,6 +132,10 @@ def _combinations(mu: np.ndarray, rho: np.ndarray, re_target: float,
         raise ValidationError(
             f"resonance enumeration up to degree {amax} in {mu.shape[0]} "
             f"variables visits more than {MAX_COEFFS} multi-indices")
+    if P_dim(mu.size, amax) * (mu.size + rho.size) > 4 * MAX_COEFFS:
+        raise ValidationError(
+            f"resonance enumeration up to degree {amax} in {mu.size} variables "
+            f"and {rho.size} rho values takes over {4 * MAX_COEFFS} operations")
     # degree by degree, so that no table of multi-indices is built or cached
     for degree in range(min_degree, amax + 1):
         for alpha in _compositions(degree, mu.shape[0]):
@@ -346,9 +350,9 @@ def _head_split(p: ProblemData, L, order: int, tol: float):
     the basis is graded, so its leading rows and columns of degree <=
     order are the head block.  Returns (kernel, duals, solve): the right
     null basis as columns, the left null basis in the bilinear pairing (no
-    conjugation) as DualDistributions of the given order, and the
-    minimum-norm solve of head x = b on the kept singular values, all by
-    one rank decision.  tol is the resonance screen's tolerance and floors
+    conjugation) as a tuple of DualDistributions of the given order, and
+    the minimum-norm solve of head x = b on the kept singular values, all
+    by one rank decision.  tol is the resonance screen's tolerance and floors
     the rank threshold: the screen found an eigenvalue of the block within
     tol of 0, and sigma_min <= |eigenvalue|, so the block keeps a kernel
     even when it is all rounding residue and its own sigma_max is tiny.
@@ -360,8 +364,8 @@ def _head_split(p: ProblemData, L, order: int, tol: float):
     tiny = 10 * h * np.finfo(float).eps * np.abs(left).max(axis=0, initial=0.0)
     for part in (left.real, left.imag) if np.iscomplexobj(left) else (left,):
         part[np.abs(part) < tiny] = 0.0  # round-off, not support
-    duals = [DualDistribution(p.n, order, left[:, k].reshape(-1, p.m))
-             for k in range(left.shape[1])]
+    duals = tuple(DualDistribution(p.n, order, left[:, k].reshape(-1, p.m))
+                  for k in range(left.shape[1]))
 
     def solve(b: np.ndarray) -> np.ndarray:
         return Vh[:r].conj().T @ ((U[:, :r].conj().T @ b) / s[:r])
@@ -375,14 +379,15 @@ def dual_kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     Above the largest resonance degree N' the operator is block lower
     triangular with invertible diagonal slices, so every left null vector
     vanishes there: the basis is the left null space of the head block
-    (degrees <= N'), as distributions of order N'.  Returns [] for
-    non-resonant lambda.
+    (degrees <= N'), as distributions of order N': the duals of the jet
+    solver's head screen at order max(N', 1).  [] for non-resonant lambda.
     """
+    from .taylor import _solve_family  # taylor imports this module
     entry, n_prime = resonance_degree(p, tol)
     if entry is None:
         return []
-    L = _sparse_operator(p.at_order(max(n_prime, 1)))
-    return _head_split(p, L, n_prime, tol)[1]
+    q = p.at_order(max(n_prime, 1))
+    return list(_solve_family(q, entry, n_prime, 0.0, tol).duals)
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,15 @@ class JetSolution:
 
     particular is None exactly when an obstruction blocks the head solve;
     otherwise the solutions on P_N tensor V form the affine family
-    particular + span(kernel_extensions).  obstructions holds the pairing
-    of v against each dual kernel functional (empty when lambda is
+    particular + span(kernel_extensions).  obstructions pairs v with each
+    dual kernel functional in duals (both empty when lambda is
     non-resonant), condition_report the condition numbers of the solves.
     """
 
     particular: Jet | None
     kernel_extensions: tuple
     resonance: object
+    duals: tuple
     obstructions: tuple
     condition_report: dict
 
@@ -96,7 +97,7 @@ def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
     n, N, m = q.n, q.N, q.m
     offsets = degree_starts(n, N) * m
     L = _sparse_operator(q)
-    obstructions = ()
+    duals = obstructions = ()
     solvable = True
     heads = np.zeros((0, 1))
     if entry is not None:
@@ -132,7 +133,7 @@ def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
     jets = [vec_to_jet(col, n, N, m) for col in U.T]
     return JetSolution(particular=jets.pop(0) if solvable else None,
                        kernel_extensions=tuple(jets),
-                       resonance=entry,
+                       resonance=entry, duals=duals,
                        obstructions=obstructions,
                        condition_report=condition_report)
 

@@ -60,6 +60,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
+from transportkit import flow
 from transportkit.applications import _apply_L, heat_coefficients_jet
 from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
@@ -363,15 +364,15 @@ def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
             out[r0:r1] = lu_solve(slice_lu[k], rhs_k)
         return out
 
-    obstructions = ()
+    duals = obstructions = ()
     particular_head = None
     kernel_extensions = ()
     if entry is not None:
         U, s, Vh, report = _svd_rank(head, tol)
         r = report.rank
         left = _canonicalize_columns(U[:, r:].conj())
-        duals = [DualDistribution(q.n, n_star, left[:, k].reshape(-1, q.m))
-                 for k in range(left.shape[1])]
+        duals = tuple(DualDistribution(q.n, n_star, left[:, k].reshape(-1, q.m))
+                      for k in range(left.shape[1]))
         screen = _screen(duals, q.v, obstruction_tol)
         obstructions = screen.obstructions
         if screen.solvable:
@@ -387,7 +388,7 @@ def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
         extend_by_slices(particular_head, v_vec), q.n, q.N, q.m))
     return JetSolution(particular=particular,
                        kernel_extensions=kernel_extensions, resonance=entry,
-                       obstructions=obstructions,
+                       duals=duals, obstructions=obstructions,
                        condition_report=condition_report)
 
 
@@ -467,7 +468,7 @@ def reference_tail_integrate(f, sample, ys, cfg):
 
     The flow evaluator's tail integration before it moved to DOP853, the
     (y, rows of [Finv | I]) layout and shared solvers: chunks of
-    cfg.chunk, 16 samples of g(t) = |Finv v(y_t)| per chunk, each from
+    flow._CHUNK, 16 samples of g(t) = |Finv v(y_t)| per chunk, each from
     its own dense-output and sample call, and the same stopping rule.
     sample is the integrand, rows y -> [-X | rows of (-A | v)], of
     flow._tail_integrate, whose layout TestFusedSampler checks against
@@ -505,7 +506,7 @@ def _reference_tail_point(f, sample, y, cfg):
                                 method="RK45", **counts)
 
     while True:
-        tau1 = min(tau + cfg.chunk, cfg.max_horizon)
+        tau1 = min(tau + flow._CHUNK, cfg.max_horizon)
         res = _rk45_segment(rhs, z, tau, tau1, cfg.rel_tol, cfg.abs_tol)
         counts["nfev"] += int(res.nfev)
         counts["n_steps"] += len(res.t) - 1
@@ -518,7 +519,7 @@ def _reference_tail_point(f, sample, y, cfg):
         z = res.y[:, -1]
         tau = tau1
         keep = [i for i, t in enumerate(window_ts)
-                if t <= -tau + 2.5 * cfg.chunk]
+                if t <= -tau + 2.5 * flow._CHUNK]
         window_ts = [window_ts[i] for i in keep]
         window_gs = [window_gs[i] for i in keep]
 
@@ -527,7 +528,7 @@ def _reference_tail_point(f, sample, y, cfg):
             return result(0.0, math.inf)
         logs = np.log(np.maximum(window_gs, 1e-290))
         rate = float(np.polyfit(window_ts, logs, 1)[0])
-        if tau >= cfg.t_min and g_last <= cfg.tail_tol and rate > 0:
+        if tau >= flow._T_MIN and g_last <= cfg.tail_tol and rate > 0:
             return result(g_last / rate, rate)
         if tau >= cfg.max_horizon:
             if rate <= 0:

@@ -378,13 +378,24 @@ class TestWKBStructure:
             assert residual(p, u).norm() < 1e-10
 
     def test_gauge_line_property(self):
+        # a_0 carries a unit x^level coefficient, and the series is a line:
+        # 2.5 a_j solve the same transport equations with the same lambda_j
         w = self.make_problem()
-        base = wkb_expand(w)
-        scaled = wkb_expand(w, amplitude_scale=2.5)
-        for lb, ls in zip(base.lambdas, scaled.lambdas):
-            assert ls == pytest.approx(lb, abs=1e-12)
-        for ab, as_ in zip(base.amplitudes, scaled.amplitudes):
-            assert as_.allclose(2.5 * ab, atol=1e-11)
+        res = wkb_expand(w)
+        assert res.amplitudes[0].coefficient((w.level,)) == pytest.approx(
+            1.0, abs=1e-15)
+        X = VectorFieldJet([2.0 * res.phi.partial(0)])
+        A = res.phi.partial(0).partial(0)
+        amps = [2.5 * a for a in res.amplitudes]
+        for j, a_j in enumerate(amps):
+            rhs = Jet.zero(1, a_j.N)
+            if j:
+                rhs = amps[j - 1].partial(0).partial(0)
+                for i in range(1, j + 1):
+                    rhs = rhs + res.lambdas[i] * amps[j - i].project(a_j.N)
+            p = ProblemData.scalar(X, A, rhs, res.lambdas[0], a_j.N)
+            u = Jet(1, a_j.N, a_j.coeffs.reshape(-1, 1))
+            assert residual(p, u).norm() < 1e-10
 
     def test_eigenvalue_helper(self):
         res = wkb_expand(self.make_problem(J=1))

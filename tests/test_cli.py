@@ -15,11 +15,13 @@ Closed forms used as expected values:
   correction vanishes; adding 0.1 x^4 shifts level 0 by 3/4 * 0.1.
 """
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from transportkit import (
     solve_to_order,
 )
 from transportkit import flow, taylor
-from transportkit.cli import main
+from transportkit.cli import _build_parser, main
 from transportkit.jets import monomial_rank
 from transportkit.taylor import MAX_ORDER
 
@@ -290,6 +292,17 @@ class TestSchemaValidation:
         assert code == 0
         assert result_of(out)["resonance"] is None
 
+    def test_real_document_reads_a_zero_imaginary_part(self, run):
+        # {"re": 2, "im": 0} is the real 2 in a document of real field
+        plain = radial_doc(0.0, [scalar_term((1,), [1.0])])
+        plain["problem"]["lambda"] = 2.0
+        paired = json.loads(json.dumps(plain))
+        paired["problem"]["lambda"] = {"re": 2.0, "im": 0}
+        code, out, err = run("solve-jet", paired)
+        assert (code, err) == (0, "")
+        assert result_of(out) == result_of(run("solve-jet", plain)[1])
+        assert result_of(out)["resonance"]["lambda"] == 2.0
+
     def test_component_count_mismatch(self, run):
         doc = euler_doc([])
         doc["problem"]["X"] = doc["problem"]["X"][:1]
@@ -378,6 +391,14 @@ class TestSchemaValidation:
         assert f"argument {flag}: expected a finite number" in err
         assert "Traceback" not in err
 
+    def test_non_numeric_flag(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("spectrum", euler_doc([]), "--max-re", "abc")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --max-re: expected a finite number, got 'abc'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,flag", [
         (command, "--tol") for command in (
             "spectrum", "solve-jet", "solve-grid", "kernel", "dual-kernel",
@@ -385,14 +406,18 @@ class TestSchemaValidation:
         + [("solve-jet", "--obstruction-tol")])
     def test_negative_tolerance_flag(self, run, capsys, command, flag):
         # X = y, lambda = 2, v = y: resonant at degree 2 and solvable; a
-        # negative tolerance used to hide the resonance or the solvability
+        # negative tolerance used to hide the resonance or the solvability.
+        # The commands that read no tolerance take no --tol at all.
         doc = radial_doc(0.0, [scalar_term((1,), [1.0])])
         doc["problem"]["lambda"] = 2.0
         with pytest.raises(SystemExit) as exc:
             run(command, doc, flag, "-1")
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: expected a nonnegative number" in err
+        if command in ("solve-grid", "heat", "wkb", "verify-estimates"):
+            assert "unrecognized arguments: --tol" in err
+        else:
+            assert f"argument {flag}: expected a nonnegative number" in err
         assert "Traceback" not in err
 
     def test_point_dimension_checked(self, run):
@@ -1088,6 +1113,19 @@ class TestResourceCeilings:
         code, out, err = run(command, doc, *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_sternberg_enumeration_work(self, run):
+        # 45,451 multi-indices, each n = 300 products and paired with all
+        # 300 entries of mu: about 27 million operations, refused at once
+        doc = {"schema_version": 1, "sternberg": {"mu": [1.0] * 299 + [2.0]}}
+        start = time.perf_counter()
+        code, out, err = run("sternberg", doc)
+        elapsed = time.perf_counter() - start
+        assert (code, out, err) == (
+            2, "", "error: resonance enumeration up to degree 2 in 300 "
+                   "variables and 300 rho values takes over 4194304 "
+                   "operations\n")
+        assert elapsed < 1.0
+
 
 class TestOutputContract:
     def test_document_file_is_closed(self, run):
@@ -1128,6 +1166,29 @@ class TestOutputContract:
         assert main(["solvable", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "timestamp" in doc["provenance"]
+
+    def test_csv_timestamp_line(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(euler_doc([])))
+        assert main(["spectrum", str(path), "--output", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:5]] == [
+            "# tool", "# command", "# input_sha256", "# tolerances",
+            "# timestamp"]
+        assert lines[5] == "re,im,multiplicity,representations"
+
+    @pytest.mark.parametrize("command,flags,expected", [
+        ("solve-jet", ("--tol", "1e-7"),
+         {"tol": 1e-7, "obstruction_tol": 1e-9}),
+        ("solve-jet", ("--obstruction-tol", "0.001"),
+         {"tol": 1e-9, "obstruction_tol": 0.001}),
+        ("kernel", ("--tol", "0"), {"tol": 0.0}),
+        ("sternberg", ("--tol", "2.5e-8"), {"tol": 2.5e-8})])
+    def test_explicit_tolerance_in_the_provenance(self, run, command, flags,
+                                                  expected):
+        code, out, _ = run(command, euler_doc([]), *flags)
+        assert code == 0
+        assert json.loads(out)["provenance"]["tolerances"] == expected
 
     def test_parser_built_once_and_reused(self, tmp_path, capsys):
         from transportkit import cli
@@ -1177,3 +1238,32 @@ class TestOutputContract:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["solvable"] is True
+
+
+# a changed valid value for every flag that sets something
+CHANGED = {"--tol": "1e-8", "--obstruction-tol": "1e-8", "--max-re": "3",
+           "--order": "5", "--rel-tol": "1e-8", "--abs-tol": "1e-11",
+           "--tail-tol": "1e-11", "--max-horizon": "150"}
+
+
+def test_every_flag_reaches_the_output():
+    # a flag that changes nothing is a setting that nothing reads: each
+    # command runs on its golden document with the default and with a
+    # changed value of each flag, and the JSON outputs must differ
+    from test_cli_golden import CASES, run_case
+    (commands,) = [action.choices for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in commands.items():
+        doc = next(doc for doc, name, _, _ in CASES if name == command)
+        options = parser._option_string_actions
+        json_flags = ("--output", "json") if "--output" in options else ()
+        default = run_case(doc, command, json_flags)
+        for flag in options:
+            if not flag.startswith("--") or flag in (
+                    "--help", "--out", "--no-timestamp", "--output"):
+                continue
+            changed = run_case(doc, command, (*json_flags, flag, CHANGED[flag]))
+            if changed == default:
+                unread.append(f"{command} {flag}")
+    assert unread == []

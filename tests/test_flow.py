@@ -10,7 +10,8 @@ Oracles:
 """
 
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ class TestFieldSampler:
         assert np.allclose(f.X_eval(q), expected, atol=1e-14)
         assert f.n == 2 and f.m == 1
         assert f._joint is not None
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("X_eval", lambda y: np.zeros(2),
+         r"X_eval must return shape \(1,\), got \(2,\)"),
+        ("A_eval", lambda y: np.zeros(1),
+         r"A_eval must return a square matrix, got \(1,\)"),
+        ("A_eval", lambda y: np.zeros((1, 2)),
+         r"A_eval must return a square matrix, got \(1, 2\)"),
+        ("v_eval", lambda y: np.zeros(2),
+         r"v_eval must return shape \(1,\), got \(2,\)")])
+    def test_sample_shapes_checked(self, name, value, message):
+        callables = {"X_eval": lambda y: np.array([y[0]]),
+                     "A_eval": lambda y: np.eye(1),
+                     "v_eval": lambda y: np.zeros(1), name: value}
+        with pytest.raises(ValidationError, match=message):
+            FieldSampler(**callables, source=np.zeros(1))
 
     def test_nonvanishing_source_rejected(self):
         with pytest.raises(ValidationError, match="vanish"):
@@ -457,6 +474,20 @@ class TestIntegrateFlow:
         assert info.value.t == pytest.approx(-math.log(2.0), abs=1e-6)
         assert abs(info.value.point[0]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_zero_horizon_is_the_initial_state(self):
+        traj = integrate_flow(sampler_1d(1.0, lambda y: y), [0.5], 0.0)
+        st = traj.at(0.0)
+        assert traj.t_end == 0.0 and st.t == 0.0
+        assert (st.y_t.tolist(), st.Finv.tolist(), st.I.tolist()) == (
+            [0.5], [[1.0]], [0.0])
+
+    @pytest.mark.parametrize("t_end,t", [(-1.0, 0.5), (-1.0, -1.5), (0.0, -0.1)])
+    def test_state_outside_the_window_is_refused(self, t_end, t):
+        traj = integrate_flow(sampler_1d(1.0, lambda y: y), [0.5], t_end)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"time {t} outside the integrated window [{t_end}, 0]")):
+            traj.at(t)
+
     def test_bad_inputs(self):
         f = sampler_1d(1.0, lambda y: y)
         with pytest.raises(ValidationError):
@@ -475,6 +506,14 @@ class TestEvaluateSolution:
             assert res.mode == "direct"
             assert res.u[0] == pytest.approx(y ** 2 / 3, rel=1e-7)
             assert res.tail_estimate < 1e-10
+
+    def test_problem_jets_default_to_the_sampler_s(self):
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        f = FieldSampler.from_problem(p)
+        assert np.array_equal(evaluate_solution(f, None, [0.5]).u,
+                              evaluate_solution(f, p, [0.5]).u)
+        with pytest.raises(ValidationError, match="needs problem jets"):
+            evaluate_solution(sampler_1d(1.0, lambda y: y ** 2), None, [0.5])
 
     def test_source_point_value(self):
         # at the source the equation degenerates to A(p) u = v(p)
@@ -509,6 +548,16 @@ class TestEvaluateSolution:
         res = evaluate_solution(f, p, [0.6])
         assert (res.mode, res.split_order) == ("split", 2)
         assert res.u[0] == pytest.approx(2 * 0.36, rel=1e-7)
+
+    def test_callable_split_past_the_jet_order_is_refused(self):
+        # a = -3/2 splits at order 2, which order-1 jets cannot carry for a
+        # callable sampler; from_problem's polynomials carry any order
+        p = scalar_euler_problem(-1.5, Jet.from_terms(1, 1, {(1,): 1.0}), 0.0, 1)
+        f = FieldSampler.from_problem(p)
+        assert evaluate_solution(f, p, [0.3]).split_order == 2
+        with pytest.raises(ValidationError, match=re.escape(
+                "jet data of order 1 cannot support a split at order 2")):
+            evaluate_solution(replace(f), p, [0.3])
 
     def test_split_order_independence(self):
         p = scalar_euler_problem(-0.5, Jet.from_terms(1, 5, {(2,): 1.0, (3,): 0.5}),
@@ -665,7 +714,8 @@ class TestEvaluateSolution:
 
         monkeypatch.setattr(flow, "_tail_integrate", recording_tail)
         monkeypatch.setattr(flow, "_fit_rate", recording_fit)
-        res = evaluate_solution(f, p, [0.3, -0.2], EvalConfig(chunk=3.0))
+        monkeypatch.setattr(flow, "_CHUNK", 3.0)
+        res = evaluate_solution(f, p, [0.3, -0.2])
         assert res.mode == mode and res.n_chunks >= 2
         (sample,) = integrated
         calls = []  # the sampler's callables, called while sampling below
@@ -687,10 +737,10 @@ class TestEvaluateSolution:
         assert len(calls) == (0 if fused else 3 * n_samples)
 
     @pytest.mark.parametrize("a", [1.0, -0.5])
-    def test_counts_match_the_integrator(self, solvers, a):
+    def test_counts_match_the_integrator(self, solvers, monkeypatch, a):
+        monkeypatch.setattr(flow, "_CHUNK", 3.0)
         p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
-        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.6],
-                                EvalConfig(chunk=3.0))
+        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.6])
         assert res.n_chunks == len(solvers) >= 2
         assert res.nfev == sum(s.nfev for s in solvers)
         assert res.n_steps == sum(len(s.ends) for s in solvers)
@@ -731,34 +781,43 @@ class TestEvaluateSolution:
     @pytest.mark.parametrize("field,value", [
         ("rel_tol", 0.0), ("rel_tol", -1e-9), ("abs_tol", -1e-12),
         ("tail_tol", 0.0), ("max_horizon", 0.0), ("max_horizon", -3.0),
-        ("chunk", 0.0), ("chunk", -1.0), ("t_min", -2.0),
-        ("rel_tol", math.nan), ("t_min", math.nan)])
+        ("rel_tol", math.nan)])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValidationError, match=field):
             EvalConfig(**{field: value})
 
     @pytest.mark.parametrize("max_horizon,chunk", [
-        (200.0, 1e-300), (200.0, 1e-2), (1e6, 10.0), (1e300, 1e-300)])
-    def test_config_bounds_the_chunk_count(self, max_horizon, chunk):
-        # one solver per chunk: max_horizon / chunk above 10,000 is refused
-        # when the config is built, before any integration
-        with pytest.raises(ValidationError, match="max_horizon / chunk") as info:
-            EvalConfig(max_horizon=max_horizon, chunk=chunk)
-        assert f"max_horizon {max_horizon!r} and chunk {chunk!r}" in \
-            str(info.value)
+        (200.0, 1e-300), (200.0, 1e-2), (1e6, 10.0), (1e300, 1e-300),
+        (100_000.5, 10.0)])
+    def test_config_bounds_the_chunk_count(self, monkeypatch, max_horizon,
+                                           chunk):
+        # one solver per chunk: a max_horizon above 10,000 chunks of
+        # flow._CHUNK (10, patched here) is refused when the config is
+        # built, before any integration
+        monkeypatch.setattr(flow, "_CHUNK", chunk)
+        with pytest.raises(ValidationError) as info:
+            EvalConfig(max_horizon=max_horizon)
+        assert str(info.value) == (
+            f"max_horizon must be at most {10_000 * chunk:g} (10000 chunks of "
+            f"{chunk:g}), got {max_horizon!r}")
 
-    def test_config_chunks_within_the_bound_are_accepted(self):
-        cfg = EvalConfig(max_horizon=200.0, chunk=0.02)
-        assert cfg.max_horizon / cfg.chunk == 10_000
+    def test_config_chunks_within_the_bound_are_accepted(self, monkeypatch):
+        assert EvalConfig(max_horizon=100_000.0).max_horizon == 100_000.0
+        monkeypatch.setattr(flow, "_CHUNK", 0.02)
+        assert EvalConfig(max_horizon=200.0).max_horizon / flow._CHUNK == 10_000
+        monkeypatch.setattr(flow, "_CHUNK", 3.0)
         p = scalar_euler_problem(1.0, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
-        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.5],
-                                EvalConfig(chunk=3.0))
+        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.5])
         assert res.n_chunks >= 2
         assert res.u[0] == pytest.approx(0.25 / 3.0, rel=1e-8)
 
-    def test_config_accepts_zero_abs_tol_and_t_min(self):
-        cfg = EvalConfig(abs_tol=0.0, t_min=0.0)
-        assert cfg.abs_tol == 0.0 and cfg.t_min == 0.0
+    def test_config_accepts_zero_abs_tol(self):
+        assert EvalConfig(abs_tol=0.0).abs_tol == 0.0
+
+    def test_config_has_no_chunk_or_t_min(self):
+        # the chunk length and the earliest stop are flow constants
+        assert [f.name for f in fields(EvalConfig)] == [
+            "rel_tol", "abs_tol", "tail_tol", "max_horizon", "split_order"]
 
     def test_directional_derivative_identity(self):
         # D_X u = v - A u at the evaluation point, checked by one-sided
@@ -958,10 +1017,12 @@ class TestSharedSolvers:
                 modes.add(res.mode)
         assert modes == {"direct", "split"}
 
-    def test_counts_are_those_of_the_solvers_a_point_rode_in(self, solvers):
+    def test_counts_are_those_of_the_solvers_a_point_rode_in(self, solvers,
+                                                             monkeypatch):
         # 0.1 and 0.5 stop a solver before 0.9, which rode in them all
+        monkeypatch.setattr(flow, "_CHUNK", 3.0)
         p = scalar_euler_problem(1.0, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
-        rows = flow._plan(FieldSampler.from_problem(p), p, EvalConfig(chunk=3.0))(
+        rows = flow._plan(FieldSampler.from_problem(p), p, EvalConfig())(
             [[0.1], [0.5], [0.9]])
         widths = [s.y.size // 3 for s in solvers]  # points per solver
         assert widths[0] == 3 and widths == sorted(widths, reverse=True)

@@ -17,7 +17,7 @@ import pytest
 
 import transportkit
 from transportkit import opmatrix, spectral, taylor
-from transportkit.errors import ValidationError
+from transportkit.errors import IllConditionedWarning, ValidationError
 from transportkit.jets import Jet, VectorFieldJet
 from transportkit.opmatrix import ProblemData, apply_operator, jet_to_vec
 from transportkit.spectral import resonance_degree
@@ -225,6 +225,41 @@ class TestSolverPolicies:
         sol = solve_to_order(scalar_euler_problem(1.0, v, 0.0, N), N)
         assert isinstance(sol, JetSolution)
         assert sol.solvable and sol.resonance is None and sol.obstructions == ()
+        assert sol.duals == ()
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_duals_are_those_that_screened_v(self, lam):
+        # the head screen's duals pair v into the obstructions, and
+        # dual_kernel_basis reads the same duals at order max(N', 1)
+        p = gradient_example_problem(N=5, lam=lam)
+        sol = solve_to_order(p, 5)
+        assert sol.duals and sol.obstructions == tuple(d.pair(p.v)
+                                                       for d in sol.duals)
+        assert len(sol.duals) == len(sol.kernel_extensions)
+        basis = spectral.dual_kernel_basis(p)
+        assert len(basis) == len(sol.duals)
+        for d, e in zip(sol.duals, basis):
+            assert d.order == e.order == sol.resonance.max_alpha_degree
+            np.testing.assert_allclose(d.coeffs, e.coeffs, rtol=0, atol=1e-14)
+
+    def test_ill_conditioned_slice_warns(self):
+        # y u' + A u = u + v with A = [[2, 1e4], [0, 2e-9]]: the degree-1
+        # slice is 1 + A - lambda = A, with the eigenvalue 2e-9 on a block
+        # of norm 1e4
+        N = 3
+        X = VectorFieldJet.euler(1, N)
+        A = Jet.constant(1, N, np.array([[2.0, 1e4], [0.0, 2e-9]]))
+        v = Jet.from_terms(1, N, {(1,): [1.0, 1.0]}, shape=(2,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = solve_to_order(ProblemData(X, A, v, 1.0, N), N)
+        assert sol.resonance is None  # 2e-9 is outside RESONANCE_TOL
+        ill = [w for w in caught if w.category is IllConditionedWarning]
+        assert [str(w.message).split(" condition")[0] for w in ill] == [
+            "slice 1 solve"]
+        assert sol.condition_report["slice_1"] > 1e12
+        assert all(sol.condition_report[key] <= 1e12
+                   for key in sol.condition_report if key != "slice_1")
 
     def test_resonant_solve_assembles_and_decomposes_once(self, monkeypatch):
         # one sparse operator per solve, at the working order, serves the
@@ -243,8 +278,9 @@ class TestSolverPolicies:
 
         assert not hasattr(taylor, "assemble")
         assert not hasattr(spectral, "assemble")
-        for module in (taylor, spectral):
-            monkeypatch.setattr(module, "_sparse_operator", counting_build)
+        # dual_kernel_basis reads its duals from the jet solver's head screen
+        assert not hasattr(spectral, "_sparse_operator")
+        monkeypatch.setattr(taylor, "_sparse_operator", counting_build)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         p = gradient_example_problem(N=6, lam=2.0)
         sol = solve_to_order(p, 6)
