@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, OrderBudgetError, ValidationError
-from .jets import (Jet, VectorFieldJet, _monomial_vector, jet_mul,
-                   monomial_powers)
+from .jets import Jet, VectorFieldJet, jet_mul, monomial_powers
 from .opmatrix import ProblemData
 from .spectral import NEAR_RESONANCE_TOL, RESONANCE_TOL
 from .taylor import solve_to_order
@@ -145,8 +144,7 @@ def heat_coefficients_numeric(h: HeatProblem, q, *,
         for nodes in (8, 16, 32, 64, 128, 256, 512, 1024):
             x, w = np.polynomial.legendre.leggauss(nodes)
             s, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
-            values = np.tensordot(_monomial_vector(s[:, None] * q, Lj.N),
-                                  Lj.coeffs, axes=1)  # L Phi_{j-1} at each node
+            values = Lj.evaluate(s[:, None] * q)  # L Phi_{j-1} at each node
             nxt = -np.tensordot(w * s ** (j - 1), values, axes=1)
             if val is not None and (np.max(np.abs(nxt - val))
                                     <= tol * (1.0 + np.max(np.abs(nxt)))):

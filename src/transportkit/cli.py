@@ -42,10 +42,11 @@ from .errors import (
 from .estimates import (ODE_ABS_TOL, ODE_REL_TOL, MatrixPath,
                         inverse_two_regime_bound, two_regime_bound)
 from .flow import EvalConfig, FieldSampler, _plan
-from .jets import (MAX_COEFFS, Jet, VectorFieldJet, _encode_value, _fields,
+from .jets import (MAX_COEFFS, VectorFieldJet, _encode_value, _fields,
                    _integer, fits, jet_from_json, jet_to_json)
 from .opmatrix import ProblemData
 from .spectral import (
+    OBSTRUCTION_TOL,
     RESONANCE_TOL,
     dual_kernel_basis,
     eigenvalue_table,
@@ -344,12 +345,9 @@ def cmd_solve_jet(args, doc):
     order = args.order if args.order is not None else p.N
     sol = solve_to_order(p, order, tol=args.tol,
                          obstruction_tol=args.obstruction_tol)
-    solved_order = (sol.particular.N if sol.particular is not None
-                    else sol.kernel_extensions[0].N
-                    if sol.kernel_extensions else order)
     result = {
         "requested_order": order,
-        "order": solved_order,
+        "order": sol.working_order,
         "resonance": _resonance_json(sol.resonance),
         "solvable": sol.solvable,
         "obstructions": [_encode_number(o) for o in sol.obstructions],
@@ -396,9 +394,7 @@ def cmd_solve_grid(args, doc):
 def cmd_kernel(args, doc):
     p = _problem(doc)
     order = args.order if args.order is not None else p.N
-    zero_v = Jet.zero(p.n, p.N, (p.m,),
-                      dtype=np.complex128 if p.is_complex else np.float64)
-    sol = solve_to_order(p.with_v(zero_v), order, tol=args.tol)
+    sol = solve_to_order(p, order, tol=args.tol)  # the kernel whatever v is
     result = {
         "resonance": _resonance_json(sol.resonance),
         "dimension": len(sol.kernel_extensions),
@@ -556,7 +552,7 @@ def _build_parser():
         if tol:  # the commands that decide resonance or solvability
             sp.add_argument("--tol", type=_nonnegative_float,
                             default=RESONANCE_TOL,
-                            help="resonance / obstruction tolerance")
+                            help="resonance tolerance")
         if output is not None:
             sp.add_argument("--output", choices=("json", "csv"),
                             default=output, help="output format")
@@ -574,7 +570,7 @@ def _build_parser():
     sp.add_argument("--order", type=int, default=None,
                     help="target jet order (default: the problem order)")
     sp.add_argument("--obstruction-tol", type=_nonnegative_float,
-                    default=1e-9,
+                    default=OBSTRUCTION_TOL,
                     help="relative solvability screen")
 
     sp = add("solve-grid", cmd_solve_grid,

@@ -128,8 +128,8 @@ class FieldSampler:
     (one row per point) times one coefficient matrix.  dataclasses.replace
     drops the joint map, so a replaced sampler is a plain callable sampler:
     the integrand calls each of its three callables once per point and RHS
-    call, and its split-mode remainder is evaluated pointwise from those
-    values.
+    call, and reads its split-mode remainder off those values for all the
+    points of the call at once.
     """
 
     X_eval: object
@@ -176,10 +176,9 @@ class FieldSampler:
                     f"samplers have {(n, m)}")
             # central differences of X_eval minus the jet polynomial: the
             # jet's own higher-order terms cancel, only a mismatch is left
-            def off(y):
-                return np.asarray(self.X_eval(source + y)) - jets.X.evaluate(y)
-            dev = max(np.max(np.abs(off(h) - off(-h)))
-                      for h in 1e-6 * np.eye(n)) / 2e-6
+            H = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
+            off = np.array([self.X_eval(source + h) for h in H]) - jets.X.evaluate(H)
+            dev = np.max(np.abs(off[:n] - off[n:])) / 2e-6
             if dev > 1e-4:
                 raise ValidationError(
                     "finite-difference linearization of X_eval disagrees with "
@@ -196,12 +195,11 @@ class FieldSampler:
     def _sample(self, ys: np.ndarray) -> np.ndarray:
         """[-X(y) | rows of (-A(y) | v(y))] for each row y of ys, one row per point."""
         if self._joint is not None:
-            return _joint_at(self._joint, ys)
-        row = lambda y: np.concatenate([  # one point per call of each callable
-            -np.asarray(self.X_eval(y), dtype=float),
-            np.column_stack([-np.asarray(self.A_eval(y), dtype=float),
-                             np.asarray(self.v_eval(y), dtype=float)]).ravel()])
-        return np.array([row(y) for y in ys])
+            return self._joint.evaluate(ys)
+        X, A, v = (np.array([g(y) for y in ys], dtype=float)  # one point per call
+                   for g in (self.X_eval, self.A_eval, self.v_eval))
+        block = np.concatenate([-A, v[:, :, None]], axis=2)  # rows of (-A | v)
+        return np.hstack([-X, block.reshape(len(ys), -1)])
 
     @classmethod
     def from_problem(cls, p: ProblemData, radius: float = math.inf) -> "FieldSampler":
@@ -214,18 +212,13 @@ class FieldSampler:
         joint = Jet(p.n, p.N, np.hstack([-p.X.coeffs, block.reshape(rows, -1)]))
         n = p.n
         a_cols, v_cols = _block_columns(n, p.m)
-        f = cls(X_eval=lambda y: -_joint_at(joint, y)[:n],
-                A_eval=lambda y: -_joint_at(joint, y)[a_cols],
-                v_eval=lambda y: _joint_at(joint, y)[v_cols],
+        f = cls(X_eval=lambda y: -joint.evaluate(y)[:n],
+                A_eval=lambda y: -joint.evaluate(y)[a_cols],
+                v_eval=lambda y: joint.evaluate(y)[v_cols],
                 source=np.zeros(n), radius=radius)
         object.__setattr__(f, "_joint", joint)
         object.__setattr__(f, "consistent_jets", p)
         return f
-
-
-def _joint_at(joint: Jet, y) -> np.ndarray:
-    """The monomials of each point (one row per point) times the coefficients."""
-    return _monomial_vector(np.asarray(y, dtype=float), joint.N) @ joint.coeffs
 
 
 def _block_columns(n: int, m: int):
@@ -515,10 +508,10 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
         if error is not None or not todo:
             return rows
         ys = np.array([y for _, y in todo])
-        for (k, y), res in zip(todo, _tail_integrate(f, sample, ys, cfg)):
-            if head is not None and isinstance(res, EvaluationResult):
-                u = np.asarray(head.evaluate(y), dtype=float) + res.u
-                res = replace(res, u=u, mode="split", split_order=N)
+        heads = [None] * len(ys) if head is None else head.evaluate(ys)
+        for (k, _), h, res in zip(todo, heads, _tail_integrate(f, sample, ys, cfg)):
+            if h is not None and isinstance(res, EvaluationResult):
+                res = replace(res, u=h + res.u, mode="split", split_order=N)
             rows[k] = res
         return rows
 
@@ -583,7 +576,7 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
     matrix, cut once per plan after its highest degree d with a nonzero
     row, so a sample is one (P, P_dim(n, d)) monomial matrix times it.  A
     callable sampler is sampled once per point and call, and the shift and
-    the pointwise remainder are read off that sample, point by point.
+    the remainder are read off that sample for all P points at once.
     """
     n, m, lam = f.n, f.m, p.lam
     a_cols, v_cols = _block_columns(n, m)
@@ -606,9 +599,8 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
         A = -s[:, a_cols] - shift
         s[:, a_cols] = -A
         if u_head is not None:
-            for k, y in enumerate(ys):
-                du = sum(-s[k, i] * g.evaluate(y) for i, g in enumerate(grads))
-                s[k, v_cols] = s[k, v_cols] - du - A[k] @ u_head.evaluate(y)
+            du = sum(-s[:, [i]] * g.evaluate(ys) for i, g in enumerate(grads))
+            s[:, v_cols] -= du + np.einsum("kij,kj->ki", A, u_head.evaluate(ys))
         return s
 
     return sample

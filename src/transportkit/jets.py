@@ -27,7 +27,7 @@ jet explicitly with :meth:`Jet.to_complex`.
 
 >>> y1 = Jet.coordinate(2, 2, 0)
 >>> y2 = Jet.coordinate(2, 2, 1)
->>> (y1 * y2).coefficient((1, 1))
+>>> float((y1 * y2).coefficient((1, 1)))
 1.0
 >>> u = Jet.from_terms(2, 2, {(0, 0): 1.0, (1, 0): 1.0})   # 1 + y1
 >>> v = Jet.from_terms(2, 2, {(0, 0): 1.0, (1, 0): -1.0})  # 1 - y1
@@ -135,16 +135,16 @@ def monomial_powers(n: int, N: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _power_index(n: int, N: int):
     """Flat positions of y_j**alpha_j in an (n, N + 1) power table, shape
-    (P_dim, n), and the table's exponents 0..N.
+    (P_dim, n), the table's exponents 0..N and its width n (N + 1).
 
     The exponents are floats: float ** int would cast them on every call
-    to the same values.
+    to the same values.  The width, unlike -1, reshapes an empty stack.
     """
     idx = monomial_powers(n, N) + (N + 1) * np.arange(n)
     exponents = np.arange(N + 1, dtype=float)
     idx.setflags(write=False)
     exponents.setflags(write=False)
-    return idx, exponents
+    return idx, exponents, n * (N + 1)
 
 
 def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
@@ -155,8 +155,8 @@ def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
     multi-index and multiplied along the variables; the values are those
     of ``prod(point**alpha)`` bit for bit, with or without batch axes.
     """
-    idx, exponents = _power_index(point.shape[-1], N)
-    table = (point[..., None] ** exponents).reshape(point.shape[:-1] + (-1,))
+    idx, exponents, width = _power_index(point.shape[-1], N)
+    table = (point[..., None] ** exponents).reshape(point.shape[:-1] + (width,))
     # the ufunc reduction np.prod runs, without its per-call dispatch cost
     return np.multiply.reduce(table.take(idx, axis=-1), axis=-1)
 
@@ -357,13 +357,20 @@ class Jet:
         return Jet(self.n, self.N - 1, self._coeffs[src] * fac, copy=False)
 
     def evaluate(self, point):
-        """Evaluate the polynomial representative at a point (ndarray of length n)."""
+        """The value, shape (..., *value_shape), at a point of shape (n,) or
+        at each of a stack (..., n): each point is a (1, P_dim) row of one
+        batched product, so a stack has the bits of its points one by one.
+
+        >>> Jet.from_terms(1, 2, {(2,): 1.0}).evaluate(np.array([[2.0], [3.0]]))
+        array([4., 9.])
+        """
         point = np.asarray(point)
-        if point.shape != (self.n,):
+        if point.ndim == 0 or point.shape[-1] != self.n:
             raise ShapeMismatchError(
                 f"point of length n={self.n} expected, got shape {point.shape}")
-        mono = _monomial_vector(point, self.N)
-        return np.tensordot(mono, self._coeffs, axes=1)
+        mono = _monomial_vector(point, self.N)[..., None, :]
+        flat = self._coeffs.reshape(self._coeffs.shape[0], -1)
+        return (mono @ flat).reshape(point.shape[:-1] + self.value_shape)
 
     def astype(self, dtype) -> "Jet":
         return self._like(self.N, self._coeffs.astype(dtype))

@@ -40,6 +40,7 @@ from .opmatrix import ProblemData
 
 __all__ = [
     "RESONANCE_TOL",
+    "OBSTRUCTION_TOL",
     "NEAR_RESONANCE_TOL",
     "RANK_RTOL",
     "ResonanceEntry",
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 RESONANCE_TOL = 1e-9
+OBSTRUCTION_TOL = 1e-9  # relative: the pairings with v against ||v||
 NEAR_RESONANCE_TOL = 1e-6
 RANK_RTOL = 1e-10
 
@@ -396,14 +398,15 @@ class SolvabilityResult:
     obstructions: tuple  # values of the dual kernel basis on v
 
 
-def solvability_test(p: ProblemData, tol: float = 1e-9) -> SolvabilityResult:
+def solvability_test(p: ProblemData, tol: float = RESONANCE_TOL) -> SolvabilityResult:
     """Check whether every dual kernel functional annihilates v.
 
-    The aggregate criterion sqrt(sum |T_i(v)|^2) <= tol * ||v|| matches the
+    tol is the resonance tolerance, as for solve_to_order; the aggregate
+    criterion sqrt(sum |T_i(v)|^2) <= OBSTRUCTION_TOL * ||v|| matches the
     least-squares residual of the projected system because the T_i form an
     orthonormal basis of the left null space.
     """
-    return _screen(dual_kernel_basis(p), p.v, tol)
+    return _screen(dual_kernel_basis(p, tol), p.v, OBSTRUCTION_TOL)
 
 
 def _screen(duals, v: Jet, tol: float) -> SolvabilityResult:

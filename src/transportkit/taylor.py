@@ -40,7 +40,8 @@ from .errors import IllConditionedWarning, ValidationError
 from .jets import Jet, degree_starts
 from .opmatrix import (ProblemData, _common_field, _sparse_operator,
                        apply_operator, jet_to_vec, vec_to_jet)
-from .spectral import RESONANCE_TOL, _head_split, _screen, resonance_degree
+from .spectral import (OBSTRUCTION_TOL, RESONANCE_TOL, _head_split, _screen,
+                       resonance_degree)
 
 __all__ = ["JetSolution", "solve_to_order", "residual", "MAX_ORDER"]
 
@@ -56,7 +57,8 @@ class JetSolution:
     otherwise the solutions on P_N tensor V form the affine family
     particular + span(kernel_extensions).  obstructions pairs v with each
     dual kernel functional in duals (both empty when lambda is
-    non-resonant), condition_report the condition numbers of the solves.
+    non-resonant), condition_report the condition numbers of the solves and
+    working_order the order of its jets, M raised to the resonance degree.
     """
 
     particular: Jet | None
@@ -65,6 +67,7 @@ class JetSolution:
     duals: tuple
     obstructions: tuple
     condition_report: dict
+    working_order: int
 
     @property
     def solvable(self) -> bool:
@@ -73,7 +76,7 @@ class JetSolution:
 
 def solve_to_order(p: ProblemData, M: int, *,
                    tol: float = RESONANCE_TOL,
-                   obstruction_tol: float = 1e-9) -> JetSolution:
+                   obstruction_tol: float = OBSTRUCTION_TOL) -> JetSolution:
     """Solve (D_X + A - lambda) u = v on P_M tensor V.
 
     M is raised to the largest resonance degree when the request sits
@@ -135,7 +138,7 @@ def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
                        kernel_extensions=tuple(jets),
                        resonance=entry, duals=duals,
                        obstructions=obstructions,
-                       condition_report=condition_report)
+                       condition_report=condition_report, working_order=N)
 
 
 def residual(p: ProblemData, u: Jet) -> Jet:

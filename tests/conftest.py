@@ -389,7 +389,7 @@ def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
     return JetSolution(particular=particular,
                        kernel_extensions=kernel_extensions, resonance=entry,
                        duals=duals, obstructions=obstructions,
-                       condition_report=condition_report)
+                       condition_report=condition_report, working_order=q.N)
 
 
 def reference_jet_evaluate(u, point):

@@ -797,12 +797,14 @@ class TestSolveGrid:
 
 class TestKernelCommands:
     def test_kernel_constants(self, run):
-        code, out, _ = run("kernel", euler_doc([]))
-        assert code == 0
-        res = result_of(out)
-        assert res["dimension"] == 1
-        assert res["kernel"][0]["terms"] == [
-            {"alpha": [0, 0], "coeff": [1.0]}]
+        # the kernel is the same whether v is zero or obstructed
+        for v_terms in ([], [scalar_term((0, 0), [1.0])]):
+            code, out, _ = run("kernel", euler_doc(v_terms))
+            assert code == 0
+            res = result_of(out)
+            assert res["dimension"] == 1
+            assert res["kernel"][0]["terms"] == [
+                {"alpha": [0, 0], "coeff": [1.0]}]
 
     def test_dual_kernel_delta_form(self, run):
         code, out, _ = run("dual-kernel", euler_doc([]))
@@ -821,6 +823,21 @@ class TestKernelCommands:
         res = result_of(out)
         assert res["solvable"] is False
         assert res["obstructions"] == [1.0]
+
+    def test_solvable_and_solve_jet_share_the_resonance_tolerance(self, run):
+        # y u' = 2.0005 u + y^2: at --tol 1e-3 lambda is the degree-2
+        # resonance and v = y^2 is obstructed; at the default it is not
+        doc = radial_doc(0.0, [scalar_term((2,), [1.0])])
+        doc["problem"]["lambda"] = 2.0005
+        for flags, obstructions in [((), []), (("--tol", "1e-3"), [1.0])]:
+            code, out, _ = run("solve-jet", doc, *flags)
+            jet = result_of(out)
+            assert code == (4 if obstructions else 0)
+            code, out, _ = run("solvable", doc, *flags)
+            assert code == 0
+            assert result_of(out) == {"solvable": jet["solvable"],
+                                      "obstructions": jet["obstructions"]}
+            assert jet["obstructions"] == obstructions
 
     def test_nonresonant_kernel_empty(self, run):
         code, out, _ = run("kernel", euler_doc([], lam=0.5))

@@ -272,6 +272,37 @@ class TestFusedSampler:
             w = sample(y[None])[0, n:].reshape(m, m + 1)[:, m]
             assert np.max(np.abs(w - r_poly.evaluate(y))) <= 1e-13
 
+    def test_callable_split_plan_reads_all_points_at_once(self, monkeypatch):
+        # one plan call on three points: each row's u is the head at its
+        # point plus its integral, and the integrand on the stack is the
+        # remainder v - D_X u_head - (A - lam) u_head at each point alone
+        p = random_flow_problem(np.random.default_rng(4301), 2, 2, 6, 0.0)
+        mu = float(np.min(np.linalg.eigvals(p.A.coeffs[0]).real))
+        p = replace(p, lam=mu + 0.3)
+        f = replace(FieldSampler.from_problem(p))
+        calls, tail_integrate = [], flow._tail_integrate
+
+        def recording(f, sample, ys, cfg):
+            calls.append((sample, ys, tail_integrate(f, sample, ys, cfg)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(flow, "_tail_integrate", recording)
+        rows = flow._plan(f, p, EvalConfig())([[0.3, -0.2], [-0.1, 0.25],
+                                               [0.05, 0.1]])
+        ((sample, ys, integrals),) = calls
+        head = solve_to_order(p, rows[0].split_order).particular
+        for row, y, integral in zip(rows, ys, integrals):
+            assert row.mode == "split"
+            assert np.array_equal(row.u, head.evaluate(y) + integral.u)
+        s = sample(ys.copy())[:, 2:].reshape(3, 2, 3)
+        for k, y in enumerate(ys):
+            X, A = f.X_eval(y), f.A_eval(y) - p.lam * np.eye(2)
+            w = (f.v_eval(y) - sum(X[i] * head.partial(i).evaluate(y)
+                                   for i in range(2)) - A @ head.evaluate(y))
+            assert np.array_equal(s[k, :, :2], -A)
+            assert np.max(np.abs(s[k, :, 2] - w)) <= 1e-13 * (
+                1.0 + np.max(np.abs(w)))
+
     def test_views_and_callable_samplers_agree(self, rng):
         p = random_flow_problem(rng, 2, 2, 4, 0.7)
         f = FieldSampler.from_problem(p)

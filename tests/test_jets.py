@@ -400,7 +400,22 @@ def test_evaluate_bit_identical_to_power_product(rng):
     assert mismatches == 0
 
 
-@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("stack", [(5,), (2, 3), (0,)])
+@pytest.mark.parametrize("complex_points", [False, True])
+def test_evaluate_on_a_stack_is_its_points_one_at_a_time(rng, shape, stack,
+                                                        complex_points):
+    u = Jet(2, 5, rng.standard_normal((P_dim(2, 5),) + shape))
+    points = rng.uniform(-1.5, 1.5, size=stack + (2,))
+    if complex_points:
+        points = points + 1j * rng.uniform(-1.0, 1.0, size=points.shape)
+    got = u.evaluate(points)
+    assert got.shape == stack + shape
+    want = [u.evaluate(y) for y in points.reshape(-1, 2)]
+    assert np.array_equal(got, np.reshape(want, got.shape))
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [[0.5]], 0.5])
 def test_evaluate_rejects_point_of_wrong_length(point):
     u = Jet.from_terms(2, 2, {(1, 0): 1.0})
     with pytest.raises(ShapeMismatchError) as info:

@@ -104,6 +104,7 @@ class TestGradientExampleKernel:
         p = gradient_example_problem(N=2, lam=2.0).with_v(
             Jet.zero(2, 2, shape=(1,)))
         sol = solve_to_order(p, 0)
+        assert sol.working_order == 2
         assert sol.kernel_extensions[0].N == 2
         assert sol.kernel_extensions[0].coefficient((2, 0))[0] == pytest.approx(1.0)
 
@@ -226,6 +227,7 @@ class TestSolverPolicies:
         assert isinstance(sol, JetSolution)
         assert sol.solvable and sol.resonance is None and sol.obstructions == ()
         assert sol.duals == ()
+        assert sol.working_order == N
 
     @pytest.mark.parametrize("lam", [0.0, 2.0])
     def test_duals_are_those_that_screened_v(self, lam):
@@ -311,6 +313,7 @@ def _assert_matches_reference(p):
         ref = reference_solve_family(p.at_order(max(p.N, n_star)), entry,
                                      n_star)
     assert got.solvable == ref.solvable
+    assert got.working_order == ref.working_order
     assert len(got.kernel_extensions) == len(ref.kernel_extensions)
     assert np.allclose(got.obstructions, ref.obstructions, rtol=1e-12,
                        atol=1e-12 * p.v.norm())
