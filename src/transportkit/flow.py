@@ -32,7 +32,7 @@ jet solver's territory; they are rejected up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -62,7 +62,6 @@ __all__ = [
     "empirical_decay_rate",
 ]
 
-_METHOD = "DOP853"  # the scipy integrator of every flow segment
 _FRAME_OVERFLOW = 1e100
 _CHUNK = 10.0  # horizon extension between tail checks, one solver per chunk
 _MAX_CHUNKS = 10_000  # so max_horizon is at most _MAX_CHUNKS * _CHUNK
@@ -78,7 +77,7 @@ _DECAY_ABS_TOL = 1e-280
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and policy knobs for evaluate_solution."""
+    """Tolerances and policy knobs for evaluate_solution; every tolerance is positive."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -87,13 +86,10 @@ class EvalConfig:
     split_order: int | None = None  # None picks the smallest decaying order
 
     def __post_init__(self):
-        for name in ("rel_tol", "tail_tol", "max_horizon"):
+        for name in ("rel_tol", "abs_tol", "tail_tol", "max_horizon"):
             if not getattr(self, name) > 0:
                 raise ValidationError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
-        if not self.abs_tol >= 0:
-            raise ValidationError(
-                f"abs_tol must be nonnegative, got {self.abs_tol!r}")
         if self.max_horizon > _MAX_CHUNKS * _CHUNK:
             raise ValidationError(
                 f"max_horizon must be at most {_MAX_CHUNKS * _CHUNK:g} ("
@@ -241,6 +237,12 @@ class FlowState:
     I: np.ndarray
 
 
+def _flow_state(t: float, z: np.ndarray, n: int, m: int) -> FlowState:
+    """The FlowState of one joint state z = [y | rows of (Finv | I)] at time t."""
+    W = z[n:].reshape(m, m + 1)  # [Finv | I]
+    return FlowState(t=float(t), y_t=z[:n], Finv=W[:, :-1], I=W[:, -1])
+
+
 class FlowTrajectory:
     """Dense-output trajectory of (y_t, Finv, I) on [t_end, 0]."""
 
@@ -254,10 +256,7 @@ class FlowTrajectory:
         if not self.t_end <= t <= 0.0:
             raise ValidationError(
                 f"time {t} outside the integrated window [{self.t_end}, 0]")
-        z = self._dense(-t)
-        W = z[self.n:].reshape(self.m, self.m + 1)  # [Finv | I]
-        return FlowState(t=float(t), y_t=z[:self.n], Finv=W[:, :-1],
-                         I=W[:, -1])
+        return _flow_state(t, self._dense(-t), self.n, self.m)
 
 
 def _reversed_rhs(sample, n: int, m: int):
@@ -307,7 +306,7 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
 
     exit_event.terminal = overflow_event.terminal = True
     res = solve_ivp(_reversed_rhs(f._sample, n, m), (0.0, -t_end), z0,
-                    method=_METHOD, rtol=rel_tol, atol=abs_tol, dense_output=True,
+                    method="DOP853", rtol=rel_tol, atol=abs_tol, dense_output=True,
                     first_step=first_step, events=[exit_event, overflow_event])
     if res.status == -1:
         raise FlowIntegrationError(f"integrator failed: {res.message}")
@@ -341,7 +340,7 @@ def _frame_overflow(t: float) -> FlowIntegrationError:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """u(y) with convergence diagnostics of the tail integration.
+    """u(y) with convergence diagnostics of the tail integration, built by _plan.
 
     tail_estimate is g(horizon) / rate, with g the integrand norm at the
     horizon: the size of the neglected tail if the fitted exponential
@@ -361,7 +360,6 @@ class EvaluationResult:
     n_steps: int  # accepted integrator steps, summed over the chunks
     n_chunks: int  # integration chunks, one DOP853 solver each
     n_points: int = 1  # points in the first solver; 1 for evaluate_solution
-    method: str = _METHOD  # the scipy integrator
 
 
 def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
@@ -372,13 +370,16 @@ def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
     return float(np.polyfit(ts, logs, 1)[0])
 
 
+# a failed step shows in the solver's status, not as a numpy warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
     """Integrate the rows of ys until each point's integrand decays below tail_tol.
 
     ys has shape (P, n), sample is the integrand (see _integrand), and f
-    gives n, m and the region.
-    Returns per point a direct-mode EvaluationResult (u is the integral) or
-    a TransportKitError.  The points are one DOP853 state (_reversed_rhs),
+    gives n, m and the region.  Per point it returns a TransportKitError or
+    its end (FlowState at the stop t = -tau, last integrand norm g, fitted
+    rate, counts), with Finv the inverse frame of A - lam and I integrating
+    v or the remainder.  The points are one DOP853 state (_reversed_rhs),
     one solver per chunk, stepped directly.  rel_tol is not scaled by
     1/sqrt(P) for scipy's RMS error norm: measured against per-point
     solvers, no accuracy was lost.  Each accepted step end is checked at
@@ -399,9 +400,9 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
     tau = 0.0
     window_ts = np.empty(0)
     window_gs = np.empty((0, len(z)))  # one column per live row
-    counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0}
+    counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0, "n_points": len(ys)}
 
-    def verdict(zk, gs):  # the row's result or error if its window stops it
+    def verdict(zk, gs):  # the row's end or error if its window stops it
         g_last, rate = gs[-1], math.inf
         if not g_last <= _UNDERFLOW:
             rate = _fit_rate(window_ts, gs)
@@ -412,9 +413,7 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
                 return TailDecayError(
                     "integrand shows no decay within the horizon "
                     f"(fitted rate {rate:.3e} at t = {-tau:.1f})")
-        return EvaluationResult(u=zk[n + m::m + 1].copy(), tail_estimate=g_last / rate,
-                                horizon=-tau, rate=rate, mode="direct",
-                                split_order=None, n_points=len(ys), **counts)
+        return _flow_state(-tau, zk.copy(), n, m), g_last, rate, dict(counts)
 
     while live.size:
         solver = DOP853(rhs, tau, z.ravel(), min(tau + _CHUNK, cfg.max_horizon),
@@ -478,9 +477,9 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
 
     The evaluator takes a list of points and returns one EvaluationResult
     or one TransportKitError per point, in order.  The points that pass
-    _point's checks are integrated together (see _tail_integrate).  An
-    error of the per-problem work is the row of each such point, so each
-    row reports what evaluate_solution would at its point.
+    _point's checks are integrated together (see _tail_integrate); each
+    end becomes the row u = I, or head(y) + I in split mode.  An error of
+    the per-problem work is each such point's row, as in evaluate_solution.
     """
     if p is None:
         p = f.consistent_jets
@@ -509,10 +508,13 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
             return rows
         ys = np.array([y for _, y in todo])
         heads = [None] * len(ys) if head is None else head.evaluate(ys)
-        for (k, _), h, res in zip(todo, heads, _tail_integrate(f, sample, ys, cfg)):
-            if h is not None and isinstance(res, EvaluationResult):
-                res = replace(res, u=h + res.u, mode="split", split_order=N)
-            rows[k] = res
+        for (k, _), h, end in zip(todo, heads, _tail_integrate(f, sample, ys, cfg)):
+            if not isinstance(end, TransportKitError):
+                state, g, rate, counts = end
+                end = EvaluationResult(state.I if h is None else h + state.I, g / rate,
+                                       state.t, rate, "direct" if h is None else "split",
+                                       N, **counts)
+            rows[k] = end
         return rows
 
     return evaluate

@@ -64,7 +64,7 @@ from transportkit import flow
 from transportkit.applications import _apply_L, heat_coefficients_jet
 from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
-from transportkit.flow import EvaluationResult, _remainder_jet
+from transportkit.flow import FlowState, _remainder_jet
 
 from transportkit.errors import ShapeMismatchError
 from transportkit.jets import (Jet, P_dim, VectorFieldJet, degree_starts,
@@ -473,7 +473,8 @@ def reference_tail_integrate(f, sample, ys, cfg):
     sample is the integrand, rows y -> [-X | rows of (-A | v)], of
     flow._tail_integrate, whose layout TestFusedSampler checks against
     reference_reversed_rhs; ys has one point per row, and the result is
-    one EvaluationResult per point.  There are no region-exit or overflow
+    one end (FlowState, g, rate, counts) per point, as flow._tail_integrate
+    returns it, with n_points 1.  There are no region-exit or overflow
     events; the corpora it is run on stay inside both.  Monkeypatch it
     over flow._tail_integrate to evaluate through the RK45 path.
     """
@@ -498,12 +499,11 @@ def _reference_tail_point(f, sample, y, cfg):
                         np.zeros(m)])
     tau = 0.0
     window_ts, window_gs = [], []
-    counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0}
+    counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0, "n_points": 1}
 
-    def result(tail, rate):
-        return EvaluationResult(u=z[k:], tail_estimate=tail, horizon=-tau,
-                                rate=rate, mode="direct", split_order=None,
-                                method="RK45", **counts)
+    def result(g, rate):
+        state = FlowState(t=-tau, y_t=z[:n], Finv=z[n:k].reshape(m, m), I=z[k:])
+        return state, g, rate, counts
 
     while True:
         tau1 = min(tau + flow._CHUNK, cfg.max_horizon)
@@ -525,15 +525,15 @@ def _reference_tail_point(f, sample, y, cfg):
 
         g_last = window_gs[-1]
         if g_last <= 1e-250:
-            return result(0.0, math.inf)
+            return result(g_last, math.inf)
         logs = np.log(np.maximum(window_gs, 1e-290))
         rate = float(np.polyfit(window_ts, logs, 1)[0])
         if tau >= flow._T_MIN and g_last <= cfg.tail_tol and rate > 0:
-            return result(g_last / rate, rate)
+            return result(g_last, rate)
         if tau >= cfg.max_horizon:
             if rate <= 0:
                 raise TailDecayError(f"no decay (fitted rate {rate:.3e})")
-            return result(g_last / rate, rate)
+            return result(g_last, rate)
 
 
 def _reference_golden_max(fn, a: float, b: float, iters: int = 80) -> float:

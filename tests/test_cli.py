@@ -636,7 +636,7 @@ class TestSolveGrid:
             assert row["horizon"] >= -3.0
 
     @pytest.mark.parametrize("key,value", [
-        ("rel_tol", 0.0), ("abs_tol", -1.0), ("tail_tol", 0.0),
+        ("rel_tol", 0.0), ("abs_tol", -1.0), ("abs_tol", 0.0), ("tail_tol", 0.0),
         ("max_horizon", 0.0), ("max_horizon", -3.0), ("rel_tol", 1e-20)])
     @pytest.mark.parametrize("where", ["flag", "document"])
     def test_bad_config_value_exits_2(self, run, key, value, where):
@@ -787,6 +787,20 @@ class TestSolveGrid:
         assert [r["error"] for r in rows] == 2 * [
             "integrand shows no decay within the horizon (fitted rate "
             "0.000e+00 at t = -0.0)"] + [
+            "evaluation point outside the declared region"]
+
+    def test_tiny_tolerances_fail_in_their_rows(self, capfd):
+        # at abs_tol = tail_tol = 1e-300 DOP853's step size underflows; the
+        # overflows on the way are no numpy warnings, so nothing reaches
+        # stderr and the suite's error::RuntimeWarning filter raises nothing
+        path = Path(__file__).parent / "data" / "cli_golden" / "grid.json"
+        code = main(["solve-grid", str(path), "--no-timestamp", "--output",
+                     "json", "--abs-tol", "1e-300", "--tail-tol", "1e-300"])
+        out, err = capfd.readouterr()
+        assert (code, err) == (0, "")
+        assert [r["error"] for r in result_of(out)["points"]] == 2 * [
+            "integrator failed: Required step size is less than spacing "
+            "between numbers."] + [
             "evaluation point outside the declared region"]
 
     def test_grid_block_required(self, run):
