@@ -264,10 +264,11 @@ def wkb_expand(w: WKBProblem) -> WKBExpansion:
 
     # eiconal: V = mu^2 x^2 (1 + shifted), phi' = mu x sqrt(1 + shifted);
     # shifted(0) = 0 exactly, or phi''(0) misses mu and level 0 by an ulp
-    shifted = Jet(1, N - 2, np.r_[0.0, V.coeffs[3:] / mu ** 2], copy=False)
-    root = _sqrt_one_plus(shifted).extend(N - 1)
-    phi_prime = jet_mul(Jet.coordinate(1, N - 1, 0), root) * mu
-    eik = jet_mul(phi_prime.extend(N), phi_prime.extend(N)) - V
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        shifted = Jet(1, N - 2, np.r_[0.0, V.coeffs[3:] / mu ** 2], copy=False)
+        root = _sqrt_one_plus(shifted).extend(N - 1)
+        phi_prime = jet_mul(Jet.coordinate(1, N - 1, 0), root) * mu
+        eik = jet_mul(phi_prime.extend(N), phi_prime.extend(N)) - V
     if not eik.norm() <= 1e-9 * max(1.0, V.norm()):  # NaN fails too
         raise NumericError("eiconal self-check failed; V data inconsistent")
     phi = _antiderivative_1d(phi_prime)

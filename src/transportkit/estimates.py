@@ -238,6 +238,7 @@ def perturbation_bound(A0, path: MatrixPath, eps: float) -> LemmaBound:
                       deviation=path.deviation(A0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a failed integration raises below
 def _shifted_norms(path: MatrixPath, system, lam: float, m: int):
     """|F(t)| on the path grid and the RHS count, where F(0) = id and
     dF/dt = (system(A(t)) - lam id) F: exp(lam t) F is the transition matrix

@@ -105,10 +105,11 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class FieldSampler:
-    """Pointwise samplers for X, A, v around a declared source point.
+    """Samplers of X, A and v around a declared source point, on stacks of points.
 
-    The callables take a length-n point and return arrays of shape (n,),
-    (m, m) and (m,).  They must be pure.
+    Each callable maps points of shape (P, n) to one value per point, of
+    shape (P, n), (P, m, m) and (P, m), and must be pure.  Construction
+    calls each on a 2-point stack, so a one-point callable is refused.
     radius bounds the trusted ball around the source; trajectories are
     stopped with RegionExitError when they leave it.  consistent_jets,
     when given, is cross-checked at construction: X_eval minus the jet
@@ -116,16 +117,17 @@ class FieldSampler:
     1e-4.  from_problem attaches its p after construction, since its
     samplers are p's own polynomials.
 
-    Samplers made by from_problem are one polynomial map
-    y -> [-X | rows of (-A | v)], the layout of the flow RHS (see the
-    module docstring): X_eval, A_eval, v_eval are read off that joint
-    value, and the flow's integrand shifts its coefficients and swaps in
-    the split-mode remainder jet, so each RHS call is one monomial matrix
-    (one row per point) times one coefficient matrix.  dataclasses.replace
-    drops the joint map, so a replaced sampler is a plain callable sampler:
-    the integrand calls each of its three callables once per point and RHS
-    call, and reads its split-mode remainder off those values for all the
-    points of the call at once.
+    >>> f = FieldSampler(X_eval=lambda ys: ys,  # X = y, A = 1, v = y^2
+    ...                  A_eval=lambda ys: np.ones((len(ys), 1, 1)),
+    ...                  v_eval=lambda ys: ys ** 2, source=[0.0])
+    >>> integrate_flow(f, [0.5], -1.0).at(-1.0).I  # (1 - e^-3) / 12
+    array([0.07918441])
+
+    from_problem's callables slice the last axis of one polynomial map
+    y -> [-X | rows of (-A | v)], the layout of the flow RHS, so they take a
+    point or a stack; the integrand uses that map's coefficients, one
+    matmul per RHS call.  dataclasses.replace drops the map, leaving three
+    plain callables, each called once per RHS call on all its points.
     """
 
     X_eval: object
@@ -142,24 +144,21 @@ class FieldSampler:
     def __post_init__(self):
         source = np.atleast_1d(np.asarray(self.source, dtype=float))
         object.__setattr__(self, "source", source)
-        x0 = np.asarray(self.X_eval(source), dtype=float)
-        A0 = np.asarray(self.A_eval(source), dtype=float)
-        v0 = np.asarray(self.v_eval(source), dtype=float)
-        n = source.shape[0]
-        if x0.shape != (n,):
-            raise ValidationError(f"X_eval must return shape ({n},), got {x0.shape}")
-        if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
-            raise ValidationError(f"A_eval must return a square matrix, got {A0.shape}")
-        m = A0.shape[0]
-        if v0.shape != (m,):
-            raise ValidationError(f"v_eval must return shape ({m},), got {v0.shape}")
+        x0, A0, v0 = (np.asarray(g(np.stack([source, source])), dtype=float)
+                      for g in (self.X_eval, self.A_eval, self.v_eval))
+        n, m = source.shape[0], A0.shape[-1] if A0.ndim else 1
+        for name, value, shape in (("X_eval", x0, (2, n)), ("A_eval", A0, (2, m, m)),
+                                   ("v_eval", v0, (2, m))):
+            if value.shape != shape:
+                raise ValidationError(f"{name} must return shape {shape} on a stack "
+                                      f"of 2 points, got {value.shape}")
         if not self.radius > 0:
             raise ValidationError("radius must be positive")
         scale = 1.0 + float(np.linalg.norm(source))
-        if np.linalg.norm(x0) > 1e-8 * scale:
+        if np.linalg.norm(x0[0]) > 1e-8 * scale:
             raise ValidationError(
                 f"X does not vanish at the declared source: |X(p)| = "
-                f"{np.linalg.norm(x0):.3e}")
+                f"{np.linalg.norm(x0[0]):.3e}")
         object.__setattr__(self, "_shape", (n, m))
         jets = self.consistent_jets
         if jets is not None:
@@ -173,7 +172,7 @@ class FieldSampler:
             # central differences of X_eval minus the jet polynomial: the
             # jet's own higher-order terms cancel, only a mismatch is left
             H = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
-            off = np.array([self.X_eval(source + h) for h in H]) - jets.X.evaluate(H)
+            off = np.asarray(self.X_eval(source + H), dtype=float) - jets.X.evaluate(H)
             dev = np.max(np.abs(off[:n] - off[n:])) / 2e-6
             if dev > 1e-4:
                 raise ValidationError(
@@ -192,7 +191,7 @@ class FieldSampler:
         """[-X(y) | rows of (-A(y) | v(y))] for each row y of ys, one row per point."""
         if self._joint is not None:
             return self._joint.evaluate(ys)
-        X, A, v = (np.array([g(y) for y in ys], dtype=float)  # one point per call
+        X, A, v = (np.asarray(g(ys), dtype=float)  # one call per field
                    for g in (self.X_eval, self.A_eval, self.v_eval))
         block = np.concatenate([-A, v[:, :, None]], axis=2)  # rows of (-A | v)
         return np.hstack([-X, block.reshape(len(ys), -1)])
@@ -208,9 +207,9 @@ class FieldSampler:
         joint = Jet(p.n, p.N, np.hstack([-p.X.coeffs, block.reshape(rows, -1)]))
         n = p.n
         a_cols, v_cols = _block_columns(n, p.m)
-        f = cls(X_eval=lambda y: -joint.evaluate(y)[:n],
-                A_eval=lambda y: -joint.evaluate(y)[a_cols],
-                v_eval=lambda y: joint.evaluate(y)[v_cols],
+        f = cls(X_eval=lambda y: -joint.evaluate(y)[..., :n],
+                A_eval=lambda y: -joint.evaluate(y)[..., a_cols],
+                v_eval=lambda y: joint.evaluate(y)[..., v_cols],
                 source=np.zeros(n), radius=radius)
         object.__setattr__(f, "_joint", joint)
         object.__setattr__(f, "consistent_jets", p)
@@ -305,6 +304,8 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
         return _FRAME_OVERFLOW - float(np.linalg.norm(Finv))
 
     exit_event.terminal = overflow_event.terminal = True
+    if not np.isfinite(f._sample(y[None])).all():  # DOP853's first step would be NaN
+        raise FlowIntegrationError("integrator failed: the integrand is not finite")
     res = solve_ivp(_reversed_rhs(f._sample, n, m), (0.0, -t_end), z0,
                     method="DOP853", rtol=rel_tol, atol=abs_tol, dense_output=True,
                     first_step=first_step, events=[exit_event, overflow_event])
@@ -322,7 +323,7 @@ def _point(f: FieldSampler, y) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.n,):
         raise ValidationError(f"point must have shape ({f.n},), got {y.shape}")
-    if np.linalg.norm(y - f.source) > f.radius:
+    if math.dist(y, f.source) > f.radius:  # np.linalg.norm would overflow at 1e200
         raise ValidationError("evaluation point outside the declared region")
     return y
 
@@ -419,9 +420,10 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
         solver = DOP853(rhs, tau, z.ravel(), min(tau + _CHUNK, cfg.max_horizon),
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         taus, gs, failed = [], [], {}  # failed: position in live -> error
+        finite = np.isfinite(solver.f).all()  # else its first step is NaN and never ends
         while solver.status == "running" and not failed:
-            message = solver.step()
-            if solver.status == "failed":
+            message = solver.step() if finite else "the integrand is not finite"
+            if solver.status == "failed" or not finite:
                 if live.size > 1:
                     for j in live:
                         out[j] = _tail_integrate(f, sample, ys[j:j + 1], cfg)[0]
@@ -526,7 +528,7 @@ def _prepare(f: FieldSampler, p: ProblemData, cfg: EvalConfig):
     if nu <= 0:
         raise ValidationError("flow evaluation needs an expanding source: "
                               f"min Re mu = {nu:g} for the linearization of X")
-    A_p = np.asarray(f.A_eval(f.source), dtype=float) - p.lam * np.eye(f.m)
+    A_p = np.asarray(f.A_eval(f.source[None]), dtype=float)[0] - p.lam * np.eye(f.m)
     mu_star = float(np.min(np.linalg.eigvals(A_p).real))
     if mu_star > RESONANCE_TOL:  # a resonant lambda has mu_star <= RESONANCE_TOL
         return _integrand(f, p), None, None
@@ -577,8 +579,8 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
     from_problem sampler gets lam and the remainder jet in its coefficient
     matrix, cut once per plan after its highest degree d with a nonzero
     row, so a sample is one (P, P_dim(n, d)) monomial matrix times it.  A
-    callable sampler is sampled once per point and call, and the shift and
-    the remainder are read off that sample for all P points at once.
+    callable sampler is sampled once per call, on all P points, and the
+    shift and the remainder are read off that sample.
     """
     n, m, lam = f.n, f.m, p.lam
     a_cols, v_cols = _block_columns(n, m)

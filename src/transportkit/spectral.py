@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
 from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions,
                    _encode_value, fits)
-from .opmatrix import ProblemData
+from .opmatrix import ProblemData, _sparse_operator
 
 __all__ = [
     "RESONANCE_TOL",
@@ -382,14 +382,14 @@ def dual_kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     triangular with invertible diagonal slices, so every left null vector
     vanishes there: the basis is the left null space of the head block
     (degrees <= N'), as distributions of order N': the duals of the jet
-    solver's head screen at order max(N', 1).  [] for non-resonant lambda.
+    solver's head screen, read off _head_split at order max(N', 1) with no
+    slice solved.  [] for non-resonant lambda.
     """
-    from .taylor import _solve_family  # taylor imports this module
     entry, n_prime = resonance_degree(p, tol)
     if entry is None:
         return []
     q = p.at_order(max(n_prime, 1))
-    return list(_solve_family(q, entry, n_prime, 0.0, tol).duals)
+    return list(_head_split(q, _sparse_operator(q), n_prime, tol)[1])
 
 
 @dataclass(frozen=True)

@@ -441,16 +441,16 @@ def reference_flow_segment(f, z0, tau0: float, tau1: float, rel_tol: float,
     """RK45 solution of the time-reversed joint system on [tau0, tau1].
 
     State z = (y, vec Finv, I), with X, A and v read through the sampler's
-    three public callables; returns scipy's result with dense output.
+    three public callables, each on a one-point stack; returns scipy's
+    result with dense output.
     """
     n, m = f.n, f.m
 
     def rhs(_tau, z):
-        y, Finv = z[:n], z[n:n + m * m].reshape(m, m)
-        A = np.asarray(f.A_eval(y), dtype=float)
-        return np.concatenate([-np.asarray(f.X_eval(y), dtype=float),
-                               (-Finv @ A).reshape(-1),
-                               Finv @ np.asarray(f.v_eval(y), dtype=float)])
+        Finv = z[n:n + m * m].reshape(m, m)
+        X, A, v = (np.asarray(g(z[None, :n]), dtype=float)[0]
+                   for g in (f.X_eval, f.A_eval, f.v_eval))
+        return np.concatenate([-X, (-Finv @ A).reshape(-1), Finv @ v])
 
     return _rk45_segment(rhs, z0, tau0, tau1, rel_tol, abs_tol)
 

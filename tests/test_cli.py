@@ -593,6 +593,21 @@ class TestSolveGrid:
         assert rows[0].split(",")[:2] == ["y0", "u0"]
         assert len(rows) == 4
 
+    def test_a_start_that_is_not_finite_fails_its_row_only(self, run):
+        # v = y^2 - y^3 is inf - inf at 1e200, with no radius to refuse the
+        # point: its row fails, the other row is that of its point alone,
+        # and nothing reaches stderr
+        v = [scalar_term((2,), [1.0]), scalar_term((3,), [-1.0])]
+        both = radial_doc(1.0, v, grid={"points": [[0.5], [1e200]]})
+        code, out, err = run("solve-grid", both, "--output", "json")
+        assert (code, err) == (0, "")
+        good, bad = result_of(out)["points"]
+        assert bad["error"] == "integrator failed: the integrand is not finite"
+        alone = radial_doc(1.0, v, grid={"points": [[0.5]]})
+        (row,) = result_of(run("solve-grid", alone, "--output", "json")[1])[
+            "points"]
+        assert good == row
+
     def test_stiff_polynomial_field_is_accepted(self, run):
         # X = y + 1e9 y^3: the sampler is the document's own polynomial, so
         # no finite-difference check may refuse it; inside the radius of

@@ -15,7 +15,7 @@ import pytest
 
 from transportkit.cli import main
 
-MUTATIONS = (None, True, "x", -1, 0, 1.5, 1e-300, 10**400, [], {},
+MUTATIONS = (None, True, "x", -1, 0, 1.5, 1e-300, 1e200, 10**400, [], {},
              [[1.0, 2.0]], {"re": 1.0, "im": 2.0}, "matrix:1")
 
 

@@ -75,13 +75,20 @@ def solvers(monkeypatch):
 
 
 def sampler_1d(a: float, vfun, radius=math.inf) -> FieldSampler:
+    """X = y, A = a and v = vfun(y) on the line, as stacked callables:
+    vfun maps the points, shape (P, 1), to v, shape (P, 1)."""
     return FieldSampler(
-        X_eval=lambda y: np.array([y[0]]),
-        A_eval=lambda y: np.array([[a]]),
-        v_eval=lambda y: np.array([vfun(y[0])]),
+        X_eval=lambda ys: ys,
+        A_eval=constant(np.array([[a]])),
+        v_eval=vfun,
         source=np.zeros(1),
         radius=radius,
     )
+
+
+def constant(value):
+    """A stacked callable whose value at each point is value."""
+    return lambda ys: np.broadcast_to(value, (len(ys),) + np.shape(value))
 
 
 class TestFieldSampler:
@@ -96,27 +103,35 @@ class TestFieldSampler:
         assert f._joint is not None
 
     @pytest.mark.parametrize("name,value,message", [
-        ("X_eval", lambda y: np.zeros(2),
-         r"X_eval must return shape \(1,\), got \(2,\)"),
-        ("A_eval", lambda y: np.zeros(1),
-         r"A_eval must return a square matrix, got \(1,\)"),
-        ("A_eval", lambda y: np.zeros((1, 2)),
-         r"A_eval must return a square matrix, got \(1, 2\)"),
-        ("v_eval", lambda y: np.zeros(2),
-         r"v_eval must return shape \(1,\), got \(2,\)")])
+        ("X_eval", lambda ys: np.zeros((len(ys), 2)),
+         "X_eval must return shape (2, 1) on a stack of 2 points, got (2, 2)"),
+        ("A_eval", lambda ys: np.zeros((len(ys), 1)),
+         "A_eval must return shape (2, 1, 1) on a stack of 2 points, got (2, 1)"),
+        ("A_eval", lambda ys: np.zeros((len(ys), 1, 2)),
+         "A_eval must return shape (2, 2, 2) on a stack of 2 points, "
+         "got (2, 1, 2)"),
+        ("v_eval", lambda ys: np.zeros((len(ys), 2)),
+         "v_eval must return shape (2, 1) on a stack of 2 points, got (2, 2)"),
+        # one-point callables, which would read the first row of a stack
+        ("X_eval", lambda y: np.array([y[0]]),
+         "X_eval must return shape (2, 1) on a stack of 2 points, got (1, 1)"),
+        ("A_eval", lambda y: np.eye(1),
+         "A_eval must return shape (2, 1, 1) on a stack of 2 points, got (1, 1)"),
+        ("v_eval", lambda y: np.zeros(1),
+         "v_eval must return shape (2, 1) on a stack of 2 points, got (1,)")])
     def test_sample_shapes_checked(self, name, value, message):
-        callables = {"X_eval": lambda y: np.array([y[0]]),
-                     "A_eval": lambda y: np.eye(1),
-                     "v_eval": lambda y: np.zeros(1), name: value}
-        with pytest.raises(ValidationError, match=message):
+        callables = {"X_eval": lambda ys: ys,
+                     "A_eval": constant(np.eye(1)),
+                     "v_eval": constant(np.zeros(1)), name: value}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             FieldSampler(**callables, source=np.zeros(1))
 
     def test_nonvanishing_source_rejected(self):
         with pytest.raises(ValidationError, match="vanish"):
             FieldSampler(
-                X_eval=lambda y: np.array([y[0] + 1.0]),
-                A_eval=lambda y: np.eye(1),
-                v_eval=lambda y: np.zeros(1),
+                X_eval=lambda ys: ys + 1.0,
+                A_eval=constant(np.eye(1)),
+                v_eval=constant(np.zeros(1)),
                 source=np.zeros(1),
             )
 
@@ -124,9 +139,9 @@ class TestFieldSampler:
         p = gradient_example_problem(N=3, lam=0.0)
         with pytest.raises(ValidationError, match="disagrees"):
             FieldSampler(
-                X_eval=lambda y: np.array([2 * y[0], y[1]]),  # wrong Jacobian
-                A_eval=lambda y: np.eye(1),
-                v_eval=lambda y: np.zeros(1),
+                X_eval=lambda ys: ys * [2.0, 1.0],  # wrong Jacobian
+                A_eval=constant(np.eye(1)),
+                v_eval=constant(np.zeros(1)),
                 source=np.zeros(2),
                 consistent_jets=p,
             )
@@ -152,9 +167,9 @@ class TestFieldSampler:
     def test_cross_check_accepts_a_stiff_callable_matching_its_jets(self):
         # the central difference of X_eval alone reads 1.001; the jet's
         # cubic term cancels once the jet polynomial is subtracted
-        f = FieldSampler(X_eval=lambda y: y + 1e9 * y**3,
-                         A_eval=lambda y: np.eye(1),
-                         v_eval=lambda y: np.zeros(1),
+        f = FieldSampler(X_eval=lambda ys: ys + 1e9 * ys**3,
+                         A_eval=constant(np.eye(1)),
+                         v_eval=constant(np.zeros(1)),
                          source=np.zeros(1),
                          consistent_jets=self.stiff_problem())
         assert f.X_eval(np.array([1e-6]))[0] == pytest.approx(1e-6 + 1e-9,
@@ -167,18 +182,18 @@ class TestFieldSampler:
 
     def test_cross_check_refuses_a_stiff_callable_with_another_jacobian(self):
         with pytest.raises(ValidationError, match="deviation 1.000e-02"):
-            FieldSampler(X_eval=lambda y: 1.01 * y + 1e9 * y**3,
-                         A_eval=lambda y: np.eye(1),
-                         v_eval=lambda y: np.zeros(1),
+            FieldSampler(X_eval=lambda ys: 1.01 * ys + 1e9 * ys**3,
+                         A_eval=constant(np.eye(1)),
+                         v_eval=constant(np.zeros(1)),
                          source=np.zeros(1),
                          consistent_jets=self.stiff_problem())
 
     def test_cross_check_uses_coordinates_around_the_source(self):
         # the jets live at the source; X_eval is sampled around it
         s = np.array([0.3])
-        f = FieldSampler(X_eval=lambda y: (y - s) + 1e9 * (y - s)**3,
-                         A_eval=lambda y: np.eye(1),
-                         v_eval=lambda y: np.zeros(1),
+        f = FieldSampler(X_eval=lambda ys: (ys - s) + 1e9 * (ys - s)**3,
+                         A_eval=constant(np.eye(1)),
+                         v_eval=constant(np.zeros(1)),
                          source=s, consistent_jets=self.stiff_problem())
         assert f.source[0] == 0.3
 
@@ -341,6 +356,42 @@ class TestFusedSampler:
         assert res.mode == "split" and res.nfev > 100
         assert calls == dict.fromkeys(calls, res.nfev)
 
+    @pytest.mark.parametrize("a,mode", [(1.0, "direct"), (-1.0, "split")])
+    def test_each_field_is_called_once_per_rhs_call_on_all_points(self, a,
+                                                                   mode):
+        # X = y, A = a, v = y^2 + y^3 at three points that stop in the same
+        # solver: every RHS call samples X, A and v once each, on the stack
+        # of all three points
+        p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0,
+                                                          (3,): 1.0}),
+                                 0.0, 4)
+        fused = FieldSampler.from_problem(p)
+        calls = {name: [] for name in ("X_eval", "A_eval", "v_eval")}
+
+        def recording(name):
+            def call(ys):
+                calls[name].append(np.array(ys))
+                return getattr(fused, name)(ys)
+            return call
+
+        f = FieldSampler(**{name: recording(name) for name in calls},
+                         source=np.zeros(1))
+        evaluate = flow._plan(f, p, EvalConfig())
+        for stacks in calls.values():
+            stacks.clear()
+        points = [[0.5], [0.4], [0.3]]
+        rows = evaluate(points)
+        assert [row.mode for row in rows] == [mode] * 3
+        nfev = rows[0].nfev
+        assert nfev > 100 and [row.nfev for row in rows] == [nfev] * 3
+        for stacks in calls.values():
+            assert len(stacks) == nfev
+            assert all(ys.shape == (3, 1) for ys in stacks)
+        # each RHS call samples the three fields on the same stack
+        for xs, As, vs in zip(*calls.values()):
+            assert np.array_equal(xs, As) and np.array_equal(xs, vs)
+        assert np.array_equal(calls["X_eval"][0], points)
+
     @pytest.mark.parametrize("a", [1.0, -0.5])
     def test_jet_evaluate_calls_do_not_grow_with_nfev(self, monkeypatch, a):
         p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0, (3,): 0.4}),
@@ -430,7 +481,7 @@ class TestTrueDegree:
 class TestIntegrateFlow:
     def test_scalar_closed_form(self):
         a, y0 = 0.7, 0.9
-        f = sampler_1d(a, lambda y: y ** 2)
+        f = sampler_1d(a, lambda ys: ys ** 2)
         traj = integrate_flow(f, [y0], -3.0)
         for t in (-0.5, -1.7, -3.0):
             st = traj.at(t)
@@ -452,7 +503,7 @@ class TestIntegrateFlow:
         assert np.allclose(st.y_t, y0 * math.exp(-2.0), rtol=1e-8)
 
     def test_initial_state(self):
-        f = sampler_1d(1.0, lambda y: y)
+        f = sampler_1d(1.0, lambda ys: ys)
         st = integrate_flow(f, [0.5], -1.0).at(0.0)
         assert st.y_t[0] == pytest.approx(0.5)
         assert np.allclose(st.Finv, np.eye(1))
@@ -479,7 +530,7 @@ class TestIntegrateFlow:
             assert np.allclose(lhs, rhs, atol=1e-7)
 
     def test_dense_output_satisfies_ode(self, rng):
-        f = sampler_1d(1.3, lambda y: y ** 3)
+        f = sampler_1d(1.3, lambda ys: ys ** 3)
         traj = integrate_flow(f, [0.8], -4.0, rel_tol=1e-10, abs_tol=1e-13)
         h = 1e-5
         for _ in range(5):
@@ -494,9 +545,9 @@ class TestIntegrateFlow:
     def test_region_exit_reports_point(self):
         # backward flow of X = -y d/dy expands away from 0
         f = FieldSampler(
-            X_eval=lambda y: np.array([-y[0]]),
-            A_eval=lambda y: np.eye(1),
-            v_eval=lambda y: np.zeros(1),
+            X_eval=lambda ys: -ys,
+            A_eval=constant(np.eye(1)),
+            v_eval=constant(np.zeros(1)),
             source=np.zeros(1),
             radius=1.0,
         )
@@ -506,7 +557,7 @@ class TestIntegrateFlow:
         assert abs(info.value.point[0]) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_horizon_is_the_initial_state(self):
-        traj = integrate_flow(sampler_1d(1.0, lambda y: y), [0.5], 0.0)
+        traj = integrate_flow(sampler_1d(1.0, lambda ys: ys), [0.5], 0.0)
         st = traj.at(0.0)
         assert traj.t_end == 0.0 and st.t == 0.0
         assert (st.y_t.tolist(), st.Finv.tolist(), st.I.tolist()) == (
@@ -514,13 +565,13 @@ class TestIntegrateFlow:
 
     @pytest.mark.parametrize("t_end,t", [(-1.0, 0.5), (-1.0, -1.5), (0.0, -0.1)])
     def test_state_outside_the_window_is_refused(self, t_end, t):
-        traj = integrate_flow(sampler_1d(1.0, lambda y: y), [0.5], t_end)
+        traj = integrate_flow(sampler_1d(1.0, lambda ys: ys), [0.5], t_end)
         with pytest.raises(ValidationError, match=re.escape(
                 f"time {t} outside the integrated window [{t_end}, 0]")):
             traj.at(t)
 
     def test_bad_inputs(self):
-        f = sampler_1d(1.0, lambda y: y)
+        f = sampler_1d(1.0, lambda ys: ys)
         with pytest.raises(ValidationError):
             integrate_flow(f, [0.5], 1.0)  # forward time
         with pytest.raises(ValidationError):
@@ -544,7 +595,7 @@ class TestEvaluateSolution:
         assert np.array_equal(evaluate_solution(f, None, [0.5]).u,
                               evaluate_solution(f, p, [0.5]).u)
         with pytest.raises(ValidationError, match="needs problem jets"):
-            evaluate_solution(sampler_1d(1.0, lambda y: y ** 2), None, [0.5])
+            evaluate_solution(sampler_1d(1.0, lambda ys: ys ** 2), None, [0.5])
 
     def test_source_point_value(self):
         # at the source the equation degenerates to A(p) u = v(p)
@@ -680,9 +731,9 @@ class TestEvaluateSolution:
         # A = -1 everywhere with v not vanishing at 0 and no head split
         # possible at order 0; force direct machinery via a doctored sampler
         f = FieldSampler(
-            X_eval=lambda y: np.array([y[0]]),
-            A_eval=lambda y: np.array([[-1.0]]),
-            v_eval=lambda y: np.array([1.0]),
+            X_eval=lambda ys: ys,
+            A_eval=constant(np.array([[-1.0]])),
+            v_eval=constant(np.array([1.0])),
             source=np.zeros(1),
         )
         from transportkit.flow import _tail_integrate
@@ -695,11 +746,36 @@ class TestEvaluateSolution:
         # flow from 0.3 enters: DOP853's steps shrink to nothing, and the
         # invalid square root is no numpy warning (which this suite's
         # warning filter would raise)
-        f = sampler_1d(1.0, lambda y: np.sqrt(np.cos(20 * y)))
+        f = sampler_1d(1.0, lambda ys: np.sqrt(np.cos(20 * ys)))
         p = scalar_euler_problem(1.0, Jet.zero(1, 4), 0.0, 4)
         with pytest.raises(FlowIntegrationError, match="integrator failed: "
                            "Required step size is less than spacing"):
             evaluate_solution(f, p, [0.3])
+
+    @pytest.mark.parametrize("a", [1.0, -0.5], ids=["direct", "split"])
+    def test_a_start_that_is_not_finite_ends_only_its_row(self, a):
+        # v = y^2 - y^3 is inf - inf at 1e200: DOP853's first step would be
+        # NaN there, and its step loop endless.  That row fails; each other
+        # row is the row of its point alone, bit for bit
+        p = scalar_euler_problem(a, Jet.from_terms(1, 3, {(2,): 1.0,
+                                                          (3,): -1.0}), 0.0, 3)
+        evaluate = flow._plan(FieldSampler.from_problem(p), p, EvalConfig())
+        rows = evaluate([[0.5], [1e200], [-0.3]])
+        assert isinstance(rows[1], FlowIntegrationError)
+        assert str(rows[1]) == "integrator failed: the integrand is not finite"
+        for row, y in zip(rows[::2], ([0.5], [-0.3])):
+            (alone,) = evaluate([y])
+            assert row.mode == ("direct" if a > 0 else "split")
+            assert np.array_equal(row.u, alone.u)
+            assert replace(row, u=None) == replace(alone, u=None)
+
+    def test_integrate_flow_refuses_a_start_that_is_not_finite(self):
+        # sqrt(cos(20 y)) is NaN at 0.1: DOP853's first step would be NaN
+        f = sampler_1d(1.0, lambda ys: np.sqrt(np.cos(20 * ys)))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FlowIntegrationError, match="^integrator failed: the "
+                                            "integrand is not finite$"):
+            integrate_flow(f, [0.1], -1.0)
 
     @pytest.mark.parametrize("a", [1.0, -0.5], ids=["direct", "split"])
     def test_unfittable_horizon_reports_no_decay(self, capfd, a):
@@ -790,7 +866,7 @@ class TestEvaluateSolution:
     def test_frame_overflow_stops_the_tail(self, solvers):
         # A = -10: Finv(t) = e^{-10t} passes 1e100 near t = -23, well before
         # max_horizon, and the growing integrand never meets the stop rule
-        f = sampler_1d(-10.0, lambda y: 1.0)
+        f = sampler_1d(-10.0, constant(np.ones(1)))
         (error,) = flow._tail_integrate(f, f._sample, np.array([[0.3]]),
                                         EvalConfig())
         assert isinstance(error, FlowIntegrationError)
@@ -1196,7 +1272,8 @@ class TestFlatData:
         mpmath = pytest.importorskip("mpmath")
         p = scalar_euler_problem(a, Jet.zero(1, 4), 0.0, 4)
         assert not np.any(solve_to_order(p, 4).particular.coeffs)
-        flat = lambda y: math.exp(-1 / y ** 2) if y else 0.0
+        # exp(-1 / y^2), and 0 at y = 0 (where the divisor is 1e-300)
+        flat = lambda ys: np.exp(-1 / np.maximum(ys ** 2, 1e-300))
         f = replace(sampler_1d(a, flat), consistent_jets=p)
         for y in (0.3, 0.5, 0.8, 1.0, -0.6):
             res = evaluate_solution(f, None, [y])
@@ -1356,6 +1433,6 @@ class TestEmpiricalDecayRate:
             empirical_decay_rate(f, [1e-3], "flow", horizon=700.0)
 
     def test_bad_quantity_name(self):
-        f = sampler_1d(1.0, lambda y: y)
+        f = sampler_1d(1.0, lambda ys: ys)
         with pytest.raises(ValidationError):
             empirical_decay_rate(f, [0.5], "frame")

@@ -244,6 +244,26 @@ class TestSolverPolicies:
             assert d.order == e.order == sol.resonance.max_alpha_degree
             np.testing.assert_allclose(d.coeffs, e.coeffs, rtol=0, atol=1e-14)
 
+    def test_dual_kernel_basis_factors_no_slice(self, monkeypatch):
+        # at the degree-0 resonance the duals come from the head split at
+        # order 1, bit for bit those of the jet solver there, and no degree
+        # slice is factored
+        p = gradient_example_problem(N=6, lam=0.0)
+        want = solve_to_order(p, 1).duals
+        factored, lu_factor = [], taylor.lu_factor
+
+        def counting(*args, **kwargs):
+            factored.append(args[0].shape)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(taylor, "lu_factor", counting)
+        got = spectral.dual_kernel_basis(p)
+        assert factored == []
+        assert len(got) == len(want) == 1
+        assert [d.order for d in got] == [d.order for d in want] == [0]
+        assert all(np.array_equal(d.coeffs, e.coeffs)
+                   for d, e in zip(got, want))
+
     def test_ill_conditioned_slice_warns(self):
         # y u' + A u = u + v with A = [[2, 1e4], [0, 2e-9]]: the degree-1
         # slice is 1 + A - lambda = A, with the eigenvalue 2e-9 on a block
@@ -280,9 +300,9 @@ class TestSolverPolicies:
 
         assert not hasattr(taylor, "assemble")
         assert not hasattr(spectral, "assemble")
-        # dual_kernel_basis reads its duals from the jet solver's head screen
-        assert not hasattr(spectral, "_sparse_operator")
+        # dual_kernel_basis reads its duals from the head split alone
         monkeypatch.setattr(taylor, "_sparse_operator", counting_build)
+        monkeypatch.setattr(spectral, "_sparse_operator", counting_build)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         p = gradient_example_problem(N=6, lam=2.0)
         sol = solve_to_order(p, 6)
