@@ -190,10 +190,6 @@ def _components(x, path, ctx):
     return [_decode_jet(c, f"{path}[{i}]", ctx) for i, c in enumerate(x)]
 
 
-def _split_order(x, path, ctx):
-    return None if x == "auto" else _integer(x, path, 1)
-
-
 def _samples(x, path, ctx):
     return _integer(x, path, 2, MAX_COEFFS // ctx["A0"].size)
 
@@ -220,8 +216,7 @@ _BLOCKS = {
                 "X": (_components,), "A": (_decode_jet,), "v": (_decode_jet,),
                 "lambda": (_scalar,)},
     "grid": {"config": (_sub({key: (_real, None) for key in (
-                 "rel_tol", "abs_tol", "tail_tol", "max_horizon", "radius")}
-                 | {"split_order": (_split_order, None)}), None),
+                 "rel_tol", "abs_tol", "tail_tol", "max_horizon", "radius")}), None),
              "points": (_points,)},
     "heat": {"n": (_int(1),), "m": (_int(1),), "K": (_decode_jet,),
              "J": (_int(0),), "N": (_int(1, _APP_ORDER),),

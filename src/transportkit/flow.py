@@ -77,13 +77,12 @@ _DECAY_ABS_TOL = 1e-280
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and policy knobs for evaluate_solution; every tolerance is positive."""
+    """Tolerances for evaluate_solution; every one is positive."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     tail_tol: float = 1e-12
     max_horizon: float = 200.0
-    split_order: int | None = None  # None picks the smallest decaying order
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "tail_tol", "max_horizon"):
@@ -97,10 +96,6 @@ class EvalConfig:
         if self.rel_tol < _MIN_REL_TOL:
             raise ValidationError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} "
                                   f"(100 machine epsilons), got {self.rel_tol!r}")
-        if self.split_order is not None and not (isinstance(
-                self.split_order, int) and 1 <= self.split_order <= MAX_ORDER):
-            raise ValidationError(
-                f"split_order must be None or an integer in [1, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
@@ -388,9 +383,10 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
     g(t) = |Finv v(y_t)|, the I column of the RHS DOP853 evaluated there
     (first same as last).  Each point fits its own trailing window of g and
     stops, at the next solver boundary, when g <= tail_tol and the fitted
-    rate is positive.  A point that fails ends its solver with the error in
-    its row; the others go on in a new solver from that tau.  A failed
-    solver names no point, so its points are integrated again one by one.
+    rate is positive.  A point that fails, at a step or at a start where its
+    derivative is not finite, ends its solver with the error in its row;
+    the others go on in a new solver from that tau.  A failed solver names
+    no point, so its points are integrated again one by one.
     """
     n, m = f.n, f.m
     rhs = _reversed_rhs(sample, n, m)
@@ -404,6 +400,8 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
     counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0, "n_points": len(ys)}
 
     def verdict(zk, gs):  # the row's end or error if its window stops it
+        if not len(gs):  # no step: the solver ended on a start that was not finite
+            return None
         g_last, rate = gs[-1], math.inf
         if not g_last <= _UNDERFLOW:
             rate = _fit_rate(window_ts, gs)
@@ -420,10 +418,13 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
         solver = DOP853(rhs, tau, z.ravel(), min(tau + _CHUNK, cfg.max_horizon),
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         taus, gs, failed = [], [], {}  # failed: position in live -> error
-        finite = np.isfinite(solver.f).all()  # else its first step is NaN and never ends
+        if not np.isfinite(solver.f).all():  # a NaN first step would never end
+            for k in np.flatnonzero(~np.isfinite(solver.f.reshape(live.size, -1)).all(1)):
+                failed[k] = FlowIntegrationError(
+                    "integrator failed: the integrand is not finite")
         while solver.status == "running" and not failed:
-            message = solver.step() if finite else "the integrand is not finite"
-            if solver.status == "failed" or not finite:
+            message = solver.step()
+            if solver.status == "failed":
                 if live.size > 1:
                     for j in live:
                         out[j] = _tail_integrate(f, sample, ys[j:j + 1], cfg)[0]
@@ -493,7 +494,7 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
                               "problems are only supported by the jet solver")
     error = None
     try:
-        sample, head, N = _prepare(f, p, cfg)
+        sample, head, N = _prepare(f, p)
     except TransportKitError as exc:
         error = exc
 
@@ -509,21 +510,28 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
         if error is not None or not todo:
             return rows
         ys = np.array([y for _, y in todo])
-        heads = [None] * len(ys) if head is None else head.evaluate(ys)
+        with np.errstate(over="ignore", invalid="ignore"):  # u is checked per row
+            heads = [None] * len(ys) if head is None else head.evaluate(ys)
         for (k, _), h, end in zip(todo, heads, _tail_integrate(f, sample, ys, cfg)):
             if not isinstance(end, TransportKitError):
                 state, g, rate, counts = end
-                end = EvaluationResult(state.I if h is None else h + state.I, g / rate,
-                                       state.t, rate, "direct" if h is None else "split",
-                                       N, **counts)
+                u = state.I if h is None else h + state.I
+                end = EvaluationResult(u, g / rate, state.t, rate,
+                                       "direct" if h is None else "split", N, **counts)
+                if not np.isfinite(u).all():  # I is finite, so the head overflowed
+                    end = FlowIntegrationError(
+                        "u is not finite: the split head overflows at this point")
             rows[k] = end
         return rows
 
     return evaluate
 
 
-def _prepare(f: FieldSampler, p: ProblemData, cfg: EvalConfig):
-    """(integrand from _integrand, polynomial head or None, split order or None)."""
+def _prepare(f: FieldSampler, p: ProblemData):
+    """(integrand from _integrand, polynomial head or None, split order or None).
+
+    The split order is the smallest N >= 1 with mu_star + N nu > nu / 20.
+    """
     nu = float(np.min(linearization_spectrum(p.X).real))
     if nu <= 0:
         raise ValidationError("flow evaluation needs an expanding source: "
@@ -533,13 +541,8 @@ def _prepare(f: FieldSampler, p: ProblemData, cfg: EvalConfig):
     if mu_star > RESONANCE_TOL:  # a resonant lambda has mu_star <= RESONANCE_TOL
         return _integrand(f, p), None, None
 
-    N = cfg.split_order
-    if N is None:  # the smallest decaying order, kept finite past MAX_ORDER
-        N = max(1, math.floor(min((0.05 * nu - mu_star) / nu, MAX_ORDER)) + 1)
-    elif mu_star + N * nu <= 0:
-        raise ValidationError(
-            f"split_order {N} cannot decay: min Re spec(A(p) - lam) + "
-            f"N nu = {mu_star + N * nu:.3e} <= 0")
+    # kept finite past MAX_ORDER, which solve_to_order refuses
+    N = max(1, math.floor(min((0.05 * nu - mu_star) / nu, MAX_ORDER)) + 1)
     if f._joint is None and p.N < N:
         raise ValidationError(
             f"jet data of order {p.N} cannot support a split at order {N}; "

@@ -1,11 +1,12 @@
 """A deterministic single-fault mutation corpus for the command line.
 
-One valid document per subcommand is mutated one fault at a time: each
-key or list entry is deleted or replaced by each value of MUTATIONS,
-and each object gains an unknown key.  Whatever the document, main must
-return an exit code in {0, 2, 3, 4} without raising or printing a
-traceback, write nothing to stdout on exit 2, and, for solve-grid on
-exit 0, write one row per input point.
+One valid document per subcommand, and a second solve-grid document with
+no radius, is mutated one fault at a time: each key or list entry is
+deleted or replaced by each value of MUTATIONS, and each object gains an
+unknown key.  Whatever the document, main must return an exit code in
+{0, 2, 3, 4} without raising or printing a traceback, write nothing to
+stdout on exit 2, and, for solve-grid on exit 0, write one row per input
+point.
 """
 
 import copy
@@ -50,8 +51,12 @@ BASE = {
     "solve-grid": _document(
         problem=_problem(2.0, (([2], [1.0]), ([3], [1.0]))),
         grid={"points": [[0.1], [0.5]],
-              "config": {"rel_tol": 1e-8, "split_order": "auto",
-                         "radius": 10.0, "max_horizon": 200.0}}),
+              "config": {"rel_tol": 1e-8, "radius": 10.0, "max_horizon": 200.0}}),
+    # with no radius a point of 1e200 reaches the integrator and the head
+    "solve-grid/no-radius": _document(
+        problem=_problem(2.0, (([2], [1.0]), ([3], [1.0]))),
+        grid={"points": [[0.1], [0.5]],
+              "config": {"rel_tol": 1e-8, "max_horizon": 200.0}}),
     "heat": _document(heat={"n": 1, "m": 1, "J": 1, "N": 3,
                             "K": _jet(1, 3, "scalar", [([2], 1.0)]),
                             "points": [[0.3]], "quad_tol": 1e-10}),
@@ -115,11 +120,12 @@ def mutants(doc):
                          lambda t, k: t.__setitem__(k, 1)))
 
 
-@pytest.mark.parametrize("command", sorted(BASE))
-def test_single_fault_corpus(command, tmp_path, capsys):
+@pytest.mark.parametrize("base", sorted(BASE))
+def test_single_fault_corpus(base, tmp_path, capsys):
+    command = base.split("/")[0]
     path = tmp_path / "doc.json"
     failures = []
-    for label, doc in mutants(BASE[command]):
+    for label, doc in mutants(BASE[base]):
         path.write_text(json.dumps(doc))
         try:
             code = main([command, str(path), "--no-timestamp"])

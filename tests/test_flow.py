@@ -38,7 +38,7 @@ from transportkit.flow import (
 from transportkit.jets import P_dim, Jet, VectorFieldJet
 from transportkit.opmatrix import ProblemData, apply_operator
 from transportkit.spectral import resonance_degree
-from transportkit.taylor import MAX_ORDER, solve_to_order
+from transportkit.taylor import solve_to_order
 
 from conftest import (
     reference_flow_segment,
@@ -204,6 +204,15 @@ def random_jet(rng, n, N, shape=()):
                       np.diff([0] + [P_dim(n, k) for k in range(N + 1)]))
     coeffs = rng.normal(size=(P_dim(n, N),) + shape)
     return Jet(n, N, coeffs * scale.reshape((-1,) + (1,) * len(shape)))
+
+
+def split_by_hand(f, p, y, N, cfg=EvalConfig()):
+    """u(y) split at order N: the head solve_to_order(p, N) plus the integral
+    of its remainder, built as _plan builds it at the order it picks."""
+    head = solve_to_order(p, N).particular
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    ((state, *_),) = flow._tail_integrate(f, flow._integrand(f, p, head, N), ys, cfg)
+    return head.evaluate(ys)[0] + state.I
 
 
 def random_flow_problem(rng, n, m, N, lam):
@@ -645,12 +654,10 @@ class TestEvaluateSolution:
         p = scalar_euler_problem(-0.5, Jet.from_terms(1, 5, {(2,): 1.0, (3,): 0.5}),
                                  0.0, 5)
         f = FieldSampler.from_problem(p)
-        vals = []
-        for N in (2, 3, 5):
-            res = evaluate_solution(f, p, [0.8],
-                                    EvalConfig(split_order=N))
-            assert res.mode == "split" and res.split_order == N
-            vals.append(res.u[0])
+        res = evaluate_solution(f, p, [0.8])
+        assert (res.mode, res.split_order) == ("split", 1)
+        assert np.array_equal(split_by_hand(f, p, [0.8], 1), res.u)
+        vals = [split_by_hand(f, p, [0.8], N)[0] for N in (1, 2, 3, 5)]
         assert max(vals) - min(vals) < 1e-6
 
     def test_split_agrees_with_jet_solver(self):
@@ -662,20 +669,6 @@ class TestEvaluateSolution:
             res = evaluate_solution(f, p, [y])
             assert res.u[0] == pytest.approx(u.evaluate(np.array([y]))[0],
                                              rel=1e-7)
-
-    def test_invalid_split_order_rejected(self):
-        p = scalar_euler_problem(-2.5, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
-        f = FieldSampler.from_problem(p)
-        with pytest.raises(ValidationError, match="cannot decay"):
-            evaluate_solution(f, p, [0.1], EvalConfig(split_order=2))
-
-    @pytest.mark.parametrize("N", [0, -1, MAX_ORDER + 1,
-                                   pytest.param(10**400, id="10**400"),
-                                   2.0, "3"])
-    def test_split_order_outside_the_solver_range_is_refused(self, N):
-        # refused when the config is built, before any problem is seen
-        with pytest.raises(ValidationError, match="split_order must be"):
-            EvalConfig(split_order=N)
 
     def test_resonant_solvable_lambda_gives_the_jet_particular(self):
         # gradient field at the resonant lambda = 2 with v = (D_X - 2) w in
@@ -755,19 +748,39 @@ class TestEvaluateSolution:
     @pytest.mark.parametrize("a", [1.0, -0.5], ids=["direct", "split"])
     def test_a_start_that_is_not_finite_ends_only_its_row(self, a):
         # v = y^2 - y^3 is inf - inf at 1e200: DOP853's first step would be
-        # NaN there, and its step loop endless.  That row fails; each other
-        # row is the row of its point alone, bit for bit
+        # NaN there, and its step loop endless.  That row fails before a
+        # step; the other rows go on together in a new solver, bit for bit
+        # the rows of their points together
         p = scalar_euler_problem(a, Jet.from_terms(1, 3, {(2,): 1.0,
                                                           (3,): -1.0}), 0.0, 3)
         evaluate = flow._plan(FieldSampler.from_problem(p), p, EvalConfig())
         rows = evaluate([[0.5], [1e200], [-0.3]])
         assert isinstance(rows[1], FlowIntegrationError)
         assert str(rows[1]) == "integrator failed: the integrand is not finite"
-        for row, y in zip(rows[::2], ([0.5], [-0.3])):
-            (alone,) = evaluate([y])
+        for row, good in zip(rows[::2], evaluate([[0.5], [-0.3]])):
             assert row.mode == ("direct" if a > 0 else "split")
-            assert np.array_equal(row.u, alone.u)
-            assert replace(row, u=None) == replace(alone, u=None)
+            assert np.array_equal(row.u, good.u)
+            # the counts add the solver that ended at the start: its two
+            # RHS calls (the start and DOP853's initial step), one chunk
+            # and the bad point
+            assert replace(row, u=None) == replace(
+                good, u=None, nfev=good.nfev + 2, n_chunks=good.n_chunks + 1,
+                n_points=3)
+
+    def test_a_split_head_that_overflows_ends_only_its_row(self):
+        # a = -2.5 splits at order 3, so the head is u = -2 y^2 - 2 y^3
+        # itself: at 1e200 it overflows, while the remainder is zero
+        p = scalar_euler_problem(-2.5, Jet.from_terms(1, 3, {(2,): 1.0,
+                                                             (3,): -1.0}), 0.0, 3)
+        evaluate = flow._plan(FieldSampler.from_problem(p), p, EvalConfig())
+        good, bad = evaluate([[0.5], [1e200]])
+        assert isinstance(bad, FlowIntegrationError)
+        assert str(bad) == "u is not finite: the split head overflows at this point"
+        (alone,) = evaluate([[0.5]])
+        assert (good.mode, good.split_order) == ("split", 3)
+        assert np.array_equal(good.u, alone.u)
+        assert (good.tail_estimate, good.horizon, good.rate) == \
+            (alone.tail_estimate, alone.horizon, alone.rate)
 
     def test_integrate_flow_refuses_a_start_that_is_not_finite(self):
         # sqrt(cos(20 y)) is NaN at 0.1: DOP853's first step would be NaN
@@ -939,7 +952,7 @@ class TestEvaluateSolution:
     def test_config_has_no_chunk_or_t_min(self):
         # the chunk length and the earliest stop are flow constants
         assert [f.name for f in fields(EvalConfig)] == [
-            "rel_tol", "abs_tol", "tail_tol", "max_horizon", "split_order"]
+            "rel_tol", "abs_tol", "tail_tol", "max_horizon"]
 
     def test_directional_derivative_identity(self):
         # D_X u = v - A u at the evaluation point, checked by one-sided
@@ -1018,17 +1031,15 @@ class TestResonantEvaluation:
             f = FieldSampler.from_problem(p)
             y = ball_point(rng, p.n)
             res = evaluate_solution(f, p, y, self.CFG)
-            more = evaluate_solution(f, p, y, replace(
-                self.CFG, split_order=res.split_order + 2))
-            assert more.split_order == res.split_order + 2
-            assert np.max(np.abs(res.u - more.u)) <= 1e-7
+            more = split_by_hand(f, p, y, res.split_order + 2, self.CFG)
+            assert np.max(np.abs(res.u - more)) <= 1e-7
 
     def test_decay_order_is_above_the_resonance_degree(self):
         # the head solve at the decay order sees every resonant degree
         degrees = set()
         for p, _ in self.problems():
             n_star = resonance_degree(p)[1]
-            _, _, N = flow._prepare(FieldSampler.from_problem(p), p, EvalConfig())
+            _, _, N = flow._prepare(FieldSampler.from_problem(p), p)
             assert N > n_star
             degrees.add(n_star)
         assert degrees == {0, 1, 2}
@@ -1237,7 +1248,7 @@ class TestEndState:
             mu = float(np.min(np.linalg.eigvals(p.A.coeffs[0]).real))
             p = replace(p, lam=mu + 0.3 if split else mu - 1.0)
             f = FieldSampler.from_problem(p)
-            _, head, N = flow._prepare(f, p, cfg)
+            _, head, N = flow._prepare(f, p)
             assert (head is not None) == split
             ys = np.array([ball_point(rng, n) for _ in range(2)])
             rows = flow._plan(f, p, cfg)(list(ys))
