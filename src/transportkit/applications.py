@@ -100,6 +100,7 @@ def _apply_L(K: Jet, Phi: Jet) -> Jet:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked below
 def heat_coefficients_jet(h: HeatProblem) -> list:
     """The jets Phi_0 .. Phi_J, with Phi_j of order N - 2j.
 
@@ -108,17 +109,20 @@ def heat_coefficients_jet(h: HeatProblem) -> list:
     the member.  Later Phi_j solve (D_X + j) Phi_j = -L Phi_{j-1}; D_X
     multiplies degree k by k, so dividing degree k of the right-hand
     side by k + j, nonzero for j >= 1, gives the unique solution.
+    Raises NumericError if a coefficient of Phi_j is not finite.
     """
     out = [Jet.constant(h.n, h.N, np.eye(h.m))]
     for j in range(1, h.J + 1):
         rhs = -_apply_L(h.K, out[-1])
+        if not np.isfinite(rhs.coeffs).all():
+            raise NumericError(f"Phi_{j} is not finite: the ladder overflows")
         degree = monomial_powers(h.n, rhs.N).sum(axis=1)[:, None, None]
         out.append(Jet(h.n, rhs.N, rhs.coeffs / (degree + j), copy=False))
     return out
 
 
-def heat_coefficients_numeric(h: HeatProblem, q, *,
-                              tol: float = 1e-10) -> list:
+@np.errstate(over="ignore", invalid="ignore")  # checked below
+def heat_coefficients_numeric(h: HeatProblem, q) -> list:
     """Phi_0(q) .. Phi_J(q) by quadrature of the recursion integral.
 
     Along the straight segment s -> s q the recursion reads
@@ -126,13 +130,12 @@ def heat_coefficients_numeric(h: HeatProblem, q, *,
         Phi_j(q) = -Phi_0(q) int_0^1 s^{j-1} Phi_0(sq)^{-1} (L Phi_{j-1})(sq) ds,
 
     with Phi_0 = id on the flat trivial bundle.  The jets supply the
-    derivatives inside L, at all nodes of a rule in one monomial product;
-    Gauss-Legendre with node doubling supplies the s-integral.  Raises
-    NumericError if doubling stalls above 512 nodes, and ValidationError
-    unless tol is positive.
+    derivatives inside L, at all nodes in one monomial product.  The
+    integrand is a polynomial in s of degree at most Lj.N + j - 1, with
+    Lj = L Phi_{j-1}, and Gauss-Legendre with k = (Lj.N + j + 1) // 2
+    nodes is exact to degree 2k - 1, so one rule gives the integral.
+    Raises NumericError naming j and q if Phi_j(q) is not finite.
     """
-    if not tol > 0:
-        raise ValidationError(f"quadrature tolerance must be positive, got {tol}")
     q = np.asarray(q, dtype=float)
     if q.shape != (h.n,):
         raise ValidationError(f"point must have shape ({h.n},)")
@@ -140,20 +143,12 @@ def heat_coefficients_numeric(h: HeatProblem, q, *,
     out = [np.eye(h.m)]
     for j in range(1, h.J + 1):
         Lj = _apply_L(h.K, jets[j - 1])
-        val = None
-        for nodes in (8, 16, 32, 64, 128, 256, 512, 1024):
-            x, w = np.polynomial.legendre.leggauss(nodes)
-            s, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
-            values = Lj.evaluate(s[:, None] * q)  # L Phi_{j-1} at each node
-            nxt = -np.tensordot(w * s ** (j - 1), values, axes=1)
-            if val is not None and (np.max(np.abs(nxt - val))
-                                    <= tol * (1.0 + np.max(np.abs(nxt)))):
-                break
-            val = nxt
-        else:
-            raise NumericError(
-                f"quadrature for Phi_{j} did not settle by {nodes} nodes")
-        out.append(nxt)
+        x, w = np.polynomial.legendre.leggauss((Lj.N + j + 1) // 2)
+        s, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
+        values = Lj.evaluate(s[:, None] * q)  # L Phi_{j-1} at each node
+        out.append(-np.tensordot(w * s ** (j - 1), values, axes=1))
+        if not np.isfinite(out[-1]).all():
+            raise NumericError(f"Phi_{j} is not finite at the point {q.tolist()}")
     return out
 
 

@@ -220,7 +220,7 @@ _BLOCKS = {
              "points": (_points,)},
     "heat": {"n": (_int(1),), "m": (_int(1),), "K": (_decode_jet,),
              "J": (_int(0),), "N": (_int(1, _APP_ORDER),),
-             "points": (_points, None), "quad_tol": (_real, 1e-10)},
+             "points": (_points, None)},
     "wkb": {"V": (_decode_jet,), "level": (_int(0),), "J": (_int(0),),
             "N": (_int(1, _APP_ORDER),)},
     "estimates": {"A0": (_matrix,), "eps": (_real,), "t0": (_real,),
@@ -426,10 +426,6 @@ def cmd_heat(args, doc):
     if not fits(n, N, max(n, K.coeffs[0].size)):  # K and monomials to order N
         raise SchemaError(_TOO_LARGE, "$.heat.N")
     problem = HeatProblem(n=n, m=m, K=K, J=heat["J"], N=N)
-    quad_tol = heat["quad_tol"]
-    if not quad_tol > 0:
-        raise SchemaError("quadrature tolerance must be positive, got "
-                          f"{quad_tol}", "$.heat.quad_tol")
     points = heat.get("points")
     if points is None and args.output == "csv":
         raise ValidationError(
@@ -437,17 +433,17 @@ def cmd_heat(args, doc):
     result = {"coefficients": [jet_to_json(Phi)
                                for Phi in heat_coefficients_jet(problem)]}
     if points is None:
-        return {"quad_tol": quad_tol}, result, None
+        return {}, result, None
     result["numeric"] = numeric = []
     for q in points:
-        vals = heat_coefficients_numeric(problem, q, tol=quad_tol)
+        vals = heat_coefficients_numeric(problem, q)
         numeric.append({"point": [float(c) for c in q],
                         "values": [v.tolist() for v in vals]})
     header = [f"q{i}" for i in range(n)] + ["j"] \
         + [f"phi_{r}{c}" for r in range(m) for c in range(m)]
     rows = [entry["point"] + [j] + [c for row in mat for c in row]
             for entry in numeric for j, mat in enumerate(entry["values"])]
-    return {"quad_tol": quad_tol}, result, (header, rows)
+    return {}, result, (header, rows)
 
 
 def cmd_wkb(args, doc):

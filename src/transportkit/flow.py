@@ -284,8 +284,8 @@ def integrate_flow(f: FieldSampler, y, t_end: float, *,
     RegionExitError reports the root-found crossing of the region's boundary.
     """
     y = _point(f, y)
-    if t_end > 0:
-        raise ValidationError("t_end must be nonpositive")
+    if not -math.inf < t_end <= 0:  # a NaN or infinite bound is never reached
+        raise ValidationError(f"t_end must be nonpositive and finite, got {t_end!r}")
     z0 = np.concatenate([y, np.eye(f.m, f.m + 1).ravel()])  # Finv = id, I = 0
     if t_end == 0.0:
         return FlowTrajectory(f, lambda _tau: z0.copy(), 0.0)
@@ -631,6 +631,8 @@ def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,
     else:
         raise ValidationError(
             "quantity must be 'flow', 'transition', or a callable")
+    if not 0 < horizon < math.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
     traj = integrate_flow(f, y, -horizon, rel_tol=1e-9, abs_tol=_DECAY_ABS_TOL,
                           first_step=min(1e-3, 0.01 * horizon))
     ts = np.linspace(-horizon, -0.7 * horizon, 60)

@@ -406,7 +406,7 @@ def test_criterion_08_heat_coefficients():
         assert abs(got[(2, 0)] - expect[(2, 0)]) <= 1e-14
         for q in (np.array([0.3, -0.2]), np.array([0.0, 0.9]),
                   np.array([-0.5, 0.1])):
-            vals = heat_coefficients_numeric(h, q, tol=1e-12)
+            vals = heat_coefficients_numeric(h, q)
             assert abs(vals[1][0, 0] - (-q[0] ** 2 / 3.0)) <= 1e-10
             assert abs(vals[1][0, 0] - jets[1].evaluate(q)[0, 0]) <= 1e-10
 

@@ -145,6 +145,16 @@ class TestHeatJet:
             n=doc["n"], m=doc["m"], K=jet_from_json(doc["K"]), J=doc["J"],
             N=doc["N"]))
 
+    @pytest.mark.parametrize("terms,J,N", [
+        ({(0,): 1e200, (2,): 1.0}, 2, 5),
+        # inf meets -inf inside jet_mul: an invalid-value warning if unsilenced
+        ({(0,): 1e200, (1,): 1e200, (2,): -1e200}, 3, 7),
+    ])
+    def test_overflow_is_a_numeric_error(self, terms, J, N):
+        K = Jet.from_terms(1, N, terms)
+        with pytest.raises(NumericError, match=r"^Phi_2 is not finite"):
+            heat_coefficients_jet(HeatProblem(n=1, m=1, K=K, J=J, N=N))
+
 
 class TestHeatNumeric:
     def test_free_kernel_identity(self):
@@ -190,6 +200,32 @@ class TestHeatNumeric:
         h = HeatProblem(n=2, m=1, K=Jet.zero(2, 5), J=1, N=5)
         with pytest.raises(ValidationError):
             heat_coefficients_numeric(h, np.zeros(3))
+
+    def test_node_count_is_exact(self):
+        # the integrands of Phi_2 and Phi_3 have degree 5 and 4 in s, and
+        # (Lj.N + j + 1) // 2 = 3 nodes integrate both; a rule one node
+        # short is off by 1.0e-2 and 2.8e-2 relative
+        h = HeatProblem(n=1, m=1, K=Jet.from_terms(1, 8, {(2,): 1.0}), J=3,
+                        N=8)
+        q = np.array([0.9])
+        jets = heat_coefficients_jet(h)
+        vals = heat_coefficients_numeric(h, q)
+        for j in (2, 3):
+            want = jets[j].evaluate(q)
+            assert np.max(np.abs(vals[j] - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_takes_no_tolerance(self):
+        h = HeatProblem(n=1, m=1, K=Jet.zero(1, 3), J=1, N=3)
+        with pytest.raises(TypeError):
+            heat_coefficients_numeric(h, np.array([0.3]), tol=1e-10)
+
+    def test_overflow_at_a_point_is_a_numeric_error(self):
+        h = HeatProblem(n=1, m=1, K=Jet.from_terms(1, 4, {(2,): 1.0}), J=1,
+                        N=4)
+        with pytest.raises(NumericError,
+                           match=re.escape("Phi_1 is not finite at the point "
+                                           "[1e+200]")):
+            heat_coefficients_numeric(h, np.array([1e200]))
 
 
 def harmonic(mu, N):

@@ -916,18 +916,36 @@ class TestHeat:
         code, _, err = run("heat", self.doc(N=3))
         assert code == 2
 
-    @pytest.mark.parametrize("quad_tol", [-1, 0])
-    def test_nonpositive_quad_tol_exits_2(self, run, quad_tol):
+    def test_quad_tol_is_an_unknown_key(self, run):
+        # the quadrature rule is exact, so it has no tolerance to set
         code, out, err = run("heat", self.doc(points=[[0.3, -0.2]],
-                                              quad_tol=quad_tol))
+                                              quad_tol=1e-10))
         assert code == 2 and out == ""
-        assert "quadrature tolerance must be positive" in err
+        assert err == "error: $.heat: unknown key 'quad_tol'\n"
 
-    @pytest.mark.parametrize("quad_tol", [-1, 0])
-    def test_nonpositive_quad_tol_without_points_exits_2(self, run, quad_tol):
-        code, out, err = run("heat", self.doc(quad_tol=quad_tol))
-        assert code == 2 and out == ""
-        assert "quadrature tolerance must be positive" in err
+    @staticmethod
+    def doc_1d(K_terms, J, N, points=None):
+        heat = {"n": 1, "m": 1, "J": J, "N": N,
+                "K": {"n": 1, "N": N, "shape": "scalar",
+                      "terms": [scalar_term(a, c) for a, c in K_terms]}}
+        if points is not None:
+            heat["points"] = points
+        return {"schema_version": 1, "heat": heat}
+
+    # the golden heat block at a point of 1e200, and K = 1e200 + y^2, whose
+    # Phi_2 coefficients overflow
+    @pytest.mark.parametrize("args,message", [
+        (([((2,), 1.0), ((3,), 0.2)], 1, 4, [[1e200]]),
+         "Phi_1 is not finite at the point [1e+200]"),
+        (([((0,), 1e200), ((2,), 1.0)], 2, 5),
+         "Phi_2 is not finite: the ladder overflows"),
+    ], ids=["point", "potential"])
+    def test_overflow_in_the_ladder_exits_3(self, run, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("heat", self.doc_1d(*args))
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestWKB:

@@ -1,9 +1,9 @@
 """A deterministic single-fault mutation corpus for the command line.
 
-One valid document per subcommand, and a second solve-grid document with
-no radius, is mutated one fault at a time: each key or list entry is
-deleted or replaced by each value of MUTATIONS, and each object gains an
-unknown key.  Whatever the document, main must return an exit code in
+One valid document per subcommand, a second solve-grid document with no
+radius and a second heat document whose ladder is not zero are mutated
+one fault at a time: each key or list entry is deleted or replaced by
+each value of MUTATIONS, and each object gains an unknown key.  Whatever the document, main must return an exit code in
 {0, 2, 3, 4} without raising or printing a traceback, write nothing to
 stdout on exit 2, and, for solve-grid on exit 0, write one row per input
 point.
@@ -59,7 +59,14 @@ BASE = {
               "config": {"rel_tol": 1e-8, "max_horizon": 200.0}}),
     "heat": _document(heat={"n": 1, "m": 1, "J": 1, "N": 3,
                             "K": _jet(1, 3, "scalar", [([2], 1.0)]),
-                            "points": [[0.3]], "quad_tol": 1e-10}),
+                            "points": [[0.3]]}),
+    # the base above keeps K to order N - 2 = 1 in L Phi_0, which drops its
+    # y^2 term, so no fault can overflow there; with J = 2 and N = 5 a 1e200
+    # reaches the ladder and the quadrature
+    "heat/ladder": _document(heat={
+        "n": 1, "m": 1, "J": 2, "N": 5,
+        "K": _jet(1, 5, "scalar", [([0], 0.5), ([2], 1.0), ([3], 0.2)]),
+        "points": [[0.3]]}),
     "wkb": _document(wkb={"V": _jet(1, 6, "scalar",
                                     [([2], 1.0), ([4], 0.1)]),
                           "level": 0, "J": 1, "N": 6}),

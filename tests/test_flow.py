@@ -586,6 +586,14 @@ class TestIntegrateFlow:
         with pytest.raises(ValidationError):
             integrate_flow(f, [0.5, 0.5], -1.0)  # wrong shape
 
+    @pytest.mark.parametrize("t_end", [math.nan, -math.inf, math.inf])
+    def test_end_time_not_finite_is_refused(self, t_end):
+        # DOP853 would step forever toward a bound it never reaches
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 3, {(2,): 1.0}), 0.0, 3)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"t_end must be nonpositive and finite, got {t_end!r}")):
+            integrate_flow(FieldSampler.from_problem(p), [0.5], t_end)
+
 
 class TestEvaluateSolution:
     def test_quadratic_closed_form(self):
@@ -1447,3 +1455,13 @@ class TestEmpiricalDecayRate:
         f = sampler_1d(1.0, lambda ys: ys)
         with pytest.raises(ValidationError):
             empirical_decay_rate(f, [0.5], "frame")
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # NaN and inf would hang the integrator, and 0 leaves the fitting
+        # window empty; the message names the parameter the caller passed
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 3, {(2,): 1.0}), 0.0, 3)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"horizon must be positive and finite, got {horizon!r}")):
+            empirical_decay_rate(FieldSampler.from_problem(p), [0.5],
+                                 horizon=horizon)
