@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, OrderBudgetError, ValidationError
-from .jets import Jet, VectorFieldJet, jet_mul, monomial_powers
+from .jets import MAX_COEFFS, Jet, VectorFieldJet, jet_mul, monomial_powers
 from .opmatrix import ProblemData
 from .spectral import NEAR_RESONANCE_TOL, RESONANCE_TOL
 from .taylor import solve_to_order
@@ -101,6 +101,18 @@ def _apply_L(K: Jet, Phi: Jet) -> Jet:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked below
+def _heat_ladder(h: HeatProblem) -> tuple:
+    """Phi_0 .. Phi_J and the right-hand sides -L Phi_0 .. -L Phi_{J-1}."""
+    Phi, rhs = [Jet.constant(h.n, h.N, np.eye(h.m))], []
+    for j in range(1, h.J + 1):
+        rhs.append(-_apply_L(h.K, Phi[-1]))
+        if not np.isfinite(rhs[-1].coeffs).all():
+            raise NumericError(f"Phi_{j} is not finite: the ladder overflows")
+        degree = monomial_powers(h.n, rhs[-1].N).sum(axis=1)[:, None, None]
+        Phi.append(Jet(h.n, rhs[-1].N, rhs[-1].coeffs / (degree + j), copy=False))
+    return Phi, rhs
+
+
 def heat_coefficients_jet(h: HeatProblem) -> list:
     """The jets Phi_0 .. Phi_J, with Phi_j of order N - 2j.
 
@@ -111,45 +123,48 @@ def heat_coefficients_jet(h: HeatProblem) -> list:
     side by k + j, nonzero for j >= 1, gives the unique solution.
     Raises NumericError if a coefficient of Phi_j is not finite.
     """
-    out = [Jet.constant(h.n, h.N, np.eye(h.m))]
-    for j in range(1, h.J + 1):
-        rhs = -_apply_L(h.K, out[-1])
-        if not np.isfinite(rhs.coeffs).all():
-            raise NumericError(f"Phi_{j} is not finite: the ladder overflows")
-        degree = monomial_powers(h.n, rhs.N).sum(axis=1)[:, None, None]
-        out.append(Jet(h.n, rhs.N, rhs.coeffs / (degree + j), copy=False))
-    return out
+    return _heat_ladder(h)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked below
 def heat_coefficients_numeric(h: HeatProblem, q) -> list:
-    """Phi_0(q) .. Phi_J(q) by quadrature of the recursion integral.
+    """Phi_0(q) .. Phi_J(q), each (..., m, m), by quadrature of the recursion
+    integral at a point q of shape (n,) or at each point of a stack (P, n).
 
     Along the straight segment s -> s q the recursion reads
 
         Phi_j(q) = -Phi_0(q) int_0^1 s^{j-1} Phi_0(sq)^{-1} (L Phi_{j-1})(sq) ds,
 
-    with Phi_0 = id on the flat trivial bundle.  The jets supply the
-    derivatives inside L, at all nodes in one monomial product.  The
+    with Phi_0 = id on the flat trivial bundle.  One ladder's jets supply
+    the derivatives inside L, at all nodes of a block of points in one
+    monomial product of at most MAX_COEFFS entries, or one point's.  The
     integrand is a polynomial in s of degree at most Lj.N + j - 1, with
     Lj = L Phi_{j-1}, and Gauss-Legendre with k = (Lj.N + j + 1) // 2
     nodes is exact to degree 2k - 1, so one rule gives the integral.
-    Raises NumericError naming j and q if Phi_j(q) is not finite.
+    Raises NumericError naming the first point, in input order, whose
+    Phi_j(q) is not finite, and its smallest such j.
+
+    >>> h = HeatProblem(n=1, m=1, K=Jet.from_terms(1, 4, {(2,): 1.0}), J=1, N=4)
+    >>> heat_coefficients_numeric(h, [[0.3], [0.6]])[1].ravel()  # -q^2 / 3
+    array([-0.03, -0.12])
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (h.n,):
-        raise ValidationError(f"point must have shape ({h.n},)")
-    jets = heat_coefficients_jet(h)
-    out = [np.eye(h.m)]
-    for j in range(1, h.J + 1):
-        Lj = _apply_L(h.K, jets[j - 1])
-        x, w = np.polynomial.legendre.leggauss((Lj.N + j + 1) // 2)
+    if q.ndim not in (1, 2) or q.shape[-1] != h.n:
+        raise ValidationError(f"point must have shape ({h.n},) or (P, {h.n})")
+    pts = q.reshape(-1, h.n)
+    out = [np.tile(np.eye(h.m).ravel(), (len(pts), 1))]  # Phi_j(q): a row a point
+    for j, rhs in enumerate(_heat_ladder(h)[1], start=1):
+        x, w = np.polynomial.legendre.leggauss((rhs.N + j + 1) // 2)
         s, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
-        values = Lj.evaluate(s[:, None] * q)  # L Phi_{j-1} at each node
-        out.append(-np.tensordot(w * s ** (j - 1), values, axes=1))
-        if not np.isfinite(out[-1]).all():
-            raise NumericError(f"Phi_{j} is not finite at the point {q.tolist()}")
-    return out
+        block = max(1, MAX_COEFFS // (len(s) * len(rhs.coeffs)))
+        values = (rhs.evaluate(b[:, None] * s[:, None]).reshape(len(b), len(s), -1)
+                  for b in np.split(pts, range(block, len(pts), block)))
+        out.append(np.concatenate([w * s ** (j - 1) @ v for v in values]))
+    bad = np.argwhere(~np.isfinite(out).all(axis=2).T)  # (point, j) in input order
+    if len(bad):
+        p, j = bad[0]
+        raise NumericError(f"Phi_{j} is not finite at the point {pts[p].tolist()}")
+    return [v.reshape(q.shape[:-1] + (h.m, h.m)) for v in out]
 
 
 @dataclass(frozen=True)

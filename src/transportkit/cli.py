@@ -434,11 +434,9 @@ def cmd_heat(args, doc):
                                for Phi in heat_coefficients_jet(problem)]}
     if points is None:
         return {}, result, None
-    result["numeric"] = numeric = []
-    for q in points:
-        vals = heat_coefficients_numeric(problem, q)
-        numeric.append({"point": [float(c) for c in q],
-                        "values": [v.tolist() for v in vals]})
+    values = np.stack(heat_coefficients_numeric(problem, points), axis=1)
+    result["numeric"] = numeric = [{"point": q.tolist(), "values": v.tolist()}
+                                   for q, v in zip(points, values)]
     header = [f"q{i}" for i in range(n)] + ["j"] \
         + [f"phi_{r}{c}" for r in range(m) for c in range(m)]
     rows = [entry["point"] + [j] + [c for row in mat for c in row]

@@ -274,6 +274,7 @@ def _reversed_rhs(sample, n: int, m: int):
     return rhs
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # checked below
 def integrate_flow(f: FieldSampler, y, t_end: float, *,
                    rel_tol: float = 1e-9,
                    abs_tol: float = 1e-12,

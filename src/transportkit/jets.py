@@ -164,9 +164,7 @@ def _monomial_vector(point: np.ndarray, N: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def degree_starts(n: int, N: int) -> np.ndarray:
     """Offsets of each degree block; entry k is the rank of the first degree-k monomial."""
-    starts = np.zeros(N + 2, dtype=np.int64)
-    for k in range(N + 2):
-        starts[k] = P_dim(n, k - 1) if k >= 1 else 0
+    starts = np.array([0] + [P_dim(n, k) for k in range(N + 1)], dtype=np.int64)
     starts.setflags(write=False)
     return starts
 
@@ -416,10 +414,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             return jet_mul(self, other)
-        if isinstance(other, (int, float, complex, np.integer, np.floating,
-                              np.complexfloating)):
-            return self._scale(other)
-        return NotImplemented
+        return self.__rmul__(other)  # a scalar, or NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, np.integer, np.floating,
@@ -462,22 +457,14 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     sa, sb = a.value_shape, b.value_shape
     A = a.coeffs[ii]
     B = b.coeffs[jj]
-    if sa == ():
-        prod = (A.reshape(A.shape + (1,) * len(sb))) * B
-        out_shape = sb
-    elif sb == ():
-        prod = A * (B.reshape(B.shape + (1,) * len(sa)))
-        out_shape = sa
-    elif len(sa) == 2 and len(sb) == 1:
+    if sa == () or sb == ():  # the scalar broadcasts over the other's values
+        prod = A.reshape(A.shape + (1,) * len(sb)) * B.reshape(B.shape + (1,) * len(sa))
+        out_shape = sa or sb
+    elif len(sa) == 2 and len(sb) in (1, 2):  # matrix times vector or matrix
         if sa[1] != sb[0]:
-            raise ShapeMismatchError(f"matrix {sa} times vector {sb}")
-        prod = np.einsum("tpq,tq->tp", A, B)
-        out_shape = (sa[0],)
-    elif len(sa) == 2 and len(sb) == 2:
-        if sa[1] != sb[0]:
-            raise ShapeMismatchError(f"matrix {sa} times matrix {sb}")
-        prod = np.einsum("tpq,tqr->tpr", A, B)
-        out_shape = (sa[0], sb[1])
+            raise ShapeMismatchError(f"matrix {sa} times {sb}")
+        prod = np.einsum("tpq,tq...->tp...", A, B)
+        out_shape = sa[:1] + sb[1:]
     else:
         raise ShapeMismatchError(f"unsupported product shapes {sa} x {sb}")
     out = np.zeros((P_dim(a.n, a.N),) + out_shape, dtype=prod.dtype)
@@ -567,13 +554,11 @@ class VectorFieldJet(Jet):
 
 def _encode_value(v):
     v = np.asarray(v)
-    if np.iscomplexobj(v):
-        if v.ndim == 0:
-            return {"re": float(v.real), "im": float(v.imag)}
+    if v.ndim:
         return [_encode_value(x) for x in v]
-    if v.ndim == 0:
-        return float(v)
-    return [_encode_value(x) for x in v]
+    if np.iscomplexobj(v):
+        return {"re": float(v.real), "im": float(v.imag)}
+    return float(v)
 
 
 def _fields(obj, path, required, optional=()):

@@ -33,7 +33,8 @@ from transportkit.applications import (
 )
 from transportkit.errors import (NumericError, OrderBudgetError,
                                  ValidationError)
-from transportkit.jets import P_dim, Jet, VectorFieldJet, jet_from_json, jet_mul
+from transportkit.jets import (MAX_COEFFS, P_dim, Jet, VectorFieldJet,
+                               jet_from_json, jet_mul)
 from transportkit.opmatrix import ProblemData
 from transportkit.spectral import enumerate_resonances
 from transportkit.taylor import residual
@@ -198,8 +199,9 @@ class TestHeatNumeric:
 
     def test_point_shape_checked(self):
         h = HeatProblem(n=2, m=1, K=Jet.zero(2, 5), J=1, N=5)
-        with pytest.raises(ValidationError):
-            heat_coefficients_numeric(h, np.zeros(3))
+        for shape in [(3,), (4, 3), (2, 2, 2)]:  # a point, a stack, no stack
+            with pytest.raises(ValidationError):
+                heat_coefficients_numeric(h, np.zeros(shape))
 
     def test_node_count_is_exact(self):
         # the integrands of Phi_2 and Phi_3 have degree 5 and 4 in s, and
@@ -226,6 +228,38 @@ class TestHeatNumeric:
                            match=re.escape("Phi_1 is not finite at the point "
                                            "[1e+200]")):
             heat_coefficients_numeric(h, np.array([1e200]))
+
+    def test_stacked_rows_are_the_one_point_calls(self, rng):
+        # at j = 1 (order 26, 14 nodes) a block holds 20 points and at
+        # j = 2 (order 24, 13 nodes) 27, so 30 points span two blocks at
+        # each j, split at different rows
+        h = HeatProblem(n=3, m=1, K=Jet(3, 28, 0.1 * rng.standard_normal(
+            P_dim(3, 28))), J=2, N=28)
+        assert MAX_COEFFS // (14 * P_dim(3, 26)) == 20
+        assert MAX_COEFFS // (13 * P_dim(3, 24)) == 27
+        pts = rng.uniform(-1.0, 1.0, size=(30, 3))
+        stacked = heat_coefficients_numeric(h, pts)
+        assert [v.shape for v in stacked] == [(30, 1, 1)] * 3
+        for p, q in enumerate(pts):
+            for j, want in enumerate(heat_coefficients_numeric(h, q)):
+                assert np.array_equal(stacked[j][p], want)
+
+    def test_one_point_stack(self, rng):
+        K = Jet(2, 6, 0.5 * rng.standard_normal((P_dim(2, 6), 2, 2)))
+        h = HeatProblem(n=2, m=2, K=K, J=2, N=6)
+        q = np.array([0.4, -0.7])
+        for got, want in zip(heat_coefficients_numeric(h, q[None]),
+                             heat_coefficients_numeric(h, q)):
+            assert got.shape == (1, 2, 2) and np.array_equal(got, want[None])
+
+    def test_overflow_names_the_first_point(self):
+        # 1e200 fails at j = 1 and 1e3 only at j = 2, where the y^4 term of
+        # Phi_2, about 1e299 y^4, overflows: the earlier point is named
+        K = Jet.from_terms(1, 8, {(0,): 1e150, (2,): 1e150})
+        h = HeatProblem(n=1, m=1, K=K, J=2, N=8)
+        with pytest.raises(NumericError, match=re.escape(
+                "Phi_2 is not finite at the point [1000.0]")):
+            heat_coefficients_numeric(h, np.array([[0.5], [1e3], [1e200]]))
 
 
 def harmonic(mu, N):

@@ -38,7 +38,8 @@ from transportkit import (
     jet_from_json,
     solve_to_order,
 )
-from transportkit import flow, taylor
+from transportkit import applications, flow, taylor
+from transportkit.applications import HeatProblem, heat_coefficients_numeric
 from transportkit.cli import _build_parser, main
 from transportkit.jets import monomial_rank
 
@@ -911,6 +912,47 @@ class TestHeat:
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert rows[0] == "q0,q1,j,phi_00"
         assert len(rows) == 4
+
+    def test_several_points_match_the_api(self, run):
+        points = [[0.3, -0.2], [-0.5, 0.1], [0.0, 0.8]]
+        h = HeatProblem(n=2, m=1, K=Jet.from_terms(2, 7, {(2, 0): 1.0}), J=2,
+                        N=7)
+        want = [heat_coefficients_numeric(h, np.array(q)) for q in points]
+        code, out, _ = run("heat", self.doc(points=points))
+        assert code == 0
+        numeric = result_of(out)["numeric"]
+        assert [e["point"] for e in numeric] == points
+        assert [e["values"] for e in numeric] == [[v.tolist() for v in vals]
+                                                  for vals in want]
+        code, out, _ = run("heat", self.doc(points=points), "--output", "csv")
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert rows == [",".join(map(str, q + [j, float(v[0, 0])]))
+                        for q, vals in zip(points, want)
+                        for j, v in enumerate(vals)]
+
+    def test_one_bad_point_exits_3(self, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("heat", self.doc(points=[[0.3, -0.2], [1e200, 0.0],
+                                                          [0.1, 0.1]]))
+        assert code == 3 and out == ""
+        assert err == "error: Phi_1 is not finite at the point [1e+200, 0.0]\n"
+
+    def test_the_ladder_is_built_once_per_call(self, run, monkeypatch):
+        # one ladder for the coefficients and one for the values of all
+        # points; the per-point loop applied L J (2 P + 1) times
+        calls = []
+
+        def counted(K, Phi):
+            calls.append(1)
+            return apply_L(K, Phi)
+
+        apply_L = applications._apply_L
+        monkeypatch.setattr(applications, "_apply_L", counted)
+        points = [[0.1 * k, -0.2] for k in range(5)]
+        code, _, _ = run("heat", self.doc(points=points))
+        assert code == 0 and len(calls) <= 3 * 2
 
     def test_budget_violation_exits_2(self, run):
         code, _, err = run("heat", self.doc(N=3))

@@ -1,9 +1,10 @@
 """A deterministic single-fault mutation corpus for the command line.
 
 One valid document per subcommand, a second solve-grid document with no
-radius and a second heat document whose ladder is not zero are mutated
-one fault at a time: each key or list entry is deleted or replaced by
-each value of MUTATIONS, and each object gains an unknown key.  Whatever the document, main must return an exit code in
+radius, a second heat document whose ladder is not zero and a third with
+three points are mutated one fault at a time: each key or list entry is
+deleted or replaced by each value of MUTATIONS, and each object gains an
+unknown key.  Whatever the document, main must return an exit code in
 {0, 2, 3, 4} without raising or printing a traceback, write nothing to
 stdout on exit 2, and, for solve-grid on exit 0, write one row per input
 point.
@@ -67,6 +68,12 @@ BASE = {
         "n": 1, "m": 1, "J": 2, "N": 5,
         "K": _jet(1, 5, "scalar", [([0], 0.5), ([2], 1.0), ([3], 0.2)]),
         "points": [[0.3]]}),
+    # three points go through the stacked values in one call, so a fault in
+    # one point meets the good rows of the others
+    "heat/points": _document(heat={
+        "n": 1, "m": 1, "J": 2, "N": 5,
+        "K": _jet(1, 5, "scalar", [([0], 0.5), ([2], 1.0), ([3], 0.2)]),
+        "points": [[0.3], [-0.6], [0.9]]}),
     "wkb": _document(wkb={"V": _jet(1, 6, "scalar",
                                     [([2], 1.0), ([4], 0.1)]),
                           "level": 0, "J": 1, "N": 6}),

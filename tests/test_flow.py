@@ -1465,3 +1465,11 @@ class TestEmpiricalDecayRate:
                 f"horizon must be positive and finite, got {horizon!r}")):
             empirical_decay_rate(FieldSampler.from_problem(p), [0.5],
                                  horizon=horizon)
+
+    def test_tiny_horizon_fails_without_warnings(self):
+        # first_step = 0.01 horizon = 1e-302: the step size underflows, and
+        # the overflow in DOP853's error norm used to leak as a RuntimeWarning
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 3, {(2,): 1.0}), 0.0, 3)
+        with pytest.raises(FlowIntegrationError, match="integrator failed"):
+            empirical_decay_rate(FieldSampler.from_problem(p), [0.5],
+                                 horizon=1e-300)
