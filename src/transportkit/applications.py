@@ -40,8 +40,8 @@ import numpy as np
 from .errors import NumericError, OrderBudgetError, ValidationError
 from .jets import MAX_COEFFS, Jet, VectorFieldJet, jet_mul, monomial_powers
 from .opmatrix import ProblemData
-from .spectral import NEAR_RESONANCE_TOL, RESONANCE_TOL
-from .taylor import solve_to_order
+from .spectral import NEAR_RESONANCE_TOL, RESONANCE_TOL, resonance_degree
+from .taylor import MAX_ORDER, _factor
 
 __all__ = [
     "HeatProblem",
@@ -126,7 +126,6 @@ def heat_coefficients_jet(h: HeatProblem) -> list:
     return _heat_ladder(h)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # checked below
 def heat_coefficients_numeric(h: HeatProblem, q) -> list:
     """Phi_0(q) .. Phi_J(q), each (..., m, m), by quadrature of the recursion
     integral at a point q of shape (n,) or at each point of a stack (P, n).
@@ -151,9 +150,15 @@ def heat_coefficients_numeric(h: HeatProblem, q) -> list:
     q = np.asarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != h.n:
         raise ValidationError(f"point must have shape ({h.n},) or (P, {h.n})")
+    return _heat_values(h, _heat_ladder(h)[1], q)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # checked below
+def _heat_values(h: HeatProblem, ladder_rhs: list, q: np.ndarray) -> list:
+    """heat_coefficients_numeric at a checked q, from the ladder's rhs."""
     pts = q.reshape(-1, h.n)
     out = [np.tile(np.eye(h.m).ravel(), (len(pts), 1))]  # Phi_j(q): a row a point
-    for j, rhs in enumerate(_heat_ladder(h)[1], start=1):
+    for j, rhs in enumerate(ladder_rhs, start=1):
         x, w = np.polynomial.legendre.leggauss((rhs.N + j + 1) // 2)
         s, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
         block = max(1, MAX_COEFFS // (len(s) * len(rhs.coeffs)))
@@ -173,8 +178,8 @@ class WKBProblem:
 
     V is a scalar jet in one variable with V(0) = 0, V'(0) = 0 and
     V''(0) > 0; level is the quantum number alpha; J the number of
-    lambda terms past lambda_0; N the jet order budget, at least
-    2 J + max(level, 1) + 2 (else OrderBudgetError).  The well frequency
+    lambda terms past lambda_0; N the jet order budget, 2 J + max(level, 1)
+    + 2 <= N <= MAX_ORDER + 2 (else OrderBudgetError).  The well frequency
     mu (V = mu^2 x^2 + ...) needs 2 mu > NEAR_RESONANCE_TOL and lambda_0 =
     (2 level + 1) mu <= RESONANCE_TOL / eps (4.5e6), else ValidationError.
     """
@@ -192,12 +197,12 @@ class WKBProblem:
             raise ValidationError("V must be real")
         if self.level < 0 or self.J < 0:
             raise ValidationError("level and J must be nonnegative")
-        # the last transport solve is at order N - 2 - 2 J >= max(level, 1)
+        # solve orders: N - 2 <= MAX_ORDER down to N - 2 - 2 J >= max(level, 1)
         need = 2 * self.J + max(self.level, 1) + 2
-        if self.N < need:
+        if not need <= self.N <= MAX_ORDER + 2:
             raise OrderBudgetError(
-                f"order budget N={self.N} cannot carry J={self.J} terms at "
-                f"level {self.level}; need N >= {need}")
+                f"order budget N={self.N} for J={self.J} terms at level "
+                f"{self.level}: need N >= {need} and N <= {MAX_ORDER + 2}")
         V = V.extend(self.N) if V.N < self.N else V.project(self.N)
         scale = max(1.0, V.norm())
         if abs(V.coefficient((0,))) > 1e-12 * scale \
@@ -252,17 +257,6 @@ def _sqrt_one_plus(w: Jet) -> Jet:
     return acc
 
 
-def _antiderivative_1d(u: Jet) -> Jet:
-    out = np.zeros(u.N + 2, dtype=u.dtype)
-    out[1:] = u.coeffs / np.arange(1, u.N + 2)
-    return Jet(1, u.N + 1, out, copy=False)
-
-
-def _kernel_gauge(a: Jet, ker: Jet) -> Jet:
-    c = np.vdot(ker.coeffs, a.coeffs) / np.vdot(ker.coeffs, ker.coeffs)
-    return a - float(c.real) * ker
-
-
 def wkb_expand(w: WKBProblem) -> WKBExpansion:
     """Phase, eigenvalue series and amplitude jets for one level.
 
@@ -281,15 +275,17 @@ def wkb_expand(w: WKBProblem) -> WKBExpansion:
         eik = jet_mul(phi_prime.extend(N), phi_prime.extend(N)) - V
     if not eik.norm() <= 1e-9 * max(1.0, V.norm()):  # NaN fails too
         raise NumericError("eiconal self-check failed; V data inconsistent")
-    phi = _antiderivative_1d(phi_prime)
+    phi = Jet(1, N, np.r_[0.0, phi_prime.coeffs / np.arange(1, N + 1)], copy=False)
 
     X = VectorFieldJet([2.0 * phi_prime])
     A = phi_prime.partial(0)
     lam0 = (2 * alpha + 1) * mu
 
+    # one factorization at M0 serves every level: level j solves at M_j
     M0 = N - 2
     p0 = ProblemData.scalar(X, A, Jet.zero(1, M0), lam0, M0)
-    sol0 = solve_to_order(p0, M0)
+    solve = _factor(p0, *resonance_degree(p0), RESONANCE_TOL)
+    sol0 = solve(p0.v)
     if len(sol0.kernel_extensions) != 1:
         raise NumericError(
             f"level {alpha} is degenerate (kernel dimension "
@@ -298,34 +294,27 @@ def wkb_expand(w: WKBProblem) -> WKBExpansion:
     top = ker0.coefficient((alpha,))[0]
     if abs(top) < 1e-12:
         raise NumericError("kernel element has no x^alpha component")
-    a0 = Jet(1, M0, ker0.coeffs[:, 0] / top, copy=False)
+    a0 = Jet(1, M0, ker0.coeffs / top, copy=False)
     (T,) = sol0.duals  # one rank decision on the square head block
-
-    def pair(u: Jet) -> float:
-        return float(T.pair(Jet(1, u.N, u.coeffs.reshape(-1, 1))))
-
-    denom = pair(a0)
+    denom = T.pair(a0)
     if abs(denom) < 1e-12 * max(1.0, a0.norm()):
         raise NumericError("dual kernel does not see the amplitude")
 
-    lambdas = [lam0]
-    amps = [a0]
+    lambdas, amps = [lam0], [a0]  # vector:1 amplitudes, the solver's shape
     for j in range(1, w.J + 1):
         M_j = M0 - 2 * j
         base = amps[j - 1].partial(0).partial(0)
         for i in range(1, j):
             base = base + lambdas[i] * amps[j - i].project(M_j)
-        lam_j = -pair(base) / denom
-        rhs = base + lam_j * a0.project(M_j)
-        p_j = ProblemData.scalar(X, A, rhs, lam0, M_j)
-        sol_j = solve_to_order(p_j, M_j)
+        lam_j = -T.pair(base) / denom
+        sol_j = solve(base + lam_j * a0.project(M_j))
         if sol_j.particular is None:
             raise NumericError(
                 f"transport equation at order {j} unsolvable despite the "
                 f"lambda_{j} correction; obstructions {sol_j.obstructions}")
-        a_j = Jet(1, M_j, sol_j.particular.coeffs[:, 0], copy=False)
-        ker_j = Jet(1, M_j, sol_j.kernel_extensions[0].coeffs[:, 0], copy=False)
-        amps.append(_kernel_gauge(a_j, ker_j))
+        a_j, ker_j = sol_j.particular, sol_j.kernel_extensions[0]
+        c = np.vdot(ker_j.coeffs, a_j.coeffs) / np.vdot(ker_j.coeffs, ker_j.coeffs)
+        amps.append(a_j - float(c.real) * ker_j)  # the gauge: no kernel part
         lambdas.append(lam_j)
-    return WKBExpansion(phi=phi, mu=mu, level=alpha,
-                        lambdas=tuple(lambdas), amplitudes=tuple(amps))
+    return WKBExpansion(phi=phi, mu=mu, level=alpha, lambdas=tuple(lambdas),
+                        amplitudes=tuple(Jet(1, a.N, a.coeffs[:, 0]) for a in amps))

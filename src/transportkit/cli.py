@@ -30,8 +30,8 @@ from . import __version__
 from .applications import (
     HeatProblem,
     WKBProblem,
-    heat_coefficients_jet,
-    heat_coefficients_numeric,
+    _heat_ladder,
+    _heat_values,
     wkb_expand,
 )
 from .errors import (
@@ -430,11 +430,11 @@ def cmd_heat(args, doc):
     if points is None and args.output == "csv":
         raise ValidationError(
             'csv output needs a "points" list in the heat block')
-    result = {"coefficients": [jet_to_json(Phi)
-                               for Phi in heat_coefficients_jet(problem)]}
+    Phis, ladder_rhs = _heat_ladder(problem)  # one ladder serves both
+    result = {"coefficients": [jet_to_json(Phi) for Phi in Phis]}
     if points is None:
         return {}, result, None
-    values = np.stack(heat_coefficients_numeric(problem, points), axis=1)
+    values = np.stack(_heat_values(problem, ladder_rhs, np.array(points)), axis=1)
     result["numeric"] = numeric = [{"point": q.tolist(), "values": v.tolist()}
                                    for q, v in zip(points, values)]
     header = [f"q{i}" for i in range(n)] + ["j"] \

@@ -12,7 +12,7 @@ product and derivative (jets._mul_table, jets._diff_table) into a sparse
 matrix, so integer inputs yield integer matrix entries.  The basis is
 graded, so the rows and columns of degree <= k are exactly the operator
 at order k: the jet solver cuts its degree slices and the resonant head
-block from the one matrix it builds per solve.  assemble is its dense
+block from the one matrix it factors per operator.  assemble is its dense
 form, the public reference, and apply_operator its product with one
 jet, so the package has one implementation of the operator; the
 independent check on it, by jet arithmetic, is a test oracle.

@@ -279,15 +279,15 @@ def kernel_basis(p: ProblemData, tol: float = RESONANCE_TOL):
     """Jets spanning the kernel of (D_X + A - lambda) on P_N tensor V.
 
     The working order is raised to the largest resonance degree when the
-    stated N is below it.  These are the kernel extensions of
-    solve_to_order.  Returns [] for non-resonant lambda.
+    stated N is below it, with no cap.  These are the kernel extensions
+    of solve_to_order.  Returns [] for non-resonant lambda.
     """
-    from .taylor import _solve_family  # taylor imports this module
+    from .taylor import _factor  # taylor imports this module
     entry, n_star = resonance_degree(p, tol)
     if entry is None:
         return []
     q = p.at_order(max(p.N, n_star))
-    return list(_solve_family(q, entry, n_star, 0.0, tol).kernel_extensions)
+    return list(_factor(q, entry, n_star, tol)(q.v).kernel_extensions)
 
 
 class DualDistribution(Jet):

@@ -1,9 +1,10 @@
 """Order-by-order jet solutions of (D_X + A - lambda) u = v.
 
-The operator is block lower triangular by degree, so the solve is one
+The operator is block lower triangular by degree, so a solve is one
 forward substitution over degrees (the order-by-order solve of a
-homological equation) on the one sparse matrix L of D_X + A built per
-solve, with a dense matrix only where the theory needs one:
+homological equation) through factors built once per operator from one
+sparse matrix L of D_X + A, dense only where the theory needs it; a
+solve at a lower order is their projection, stopped at that degree:
 
 1. Head: for resonant lambda, the block of L on polynomials of degree
    <= N* (the largest degree appearing in a representation of lambda) is
@@ -91,54 +92,64 @@ def solve_to_order(p: ProblemData, M: int, *,
     if M > MAX_ORDER:
         raise ValidationError(
             f"requested order {M} exceeds the solver cap {MAX_ORDER}")
-    return _solve_family(p.at_order(M), entry, n_star, obstruction_tol, tol)
+    q = p.at_order(M)
+    return _factor(q, entry, n_star, tol)(q.v, obstruction_tol)
 
 
-def _solve_family(q: ProblemData, entry, n_star: int, obstruction_tol: float,
-                  tol: float) -> JetSolution:
-    """solve_to_order at the working order q.N >= n_star, entry found within tol."""
-    n, N, m = q.n, q.N, q.m
-    offsets = degree_starts(n, N) * m
+def _factor(q: ProblemData, entry, n_star: int, tol: float):
+    """Factors of D_X + A - lambda at the order q.N >= n_star, entry found within tol.
+
+    Returns solve(v, obstruction_tol=OBSTRUCTION_TOL), bit for bit
+    solve_to_order's JetSolution for v at any order v.N in [n_star, q.N].
+    """
+    offsets = degree_starts(q.n, q.N) * q.m
     L = _sparse_operator(q)
-    duals = obstructions = ()
-    solvable = True
-    heads = np.zeros((0, 1))
-    if entry is not None:
-        kernel, duals, head_solve = _head_split(q, L, n_star, tol)
-        screen = _screen(duals, q.v, obstruction_tol)
-        obstructions, solvable = screen.obstructions, screen.solvable
-        heads = kernel if not solvable else np.column_stack(
-            [head_solve(jet_to_vec(q.v)[:kernel.shape[0]]), kernel])
-
-    # one column per unknown jet: the particular solution first when the
-    # screen passed, then the extension of each head kernel vector (v = 0)
-    dtype = np.complex128 if q.is_complex else np.float64
-    U = np.zeros((L.shape[0], heads.shape[1]), dtype=dtype)
-    U[:heads.shape[0]] = heads
-    target = np.zeros_like(U)
-    if solvable:
-        target[:, 0] = jet_to_vec(q.v)
-
-    condition_report = {}
-    for k in range(n_star + 1 if entry is not None else 0, N + 1):
+    head = _head_split(q, L, n_star, tol) if entry is not None else None
+    first, slices = n_star + 1 if entry is not None else 0, []
+    for k in range(first, q.N + 1):
         r0, r1 = int(offsets[k]), int(offsets[k + 1])
         rows = L[r0:r1]
         block = rows[:, r0:r1].toarray() - q.lam * np.eye(r1 - r0)
-        label = f"slice {k}" if k else "head"
-        cond = float(np.linalg.cond(block))
-        condition_report[label.replace(" ", "_")] = cond
-        if cond > _COND_WARN:
-            warnings.warn(f"{label} solve condition number {cond:.2e}",
-                          IllConditionedWarning, stacklevel=3)
-        # degree k of U is still zero, so the block and lambda drop out here
-        U[r0:r1] = lu_solve(lu_factor(block), target[r0:r1] - rows @ U)
+        slices.append((k, r0, r1, rows, np.linalg.cond(block), lu_factor(block)))
 
-    jets = [vec_to_jet(col, n, N, m) for col in U.T]
-    return JetSolution(particular=jets.pop(0) if solvable else None,
-                       kernel_extensions=tuple(jets),
-                       resonance=entry, duals=duals,
-                       obstructions=obstructions,
-                       condition_report=condition_report, working_order=N)
+    def solve(v: Jet, obstruction_tol: float = OBSTRUCTION_TOL) -> JetSolution:
+        duals = obstructions = ()
+        solvable = True
+        heads = np.zeros((0, 1))
+        if head is not None:
+            kernel, duals, head_solve = head
+            screen = _screen(duals, v, obstruction_tol)
+            obstructions, solvable = screen.obstructions, screen.solvable
+            heads = kernel if not solvable else np.column_stack(
+                [head_solve(jet_to_vec(v)[:kernel.shape[0]]), kernel])
+
+        # one column per unknown jet: the particular solution first when
+        # the screen passed, then the extension of each head kernel vector
+        # (v = 0); U has L's height, as cutting rows to width is slow
+        width = int(offsets[v.N + 1])
+        U = np.zeros((L.shape[0], heads.shape[1]), dtype=L.dtype)
+        U[:heads.shape[0]] = heads
+        target = np.zeros_like(U)
+        if solvable:
+            target[:width, 0] = jet_to_vec(v)
+
+        condition_report = {}
+        for k, r0, r1, rows, cond, lu in slices[:v.N + 1 - first]:
+            label = f"slice {k}" if k else "head"
+            condition_report[label.replace(" ", "_")] = float(cond)
+            if cond > _COND_WARN:
+                warnings.warn(f"{label} solve condition number {cond:.2e}",
+                              IllConditionedWarning, stacklevel=3)
+            # degree k of U is still zero, so the block and lambda drop out here
+            U[r0:r1] = lu_solve(lu, target[r0:r1] - rows @ U)
+
+        jets = [vec_to_jet(col[:width], q.n, v.N, q.m) for col in U.T]
+        return JetSolution(particular=jets.pop(0) if solvable else None,
+                           kernel_extensions=tuple(jets), resonance=entry,
+                           duals=duals, obstructions=obstructions,
+                           condition_report=condition_report, working_order=v.N)
+
+    return solve
 
 
 def residual(p: ProblemData, u: Jet) -> Jet:

@@ -335,7 +335,7 @@ def projector_distance(a, b):
 
 def reference_solve_family(q, entry, n_star, obstruction_tol=1e-9,
                            tol=RESONANCE_TOL):
-    """taylor._solve_family on the whole assembled operator of q.
+    """solve_to_order at the order q.N on the whole assembled operator of q.
 
     One SVD of the head block (degrees <= n_star) when lambda is resonant,
     its rank threshold floored at the resonance tolerance tol, a dense

@@ -31,13 +31,14 @@ from transportkit.applications import (
     heat_coefficients_numeric,
     wkb_expand,
 )
-from transportkit.errors import (NumericError, OrderBudgetError,
-                                 ValidationError)
+from transportkit.errors import (IllConditionedWarning, NumericError,
+                                 OrderBudgetError, ValidationError)
 from transportkit.jets import (MAX_COEFFS, P_dim, Jet, VectorFieldJet,
                                jet_from_json, jet_mul)
 from transportkit.opmatrix import ProblemData
 from transportkit.spectral import enumerate_resonances
-from transportkit.taylor import residual
+from transportkit import applications, taylor
+from transportkit.taylor import MAX_ORDER, residual
 
 from conftest import reference_heat_coefficients, reference_heat_numeric
 
@@ -271,6 +272,13 @@ class TestWKBProblem:
         with pytest.raises(OrderBudgetError):
             WKBProblem(V=harmonic(1.0, 9), level=2, J=3, N=9)
 
+    def test_order_cap(self):
+        # the level-0 solve runs at order N - 2, at most the solver cap
+        WKBProblem(V=harmonic(1.0, MAX_ORDER + 2), level=0, J=1, N=MAX_ORDER + 2)
+        with pytest.raises(OrderBudgetError, match=f"N <= {MAX_ORDER + 2}"):
+            WKBProblem(V=harmonic(1.0, MAX_ORDER + 3), level=0, J=1,
+                       N=MAX_ORDER + 3)
+
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_level_zero_budget_names_the_true_minimum(self, J):
         # the last transport solve is at order N - 2 - 2J, at least 1
@@ -466,6 +474,51 @@ class TestWKBStructure:
             p = ProblemData.scalar(X, A, rhs, res.lambdas[0], a_j.N)
             u = Jet(1, a_j.N, a_j.coeffs.reshape(-1, 1))
             assert residual(p, u).norm() < 1e-10
+
+    def test_levels_share_one_factorization(self, monkeypatch):
+        # every level solves on the factors of the level-0 operator: one
+        # resonance enumeration, one sparse operator, one head SVD and one
+        # LU per degree slice, where the parent made J + 1 of each
+        calls = {"resonance_degree": 0, "_sparse_operator": [], "svd": [],
+                 "lu_factor": []}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                if name == "resonance_degree":
+                    calls[name] += 1
+                else:
+                    calls[name].append(getattr(args[0], "N", None)
+                                       if name == "_sparse_operator"
+                                       else args[0].shape)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(applications, "resonance_degree")
+        counting(taylor, "resonance_degree")
+        counting(taylor, "_sparse_operator")
+        counting(taylor, "lu_factor")
+        counting(np.linalg, "svd")
+        V = Jet.from_terms(1, 40, {(2,): 1.0, (3,): 0.3, (4,): 0.1})
+        res = wkb_expand(WKBProblem(V=V, level=2, J=10, N=40))
+        assert len(res.lambdas) == 11
+        assert calls["resonance_degree"] == 1
+        assert calls["_sparse_operator"] == [38]  # M0 = N - 2
+        assert calls["svd"] == [(3, 3)]  # the head: degrees <= level
+        assert calls["lu_factor"] == [(1, 1)] * (38 - 2)  # degrees 3 .. 38
+
+    def test_ill_conditioned_warning_names_the_caller(self, monkeypatch):
+        # every 1 x 1 slice has condition number 1: a threshold below it
+        # makes each solve warn for each of its slices, degrees 2 .. M_j,
+        # from the frame that called wkb_expand
+        monkeypatch.setattr(taylor, "_COND_WARN", 0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wkb_expand(self.make_problem())
+        ill = [w for w in caught if w.category is IllConditionedWarning]
+        assert len(ill) == 9 + 7 + 5  # M_j = 10, 8, 6
+        assert {w.filename for w in ill} == {__file__}
 
     def test_eigenvalue_helper(self):
         res = wkb_expand(self.make_problem(J=1))

@@ -940,8 +940,9 @@ class TestHeat:
         assert err == "error: Phi_1 is not finite at the point [1e+200, 0.0]\n"
 
     def test_the_ladder_is_built_once_per_call(self, run, monkeypatch):
-        # one ladder for the coefficients and one for the values of all
-        # points; the per-point loop applied L J (2 P + 1) times
+        # one ladder serves the coefficients and the values of all points,
+        # so L is applied J times; the per-point loop applied it J (2 P + 1)
+        # times, and a ladder for each of the two, 2 J
         calls = []
 
         def counted(K, Phi):
@@ -952,7 +953,7 @@ class TestHeat:
         monkeypatch.setattr(applications, "_apply_L", counted)
         points = [[0.1 * k, -0.2] for k in range(5)]
         code, _, _ = run("heat", self.doc(points=points))
-        assert code == 0 and len(calls) <= 3 * 2
+        assert code == 0 and len(calls) == 2  # J = 2
 
     def test_budget_violation_exits_2(self, run):
         code, _, err = run("heat", self.doc(N=3))

@@ -6,7 +6,9 @@ resonant lambda = 2 with an obstructed v, so dual-kernel is non-empty and
 solve-jet exits 4; ``complex.json`` is a resonant problem over the
 complex field, with complex dual covectors.  ``grid.json`` is a
 non-resonant split-mode problem with one point outside its radius.
-``apps.json`` holds the heat, wkb, estimates and sternberg blocks.
+``apps.json`` holds the heat, wkb, estimates and sternberg blocks;
+``deep.json`` a WKB series at depth: level 2, J = 6, N = 20 and
+V = x^2 + 0.3 x^3 + 0.1 x^4, so seven levels solve on one operator.
 
 A change that moves an output on purpose re-records the corpus with
 
@@ -45,6 +47,7 @@ CASES = [
     ("apps", "wkb", (), 0),
     ("apps", "verify-estimates", (), 0),
     ("apps", "sternberg", (), 0),
+    ("deep", "wkb", (), 0),
 ]
 
 

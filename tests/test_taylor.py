@@ -322,6 +322,86 @@ class TestSolverPolicies:
         assert orders == []
 
 
+# -- one factorization, every order -----------------------------------------
+
+def _projection_cases():
+    """(problem, (resonant, solvable) at the problem's order), with ids."""
+    recipes = load_recipes()
+    rng = np.random.default_rng(31)
+    cases = [pytest.param(
+        recipes.fredholm_problem(transportkit, rng, n, m, 6, kind),
+        (kind != "nonresonant", kind != "obstructed"), id=f"{kind}-n{n}-m{m}")
+        for n in (1, 2) for m in (1, 2) for kind in recipes.LADDER_KINDS]
+    p = _random_resonant_problem(np.random.default_rng(4), complex_field=True)
+    return cases + [
+        pytest.param(gradient_example_problem(N=6, lam=0.0), (True, True),
+                     id="degree-0"),
+        pytest.param(p.at_order(6), (True, False), id="complex")]
+
+
+def _assert_identical(got, want):
+    """Every field of two JetSolutions, bit for bit."""
+    assert got.working_order == want.working_order
+    assert got.resonance == want.resonance
+    assert (got.particular is None) == (want.particular is None)
+    if want.particular is not None:
+        assert np.array_equal(got.particular.coeffs, want.particular.coeffs)
+    for a, b in ((got.kernel_extensions, want.kernel_extensions),
+                 (got.duals, want.duals)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.N == y.N and np.array_equal(x.coeffs, y.coeffs)
+    assert np.array_equal(got.obstructions, want.obstructions)
+    assert got.condition_report == want.condition_report
+
+
+@pytest.mark.parametrize("p,kind", _projection_cases())
+def test_lower_order_solve_is_the_projection(p, kind):
+    # L is block lower triangular, so one factorization at order N solves
+    # v.project(M) for every n_star <= M < N exactly as a solve at order M
+    entry, n_star = resonance_degree(p)
+    solve = taylor._factor(p, entry, n_star, spectral.RESONANCE_TOL)
+    full = solve(p.v)
+    _assert_identical(full, solve_to_order(p, p.N))
+    assert (full.resonance is not None, full.solvable) == kind
+    orders = range(max(n_star, 1), p.N)
+    assert len(orders) >= 2
+    for M in orders:
+        _assert_identical(solve(p.v.project(M)), solve_to_order(p, M))
+
+
+def test_kernel_basis_is_uncapped_and_factors_nothing_off_resonance(
+        monkeypatch):
+    factored, lu_factor = [], taylor.lu_factor
+
+    def counting(*args, **kwargs):
+        factored.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(taylor, "lu_factor", counting)
+    assert spectral.kernel_basis(gradient_example_problem(N=6, lam=0.5)) == []
+    assert factored == []
+    # y u' = 2 u above the solver cap: the kernel is y^2, exactly
+    N = MAX_ORDER + 6
+    p = scalar_euler_problem(0.0, Jet.zero(1, N), 2.0, N)
+    with pytest.raises(ValidationError, match="solver cap"):
+        solve_to_order(p, N)
+    (ker,) = spectral.kernel_basis(p)
+    assert ker == Jet.from_terms(1, N, {(2,): 1.0}, shape=(1,))
+    assert len(factored) == N - 2  # one LU per slice above the head
+
+
+def test_ill_conditioned_warning_names_the_caller():
+    p = ProblemData(VectorFieldJet.euler(1, 3),
+                    Jet.constant(1, 3, np.array([[2.0, 1e4], [0.0, 2e-9]])),
+                    Jet.from_terms(1, 3, {(1,): [1.0, 1.0]}, shape=(2,)), 1.0, 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_to_order(p, 3)
+    ill = [w for w in caught if w.category is IllConditionedWarning]
+    assert len(ill) == 1 and ill[0].filename == __file__
+
+
 # -- degree loop against the whole-matrix reference --------------------------
 
 def _assert_matches_reference(p):
