@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+
+
+def _stacklevel() -> int:
+    """warnings.warn's stacklevel, in a function that warns, that names the
+    first frame outside this package."""
+    level = 2
+    while sys._getframe(level).f_globals.get(
+            "__name__", "").partition(".")[0] == __package__:
+        level += 1
+    return level
+
 
 class TransportKitError(Exception):
     """Base class for all package errors."""

@@ -14,15 +14,19 @@ has derivative Finv [-A | v], so with the samplers' values stored as
 _integrand builds that sample once per plan, with lambda absorbed into A
 and in split mode the remainder in place of v.  Every point of a plan call
 shares X, A and v, so the evaluator integrates the points as one state of
-P joint states (method of lines), steps scipy's DOP853 solver directly
-and reads each point's decay at the accepted steps; each point keeps its
-own stop and its own error.  integrate_flow, which returns a dense
-trajectory, goes through solve_ivp.
+P joint states (method of lines) and steps scipy's DOP853 solver
+directly; each point keeps its own stop and its own error.
+integrate_flow, which returns a dense trajectory, goes through solve_ivp.
+
+Every smooth solution satisfies u(y) = I(tau) + Finv(tau) u(y_tau), and
+near the source, where y_tau tends, the jet solver's particular solution
+u_J is accurate long before the integrand has decayed: u_J closes the
+integral there.
 
 When A(p) - lambda has an eigenvalue with nonpositive real part the raw
-integral diverges; the solution splits into a polynomial head (from the
-order-by-order solver) plus a flat remainder whose integral does decay.
-That head, prepared once per problem for all its points, is the jet
+integral diverges; the solution splits into a polynomial head (u_J's
+degrees up to the split order) plus a flat remainder whose integral does
+decay.  u_J, solved once per problem for all its points, is the jet
 solver's particular solution, so its Fredholm screen decides resonance.
 
 Everything here is real arithmetic.  Complex eigenvalue shifts are the
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -46,7 +51,7 @@ from .errors import (
     TransportKitError,
     ValidationError,
 )
-from .jets import Jet, P_dim, _monomial_vector, degree_starts
+from .jets import Jet, P_dim, _monomial_vector, degree_starts, fits
 from .opmatrix import ProblemData
 from .spectral import RESONANCE_TOL, linearization_spectrum
 from .taylor import MAX_ORDER, residual, solve_to_order
@@ -63,9 +68,12 @@ __all__ = [
 ]
 
 _FRAME_OVERFLOW = 1e100
-_CHUNK = 10.0  # horizon extension between tail checks, one solver per chunk
-_MAX_CHUNKS = 10_000  # so max_horizon is at most _MAX_CHUNKS * _CHUNK
-_T_MIN = 2.0  # earliest stop, for a solver that a point's region exit ends
+_MAX_HORIZON = 100_000.0  # bounds the steps of a point that never stops
+_T_MIN = 2.0  # earliest stop: the flow integrates v itself over [0, 2]
+# bound on P_dim(2n, J) m^2, the product table times A's entries, which the
+# closure's jet solve grows with; (n, m, J) = (2, 2, 10) is 4,004, a solve
+# of about 2 ms on a 2-core x86 machine
+_CLOSURE_COST = 4096
 _UNDERFLOW = 1e-250
 # solve_ivp raises a smaller rtol to this floor, with a warning
 _MIN_REL_TOL = 100 * np.finfo(float).eps
@@ -89,10 +97,9 @@ class EvalConfig:
             if not getattr(self, name) > 0:
                 raise ValidationError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.max_horizon > _MAX_CHUNKS * _CHUNK:
-            raise ValidationError(
-                f"max_horizon must be at most {_MAX_CHUNKS * _CHUNK:g} ("
-                f"{_MAX_CHUNKS} chunks of {_CHUNK:g}), got {self.max_horizon!r}")
+        if self.max_horizon > _MAX_HORIZON:
+            raise ValidationError(f"max_horizon must be at most {_MAX_HORIZON:g}, "
+                                  f"got {self.max_horizon!r}")
         if self.rel_tol < _MIN_REL_TOL:
             raise ValidationError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} "
                                   f"(100 machine epsilons), got {self.rel_tol!r}")
@@ -339,12 +346,12 @@ def _frame_overflow(t: float) -> FlowIntegrationError:
 class EvaluationResult:
     """u(y) with convergence diagnostics of the tail integration, built by _plan.
 
-    tail_estimate is g(horizon) / rate, with g the integrand norm at the
-    horizon: the size of the neglected tail if the fitted exponential
-    decay holds beyond it.  It is an estimate, not an error bound; below
-    the integrator's abs_tol it is integrator noise.  The points of one
-    evaluation share their solvers, so nfev, n_steps and n_chunks count
-    the solvers this point rode in, whatever the number of points in them.
+    u = [head(y)] + I(tau) + Finv(tau) (u_J - head)(y_tau) at the stop
+    tau = -horizon, and tail_estimate is |Finv(tau)|_F e_J(y_tau) there:
+    u_J's truncation error carried back to y, an estimate, not a bound.
+    The points of one evaluation share their solvers, so nfev, n_steps and
+    n_chunks count the solvers this point rode in, whatever the number of
+    points in them.
     """
 
     u: np.ndarray
@@ -353,9 +360,9 @@ class EvaluationResult:
     rate: float  # fitted decay rate of the integrand (in t, positive = decaying)
     mode: str  # "direct" or "split"
     split_order: int | None
-    nfev: int  # RHS evaluations, summed over the integration chunks
-    n_steps: int  # accepted integrator steps, summed over the chunks
-    n_chunks: int  # integration chunks, one DOP853 solver each
+    nfev: int  # RHS evaluations, summed over the solvers
+    n_steps: int  # accepted integrator steps, summed over the solvers
+    n_chunks: int  # integration segments, one DOP853 solver each
     n_points: int = 1  # points in the first solver; 1 for evaluate_solution
 
 
@@ -369,25 +376,24 @@ def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
 
 # a failed step shows in the solver's status, not as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
-    """Integrate the rows of ys until each point's integrand decays below tail_tol.
+def _tail_integrate(f: FieldSampler, sample, closure, ys: np.ndarray,
+                    cfg: EvalConfig):
+    """Integrate the rows of ys, shape (P, n), until the jet closes each integral.
 
-    ys has shape (P, n), sample is the integrand (see _integrand), and f
-    gives n, m and the region.  Per point it returns a TransportKitError or
-    its end (FlowState at the stop t = -tau, last integrand norm g, fitted
+    Per point it returns a TransportKitError or its end (FlowState at the
+    stop t = -tau, closure term Finv (u_J - head)(y_tau), closure estimate,
     rate, counts), with Finv the inverse frame of A - lam and I integrating
-    v or the remainder.  The points are one DOP853 state (_reversed_rhs),
-    one solver per chunk, stepped directly.  rel_tol is not scaled by
-    1/sqrt(P) for scipy's RMS error norm: measured against per-point
-    solvers, no accuracy was lost.  Each accepted step end is checked at
-    every point for region exit and frame overflow and is a tail sample of
-    g(t) = |Finv v(y_t)|, the I column of the RHS DOP853 evaluated there
-    (first same as last).  Each point fits its own trailing window of g and
-    stops, at the next solver boundary, when g <= tail_tol and the fitted
-    rate is positive.  A point that fails, at a step or at a start where its
-    derivative is not finite, ends its solver with the error in its row;
-    the others go on in a new solver from that tau.  A failed solver names
-    no point, so its points are integrated again one by one.
+    sample's v or remainder.  The points are one DOP853 state stepped
+    toward max_horizon; rel_tol is not scaled by 1/sqrt(P) for scipy's RMS
+    norm (measured against per-point solvers, no accuracy was lost).  Each
+    accepted step end is checked for region exit and frame overflow, and
+    g = |Finv v(y_t)| is read off the RHS DOP853 evaluated there; rate is
+    the slope of log g over the point's steps.  From tau = _T_MIN on, a
+    point stops where |Finv|_F e_J(y_tau) <= tail_tol (see _closure); at
+    max_horizon all stop, with TailDecayError unless g decayed.  A point
+    that stops or fails (at a step or a start that is not finite) ends its
+    solver; the others go on in a new one from that tau.  A failed solver
+    names no point, so its points are integrated again one by one.
     """
     n, m = f.n, f.m
     rhs = _reversed_rhs(sample, n, m)
@@ -395,65 +401,63 @@ def _tail_integrate(f: FieldSampler, sample, ys: np.ndarray, cfg: EvalConfig):
     z = np.hstack([ys, np.tile(np.eye(m, m + 1).ravel(), (len(ys), 1))])
     out = [None] * len(z)
     live = np.arange(len(z))
-    tau = 0.0
-    window_ts = np.empty(0)
-    window_gs = np.empty((0, len(z)))  # one column per live row
+    tau, taus, gs = 0.0, [], []  # gs: per step, g at every point, NaN if done
     counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0, "n_points": len(ys)}
-
-    def verdict(zk, gs):  # the row's end or error if its window stops it
-        if not len(gs):  # no step: the solver ended on a start that was not finite
-            return None
-        g_last, rate = gs[-1], math.inf
-        if not g_last <= _UNDERFLOW:
-            rate = _fit_rate(window_ts, gs)
-            if tau < cfg.max_horizon and not (
-                    tau >= _T_MIN and g_last <= cfg.tail_tol and rate > 0):
-                return None
-            if rate <= 0:
-                return TailDecayError(
-                    "integrand shows no decay within the horizon "
-                    f"(fitted rate {rate:.3e} at t = {-tau:.1f})")
-        return _flow_state(-tau, zk.copy(), n, m), g_last, rate, dict(counts)
-
     while live.size:
-        solver = DOP853(rhs, tau, z.ravel(), min(tau + _CHUNK, cfg.max_horizon),
+        solver = DOP853(rhs, tau, z.ravel(), cfg.max_horizon,
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
-        taus, gs, failed = [], [], {}  # failed: position in live -> error
+        counts["n_chunks"] += 1
+        failed, stops = {}, []  # failed: position in live -> error
         if not np.isfinite(solver.f).all():  # a NaN first step would never end
             for k in np.flatnonzero(~np.isfinite(solver.f.reshape(live.size, -1)).all(1)):
                 failed[k] = FlowIntegrationError(
                     "integrator failed: the integrand is not finite")
-        while solver.status == "running" and not failed:
+        while solver.status == "running" and not (failed or len(stops)):
             message = solver.step()
             if solver.status == "failed":
                 if live.size > 1:
                     for j in live:
-                        out[j] = _tail_integrate(f, sample, ys[j:j + 1], cfg)[0]
+                        out[j] = _tail_integrate(f, sample, closure, ys[j:j + 1], cfg)[0]
                     return out
                 failed[0] = FlowIntegrationError(f"integrator failed: {message}")
                 break
             tau, z = solver.t, solver.y.reshape(live.size, -1)
+            counts["n_steps"] += 1
             exits = np.linalg.norm(z[:, :n] - f.source, axis=1) > f.radius
             frames = np.linalg.norm(z[:, n:].reshape(-1, m, m + 1)[:, :, :m],
                                     axis=(1, 2))
             for k in np.flatnonzero(exits | (frames > _FRAME_OVERFLOW)):
                 failed[k] = (_region_exit(f, -tau, z[k, :n]) if exits[k]
                              else _frame_overflow(-tau))
-            taus.append(tau)
             dI = solver.f.reshape(live.size, -1)[:, n + m::m + 1]
+            taus.append(tau)
+            gs.append(np.full(len(ys), np.nan))
             # |dI| per row, with the bits of np.linalg.norm of each row
-            gs.append(np.sqrt((dI[:, None] @ dI[:, :, None]).ravel()))
+            gs[-1][live] = np.sqrt((dI[:, None] @ dI[:, :, None]).ravel())
+            if tau >= _T_MIN or solver.status == "finished":
+                terms, estimates = closure(z[:, :n] - f.source)
+                estimates *= frames
+                closed = (estimates <= cfg.tail_tol) & (tau >= _T_MIN)
+                stops = np.flatnonzero(closed)
         counts["nfev"] += solver.nfev
-        counts["n_steps"] += len(taus)
-        counts["n_chunks"] += 1
-        window_ts = np.concatenate([window_ts, -np.array(taus)])
-        window_gs = np.concatenate([window_gs, np.reshape(gs, (-1, live.size))])
-        keep = window_ts <= -tau + 2.5 * _CHUNK
-        window_ts, window_gs = window_ts[keep], window_gs[keep]
-        for k, j in enumerate(live):
-            out[j] = failed[k] if k in failed else verdict(z[k], window_gs[:, k])
+        if solver.status == "finished":
+            stops = np.arange(live.size)
+        ts, samples = -np.array(taus), np.array(gs)
+        for k in stops:
+            g = samples[:, live[k]]
+            rate = _fit_rate(ts, g)
+            if not closed[k] and rate <= 0 and not g[-1] <= _UNDERFLOW:
+                out[live[k]] = TailDecayError(
+                    "integrand shows no decay within the horizon "
+                    f"(fitted rate {rate:.3e} at t = {-tau:.1f})")
+                continue
+            state = _flow_state(-tau, z[k].copy(), n, m)
+            out[live[k]] = (state, state.Finv @ terms[k], estimates[k], rate,
+                            dict(counts))
+        for k, error in failed.items():
+            out[live[k]] = error
         going = np.array([out[j] is None for j in live], dtype=bool)
-        live, z, window_gs = live[going], z[going], window_gs[:, going]
+        live, z = live[going], z[going]
     return out
 
 
@@ -482,8 +486,9 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
     The evaluator takes a list of points and returns one EvaluationResult
     or one TransportKitError per point, in order.  The points that pass
     _point's checks are integrated together (see _tail_integrate); each
-    end becomes the row u = I, or head(y) + I in split mode.  An error of
-    the per-problem work is each such point's row, as in evaluate_solution.
+    end becomes the row u = I + closure term, plus head(y) in split mode.
+    An error of the per-problem work is each such point's row, as in
+    evaluate_solution.
     """
     if p is None:
         p = f.consistent_jets
@@ -495,7 +500,7 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
                               "problems are only supported by the jet solver")
     error = None
     try:
-        sample, head, N = _prepare(f, p)
+        sample, closure, head, N = _prepare(f, p)
     except TransportKitError as exc:
         error = exc
 
@@ -511,17 +516,24 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
         if error is not None or not todo:
             return rows
         ys = np.array([y for _, y in todo])
-        with np.errstate(over="ignore", invalid="ignore"):  # u is checked per row
-            heads = [None] * len(ys) if head is None else head.evaluate(ys)
-        for (k, _), h, end in zip(todo, heads, _tail_integrate(f, sample, ys, cfg)):
+        heads = np.zeros((len(ys), f.m))
+        if head is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                heads = head.evaluate(ys - f.source)
+        ok = np.isfinite(heads).all(axis=1)  # an overflowing head ends its row here
+        for k, _ in compress(todo, ~ok):
+            rows[k] = FlowIntegrationError(
+                "u is not finite: the split head overflows at this point")
+        ends = _tail_integrate(f, sample, closure, ys[ok], cfg)
+        for (k, _), h, end in zip(compress(todo, ok), heads[ok], ends):
             if not isinstance(end, TransportKitError):
-                state, g, rate, counts = end
-                u = state.I if h is None else h + state.I
-                end = EvaluationResult(u, g / rate, state.t, rate,
-                                       "direct" if h is None else "split", N, **counts)
-                if not np.isfinite(u).all():  # I is finite, so the head overflowed
+                state, closing, estimate, rate, counts = end
+                u = h + state.I + closing
+                end = EvaluationResult(u, estimate, state.t, rate, "direct"
+                                       if head is None else "split", N, **counts)
+                if not np.isfinite(u).all():  # I is finite, so the closure overflowed
                     end = FlowIntegrationError(
-                        "u is not finite: the split head overflows at this point")
+                        "u is not finite: the jet closure overflows at this point")
             rows[k] = end
         return rows
 
@@ -529,9 +541,12 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
 
 
 def _prepare(f: FieldSampler, p: ProblemData):
-    """(integrand from _integrand, polynomial head or None, split order or None).
+    """(sample from _integrand, closure from _closure, head, split order N).
 
-    The split order is the smallest N >= 1 with mu_star + N nu > nu / 20.
+    head and N are None in direct mode; otherwise N is the smallest N >= 1
+    with mu_star + N nu > nu / 20.  One jet solve gives u_J at the order J
+    of _closure_order; the head, u_J's degrees up to N, is
+    solve_to_order(p, N)'s particular solution bit for bit.
     """
     nu = float(np.min(linearization_spectrum(p.X).real))
     if nu <= 0:
@@ -539,22 +554,58 @@ def _prepare(f: FieldSampler, p: ProblemData):
                               f"min Re mu = {nu:g} for the linearization of X")
     A_p = np.asarray(f.A_eval(f.source[None]), dtype=float)[0] - p.lam * np.eye(f.m)
     mu_star = float(np.min(np.linalg.eigvals(A_p).real))
-    if mu_star > RESONANCE_TOL:  # a resonant lambda has mu_star <= RESONANCE_TOL
-        return _integrand(f, p), None, None
+    N = None
+    if mu_star <= RESONANCE_TOL:  # a resonant lambda has mu_star <= RESONANCE_TOL
+        # kept finite past MAX_ORDER, which solve_to_order refuses
+        N = max(1, math.floor(min((0.05 * nu - mu_star) / nu, MAX_ORDER)) + 1)
+        if f._joint is None and p.N < N:
+            raise ValidationError(
+                f"jet data of order {p.N} cannot support a split at order {N}; "
+                "supply deeper jets or polynomial samplers")
 
-    # kept finite past MAX_ORDER, which solve_to_order refuses
-    N = max(1, math.floor(min((0.05 * nu - mu_star) / nu, MAX_ORDER)) + 1)
-    if f._joint is None and p.N < N:
-        raise ValidationError(
-            f"jet data of order {p.N} cannot support a split at order {N}; "
-            "supply deeper jets or polynomial samplers")
-
-    sol = solve_to_order(p, N)
+    sol = solve_to_order(p, _closure_order(p, N))
     if not sol.solvable:
         raise ResonantProblemError(
             f"lambda = {p.lam:g} is resonant and v is obstructed: dual kernel "
             f"pairings {', '.join(f'{o:.6g}' for o in sol.obstructions)}")
-    return _integrand(f, p, sol.particular, N), sol.particular, N
+    u = sol.particular
+    if N is None:
+        return _integrand(f, p), _closure(u, 0), None, None
+    head = u.project(N)
+    return _integrand(f, p, head, N), _closure(u, N + 1), head, N
+
+
+def _closure_order(p: ProblemData, N: int | None) -> int:
+    """The order J of the closure jet u_J, for split order N (None: direct mode).
+
+    The largest J <= min(p.N, MAX_ORDER) whose solve stays within
+    _CLOSURE_COST; a lower J only stops each point later.  In split mode J
+    is at least N + 1, so that Finv(tau) |y_tau|^(J-1) decays, or N where
+    N + 1 is past MAX_ORDER or the product table (the order the head needs).
+    """
+    J = 0 if N is None else N + 1
+    while (J < min(p.N, MAX_ORDER)
+           and P_dim(2 * p.n, J + 1) * p.m ** 2 <= _CLOSURE_COST):
+        J += 1
+    return J if J <= MAX_ORDER and fits(2 * p.n, J) else N
+
+
+def _closure(u: Jet, first: int):
+    """ys -> (u's degrees >= first, e_J) at each row, a position from the source.
+
+    e_J(y) = |delta_{J-1}(y)| + |delta_J(y)| for u of order J: two degree
+    blocks, so that one that is zero by parity cannot fake a zero estimate.
+    """
+    J, c = u.N, u.coeffs
+    starts = degree_starts(u.n, J)
+    blocks = [(starts[k], starts[k + 1]) for k in (J - 1, J) if k >= 0]
+
+    def closure(ys):
+        mono = _monomial_vector(ys, J)
+        e = sum(np.linalg.norm(mono[:, a:b] @ c[a:b], axis=1) for a, b in blocks)
+        return mono[:, starts[first]:] @ c[starts[first]:], e
+
+    return closure
 
 
 def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:
@@ -607,8 +658,9 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
         A = -s[:, a_cols] - shift
         s[:, a_cols] = -A
         if u_head is not None:
-            du = sum(-s[:, [i]] * g.evaluate(ys) for i, g in enumerate(grads))
-            s[:, v_cols] -= du + np.einsum("kij,kj->ki", A, u_head.evaluate(ys))
+            local = ys - f.source  # the jets' coordinates
+            du = sum(-s[:, [i]] * g.evaluate(local) for i, g in enumerate(grads))
+            s[:, v_cols] -= du + np.einsum("kij,kj->ki", A, u_head.evaluate(local))
         return s
 
     return sample

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearResonanceWarning, RankAmbiguityWarning, ValidationError
+from .errors import (NearResonanceWarning, RankAmbiguityWarning, ValidationError,
+                     _stacklevel)
 from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions,
                    _encode_value, fits)
 from .opmatrix import ProblemData, _sparse_operator
@@ -172,7 +173,7 @@ def enumerate_resonances(mu, rho, lam, tol: float = RESONANCE_TOL):
     for alpha, j, gap in near:
         warnings.warn(
             f"near resonance: alpha={alpha}, rho index {j} misses lambda "
-            f"by {gap:.3e}", NearResonanceWarning, stacklevel=2)
+            f"by {gap:.3e}", NearResonanceWarning, stacklevel=_stacklevel())
     if not reps:
         return None
     return ResonanceEntry(lam=lam, representations=tuple(reps),
@@ -247,7 +248,8 @@ def _svd_rank(mat: np.ndarray, floor: float = 0.0):
     if nullity > 0 and gap < 1e3:
         warnings.warn(
             f"rank decision ambiguous: singular-value gap {gap:.2e} around "
-            f"threshold {threshold:.3e}", RankAmbiguityWarning, stacklevel=3)
+            f"threshold {threshold:.3e}", RankAmbiguityWarning,
+            stacklevel=_stacklevel())
     return U, s, Vh, RankReport(singular_values=s, threshold=float(threshold),
                                 rank=rank, nullity=nullity, gap=gap)
 

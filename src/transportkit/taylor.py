@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import IllConditionedWarning, ValidationError
+from .errors import IllConditionedWarning, ValidationError, _stacklevel
 from .jets import Jet, degree_starts
 from .opmatrix import (ProblemData, _common_field, _sparse_operator,
                        apply_operator, jet_to_vec, vec_to_jet)
@@ -139,7 +139,7 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
             condition_report[label.replace(" ", "_")] = float(cond)
             if cond > _COND_WARN:
                 warnings.warn(f"{label} solve condition number {cond:.2e}",
-                              IllConditionedWarning, stacklevel=3)
+                              IllConditionedWarning, stacklevel=_stacklevel())
             # degree k of U is still zero, so the block and lambda drop out here
             U[r0:r1] = lu_solve(lu, target[r0:r1] - rows @ U)
 

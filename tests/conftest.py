@@ -6,7 +6,8 @@ The kernel references below instead decide rank on the whole assembled
 matrix, the path that the head-block SVD of spectral replaced, and the
 flow references sample X, A and v through one Jet.evaluate call each,
 the path that the fused polynomial sampler of flow replaced, and
-reference_tail_integrate is the RK45 tail integration that DOP853 replaced,
+reference_tail_integrate is the RK45 tail integration that DOP853 and the
+jet closure replaced,
 and reference_integrand the flow integrand at the full degree of its data,
 zero rows included, the path that the cut at the true degree replaced.
 reference_apply_operator is D_X + A by jet arithmetic (jet_mul and
@@ -22,6 +23,9 @@ of taylor replaced.  reference_mul_table is the double loop over monomial
 pairs that the graded index arithmetic of jets._mul_table replaced.
 reference_compute_M evaluates exp(tS) one time at a time with scipy's
 expm, the path that the batched eigendecomposition of estimates replaced.
+riccati_reference is the flow integral of a Riccati field, whose backward
+flow is explicit, by mpmath quadrature at 30 digits: an oracle for the
+flow evaluator on polynomial data that solves no ODE and no jet.
 reference_tangent is the derivative of the solution with respect to the
 data, one more jet solve built from public calls, which the tests compare
 with central differences of the flow evaluator and of the jet solver.
@@ -60,7 +64,6 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from transportkit import flow
 from transportkit.applications import _apply_L, heat_coefficients_jet
 from transportkit.errors import TailDecayError
 from transportkit.estimates import ell
@@ -462,21 +465,29 @@ def _rk45_segment(rhs, z0, tau0, tau1, rel_tol, abs_tol):
     return res
 
 
-def reference_tail_integrate(f, sample, ys, cfg):
+# the unclosed path's chunk length and earliest stop
+_REFERENCE_CHUNK = 10.0
+_REFERENCE_T_MIN = 2.0
+
+
+def reference_tail_integrate(f, sample, closure, ys, cfg):
     """Direct-mode evaluation by RK45, one point at a time, checking the
-    tail one sample at a time.
+    tail one sample at a time, with no jet closure.
 
     The flow evaluator's tail integration before it moved to DOP853, the
-    (y, rows of [Finv | I]) layout and shared solvers: chunks of
-    flow._CHUNK, 16 samples of g(t) = |Finv v(y_t)| per chunk, each from
-    its own dense-output and sample call, and the same stopping rule.
-    sample is the integrand, rows y -> [-X | rows of (-A | v)], of
-    flow._tail_integrate, whose layout TestFusedSampler checks against
-    reference_reversed_rhs; ys has one point per row, and the result is
-    one end (FlowState, g, rate, counts) per point, as flow._tail_integrate
-    returns it, with n_points 1.  There are no region-exit or overflow
-    events; the corpora it is run on stay inside both.  Monkeypatch it
-    over flow._tail_integrate to evaluate through the RK45 path.
+    (y, rows of [Finv | I]) layout, shared solvers and the jet closure:
+    chunks of 10, 16 samples of g(t) = |Finv v(y_t)| per chunk, each from
+    its own dense-output and sample call, and the old stopping rule, g <=
+    tail_tol with a positive rate fitted over a trailing window at a chunk
+    end no earlier than t = -2.  sample is the integrand, rows y -> [-X |
+    rows of (-A | v)], of flow._tail_integrate, whose layout
+    TestFusedSampler checks against reference_reversed_rhs; closure is
+    ignored; ys has one point per row, and the result is one end
+    (FlowState, closure term 0, g / rate, rate, counts) per point, as
+    flow._tail_integrate returns it, with n_points 1.  There are no
+    region-exit or overflow events; the corpora it is run on stay inside
+    both.  Monkeypatch it over flow._tail_integrate to evaluate through the
+    unclosed RK45 path.
     """
     return [_reference_tail_point(f, sample, y, cfg) for y in ys]
 
@@ -503,10 +514,10 @@ def _reference_tail_point(f, sample, y, cfg):
 
     def result(g, rate):
         state = FlowState(t=-tau, y_t=z[:n], Finv=z[n:k].reshape(m, m), I=z[k:])
-        return state, g, rate, counts
+        return state, np.zeros(m), g / rate, rate, counts
 
     while True:
-        tau1 = min(tau + flow._CHUNK, cfg.max_horizon)
+        tau1 = min(tau + _REFERENCE_CHUNK, cfg.max_horizon)
         res = _rk45_segment(rhs, z, tau, tau1, cfg.rel_tol, cfg.abs_tol)
         counts["nfev"] += int(res.nfev)
         counts["n_steps"] += len(res.t) - 1
@@ -519,7 +530,7 @@ def _reference_tail_point(f, sample, y, cfg):
         z = res.y[:, -1]
         tau = tau1
         keep = [i for i, t in enumerate(window_ts)
-                if t <= -tau + 2.5 * flow._CHUNK]
+                if t <= -tau + 2.5 * _REFERENCE_CHUNK]
         window_ts = [window_ts[i] for i in keep]
         window_gs = [window_gs[i] for i in keep]
 
@@ -528,12 +539,42 @@ def _reference_tail_point(f, sample, y, cfg):
             return result(g_last, math.inf)
         logs = np.log(np.maximum(window_gs, 1e-290))
         rate = float(np.polyfit(window_ts, logs, 1)[0])
-        if tau >= flow._T_MIN and g_last <= cfg.tail_tol and rate > 0:
+        if tau >= _REFERENCE_T_MIN and g_last <= cfg.tail_tol and rate > 0:
             return result(g_last, rate)
         if tau >= cfg.max_horizon:
             if rate <= 0:
                 raise TailDecayError(f"no decay (fitted rate {rate:.3e})")
             return result(g_last, rate)
+
+
+def riccati_reference(mu, a, lam, v_terms, y, dps=30):
+    """u(y) for X_i = mu_i y_i + y_i^2, constant A = diag(a) and polynomial v,
+    by mpmath.quad at dps digits.
+
+    The backward flow of this field is explicit coordinate by coordinate,
+    Phi_{-s}(y)_i = y_i e^{-mu_i s} mu_i / (mu_i + y_i - y_i e^{-mu_i s}),
+    and the inverse frame of the constant diagonal A - lam is
+    e^{-(a_j - lam) s}, so u(y)_j is the quadrature of
+    e^{-(a_j - lam) s} v_j(Phi_{-s}(y)) over s in [0, inf).  v_terms maps
+    multi-indices to coefficient vectors of length m = len(a).  The formula
+    needs mu_i + y_i > 0 (the trajectory falls into the source) and
+    a_j > lam (direct mode).  It shares no code with the package.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mu = [mpmath.mpf(float(c)) for c in mu]
+        y = [mpmath.mpf(float(c)) for c in y]
+
+        def v_at(s, j):
+            x = [yi * mi * mpmath.exp(-mi * s) / (mi + yi - yi * mpmath.exp(-mi * s))
+                 for yi, mi in zip(y, mu)]
+            return sum(float(c[j]) * mpmath.fprod(xi ** k for xi, k in zip(x, alpha))
+                       for alpha, c in v_terms.items())
+
+        return np.array([float(mpmath.quad(
+            lambda s: mpmath.exp(-(mpmath.mpf(float(aj)) - lam) * s) * v_at(s, j),
+            [0, 1, 10, mpmath.inf])) for j, aj in enumerate(a)])
 
 
 def _reference_golden_max(fn, a: float, b: float, iters: int = 80) -> float:

@@ -695,17 +695,18 @@ class TestSolveGrid:
                 calls[_name] += 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(module, name, counting)
-        # a direct-mode document enumerates no resonances
+        # each document, direct or split, makes one jet solve for the
+        # closure, which enumerates the resonances once
         doc = radial_doc(1.0, [scalar_term((2,), [1.0])], grid=self.grid())
         code, out, _ = run("solve-grid", doc, "--output", "json")
         rows = result_of(out)["points"]
         assert code == 0 and [r["mode"] for r in rows] == ["direct"] * 3
-        assert calls == {"solve_to_order": 0, "resonance_degree": 0}
+        assert calls == {"solve_to_order": 1, "resonance_degree": 1}
         doc = radial_doc(-0.5, [scalar_term((2,), [1.0])], grid=self.grid())
         code, out, _ = run("solve-grid", doc, "--output", "json")
         rows = result_of(out)["points"]
         assert code == 0 and [r["mode"] for r in rows] == ["split"] * 3
-        assert calls == {"solve_to_order": 1, "resonance_degree": 1}
+        assert calls == {"solve_to_order": 2, "resonance_degree": 2}
         # each row is bit for bit one plan evaluated on the document's
         # points; the points share solvers, so against evaluate_solution at
         # each point mode and split_order are equal and u agrees to
@@ -1192,6 +1193,18 @@ class TestResourceCeilings:
         assert code == 0
         (row,) = result_of(out)["points"]
         assert (row["u"], row["error"]) == (None, self.TABLE)
+
+    def test_solve_grid_direct_mode_past_the_product_table(self, run):
+        # the jet that closes the flow integral is solved at order 8, not
+        # at the document's 27; u = y1^2 / 3
+        doc = self.euler3_doc(27)
+        doc["grid"] = {"points": [[0.1, 0.0, 0.0], [0.2, -0.1, 0.3]]}
+        code, out, _ = run("solve-grid", doc, "--output", "json")
+        assert code == 0
+        rows = result_of(out)["points"]
+        assert [(r["error"], r["mode"]) for r in rows] == [(None, "direct")] * 2
+        assert [r["u"] for r in rows] == [pytest.approx([0.01 / 3], abs=1e-12),
+                                          pytest.approx([0.04 / 3], abs=1e-12)]
 
     def test_heat_monomial_table(self, run):
         # K is a constant, but the heat expansion to order 1 would build

@@ -17,7 +17,8 @@ import pytest
 
 import transportkit
 from transportkit import opmatrix, spectral, taylor
-from transportkit.errors import IllConditionedWarning, ValidationError
+from transportkit.errors import (IllConditionedWarning, NearResonanceWarning,
+                                 ValidationError)
 from transportkit.jets import Jet, VectorFieldJet
 from transportkit.opmatrix import ProblemData, apply_operator, jet_to_vec
 from transportkit.spectral import resonance_degree
@@ -400,6 +401,18 @@ def test_ill_conditioned_warning_names_the_caller():
         solve_to_order(p, 3)
     ill = [w for w in caught if w.category is IllConditionedWarning]
     assert len(ill) == 1 and ill[0].filename == __file__
+
+
+def test_near_resonance_warning_names_the_caller():
+    # the gradient example at lambda = 2 + 5e-7: two combinations miss
+    # lambda by 5e-7, and each warning names this file, not the spectral
+    # enumeration that solve_to_order reaches through resonance_degree
+    p = gradient_example_problem(N=4, lam=2 + 5e-7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_to_order(p, 4)
+    near = [w for w in caught if w.category is NearResonanceWarning]
+    assert len(near) == 2 and {w.filename for w in near} == {__file__}
 
 
 # -- degree loop against the whole-matrix reference --------------------------
