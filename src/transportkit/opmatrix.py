@@ -8,11 +8,13 @@ diagonal block is the action of D_0 + A(0) on homogeneous polynomials of
 degree k, where D_0 is the linearization of X.
 
 One builder, _sparse_operator, scatters the index tables of the jet
-product and derivative (jets._mul_table, jets._diff_table) into a sparse
-matrix, so integer inputs yield integer matrix entries.  The basis is
-graded, so the rows and columns of degree <= k are exactly the operator
-at order k: the jet solver cuts its degree slices and the resonant head
-block from the one matrix it factors per operator.  assemble is its dense
+product and derivative (jets._mul_table, jets._diff_table) into a
+canonical CSR matrix, so integer inputs yield integer matrix entries.
+The basis is graded, so the rows and columns of degree <= k are exactly
+the operator at order k, and the rows of one degree are one contiguous
+range of the CSR arrays: _row_block reads the jet solver's degree slices
+and resonant head block from that range of the one matrix it factors per
+operator, with no scipy.sparse slicing.  assemble is its dense
 form, the public reference, and apply_operator its product with one
 jet, so the package has one implementation of the operator; the
 independent check on it, by jet arithmetic, is a test oracle.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import ShapeMismatchError, ValidationError
+from .errors import NumericError, ShapeMismatchError, ValidationError
 from .jets import (
     Jet,
     P_dim,
@@ -170,6 +172,8 @@ def apply_operator(p: ProblemData, u: Jet) -> Jet:
     return vec_to_jet(_sparse_operator(q) @ jet_to_vec(uu), q.n, order, q.m)
 
 
+# an entry that overflows stays in the matrix, for _row_block to refuse
+@np.errstate(over="ignore", invalid="ignore")
 def _sparse_operator(p: ProblemData) -> csr_array:
     """(D_X + A) on P_N tensor V as a CSR matrix in the basis order (lambda not included).
 
@@ -202,7 +206,28 @@ def _sparse_operator(p: ProblemData) -> csr_array:
     keys, slot = np.unique(rows[keep] * dim + cols[keep], return_inverse=True)
     entries = np.zeros(keys.size, dtype=vals.dtype)
     np.add.at(entries, slot, vals[keep])
-    return csr_array((entries, np.divmod(keys, dim)), shape=(dim, dim))
+    row, col = np.divmod(keys, dim)  # sorted and unique: canonical CSR
+    return csr_array((entries, col, np.searchsorted(row, np.arange(dim + 1))),
+                     shape=(dim, dim))
+
+
+def _row_block(L: csr_array, r0: int, r1: int, name: str):
+    """Rows r0:r1 of L, from one degree offset to another, read from its CSR arrays.
+
+    Returns the dense diagonal block L[r0:r1, r0:r1], right of which the
+    rows have no entry (the operator never lowers degree), and the
+    entries left of it as (row - r0, column, value) in CSR order.
+    NumericError, naming the rows by name, when an entry is not finite.
+    """
+    lo, hi = L.indptr[r0], L.indptr[r1]
+    cols, vals = L.indices[lo:hi], L.data[lo:hi]
+    if not np.isfinite(vals).all():
+        raise NumericError(f"{name} of the operator is not finite")
+    rows = np.repeat(np.arange(r1 - r0), np.diff(L.indptr[r0:r1 + 1]))
+    block = np.zeros((r1 - r0, r1 - r0), dtype=L.dtype)
+    diag = cols >= r0
+    block[rows[diag], cols[diag] - r0] = vals[diag]  # the keys are unique
+    return block, (rows[~diag], cols[~diag], vals[~diag])
 
 
 def assemble(p: ProblemData) -> OperatorMatrix:

@@ -37,7 +37,7 @@ from .errors import (NearResonanceWarning, RankAmbiguityWarning, ValidationError
                      _stacklevel)
 from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions,
                    _encode_value, fits)
-from .opmatrix import ProblemData, _sparse_operator
+from .opmatrix import ProblemData, _row_block, _sparse_operator
 
 __all__ = [
     "RESONANCE_TOL",
@@ -351,18 +351,20 @@ def _head_split(p: ProblemData, L, order: int, tol: float):
     """One SVD of the head block (degrees <= order) of D_X + A - lambda.
 
     L is the sparse operator of p at any working order >= max(order, 1);
-    the basis is graded, so its leading rows and columns of degree <=
-    order are the head block.  Returns (kernel, duals, solve): the right
-    null basis as columns, the left null basis in the bilinear pairing (no
-    conjugation) as a tuple of DualDistributions of the given order, and
-    the minimum-norm solve of head x = b on the kept singular values, all
-    by one rank decision.  tol is the resonance screen's tolerance and floors
-    the rank threshold: the screen found an eigenvalue of the block within
-    tol of 0, and sigma_min <= |eigenvalue|, so the block keeps a kernel
-    even when it is all rounding residue and its own sigma_max is tiny.
+    the basis is graded, so its leading rows of degree <= order are the
+    head block (NumericError when not finite).  Returns (kernel, duals,
+    solve): the right null basis as columns, the left null basis in the
+    bilinear pairing (no conjugation) as a tuple of DualDistributions of
+    the given order, and the minimum-norm solve of head x = b on the kept
+    singular values, all by one rank decision.  tol is the resonance
+    screen's tolerance and floors the rank threshold: the screen found an
+    eigenvalue of the block within tol of 0, and sigma_min <= |eigenvalue|,
+    so the block keeps a kernel even when it is all rounding residue and
+    its own sigma_max is tiny.
     """
     h = P_dim(p.n, order) * p.m
-    U, s, Vh, report = _svd_rank(L[:h, :h].toarray() - p.lam * np.eye(h), tol)
+    block = _row_block(L, 0, h, f"the head block (degrees <= {order})")[0]
+    U, s, Vh, report = _svd_rank(block - p.lam * np.eye(h), tol)
     r = report.rank
     left = _canonicalize_columns(U[:, r:].conj())
     tiny = 10 * h * np.finfo(float).eps * np.abs(left).max(axis=0, initial=0.0)

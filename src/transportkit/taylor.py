@@ -19,8 +19,10 @@ solve at a lower order is their projection, stopped at that degree:
    factored once, and one LU solve gives the degree-k coefficients of the
    particular solution and of every kernel extension (v = 0) together:
    with the unknowns as the columns of U, the right-hand side is the
-   sparse product target[k] - L[k, <k] U[<k].  The solutions on P_N
-   tensor V form the family particular + span(kernel_extensions).
+   sparse product target[k] - L[k, <k] U[<k], read from L's CSR arrays
+   and added in scipy.sparse's order, so bit for bit its value.  The
+   solutions on P_N tensor V form the family particular +
+   span(kernel_extensions).
 
 residual checks a candidate with the same matrix, through apply_operator.
 
@@ -37,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import IllConditionedWarning, ValidationError, _stacklevel
+from .errors import (IllConditionedWarning, NumericError, ValidationError,
+                     _stacklevel)
 from .jets import Jet, degree_starts
-from .opmatrix import (ProblemData, _common_field, _sparse_operator,
-                       apply_operator, jet_to_vec, vec_to_jet)
+from .opmatrix import (ProblemData, _common_field, _row_block,
+                       _sparse_operator, apply_operator, jet_to_vec, vec_to_jet)
 from .spectral import (OBSTRUCTION_TOL, RESONANCE_TOL, _head_split, _screen,
                        resonance_degree)
 
@@ -101,6 +104,8 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
 
     Returns solve(v, obstruction_tol=OBSTRUCTION_TOL), bit for bit
     solve_to_order's JetSolution for v at any order v.N in [n_star, q.N].
+    A slice or right-hand side that is not finite raises NumericError
+    naming its degree, and so does a solution that overflows.
     """
     offsets = degree_starts(q.n, q.N) * q.m
     L = _sparse_operator(q)
@@ -108,9 +113,10 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
     first, slices = n_star + 1 if entry is not None else 0, []
     for k in range(first, q.N + 1):
         r0, r1 = int(offsets[k]), int(offsets[k + 1])
-        rows = L[r0:r1]
-        block = rows[:, r0:r1].toarray() - q.lam * np.eye(r1 - r0)
-        slices.append((k, r0, r1, rows, np.linalg.cond(block), lu_factor(block)))
+        block, left = _row_block(L, r0, r1, f"the degree-{k} slice")
+        block = block - q.lam * np.eye(r1 - r0)
+        slices.append((k, r0, r1, left, np.linalg.cond(block),
+                       lu_factor(block, check_finite=False)))
 
     def solve(v: Jet, obstruction_tol: float = OBSTRUCTION_TOL) -> JetSolution:
         duals = obstructions = ()
@@ -125,31 +131,53 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
 
         # one column per unknown jet: the particular solution first when
         # the screen passed, then the extension of each head kernel vector
-        # (v = 0); U has L's height, as cutting rows to width is slow
-        width = int(offsets[v.N + 1])
-        U = np.zeros((L.shape[0], heads.shape[1]), dtype=L.dtype)
+        # (v = 0)
+        U = np.zeros((int(offsets[v.N + 1]), heads.shape[1]), dtype=L.dtype)
         U[:heads.shape[0]] = heads
         target = np.zeros_like(U)
         if solvable:
-            target[:width, 0] = jet_to_vec(v)
+            target[:, 0] = jet_to_vec(v)
 
         condition_report = {}
-        for k, r0, r1, rows, cond, lu in slices[:v.N + 1 - first]:
-            label = f"slice {k}" if k else "head"
-            condition_report[label.replace(" ", "_")] = float(cond)
-            if cond > _COND_WARN:
-                warnings.warn(f"{label} solve condition number {cond:.2e}",
-                              IllConditionedWarning, stacklevel=_stacklevel())
-            # degree k of U is still zero, so the block and lambda drop out here
-            U[r0:r1] = lu_solve(lu, target[r0:r1] - rows @ U)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for k, r0, r1, left, cond, lu in slices[:v.N + 1 - first]:
+                label = f"slice {k}" if k else "head"
+                condition_report[label.replace(" ", "_")] = float(cond)
+                if cond > _COND_WARN:
+                    warnings.warn(f"{label} solve condition number {cond:.2e}",
+                                  IllConditionedWarning, stacklevel=_stacklevel())
+                # degree k of U is still zero, so the block and lambda drop out
+                rhs = target[r0:r1] - _left_product(left, U, r1 - r0)
+                if not np.isfinite(rhs).all():
+                    raise NumericError(f"the degree-{k} right-hand side is not finite")
+                U[r0:r1] = lu_solve(lu, rhs, check_finite=False)
+        if not np.isfinite(U).all():  # the head or the last degree overflows
+            raise NumericError(f"the order-{v.N} solution is not finite")
 
-        jets = [vec_to_jet(col[:width], q.n, v.N, q.m) for col in U.T]
+        jets = [vec_to_jet(col, q.n, v.N, q.m) for col in U.T]
         return JetSolution(particular=jets.pop(0) if solvable else None,
                            kernel_extensions=tuple(jets), resonance=entry,
                            duals=duals, obstructions=obstructions,
                            condition_report=condition_report, working_order=v.N)
 
     return solve
+
+
+def _left_product(left, U: np.ndarray, h: int) -> np.ndarray:
+    """The product of a slice's left entries (row, column, value) with U.
+
+    Each row's terms are added in column order from zero, real and
+    imaginary parts apart, as scipy.sparse adds them: bit for bit its
+    product of the slice's rows of L with U.
+    """
+    rows, cols, vals = left
+    c = U.shape[1]
+    slots = (rows[:, None] * c + np.arange(c)).ravel()
+    x, a, b = U[cols], vals.real[:, None], vals.imag[:, None]
+    parts = ([a * x.real - b * x.imag, a * x.imag + b * x.real]
+             if np.iscomplexobj(U) else [a * x])
+    sums = [np.bincount(slots, part.ravel(), minlength=h * c) for part in parts]
+    return np.stack(sums, axis=-1).view(U.dtype).reshape(h, c)
 
 
 def residual(p: ProblemData, u: Jet) -> Jet:

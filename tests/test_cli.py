@@ -557,6 +557,68 @@ class TestSolveJet:
         assert result_of(out)["order"] == 5
 
 
+class TestOverflowingJetSolve:
+    """A jet solve whose operator, right-hand side or solution overflows
+    exits 3, or fails each row of solve-grid, with no warning and no
+    traceback."""
+
+    @staticmethod
+    def doc(x2):
+        """X = y + x2 y^2, A = 2 + 1e300 y, v = 1 + 1e300 y, lambda = 0."""
+        jet = lambda terms, shape: {"n": 1, "N": 6, "shape": shape,
+                                    "terms": terms}
+        return {"schema_version": 1, "problem": {
+            "n": 1, "m": 1, "N": 6, "lambda": 0.0,
+            "X": [jet([scalar_term((1,), 1.0), scalar_term((2,), x2)],
+                      "scalar")],
+            "A": jet([scalar_term((0,), [[2.0]]),
+                      scalar_term((1,), [[1e300]])], "matrix:1"),
+            "v": jet([scalar_term((0,), [1.0]), scalar_term((1,), [1e300])],
+                     "vector:1")},
+            "grid": {"points": [[1e-3], [-2e-3]]}}
+
+    # at 1e300 the degree-2 right-hand side overflows; at 1.5e308 so does
+    # 2 x2, an entry of the degree-3 slice
+    CASES = pytest.mark.parametrize("x2,message", [
+        (1e300, "the degree-2 right-hand side is not finite"),
+        (1.5e308, "the degree-3 slice of the operator is not finite"),
+    ], ids=["rhs", "slice"])
+
+    @CASES
+    @pytest.mark.parametrize("command", ["solve-jet", "kernel"])
+    def test_exits_3(self, run, command, x2, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(command, self.doc(x2))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_an_overflow_in_the_last_degree_exits_3(self, run):
+        # y u' = (1 + 1e-5) u + 1e305 y: u = -1e310 y overflows in the last
+        # slice solve, where no later right-hand side would see it
+        jet = lambda terms, shape: {"n": 1, "N": 1, "shape": shape,
+                                    "terms": terms}
+        doc = {"schema_version": 1, "problem": {
+            "n": 1, "m": 1, "N": 1, "lambda": 1 + 1e-5,
+            "X": [jet([scalar_term((1,), 1.0)], "scalar")],
+            "A": jet([], "matrix:1"),
+            "v": jet([scalar_term((1,), [1e305])], "vector:1")}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("solve-jet", doc)
+        assert (code, out) == (3, "")
+        assert err == "error: the order-1 solution is not finite\n"
+
+    @CASES
+    def test_solve_grid_fails_each_row(self, run, x2, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("solve-grid", self.doc(x2), "--output",
+                                 "json")
+        assert (code, err) == (0, "")
+        assert [(row["u"], row["error"]) for row in result_of(out)[
+            "points"]] == [(None, message)] * 2
+
+
 class TestSolveGrid:
     def grid(self, **config):
         return {"points": [[0.1], [0.5], [1.0]], "config": config}

@@ -1,22 +1,26 @@
 """Operator matrix assembly and its degree blocks."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
 
-from transportkit.errors import ShapeMismatchError
-from transportkit.jets import Jet, P_dim, VectorFieldJet, monomials
+import transportkit
+from transportkit.errors import NumericError, ShapeMismatchError
+from transportkit.jets import Jet, P_dim, VectorFieldJet, degree_starts, monomials
 from transportkit.opmatrix import (
     OperatorMatrix,
     ProblemData,
     apply_operator,
+    _row_block,
     _sparse_operator,
     assemble,
     jet_to_vec,
 )
 
-from conftest import reference_apply_operator, reference_assemble
+from conftest import load_recipes, reference_apply_operator, reference_assemble
 
 
 def gradient_example_problem(N=2, lam=0.0):
@@ -130,6 +134,71 @@ def test_leading_block_is_lower_order_operator(rng):
             np.testing.assert_allclose(L[:h, :h].toarray(),
                                        low[:h, :h].toarray(),
                                        rtol=0, atol=1e-13)
+
+
+def _recipe_operators():
+    """Recipe problems with n <= 3, each also with a complex A, and ids."""
+    recipes = load_recipes()
+    rng = np.random.default_rng(17)
+    cases = []
+    for n, m, N in ((1, 2, 7), (2, 1, 6), (2, 2, 5), (3, 1, 4), (3, 2, 3)):
+        for kind in recipes.LADDER_KINDS:
+            p = recipes.fredholm_problem(transportkit, rng, n, m, N, kind)
+            q = ProblemData(p.X, Jet(n, N, p.A.coeffs * (1 + 0.5j)), p.v,
+                            p.lam, N)
+            cases += [pytest.param(p, id=f"{kind}-{n}{m}{N}"),
+                      pytest.param(q, id=f"{kind}-{n}{m}{N}-complex")]
+    return cases
+
+
+@pytest.mark.parametrize("p", _recipe_operators())
+def test_sparse_operator_is_the_coo_built_matrix(p):
+    # the CSR arrays are built straight from the sorted unique keys: they
+    # are those the COO constructor makes from the same entries in any
+    # order, and the matrix is the jet-arithmetic oracle bit for bit
+    L = _sparse_operator(p)
+    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+    order = np.random.default_rng(0).permutation(L.nnz)
+    coo = coo_array((L.data[order], (rows[order], L.indices[order])),
+                    shape=L.shape).tocsr()
+    assert L.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(L, name), getattr(coo, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(L.toarray(), reference_assemble(p).entries)
+
+
+@pytest.mark.parametrize("p", _recipe_operators()[::5])
+def test_row_blocks_are_the_scipy_slices(p):
+    # each union of degree slices read from the CSR arrays: the diagonal
+    # block and the entries left of it are those scipy.sparse slices out
+    L = _sparse_operator(p)
+    offsets = degree_starts(p.n, p.N) * p.m
+    for k0 in range(p.N + 1):
+        for k1 in range(k0, p.N + 1):
+            r0, r1 = int(offsets[k0]), int(offsets[k1 + 1])
+            block, (rows, cols, vals) = _row_block(L, r0, r1, "rows")
+            assert np.array_equal(block, L[r0:r1, r0:r1].toarray())
+            left = np.zeros((r1 - r0, r0), dtype=L.dtype)
+            left[rows, cols] = vals
+            assert np.array_equal(left, L[r0:r1, :r0].toarray())
+            assert (L[r0:r1, r1:].nnz, rows.size) == (0, L[r0:r1, :r0].nnz)
+
+
+def test_an_overflowing_entry_is_refused_by_its_reader():
+    # 2 * 1.5e308 overflows in the entry of y^3 in D_X y^2: the builder
+    # keeps it without a warning, and reading its rows raises
+    N = 4
+    X = VectorFieldJet([Jet.from_terms(1, N, {(1,): 1.0, (2,): 1.5e308})])
+    p = ProblemData.scalar(X, Jet.constant(1, N, 2.0), Jet.zero(1, N), 0.0, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        L = _sparse_operator(p)
+    assert np.isinf(L[[3], [2]]).all()
+    _row_block(L, 0, 3, "degrees <= 2")
+    with pytest.raises(NumericError,
+                       match="degree 3 of the operator is not finite"):
+        _row_block(L, 3, 4, "degree 3")
 
 
 def test_block_lower_triangular(rng):

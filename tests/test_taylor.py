@@ -14,12 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import csr_array
 
 import transportkit
 from transportkit import opmatrix, spectral, taylor
 from transportkit.errors import (IllConditionedWarning, NearResonanceWarning,
                                  ValidationError)
-from transportkit.jets import Jet, VectorFieldJet
+from transportkit.jets import Jet, VectorFieldJet, degree_starts
 from transportkit.opmatrix import ProblemData, apply_operator, jet_to_vec
 from transportkit.spectral import resonance_degree
 from transportkit.taylor import MAX_ORDER, JetSolution, residual, solve_to_order
@@ -369,6 +371,66 @@ def test_lower_order_solve_is_the_projection(p, kind):
     assert len(orders) >= 2
     for M in orders:
         _assert_identical(solve(p.v.project(M)), solve_to_order(p, M))
+
+
+def _scipy_sliced_substitution(p, sol):
+    """The substitution above sol's head with every slice cut from L by
+    scipy.sparse indexing, as the solver once did: (U, condition_report),
+    one column of U per jet of sol, the particular one first."""
+    entry, n_star = resonance_degree(p)
+    q = p.at_order(max(p.N, n_star))
+    L = opmatrix._sparse_operator(q)
+    offsets = degree_starts(q.n, q.N) * q.m
+    first = n_star + 1 if entry is not None else 0
+    jets = [sol.particular] * sol.solvable + list(sol.kernel_extensions)
+    U = np.zeros((L.shape[0], len(jets)), dtype=L.dtype)
+    h = int(offsets[first])
+    U[:h] = np.column_stack([jet_to_vec(j) for j in jets])[:h]
+    if entry is not None:
+        assert np.array_equal(
+            opmatrix._row_block(L, 0, h, "head")[0], L[:h, :h].toarray())
+    target = np.zeros_like(U)
+    if sol.solvable:
+        target[:, 0] = jet_to_vec(q.v)
+    report = {}
+    for k in range(first, q.N + 1):
+        r0, r1 = int(offsets[k]), int(offsets[k + 1])
+        rows = L[r0:r1]
+        block = rows[:, r0:r1].toarray() - q.lam * np.eye(r1 - r0)
+        report[f"slice_{k}" if k else "head"] = float(np.linalg.cond(block))
+        U[r0:r1] = lu_solve(lu_factor(block), target[r0:r1] - rows @ U)
+    return U, report
+
+
+@pytest.mark.parametrize("p,kind", _projection_cases())
+def test_substitution_is_that_of_scipy_slices(p, kind):
+    # reading the slices from L's CSR arrays changes no bit of the
+    # particular solution, the kernel extensions or the condition report
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_to_order(p, p.N)
+        U, report = _scipy_sliced_substitution(p, sol)
+    assert (sol.resonance is not None, sol.solvable) == kind
+    jets = [sol.particular] * sol.solvable + list(sol.kernel_extensions)
+    assert np.array_equal(U, np.column_stack([jet_to_vec(j) for j in jets]))
+    assert sol.condition_report == report
+
+
+def test_solves_cut_no_sparse_slice(monkeypatch):
+    # the head block and every degree slice come from L's CSR arrays:
+    # scipy.sparse indexing is never reached
+    def refuse(self, key):
+        raise AssertionError(f"scipy.sparse slice {key}")
+
+    monkeypatch.setattr(csr_array, "__getitem__", refuse)
+    recipes = load_recipes()
+    rng = np.random.default_rng(5)
+    for kind in recipes.LADDER_KINDS:
+        p = recipes.fredholm_problem(transportkit, rng, 2, 2, 6, kind)
+        sol = solve_to_order(p, p.N)
+        assert (sol.resonance is not None, sol.solvable) == (
+            kind != "nonresonant", kind != "obstructed")
+        assert len(spectral.dual_kernel_basis(p)) == len(sol.duals)
 
 
 def test_kernel_basis_is_uncapped_and_factors_nothing_off_resonance(
