@@ -366,7 +366,7 @@ def cmd_solve_grid(args, doc):
     cfg = EvalConfig(**cfg)
     evaluate = _plan(FieldSampler.from_problem(p, radius=radius), p, cfg)
 
-    fields = ["tail_estimate", "horizon", "rate", "mode", "split_order"]
+    fields = ["tail_estimate", "horizon", "mode", "split_order"]
     rows = []
     points = grid["points"]
     for y, res in zip(points, evaluate(points)):  # a failure stays in its row

@@ -74,7 +74,7 @@ class FlowIntegrationError(NumericError):
 
 
 class TailDecayError(NumericError):
-    """The integrand showed no positive decay rate within the horizon."""
+    """The jet closure estimate stayed above tail_tol up to max_horizon."""
 
 
 class QuantityUnderflowError(NumericError):

@@ -23,11 +23,14 @@ near the source, where y_tau tends, the jet solver's particular solution
 u_J is accurate long before the integrand has decayed: u_J closes the
 integral there.
 
-When A(p) - lambda has an eigenvalue with nonpositive real part the raw
-integral diverges; the solution splits into a polynomial head (u_J's
-degrees up to the split order) plus a flat remainder whose integral does
-decay.  u_J, solved once per problem for all its points, is the jet
-solver's particular solution, so its Fredholm screen decides resonance.
+When A(p) - lambda has an eigenvalue with nonpositive real part the
+integral of v grows and cancels against the closure term, which the
+closure estimate cannot see (closed so, resonant problems missed by up to
+1.6e5 at estimates below 1e-10).  So the solution splits into a polynomial
+head (u_J's degrees up to the split order) plus a flat remainder whose
+integral does decay.  u_J, solved once per problem for all its points, is
+the jet solver's particular solution, so its Fredholm screen decides
+resonance.
 
 Everything here is real arithmetic.  Complex eigenvalue shifts are the
 jet solver's territory; they are rejected up front.
@@ -85,7 +88,7 @@ _DECAY_ABS_TOL = 1e-280
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances for evaluate_solution; every one is positive."""
+    """Tolerances for evaluate_solution: all positive, max_horizon >= _T_MIN."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -97,6 +100,9 @@ class EvalConfig:
             if not getattr(self, name) > 0:
                 raise ValidationError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.max_horizon < _T_MIN:
+            raise ValidationError(f"max_horizon must be at least {_T_MIN:g} (the "
+                                  f"earliest stop), got {self.max_horizon!r}")
         if self.max_horizon > _MAX_HORIZON:
             raise ValidationError(f"max_horizon must be at most {_MAX_HORIZON:g}, "
                                   f"got {self.max_horizon!r}")
@@ -347,8 +353,9 @@ class EvaluationResult:
     """u(y) with convergence diagnostics of the tail integration, built by _plan.
 
     u = [head(y)] + I(tau) + Finv(tau) (u_J - head)(y_tau) at the stop
-    tau = -horizon, and tail_estimate is |Finv(tau)|_F e_J(y_tau) there:
-    u_J's truncation error carried back to y, an estimate, not a bound.
+    tau = -horizon >= 2, and tail_estimate is |Finv(tau)|_F e_J(y_tau)
+    there, at most tail_tol: u_J's truncation error carried back to y, an
+    estimate, not a bound.
     The points of one evaluation share their solvers, so nfev, n_steps and
     n_chunks count the solvers this point rode in, whatever the number of
     points in them.
@@ -357,21 +364,12 @@ class EvaluationResult:
     u: np.ndarray
     tail_estimate: float
     horizon: float  # most negative time actually integrated
-    rate: float  # fitted decay rate of the integrand (in t, positive = decaying)
     mode: str  # "direct" or "split"
     split_order: int | None
     nfev: int  # RHS evaluations, summed over the solvers
     n_steps: int  # accepted integrator steps, summed over the solvers
     n_chunks: int  # integration segments, one DOP853 solver each
     n_points: int = 1  # points in the first solver; 1 for evaluate_solution
-
-
-def _fit_rate(ts: np.ndarray, gs: np.ndarray) -> float:
-    """Least-squares slope of log g against t, or 0 (no decay) if t cannot be fitted."""
-    if not np.sum(ts * ts) > 0:  # polyfit scales t by this norm; LAPACK fails on 0
-        return 0.0
-    logs = np.log(np.maximum(gs, _UNDERFLOW * 1e-40))
-    return float(np.polyfit(ts, logs, 1)[0])
 
 
 # a failed step shows in the solver's status, not as a numpy warning
@@ -382,15 +380,14 @@ def _tail_integrate(f: FieldSampler, sample, closure, ys: np.ndarray,
 
     Per point it returns a TransportKitError or its end (FlowState at the
     stop t = -tau, closure term Finv (u_J - head)(y_tau), closure estimate,
-    rate, counts), with Finv the inverse frame of A - lam and I integrating
+    counts), with Finv the inverse frame of A - lam and I integrating
     sample's v or remainder.  The points are one DOP853 state stepped
     toward max_horizon; rel_tol is not scaled by 1/sqrt(P) for scipy's RMS
     norm (measured against per-point solvers, no accuracy was lost).  Each
-    accepted step end is checked for region exit and frame overflow, and
-    g = |Finv v(y_t)| is read off the RHS DOP853 evaluated there; rate is
-    the slope of log g over the point's steps.  From tau = _T_MIN on, a
-    point stops where |Finv|_F e_J(y_tau) <= tail_tol (see _closure); at
-    max_horizon all stop, with TailDecayError unless g decayed.  A point
+    accepted step end is checked for region exit and frame overflow.  From
+    tau = _T_MIN on, a point stops where its closure estimate
+    |Finv|_F e_J(y_tau) <= tail_tol (see _closure); a point still open at
+    max_horizon ends with TailDecayError naming its estimate.  A point
     that stops or fails (at a step or a start that is not finite) ends its
     solver; the others go on in a new one from that tau.  A failed solver
     names no point, so its points are integrated again one by one.
@@ -401,7 +398,7 @@ def _tail_integrate(f: FieldSampler, sample, closure, ys: np.ndarray,
     z = np.hstack([ys, np.tile(np.eye(m, m + 1).ravel(), (len(ys), 1))])
     out = [None] * len(z)
     live = np.arange(len(z))
-    tau, taus, gs = 0.0, [], []  # gs: per step, g at every point, NaN if done
+    tau = 0.0
     counts = {"nfev": 0, "n_steps": 0, "n_chunks": 0, "n_points": len(ys)}
     while live.size:
         solver = DOP853(rhs, tau, z.ravel(), cfg.max_horizon,
@@ -429,31 +426,20 @@ def _tail_integrate(f: FieldSampler, sample, closure, ys: np.ndarray,
             for k in np.flatnonzero(exits | (frames > _FRAME_OVERFLOW)):
                 failed[k] = (_region_exit(f, -tau, z[k, :n]) if exits[k]
                              else _frame_overflow(-tau))
-            dI = solver.f.reshape(live.size, -1)[:, n + m::m + 1]
-            taus.append(tau)
-            gs.append(np.full(len(ys), np.nan))
-            # |dI| per row, with the bits of np.linalg.norm of each row
-            gs[-1][live] = np.sqrt((dI[:, None] @ dI[:, :, None]).ravel())
-            if tau >= _T_MIN or solver.status == "finished":
+            if tau >= _T_MIN:  # max_horizon >= _T_MIN: every point gets here
                 terms, estimates = closure(z[:, :n] - f.source)
                 estimates *= frames
-                closed = (estimates <= cfg.tail_tol) & (tau >= _T_MIN)
-                stops = np.flatnonzero(closed)
+                stops = np.flatnonzero((estimates <= cfg.tail_tol)
+                                       | (solver.status == "finished"))
         counts["nfev"] += solver.nfev
-        if solver.status == "finished":
-            stops = np.arange(live.size)
-        ts, samples = -np.array(taus), np.array(gs)
         for k in stops:
-            g = samples[:, live[k]]
-            rate = _fit_rate(ts, g)
-            if not closed[k] and rate <= 0 and not g[-1] <= _UNDERFLOW:
+            if not estimates[k] <= cfg.tail_tol:
                 out[live[k]] = TailDecayError(
-                    "integrand shows no decay within the horizon "
-                    f"(fitted rate {rate:.3e} at t = {-tau:.1f})")
+                    f"the jet closure estimate {estimates[k]:.3e} is above "
+                    f"tail_tol at t = {-tau:.1f}")
                 continue
             state = _flow_state(-tau, z[k].copy(), n, m)
-            out[live[k]] = (state, state.Finv @ terms[k], estimates[k], rate,
-                            dict(counts))
+            out[live[k]] = (state, state.Finv @ terms[k], estimates[k], dict(counts))
         for k, error in failed.items():
             out[live[k]] = error
         going = np.array([out[j] is None for j in live], dtype=bool)
@@ -527,9 +513,9 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
         ends = _tail_integrate(f, sample, closure, ys[ok], cfg)
         for (k, _), h, end in zip(compress(todo, ok), heads[ok], ends):
             if not isinstance(end, TransportKitError):
-                state, closing, estimate, rate, counts = end
+                state, closing, estimate, counts = end
                 u = h + state.I + closing
-                end = EvaluationResult(u, estimate, state.t, rate, "direct"
+                end = EvaluationResult(u, estimate, state.t, "direct"
                                        if head is None else "split", N, **counts)
                 if not np.isfinite(u).all():  # I is finite, so the closure overflowed
                     end = FlowIntegrationError(
@@ -578,16 +564,20 @@ def _prepare(f: FieldSampler, p: ProblemData):
 def _closure_order(p: ProblemData, N: int | None) -> int:
     """The order J of the closure jet u_J, for split order N (None: direct mode).
 
-    The largest J <= min(p.N, MAX_ORDER) whose solve stays within
-    _CLOSURE_COST; a lower J only stops each point later.  In split mode J
-    is at least N + 1, so that Finv(tau) |y_tau|^(J-1) decays, or N where
-    N + 1 is past MAX_ORDER or the product table (the order the head needs).
+    At least d_v + 1, d_v the lowest degree of a nonzero coefficient of v:
+    u_J is zero below d_v, so a lower J reads a zero estimate.  In split
+    mode also at least N + 1, so that Finv(tau) |y_tau|^(J-1) decays.  Then
+    the largest J <= min(p.N, MAX_ORDER) whose solve stays within
+    _CLOSURE_COST; a lower J only stops each point later.  Capped at
+    MAX_ORDER, and one lower where the product table refuses it.
     """
-    J = 0 if N is None else N + 1
+    first = np.argmax(np.any(p.v.coeffs != 0, axis=1))  # v's first nonzero row; 0 for v = 0
+    d_v = int(np.searchsorted(degree_starts(p.n, p.v.N), first, "right")) - 1
+    J = min(max(d_v, -1 if N is None else N) + 1, MAX_ORDER)
     while (J < min(p.N, MAX_ORDER)
            and P_dim(2 * p.n, J + 1) * p.m ** 2 <= _CLOSURE_COST):
         J += 1
-    return J if J <= MAX_ORDER and fits(2 * p.n, J) else N
+    return J if fits(2 * p.n, J) else J - 1
 
 
 def _closure(u: Jet, first: int):
@@ -595,6 +585,8 @@ def _closure(u: Jet, first: int):
 
     e_J(y) = |delta_{J-1}(y)| + |delta_J(y)| for u of order J: two degree
     blocks, so that one that is zero by parity cannot fake a zero estimate.
+    Both are zero when J is below v's lowest degree, where u_J is zero;
+    _closure_order keeps J above it.
     """
     J, c = u.N, u.coeffs
     starts = degree_starts(u.n, J)
@@ -694,4 +686,6 @@ def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,
         raise QuantityUnderflowError(
             "quantity underflowed inside the fitting window; shorten the "
             "horizon")
-    return _fit_rate(ts, vals)
+    if not np.sum(ts * ts) > 0:  # polyfit scales t by this norm; LAPACK fails on 0
+        return 0.0
+    return float(np.polyfit(ts, np.log(vals), 1)[0])

@@ -483,7 +483,7 @@ def reference_tail_integrate(f, sample, closure, ys, cfg):
     rows of (-A | v)], of flow._tail_integrate, whose layout
     TestFusedSampler checks against reference_reversed_rhs; closure is
     ignored; ys has one point per row, and the result is one end
-    (FlowState, closure term 0, g / rate, rate, counts) per point, as
+    (FlowState, closure term 0, g / rate, counts) per point, as
     flow._tail_integrate returns it, with n_points 1.  There are no
     region-exit or overflow events; the corpora it is run on stay inside
     both.  Monkeypatch it over flow._tail_integrate to evaluate through the
@@ -514,7 +514,7 @@ def _reference_tail_point(f, sample, y, cfg):
 
     def result(g, rate):
         state = FlowState(t=-tau, y_t=z[:n], Finv=z[n:k].reshape(m, m), I=z[k:])
-        return state, np.zeros(m), g / rate, rate, counts
+        return state, np.zeros(m), g / rate, counts
 
     while True:
         tau1 = min(tau + _REFERENCE_CHUNK, cfg.max_horizon)

@@ -26,7 +26,6 @@ from transportkit.errors import (
     RegionExitError,
     ResonantProblemError,
     TailDecayError,
-    TransportKitError,
     ValidationError,
 )
 from transportkit.flow import (
@@ -790,7 +789,8 @@ class TestEvaluateSolution:
         # A = -1 everywhere with v not vanishing at 0 and no head split
         # possible at order 0; force direct machinery via a doctored sampler,
         # closed with the solution u = -1 as a jet of order 1, whose
-        # estimate |Finv| |u(0)| grows
+        # estimate |Finv| |u(0)| = e^{-t} grows: at max_horizon the point
+        # ends with the estimate there
         f = FieldSampler(
             X_eval=lambda ys: ys,
             A_eval=constant(np.array([[-1.0]])),
@@ -801,6 +801,9 @@ class TestEvaluateSolution:
         (row,) = flow._tail_integrate(f, f._sample, closure, np.array([[0.3]]),
                                       EvalConfig(max_horizon=40.0))
         assert isinstance(row, TailDecayError)
+        match = re.fullmatch(r"the jet closure estimate (\S+) is above "
+                             r"tail_tol at t = -40\.0", str(row))
+        assert float(match[1]) == pytest.approx(math.exp(40.0), rel=1e-3)
 
     def test_a_nan_sample_ends_its_row(self):
         # sqrt(cos(20 y)) is NaN for 20 y in (pi/2, 3 pi/2), a band the
@@ -847,8 +850,8 @@ class TestEvaluateSolution:
         (alone,) = evaluate([[0.5]])
         assert (good.mode, good.split_order) == ("split", 3)
         assert np.array_equal(good.u, alone.u)
-        assert (good.tail_estimate, good.horizon, good.rate) == \
-            (alone.tail_estimate, alone.horizon, alone.rate)
+        assert (good.tail_estimate, good.horizon) == \
+            (alone.tail_estimate, alone.horizon)
 
     def test_integrate_flow_refuses_a_start_that_is_not_finite(self):
         # sqrt(cos(20 y)) is NaN at 0.1: DOP853's first step would be NaN
@@ -859,21 +862,24 @@ class TestEvaluateSolution:
             integrate_flow(f, [0.1], -1.0)
 
     @pytest.mark.parametrize("a", [1.0, -0.5], ids=["direct", "split"])
-    def test_unfittable_horizon_reports_no_decay(self, capfd, a):
-        # at max_horizon = 1e-300 every squared time of the tail window
-        # underflows to zero, which polyfit cannot scale
+    def test_smallest_horizon_stops_at_the_earliest_stop(self, capfd, a):
+        # max_horizon = 2 is the least EvalConfig accepts: in either mode
+        # the point is read at t = -2, where the order-4 jet closes
+        # u = y^2 / (2 + a) exactly, and nothing is printed
         p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
-        with pytest.raises(TransportKitError, match="no decay"):
-            evaluate_solution(FieldSampler.from_problem(p), p, [0.5],
-                              EvalConfig(max_horizon=1e-300))
+        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.5],
+                                EvalConfig(max_horizon=2.0))
+        assert res.mode == ("direct" if a > 0 else "split")
+        assert res.horizon == -2.0 and res.tail_estimate == 0.0
+        assert res.u[0] == pytest.approx(0.25 / (2.0 + a), rel=1e-8)
         assert capfd.readouterr().out == ""
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_tail_check_reads_finv_v(self, solvers, fused):
-        # X = y, A = [[1, 5], [0, 2]], v = (0, 1): Finv(t) = exp(tA) and
-        # g(t) = |Finv v| = |(5 (e^{2t} - e^t), e^{2t})|; the transposed
-        # frame would read e^{2t}.  The rate is the slope of log g over the
-        # point's steps (about 1.55 over [-2, 0], against 2 transposed)
+        # X = y, A = [[1, 5], [0, 2]], v = (0, 1): Finv(t) = exp(tA) =
+        # [[e^t, 5 (e^{2t} - e^t)], [0, e^{2t}]], and I integrates
+        # Finv v = (5 (e^{2t} - e^t), e^{2t}); the transposed frame would
+        # put the 5 (e^{2t} - e^t) below the diagonal
         p = ProblemData(VectorFieldJet.euler(1, 2),
                         Jet.constant(1, 2, np.array([[1.0, 5.0], [0.0, 2.0]])),
                         Jet.constant(1, 2, np.array([0.0, 1.0])), 0.0, 2)
@@ -881,14 +887,16 @@ class TestEvaluateSolution:
         if not fused:
             f = replace(f)  # the per-point fallback of callable samplers
         closure = flow._closure(solve_to_order(p, 2).particular, 0)
-        ((state, closing, estimate, rate, _),) = flow._tail_integrate(
+        ((state, closing, estimate, _),) = flow._tail_integrate(
             f, f._sample, closure, np.array([[0.5]]),
             EvalConfig(tail_tol=1e-8, abs_tol=1e-30))
         ts = np.array([-t for s in solvers for t, _ in s.ends])
-        g = np.hypot(5 * (np.exp(2 * ts) - np.exp(ts)), np.exp(2 * ts))
         assert state.t == ts[-1] and -2.5 < state.t <= -2.0
-        assert rate == pytest.approx(flow._fit_rate(ts, g), rel=1e-6)
-        assert abs(rate - flow._fit_rate(ts, np.exp(2 * ts))) > 0.1
+        e1, e2 = math.exp(state.t), math.exp(2 * state.t)
+        assert np.allclose(state.Finv, [[e1, 5 * (e2 - e1)], [0.0, e2]],
+                           rtol=1e-7, atol=1e-12)
+        assert np.allclose(state.I, [5 * ((1 - e2) / 2 - (1 - e1)), (1 - e2) / 2],
+                           rtol=1e-7, atol=1e-12)
         # u = int_{-inf}^0 exp(sA) v ds = A^{-1} v, a constant, so the
         # jet's top blocks are 0 and it closes the integral exactly
         assert estimate == 0.0
@@ -898,48 +906,43 @@ class TestEvaluateSolution:
     @pytest.mark.parametrize("mode", ["direct", "split"])
     def test_tail_samples_are_the_integrand_at_each_step(
             self, solvers, monkeypatch, rng, fused, mode):
-        # every g the rate is fitted on is |Finv v(y_t)| at an accepted
-        # step end, with v sampled afresh through the integrand, and the
-        # fit covers all of the point's steps
+        # the tail is sampled at every accepted step end from t = -2 on:
+        # the closure reads u_J at the position DOP853 stepped to, its
+        # estimate is |Finv|_F e_J there, and the point stops at the first
+        # step end whose estimate is at most tail_tol, with that step's
+        # estimate and time in its row
         p = random_flow_problem(rng, 2, 2, 4, 0.0)
         mu = float(np.min(np.linalg.eigvals(p.A.coeffs[0]).real))
         p = replace(p, lam=mu - 1.0 if mode == "direct" else mu + 0.3)
         f = FieldSampler.from_problem(p)
         if not fused:
             f = replace(f)
-        integrated, fits = [], []
-        tail_integrate, fit_rate = flow._tail_integrate, flow._fit_rate
+        reads, closure = [], flow._closure
 
-        def recording_tail(f, sample, closure, ys, cfg):
-            integrated.append(sample)
-            return tail_integrate(f, sample, closure, ys, cfg)
+        def recording(u, first):
+            read = closure(u, first)
 
-        def recording_fit(ts, gs):
-            fits.append((ts.copy(), gs.copy()))
-            return fit_rate(ts, gs)
+            def reading(ys):
+                terms, e = read(ys)
+                reads.append((ys.copy(), e.copy()))
+                return terms, e
+            return reading
 
-        monkeypatch.setattr(flow, "_tail_integrate", recording_tail)
-        monkeypatch.setattr(flow, "_fit_rate", recording_fit)
-        res = evaluate_solution(f, p, [0.3, -0.2])
-        assert res.mode == mode and len(fits) == 1
-        (sample,) = integrated
-        calls = []  # the sampler's callables, called while sampling below
-        for name in ("X_eval", "A_eval", "v_eval"):
-            def counting(y, fn=getattr(f, name), name=name):
-                calls.append(name)
-                return fn(y)
-            object.__setattr__(f, name, counting)
-        ends = {-t: z for s in solvers for t, z in s.ends}
-        assert {t for ts, _ in fits for t in ts} == set(ends)
-        for ts, gs in fits:
-            for t, g_t in zip(ts, gs):
-                z = ends[t]
-                Finv = z[2:].reshape(2, 3)[:, :2]
-                v = sample(z[None, :2])[0, 2:].reshape(2, 3)[:, 2]
-                assert g_t == pytest.approx(np.linalg.norm(Finv @ v), rel=1e-13)
-        # a from_problem integrand is its coefficient matrix alone
-        n_samples = sum(len(ts) for ts, _ in fits)
-        assert len(calls) == (0 if fused else 3 * n_samples)
+        monkeypatch.setattr(flow, "_closure", recording)
+        cfg = EvalConfig(tail_tol=1e-10)
+        res = evaluate_solution(f, p, [0.3, -0.2], cfg)
+        assert res.mode == mode
+        ends = [(tau, z) for s in solvers for tau, z in s.ends if tau >= 2.0]
+        assert len(reads) == len(ends) > 0
+        estimates = []
+        for (ys, e), (tau, z) in zip(reads, ends):
+            assert np.array_equal(ys, z[None, :2])  # the source is the origin
+            Finv = z[2:].reshape(2, 3)[:, :2]
+            estimates.append(e[0] * np.linalg.norm(Finv))
+        assert all(e > cfg.tail_tol for e in estimates[:-1])
+        assert res.tail_estimate == pytest.approx(estimates[-1], rel=1e-15)
+        assert res.tail_estimate <= cfg.tail_tol
+        assert res.horizon == -ends[-1][0]
 
     @pytest.mark.parametrize("a", [1.0, -0.5])
     def test_counts_match_the_integrator(self, solvers, a):
@@ -993,10 +996,22 @@ class TestEvaluateSolution:
     @pytest.mark.parametrize("field,value", [
         ("rel_tol", 0.0), ("rel_tol", -1e-9), ("abs_tol", -1e-12),
         ("tail_tol", 0.0), ("max_horizon", 0.0), ("max_horizon", -3.0),
-        ("rel_tol", math.nan)])
+        ("max_horizon", 1e-300), ("max_horizon", 1.9), ("rel_tol", math.nan)])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValidationError, match=field):
             EvalConfig(**{field: value})
+
+    def test_config_refuses_a_horizon_before_the_earliest_stop(self, solvers):
+        # no point stops before t = -2, so a smaller max_horizon would end
+        # every point before the closure's stop rule is read
+        with pytest.raises(ValidationError) as info:
+            EvalConfig(max_horizon=1.9)
+        assert str(info.value) == (
+            "max_horizon must be at least 2 (the earliest stop), got 1.9")
+        p = scalar_euler_problem(1.0, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.5],
+                                EvalConfig(max_horizon=2.0))
+        assert [s.t_bound for s in solvers] == [2.0] and res.horizon == -2.0
 
     @pytest.mark.parametrize("max_horizon", [1e6, 1e300, 100_000.5])
     def test_config_bounds_the_horizon(self, max_horizon):
@@ -1208,6 +1223,17 @@ def linearized_problem(rng, DX, A0, lam, N=6):
     return ProblemData(VectorFieldJet(comps), Jet(n, N, A), Jet(n, N, v), lam, N)
 
 
+# (DX(0), A(0), lambda, point radii, mode) of linearized_problem
+NON_DIAGONAL = {
+    "jordan": ([[1.0, 3.0], [0.0, 1.0]], [[0.5, 3.0], [0.0, 0.5]], 2.7,
+               (0.6, 0.8), "split"),
+    "rotating-direct": ([[1.0, -6.0], [6.0, 1.0]], [[0.5, 0.0], [0.0, 1.0]],
+                        0.0, (0.1, 0.3), "direct"),
+    "rotating-split": ([[1.0, -6.0], [6.0, 1.0]], [[0.5, 0.0], [0.0, 1.0]],
+                       1.3, (0.1, 0.3), "split"),
+}
+
+
 class TestNonDiagonalLinearizations:
     """The closure takes nothing from the jet but its value near the
     source.  A Jordan block DX(0) = [[1, 3], [0, 1]] with A(0) = [[0.5, 3],
@@ -1218,13 +1244,8 @@ class TestNonDiagonalLinearizations:
 
     CFG = EvalConfig(rel_tol=1e-11, abs_tol=1e-14, tail_tol=1e-12)
 
-    @pytest.mark.parametrize("DX,A0,lam,radii,mode", [
-        ([[1.0, 3.0], [0.0, 1.0]], [[0.5, 3.0], [0.0, 0.5]], 2.7, (0.6, 0.8),
-         "split"),
-        ([[1.0, -6.0], [6.0, 1.0]], [[0.5, 0.0], [0.0, 1.0]], 0.0, (0.1, 0.3),
-         "direct"),
-        ([[1.0, -6.0], [6.0, 1.0]], [[0.5, 0.0], [0.0, 1.0]], 1.3, (0.1, 0.3),
-         "split")], ids=["jordan", "rotating-direct", "rotating-split"])
+    @pytest.mark.parametrize("DX,A0,lam,radii,mode", NON_DIAGONAL.values(),
+                             ids=NON_DIAGONAL.keys())
     def test_closed_u_matches_the_unclosed_oracle(self, monkeypatch, DX, A0, lam,
                                                   radii, mode):
         # bound set before the run: 1e-9 relative (measured: at most 1.3e-11,
@@ -1339,8 +1360,8 @@ class TestSharedSolvers:
             alone = evaluate_solution(f, p, y, self.CFG)
             assert res.n_points == 1
             assert res.u.tobytes() == alone.u.tobytes()
-            assert (res.rate, res.horizon, res.nfev) == \
-                (alone.rate, alone.horizon, alone.nfev)
+            assert (res.tail_estimate, res.horizon, res.nfev) == \
+                (alone.tail_estimate, alone.horizon, alone.nfev)
 
     def test_point_checks_stay_in_their_rows(self):
         p = self.escaping_problem()
@@ -1390,10 +1411,9 @@ class TestEndState:
             rows = flow._plan(f, p, cfg)(list(ys))
             heads = np.zeros((2, m)) if head is None else head.evaluate(ys)
             for y, h, row, end in zip(ys, heads, rows, ends):
-                state, closing, estimate, rate, counts = end
+                state, closing, estimate, counts = end
                 assert np.array_equal(row.u, h + state.I + closing)
-                assert (row.horizon, row.rate, row.tail_estimate) == \
-                    (state.t, rate, estimate)
+                assert (row.horizon, row.tail_estimate) == (state.t, estimate)
                 assert (row.mode, row.split_order) == \
                     ("split" if split else "direct", N)
                 assert [getattr(row, k) for k in counts] == list(counts.values())
@@ -1416,6 +1436,45 @@ class TestEndState:
                     1e-8 * np.max(np.abs(Finv)) + 1e-16
 
 
+class TestRowInvariant:
+    """The jet closure decides every stop: every row the flow returns has
+    its closure estimate at most tail_tol, at a time no later than t = -2."""
+
+    @staticmethod
+    def cases(kind):
+        """(problem, points, config) of the flow tests' problems of a kind."""
+        rng = np.random.default_rng(3400)
+        if kind in ("direct", "split"):
+            for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                p = random_flow_problem(rng, n, m, 4, 0.0)
+                mu = float(np.min(np.linalg.eigvals(p.A.coeffs[0]).real))
+                p = replace(p, lam=mu - 1.0 if kind == "direct" else mu + 0.3)
+                yield p, [ball_point(rng, n) for _ in range(3)], EvalConfig()
+        elif kind == "resonant":
+            for p, r in TestResonantEvaluation.problems()[:8]:
+                yield (p, [ball_point(r, p.n) for _ in range(3)],
+                       TestResonantEvaluation.CFG)
+        else:
+            DX, A0, lam, radii, _ = NON_DIAGONAL[kind]
+            p = linearized_problem(rng, np.array(DX), np.array(A0), lam)
+            ys = [y * rng.uniform(*radii) / np.linalg.norm(y)
+                  for y in rng.standard_normal((3, 2))]
+            for cfg in (EvalConfig(), TestNonDiagonalLinearizations.CFG):
+                yield p, ys, cfg
+
+    @pytest.mark.parametrize("kind", ["direct", "split", "resonant",
+                                      *NON_DIAGONAL])
+    def test_every_row_is_closed(self, kind):
+        modes = set()
+        for p, ys, cfg in self.cases(kind):
+            for row in flow._plan(FieldSampler.from_problem(p), p, cfg)(ys):
+                assert isinstance(row, flow.EvaluationResult), row
+                assert row.tail_estimate <= cfg.tail_tol
+                assert row.horizon <= -2.0
+                modes.add(row.mode)
+        assert modes == {"direct" if kind.endswith("direct") else "split"}
+
+
 class TestClosureOrder:
     """The closure jet's order J: the data's order where its solve is
     cheap, lower where the product table and A's entries would grow, and in
@@ -1433,7 +1492,52 @@ class TestClosureOrder:
         (1, 1, 64, 64, 64),    # ... and past MAX_ORDER
     ])
     def test_order(self, n, m, N, split, J):
-        assert flow._closure_order(SimpleNamespace(n=n, m=m, N=N), split) == J
+        v = Jet.constant(n, N, np.ones(m))  # d_v = 0
+        assert flow._closure_order(SimpleNamespace(n=n, m=m, N=N, v=v), split) == J
+
+    @pytest.mark.parametrize("n, m, N, alpha, split, J", [
+        (1, 37, 4, (2,), None, 3),     # past the budget at J = 1
+        (1, 36, 4, (2,), None, 3),
+        (5, 1, 10, (7, 0, 0, 0, 0), None, 8),
+        (1, 1, 64, (64,), None, 64),   # capped at MAX_ORDER
+        (1, 1, 8, (2,), 5, 8),         # the split order's floor is higher
+        (3, 1, 30, (27, 0, 0), None, 27),  # the product table refuses 28
+    ])
+    def test_order_is_above_the_lowest_degree_of_v(self, n, m, N, alpha, split, J):
+        # u_J is zero below v's lowest degree d_v, so J is at least d_v + 1
+        # whatever the budget, or the estimate reads 0
+        e = np.eye(m)[0]
+        v = Jet.from_terms(n, N, {alpha: e}, shape=(m,))
+        assert flow._closure_order(SimpleNamespace(n=n, m=m, N=N, v=v), split) == J
+
+    @pytest.mark.parametrize("m", [36, 37])
+    def test_a_quadratic_v_on_many_components_is_closed(self, m):
+        # X = y, A = id, v = y^2 e_0: u = y^2 / 3 e_0.  The budget alone
+        # gave J = 1 at m = 36, where u_J = 0 and the estimate read 0 at
+        # t = -2.3, 1.0e-3 off, and J = 0 at m = 37, which solve_to_order
+        # refuses.  Bound set before the run: 1e-8 relative (measured:
+        # 5.7e-10 and 5.5e-10)
+        v = Jet.from_terms(1, 4, {(2,): np.eye(m)[0]}, shape=(m,))
+        p = ProblemData(VectorFieldJet.euler(1, 4), Jet.constant(1, 4, np.eye(m)),
+                        v, 0.0, 4)
+        res = evaluate_solution(FieldSampler.from_problem(p), p, [0.3])
+        assert abs(res.u[0] - 0.03) <= 1e-8 * 0.03
+        assert np.max(np.abs(res.u[1:])) <= 1e-12
+        assert 0.0 < res.tail_estimate <= EvalConfig().tail_tol
+
+    def test_a_degree_7_v_in_five_variables_is_closed(self):
+        # y . grad u + u = y1^7: u = y1^7 / 8.  The budget alone gave J = 5,
+        # where u_J = 0: the estimate read 0 and the row was 1.1e-8 off.
+        # Bound set before the run: 1e-9 relative (measured: 1.4e-10)
+        N = 10
+        p = ProblemData(VectorFieldJet.euler(5, N), Jet.constant(5, N, np.eye(1)),
+                        Jet.from_terms(5, N, {(7, 0, 0, 0, 0): [1.0]}, shape=(1,)),
+                        0.0, N)
+        y = [0.9, 0.3, 0.0, -0.2, 0.1]
+        res = evaluate_solution(FieldSampler.from_problem(p), p, y)
+        exact = 0.9 ** 7 / 8
+        assert abs(res.u[0] - exact) <= 1e-9 * exact
+        assert res.tail_estimate > 0.0
 
     def test_high_order_direct_problem_is_solved_at_the_budget(self, monkeypatch):
         # y . grad u + u = y1^2 in three variables at order 27: u = y1^2 / 3
