@@ -11,11 +11,9 @@ Wanner (Solving Ordinary Differential Equations I, ch. II).  The state
 is stored as [y | rows of (Finv | I)]: the (m, m+1) block W = [Finv | I]
 has derivative Finv [-A | v], so with the samplers' values stored as
 [-X | rows of (-A | v)] one RHS call is one sample and one matrix product.
-_integrand builds that sample once per plan, with lambda absorbed into A
-and in split mode the remainder in place of v.  Every point of a plan call
-shares X, A and v, so the evaluator integrates the points as one state of
-P joint states (method of lines) and steps scipy's DOP853 solver
-directly; each point keeps its own stop and its own error.
+Every point of a plan call shares X, A and v, so the evaluator integrates
+the points as one state of P joint states (method of lines) and steps
+scipy's DOP853 solver directly; each point keeps its own stop and error.
 integrate_flow, which returns a dense trajectory, goes through solve_ivp.
 
 Every smooth solution satisfies u(y) = I(tau) + Finv(tau) u(y_tau), and
@@ -28,9 +26,10 @@ integral of v grows and cancels against the closure term, which the
 closure estimate cannot see (closed so, resonant problems missed by up to
 1.6e5 at estimates below 1e-10).  So the solution splits into a polynomial
 head (u_J's degrees up to the split order) plus a flat remainder whose
-integral does decay.  u_J, solved once per problem for all its points, is
-the jet solver's particular solution, so its Fredholm screen decides
-resonance.
+integral does decay.  The jets decide the split, resonance (the Fredholm
+screen of u_J, solved once per problem) and the order J, which for a
+callable sampler stays within the jets' order: its values feed only the
+integrand.
 
 Everything here is real arithmetic.  Complex eigenvalue shifts are the
 jet solver's territory; they are rejected up front.
@@ -47,6 +46,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 from .errors import (
     FlowIntegrationError,
+    NumericError,
     QuantityUnderflowError,
     RegionExitError,
     ResonantProblemError,
@@ -272,8 +272,7 @@ def _reversed_rhs(sample, n: int, m: int):
     The state is P joint states, the rows of a (P, n + m*(m+1)) array,
     flattened.  With sample: rows y -> [-X | rows of (-A | v)] (see
     _integrand), d/dtau (y, [Finv | I]) = (-X, Finv [-A | v]) is one sample
-    of the P positions and one batched (P, m, m) @ (P, m, m+1) product.  A
-    fused sample is one (P, P_dim) monomial matrix and one coefficient matmul.
+    of the P positions and one batched (P, m, m) @ (P, m, m+1) product.
     """
     width = n + m * (m + 1)
 
@@ -405,10 +404,10 @@ def _tail_integrate(f: FieldSampler, sample, closure, ys: np.ndarray,
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         counts["n_chunks"] += 1
         failed, stops = {}, []  # failed: position in live -> error
-        if not np.isfinite(solver.f).all():  # a NaN first step would never end
-            for k in np.flatnonzero(~np.isfinite(solver.f.reshape(live.size, -1)).all(1)):
-                failed[k] = FlowIntegrationError(
-                    "integrator failed: the integrand is not finite")
+        # a NaN first step would never end
+        for k in np.flatnonzero(~np.isfinite(solver.f.reshape(live.size, -1)).all(1)):
+            failed[k] = FlowIntegrationError(
+                "integrator failed: the integrand is not finite")
         while solver.status == "running" and not (failed or len(stops)):
             message = solver.step()
             if solver.status == "failed":
@@ -476,8 +475,7 @@ def _plan(f: FieldSampler, p: ProblemData | None, cfg: EvalConfig):
     An error of the per-problem work is each such point's row, as in
     evaluate_solution.
     """
-    if p is None:
-        p = f.consistent_jets
+    p = f.consistent_jets if p is None else p
     if p is None:
         raise ValidationError("evaluate_solution needs problem jets: pass p "
                               "or build the sampler with consistent_jets")
@@ -531,25 +529,24 @@ def _prepare(f: FieldSampler, p: ProblemData):
 
     head and N are None in direct mode; otherwise N is the smallest N >= 1
     with mu_star + N nu > nu / 20.  One jet solve gives u_J at the order J
-    of _closure_order; the head, u_J's degrees up to N, is
-    solve_to_order(p, N)'s particular solution bit for bit.
+    of _closure_order (<= p.N for a callable); the head, u_J's degrees up to
+    N, is solve_to_order(p, N)'s particular solution bit for bit.
     """
     nu = float(np.min(linearization_spectrum(p.X).real))
     if nu <= 0:
         raise ValidationError("flow evaluation needs an expanding source: "
                               f"min Re mu = {nu:g} for the linearization of X")
-    A_p = np.asarray(f.A_eval(f.source[None]), dtype=float)[0] - p.lam * np.eye(f.m)
-    mu_star = float(np.min(np.linalg.eigvals(A_p).real))
+    mu_star = float(np.min(np.linalg.eigvals(p.A.coeffs[0] - p.lam * np.eye(p.m)).real))
     N = None
     if mu_star <= RESONANCE_TOL:  # a resonant lambda has mu_star <= RESONANCE_TOL
         # kept finite past MAX_ORDER, which solve_to_order refuses
         N = max(1, math.floor(min((0.05 * nu - mu_star) / nu, MAX_ORDER)) + 1)
-        if f._joint is None and p.N < N:
-            raise ValidationError(
-                f"jet data of order {p.N} cannot support a split at order {N}; "
-                "supply deeper jets or polynomial samplers")
-
-    sol = solve_to_order(p, _closure_order(p, N))
+    J = min(_closure_order(p, N), p.N if f._joint is None else MAX_ORDER)
+    if f._joint is None and N is not None and J <= N:
+        raise ValidationError(
+            f"jet data of order {p.N} cannot support a split at order {N}; "
+            "supply deeper jets or polynomial samplers")
+    sol = solve_to_order(p, max(J, N or 0))  # refuses N past MAX_ORDER
     if not sol.solvable:
         raise ResonantProblemError(
             f"lambda = {p.lam:g} is resonant and v is obstructed: dual kernel "
@@ -586,7 +583,9 @@ def _closure(u: Jet, first: int):
     e_J(y) = |delta_{J-1}(y)| + |delta_J(y)| for u of order J: two degree
     blocks, so that one that is zero by parity cannot fake a zero estimate.
     Both are zero when J is below v's lowest degree, where u_J is zero;
-    _closure_order keeps J above it.
+    _closure_order keeps J above it.  For a callable sampler J <= p.N, and
+    data past the jets goes unseen: v = y^3 with order-2 jets (X = y, A = 1)
+    has u_J = 0, and its row at y = 0.5 is 9.8e-5 off with estimate 0.
     """
     J, c = u.N, u.coeffs
     starts = degree_starts(u.n, J)
@@ -603,16 +602,12 @@ def _closure(u: Jet, first: int):
 def _remainder_jet(p: ProblemData, u_head: Jet, N: int) -> Jet:
     """v - (D_X + A - lam) u_head as a jet of order p.N + N, head degrees zeroed.
 
-    When the fields are exactly the jet polynomials the remainder is a
-    polynomial too.  Computing it once in the jet algebra at the full
-    product order and zeroing the head degrees (pure solver round-off
-    there) avoids the cancellation noise a pointwise difference of O(1)
-    terms would leave; that noise would stop decaying along the trajectory
-    and stall the tail criterion.
+    Computed once per plan in the jet algebra, it fills from_problem's
+    coefficient matrix, so a split RHS call is one matmul, and its head
+    degrees (solver round-off) are zeroed exactly, as no pointwise sum is.
     """
     D = p.N + N
-    r_jet = -residual(p.at_order(D), u_head.extend(D))
-    coeffs = np.array(r_jet.coeffs)
+    coeffs = np.array(-residual(p.at_order(D), u_head.extend(D)).coeffs)
     coeffs[:degree_starts(p.n, D)[N + 1]] = 0.0
     return Jet(p.n, D, coeffs)
 
@@ -626,8 +621,8 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
     from_problem sampler gets lam and the remainder jet in its coefficient
     matrix, cut once per plan after its highest degree d with a nonzero
     row, so a sample is one (P, P_dim(n, d)) monomial matrix times it.  A
-    callable sampler is sampled once per call, on all P points, and the
-    shift and the remainder are read off that sample.
+    callable sampler is sampled once per call, lam added to its -A diagonal
+    in place, and one jet [u_head | its n partials] gives the remainder.
     """
     n, m, lam = f.n, f.m, p.lam
     a_cols, v_cols = _block_columns(n, m)
@@ -642,17 +637,17 @@ def _integrand(f: FieldSampler, p: ProblemData, u_head: Jet | None = None,
         d = int(np.searchsorted(degree_starts(n, D), last, "right")) - 1
         coeffs = coeffs[:P_dim(n, d)]
         return lambda ys: _monomial_vector(ys, d) @ coeffs
-    shift = lam * np.eye(m)
-    grads = [] if u_head is None else [u_head.partial(i) for i in range(n)]
+    if u_head is not None:  # u_head and its n partials, read at y - source
+        head = Jet(n, N, np.hstack([u_head.coeffs] + [u_head.partial(i).extend(N).coeffs
+                                                     for i in range(n)]))
 
     def sample(ys):
         s = f._sample(ys)
-        A = -s[:, a_cols] - shift
-        s[:, a_cols] = -A
+        s[:, np.diag(a_cols)] += lam  # the block holds -A, now -(A - lam)
         if u_head is not None:
-            local = ys - f.source  # the jets' coordinates
-            du = sum(-s[:, [i]] * g.evaluate(local) for i, g in enumerate(grads))
-            s[:, v_cols] -= du + np.einsum("kij,kj->ki", A, u_head.evaluate(local))
+            h = head.evaluate(ys - f.source).reshape(len(ys), n + 1, m)
+            s[:, v_cols] += (np.einsum("kij,kj->ki", s[:, a_cols], h[:, 0])
+                             + np.einsum("ki,kij->kj", s[:, :n], h[:, 1:]))
         return s
 
     return sample
@@ -665,7 +660,9 @@ def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,
     quantity is "flow" (distance of y_t to the source), "transition"
     (spectral norm of Finv), or a callable FlowState -> float.  The rate
     is the least-squares slope of its log against t over the last 30% of
-    the horizon, so a positive value means decay as t goes to -inf.
+    the horizon, so a positive value means decay as t goes to -inf.  If the
+    log spreads by at most 1e-12 there, the samples differ by rounding only:
+    the rate is unresolved, and NumericError names the horizon.
     """
     if quantity == "flow":
         qfun = lambda st: float(np.linalg.norm(st.y_t - f.source))
@@ -680,12 +677,15 @@ def empirical_decay_rate(f: FieldSampler, y, quantity="flow", *,
         raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
     traj = integrate_flow(f, y, -horizon, rel_tol=1e-9, abs_tol=_DECAY_ABS_TOL,
                           first_step=min(1e-3, 0.01 * horizon))
-    ts = np.linspace(-horizon, -0.7 * horizon, 60)
-    vals = np.array([qfun(traj.at(t)) for t in ts])
+    # the window in units of the horizon: polyfit cannot scale times whose squares underflow
+    ts = np.linspace(-1.0, -0.7, 60)
+    vals = np.array([qfun(traj.at(horizon * t)) for t in ts])
     if np.any(vals < _UNDERFLOW):
         raise QuantityUnderflowError(
             "quantity underflowed inside the fitting window; shorten the "
             "horizon")
-    if not np.sum(ts * ts) > 0:  # polyfit scales t by this norm; LAPACK fails on 0
-        return 0.0
-    return float(np.polyfit(ts, np.log(vals), 1)[0])
+    logs = np.log(vals)
+    if not np.ptp(logs) > 1e-12:
+        raise NumericError(f"the decay rate is unresolved at horizon = {horizon!r}: the "
+                           f"log spreads by {np.ptp(logs):.1e} <= 1e-12 over the window")
+    return float(np.polyfit(ts, logs, 1)[0]) / horizon

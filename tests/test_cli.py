@@ -645,6 +645,15 @@ class TestSolveGrid:
             assert row["mode"] == "split"
             assert abs(row["u"][0] - y * y / 1.5) < 1e-8
 
+    def test_a_split_past_max_order_is_an_error_row(self, run):
+        # A = -64.5 needs split order 65: every row says so, where a bare
+        # ValueError used to end the command with a traceback (exit 1)
+        doc = radial_doc(-64.5, [scalar_term((2,), [1.0])], grid=self.grid())
+        code, out, err = run("solve-grid", doc, "--output", "json")
+        assert (code, err) == (0, "")
+        assert [row["error"] for row in result_of(out)["points"]] == \
+            ["requested order 65 exceeds the solver cap 64"] * 3
+
     def test_csv_shape(self, run):
         doc = radial_doc(1.0, [scalar_term((2,), [1.0])],
                          grid=self.grid())

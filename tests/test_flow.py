@@ -22,6 +22,7 @@ from transportkit import flow
 from transportkit.errors import (
     FlowIntegrationError,
     NearResonanceWarning,
+    NumericError,
     QuantityUnderflowError,
     RegionExitError,
     ResonantProblemError,
@@ -369,7 +370,8 @@ class TestFusedSampler:
 
     def test_callable_split_samples_each_field_once_per_rhs_call(self):
         # X = y, A = -1, v = y^2 + y^3 runs in split mode; the plan reads
-        # A at the source once, and each RHS call samples X, A and v once
+        # its decisions off the jets and samples no field, and each RHS call
+        # samples X, A and v once
         p = scalar_euler_problem(-1.0, Jet.from_terms(1, 4, {(2,): 1.0,
                                                              (3,): 1.0}),
                                  0.0, 4)
@@ -384,8 +386,9 @@ class TestFusedSampler:
 
         f = FieldSampler(**{name: counting(name) for name in calls},
                          source=np.zeros(1))
-        evaluate = flow._plan(f, p, EvalConfig())
         calls.update(dict.fromkeys(calls, 0))
+        evaluate = flow._plan(f, p, EvalConfig())
+        assert calls == dict.fromkeys(calls, 0)
         (res,) = evaluate([[0.5]])
         assert res.mode == "split" and res.nfev > 100
         assert calls == dict.fromkeys(calls, res.nfev)
@@ -700,6 +703,59 @@ class TestEvaluateSolution:
         with pytest.raises(ValidationError, match=re.escape(
                 "jet data of order 1 cannot support a split at order 2")):
             evaluate_solution(replace(f), p, [0.3])
+
+    @pytest.mark.parametrize("a", [-64.5, -70.5])
+    def test_a_split_past_max_order_is_refused(self, a):
+        # A = a needs split order 65, past the closure jet's MAX_ORDER = 64:
+        # the head used to escape as a bare ValueError ("cannot project
+        # order-64 jet up to order 65")
+        p = scalar_euler_problem(a, Jet.from_terms(1, 4, {(2,): 1.0}), 0.0, 4)
+        with pytest.raises(ValidationError, match=re.escape(
+                "requested order 65 exceeds the solver cap 64")):
+            evaluate_solution(FieldSampler.from_problem(p), p, [0.1])
+
+    def test_callable_split_needs_jets_past_the_split_order(self):
+        # X = y, A = -1/2, v = y^2 splits at order 1 and has u = y^2 / 1.5.
+        # Order-1 jets of v are zero: closed with them, the row read
+        # u = 0.161394 against 1/6 (3.2% off) with tail_estimate 0, so the
+        # closure order may not pass the jets' order and a split needs it
+        # above the split order.  With order-2 jets the row is within 1e-10
+        # relative (measured: 3.9e-12)
+        f = sampler_1d(-0.5, lambda ys: ys ** 2)
+        v = Jet.from_terms(1, 2, {(2,): 1.0})
+        p = scalar_euler_problem(-0.5, v.project(1), 0.0, 1)
+        with pytest.raises(ValidationError, match=re.escape(
+                "jet data of order 1 cannot support a split at order 1")):
+            evaluate_solution(f, p, [0.5])
+        res = evaluate_solution(f, scalar_euler_problem(-0.5, v, 0.0, 2), [0.5])
+        assert (res.mode, res.split_order) == ("split", 1)
+        assert res.u[0] == pytest.approx(1 / 6, rel=1e-10)
+
+    def test_callable_split_reads_one_head_jet_per_rhs_call(self, monkeypatch):
+        # n = 2: u_head and its two partials are one jet, evaluated once per
+        # RHS call on all the points; the plan evaluates the head once more,
+        # at the points themselves.  The fields are numpy callables, so
+        # every Jet.evaluate call is the flow's own
+        X, A = np.diag([1.0, 1.5]), np.array([[-0.7, 0.2], [0.0, -0.4]])
+        v = Jet.from_terms(2, 6, {(2, 0): [1.0, 0.0], (0, 3): [0.0, 1.0]},
+                           shape=(2,))
+        p = ProblemData(VectorFieldJet.from_linear(X, 6), Jet.constant(2, 6, A),
+                        v, 0.0, 6)
+        f = FieldSampler(X_eval=lambda ys: ys @ X.T, A_eval=constant(A),
+                         v_eval=lambda ys: np.stack([ys[:, 0] ** 2, ys[:, 1] ** 3], 1),
+                         source=np.zeros(2), consistent_jets=p)
+        evaluate = flow._plan(f, p, EvalConfig())
+        calls, jet_evaluate = [], Jet.evaluate
+
+        def counting(self, ys):
+            calls.append(self.value_shape)
+            return jet_evaluate(self, ys)
+
+        monkeypatch.setattr(Jet, "evaluate", counting)
+        rows = evaluate([[0.3, -0.2], [-0.1, 0.25]])
+        assert {row.mode for row in rows} == {"split"}
+        assert len(calls) == rows[0].nfev + 1
+        assert calls.count((2,)) == 1 and calls.count((6,)) == rows[0].nfev
 
     def test_split_order_independence(self):
         p = scalar_euler_problem(-0.5, Jet.from_terms(1, 5, {(2,): 1.0, (3,): 0.5}),
@@ -1785,6 +1841,18 @@ class TestEmpiricalDecayRate:
                 f"horizon must be positive and finite, got {horizon!r}")):
             empirical_decay_rate(FieldSampler.from_problem(p), [0.5],
                                  horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [1e-155, 3.2e-159, 1e-12])
+    def test_unresolved_rate_raises(self, horizon):
+        # over [-horizon, -0.7 horizon] |y_t| changes by 0.3 horizon in
+        # log, at or below rounding: the fit used to return -8.25e139 at
+        # 1e-155 and -2.55e143 at 3.2e-159
+        f = sampler_1d(1.0, lambda ys: ys ** 2)
+        with pytest.raises(NumericError, match=re.escape(
+                f"the decay rate is unresolved at horizon = {horizon!r}")):
+            empirical_decay_rate(f, [0.5], "flow", horizon=horizon)
+        assert empirical_decay_rate(f, [0.5], "flow", horizon=1e-9) == \
+            pytest.approx(1.0, rel=1e-5)
 
     def test_tiny_horizon_fails_without_warnings(self):
         # first_step = 0.01 horizon = 1e-302: the step size underflows, and
