@@ -12,9 +12,9 @@ product and derivative (jets._mul_table, jets._diff_table) into a
 canonical CSR matrix, so integer inputs yield integer matrix entries.
 The basis is graded, so the rows and columns of degree <= k are exactly
 the operator at order k, and the rows of one degree are one contiguous
-range of the CSR arrays: _row_block reads the jet solver's degree slices
-and resonant head block from that range of the one matrix it factors per
-operator, with no scipy.sparse slicing.  assemble is its dense
+range of the CSR arrays: _row_blocks cuts the jet solver's resonant head
+block and all its degree slices from the one matrix it factors per
+operator in one pass, with no scipy.sparse slicing.  assemble is its dense
 form, the public reference, and apply_operator its product with one
 jet, so the package has one implementation of the operator; the
 independent check on it, by jet arithmetic, is a test oracle.
@@ -172,7 +172,7 @@ def apply_operator(p: ProblemData, u: Jet) -> Jet:
     return vec_to_jet(_sparse_operator(q) @ jet_to_vec(uu), q.n, order, q.m)
 
 
-# an entry that overflows stays in the matrix, for _row_block to refuse
+# an entry that overflows stays in the matrix, for _row_blocks to refuse
 @np.errstate(over="ignore", invalid="ignore")
 def _sparse_operator(p: ProblemData) -> csr_array:
     """(D_X + A) on P_N tensor V as a CSR matrix in the basis order (lambda not included).
@@ -211,23 +211,33 @@ def _sparse_operator(p: ProblemData) -> csr_array:
                      shape=(dim, dim))
 
 
-def _row_block(L: csr_array, r0: int, r1: int, name: str):
-    """Rows r0:r1 of L, from one degree offset to another, read from its CSR arrays.
+def _row_blocks(L: csr_array, bounds, lam, names):
+    """The rows of L between consecutive bounds, cut in one pass over its CSR arrays.
 
-    Returns the dense diagonal block L[r0:r1, r0:r1], right of which the
-    rows have no entry (the operator never lowers degree), and the
-    entries left of it as (row - r0, column, value) in CSR order.
-    NumericError, naming the rows by name, when an entry is not finite.
+    For each range bounds[i]:bounds[i + 1] of the array bounds of degree
+    offsets: its dense diagonal block minus lam, a view of one flat buffer,
+    right of which the rows have no entry (the operator never lowers
+    degree), and the entries left of it as (row - bounds[i], column, value)
+    in CSR order.  NumericError names by names[i] the first range with an
+    entry that is not finite.
     """
-    lo, hi = L.indptr[r0], L.indptr[r1]
-    cols, vals = L.indices[lo:hi], L.data[lo:hi]
+    sizes, ptr = np.diff(bounds), L.indptr[bounds[0]:bounds[-1] + 1]
+    cols, vals = L.indices[ptr[0]:ptr[-1]], L.data[ptr[0]:ptr[-1]]
+    row_seg = np.repeat(np.arange(sizes.size), sizes)  # the range of each row
+    row_loc = np.arange(bounds[0], bounds[-1]) - bounds[row_seg]
+    seg, loc = (np.repeat(a, np.diff(ptr)) for a in (row_seg, row_loc))
     if not np.isfinite(vals).all():
-        raise NumericError(f"{name} of the operator is not finite")
-    rows = np.repeat(np.arange(r1 - r0), np.diff(L.indptr[r0:r1 + 1]))
-    block = np.zeros((r1 - r0, r1 - r0), dtype=L.dtype)
-    diag = cols >= r0
-    block[rows[diag], cols[diag] - r0] = vals[diag]  # the keys are unique
-    return block, (rows[~diag], cols[~diag], vals[~diag])
+        raise NumericError(f"{names[seg[~np.isfinite(vals)][0]]} of the operator is "
+                           "not finite")
+    base = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    buf = np.zeros(base[-1], dtype=L.dtype)
+    diag = cols >= bounds[seg]  # the keys are unique
+    buf[(base[seg] + loc * sizes[seg] + cols - bounds[seg])[diag]] = vals[diag]
+    buf[base[row_seg] + row_loc * (sizes[row_seg] + 1)] -= lam
+    ends = np.concatenate(([0], np.cumsum(~diag)))[ptr[bounds - bounds[0]] - ptr[0]]
+    left = loc[~diag], cols[~diag], vals[~diag]
+    return [(buf[base[i]:base[i + 1]].reshape(h, h),
+             tuple(a[ends[i]:ends[i + 1]] for a in left)) for i, h in enumerate(sizes)]
 
 
 def assemble(p: ProblemData) -> OperatorMatrix:

@@ -37,7 +37,7 @@ from .errors import (NearResonanceWarning, RankAmbiguityWarning, ValidationError
                      _stacklevel)
 from .jets import (MAX_COEFFS, Jet, P_dim, VectorFieldJet, _compositions,
                    _encode_value, fits)
-from .opmatrix import ProblemData, _row_block, _sparse_operator
+from .opmatrix import ProblemData, _row_blocks, _sparse_operator
 
 __all__ = [
     "RESONANCE_TOL",
@@ -363,8 +363,9 @@ def _head_split(p: ProblemData, L, order: int, tol: float):
     its own sigma_max is tiny.
     """
     h = P_dim(p.n, order) * p.m
-    block = _row_block(L, 0, h, f"the head block (degrees <= {order})")[0]
-    U, s, Vh, report = _svd_rank(block - p.lam * np.eye(h), tol)
+    block = _row_blocks(L, np.array([0, h]), p.lam,
+                        [f"the head block (degrees <= {order})"])[0][0]
+    U, s, Vh, report = _svd_rank(block, tol)
     r = report.rank
     left = _canonicalize_columns(U[:, r:].conj())
     tiny = 10 * h * np.finfo(float).eps * np.abs(left).max(axis=0, initial=0.0)

@@ -15,9 +15,11 @@ solve at a lower order is their projection, stopped at that degree:
    lambda there is no head.
 2. Degrees: for each degree k above the head (from 0 when lambda is
    non-resonant) the diagonal block L[k, k] - lambda, the action of
-   D_0 + A(0) - lambda on the homogeneous slice, is invertible.  It is
-   factored once, and one LU solve gives the degree-k coefficients of the
-   particular solution and of every kernel extension (v = 0) together:
+   D_0 + A(0) - lambda on the homogeneous slice, is invertible.  LAPACK
+   getrf factors it once, gecon estimates its 1-norm condition number
+   from that LU (no SVD; IllConditionedWarning above 1e12), and one getrs
+   solve gives the degree-k coefficients of the particular solution and
+   of every kernel extension (v = 0) together:
    with the unknowns as the columns of U, the right-hand side is the
    sparse product target[k] - L[k, <k] U[<k], read from L's CSR arrays
    and added in scipy.sparse's order, so bit for bit its value.  The
@@ -37,12 +39,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (IllConditionedWarning, NumericError, ValidationError,
                      _stacklevel)
 from .jets import Jet, degree_starts
-from .opmatrix import (ProblemData, _common_field, _row_block,
+from .opmatrix import (ProblemData, _common_field, _row_blocks,
                        _sparse_operator, apply_operator, jet_to_vec, vec_to_jet)
 from .spectral import (OBSTRUCTION_TOL, RESONANCE_TOL, _head_split, _screen,
                        resonance_degree)
@@ -61,8 +63,9 @@ class JetSolution:
     otherwise the solutions on P_N tensor V form the affine family
     particular + span(kernel_extensions).  obstructions pairs v with each
     dual kernel functional in duals (both empty when lambda is
-    non-resonant), condition_report the condition numbers of the solves and
-    working_order the order of its jets, M raised to the resonance degree.
+    non-resonant), condition_report each slice's LAPACK 1-norm condition
+    estimate (IllConditionedWarning above 1e12) and working_order the order
+    of its jets, M raised to the resonance degree.
     """
 
     particular: Jet | None
@@ -104,19 +107,19 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
 
     Returns solve(v, obstruction_tol=OBSTRUCTION_TOL), bit for bit
     solve_to_order's JetSolution for v at any order v.N in [n_star, q.N].
-    A slice or right-hand side that is not finite raises NumericError
-    naming its degree, and so does a solution that overflows.
+    A slice that is not finite or singular, or a right-hand side that is
+    not finite, raises NumericError naming its degree, and so does a
+    solution that overflows.
     """
     offsets = degree_starts(q.n, q.N) * q.m
     L = _sparse_operator(q)
     head = _head_split(q, L, n_star, tol) if entry is not None else None
-    first, slices = n_star + 1 if entry is not None else 0, []
-    for k in range(first, q.N + 1):
-        r0, r1 = int(offsets[k]), int(offsets[k + 1])
-        block, left = _row_block(L, r0, r1, f"the degree-{k} slice")
-        block = block - q.lam * np.eye(r1 - r0)
-        slices.append((k, r0, r1, left, np.linalg.cond(block),
-                       lu_factor(block, check_finite=False)))
+    first = n_star + 1 if entry is not None else 0
+    names = [f"the degree-{k} slice" for k in range(first, q.N + 1)]
+    cut = _row_blocks(L, offsets[first:], q.lam, names)
+    slices = [(k, int(offsets[k]), int(offsets[k + 1]), left, *_slice_lu(block, name))
+              for k, name, (block, left) in zip(range(first, q.N + 1), names, cut)]
+    getrs = get_lapack_funcs("getrs", dtype=L.dtype)
 
     def solve(v: Jet, obstruction_tol: float = OBSTRUCTION_TOL) -> JetSolution:
         duals = obstructions = ()
@@ -140,9 +143,9 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
 
         condition_report = {}
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            for k, r0, r1, left, cond, lu in slices[:v.N + 1 - first]:
+            for k, r0, r1, left, lu, piv, cond in slices[:v.N + 1 - first]:
                 label = f"slice {k}" if k else "head"
-                condition_report[label.replace(" ", "_")] = float(cond)
+                condition_report[label.replace(" ", "_")] = cond
                 if cond > _COND_WARN:
                     warnings.warn(f"{label} solve condition number {cond:.2e}",
                                   IllConditionedWarning, stacklevel=_stacklevel())
@@ -150,7 +153,7 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
                 rhs = target[r0:r1] - _left_product(left, U, r1 - r0)
                 if not np.isfinite(rhs).all():
                     raise NumericError(f"the degree-{k} right-hand side is not finite")
-                U[r0:r1] = lu_solve(lu, rhs, check_finite=False)
+                U[r0:r1] = getrs(lu, piv, rhs, overwrite_b=True)[0]
         if not np.isfinite(U).all():  # the head or the last degree overflows
             raise NumericError(f"the order-{v.N} solution is not finite")
 
@@ -161,6 +164,17 @@ def _factor(q: ProblemData, entry, n_star: int, tol: float):
                            condition_report=condition_report, working_order=v.N)
 
     return solve
+
+
+def _slice_lu(block: np.ndarray, name: str):
+    """getrf's (lu, piv) of a slice and 1 / rcond, gecon's 1-norm condition
+    estimate from them; NumericError naming the slice when a pivot is 0."""
+    getrf, gecon, lange = get_lapack_funcs(("getrf", "gecon", "lange"), (block,))
+    lu, piv, info = getrf(block)
+    if info > 0:
+        raise NumericError(f"{name} is singular: pivot {info} is exactly zero")
+    rcond = gecon(lu, lange("1", block))[0]
+    return lu, piv, 1 / rcond if rcond > 0 else np.inf
 
 
 def _left_product(left, U: np.ndarray, h: int) -> np.ndarray:
@@ -177,7 +191,7 @@ def _left_product(left, U: np.ndarray, h: int) -> np.ndarray:
     parts = ([a * x.real - b * x.imag, a * x.imag + b * x.real]
              if np.iscomplexobj(U) else [a * x])
     sums = [np.bincount(slots, part.ravel(), minlength=h * c) for part in parts]
-    return np.stack(sums, axis=-1).view(U.dtype).reshape(h, c)
+    return (np.stack(sums, -1).view(U.dtype) if len(sums) > 1 else sums[0]).reshape(h, c)
 
 
 def residual(p: ProblemData, u: Jet) -> Jet:

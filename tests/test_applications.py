@@ -480,7 +480,7 @@ class TestWKBStructure:
         # resonance enumeration, one sparse operator, one head SVD and one
         # LU per degree slice, where the parent made J + 1 of each
         calls = {"resonance_degree": 0, "_sparse_operator": [], "svd": [],
-                 "lu_factor": []}
+                 "_slice_lu": []}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -498,7 +498,7 @@ class TestWKBStructure:
         counting(applications, "resonance_degree")
         counting(taylor, "resonance_degree")
         counting(taylor, "_sparse_operator")
-        counting(taylor, "lu_factor")
+        counting(taylor, "_slice_lu")
         counting(np.linalg, "svd")
         V = Jet.from_terms(1, 40, {(2,): 1.0, (3,): 0.3, (4,): 0.1})
         res = wkb_expand(WKBProblem(V=V, level=2, J=10, N=40))
@@ -506,7 +506,7 @@ class TestWKBStructure:
         assert calls["resonance_degree"] == 1
         assert calls["_sparse_operator"] == [38]  # M0 = N - 2
         assert calls["svd"] == [(3, 3)]  # the head: degrees <= level
-        assert calls["lu_factor"] == [(1, 1)] * (38 - 2)  # degrees 3 .. 38
+        assert calls["_slice_lu"] == [(1, 1)] * (38 - 2)  # degrees 3 .. 38
 
     def test_ill_conditioned_warning_names_the_caller(self, monkeypatch):
         # every 1 x 1 slice has condition number 1: a threshold below it

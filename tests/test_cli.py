@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 import transportkit
 from transportkit import (
@@ -556,6 +557,26 @@ class TestSolveJet:
                         "--order", "5")
         assert code == 0
         assert result_of(out)["order"] == 5
+
+    def test_a_singular_slice_exits_3_naming_its_degree(self, run):
+        # y u' + A u = v with A(0) = [[1, 2], [2, 4]] at lambda = 0: --tol 0
+        # misses the eigenvalue 0 of A(0) by rounding, so the degree-0
+        # slice A(0) is factored, and its second pivot is exactly zero
+        jet = lambda terms, shape: {"n": 1, "N": 3, "shape": shape,
+                                    "terms": terms}
+        doc = {"schema_version": 1, "problem": {
+            "n": 1, "m": 2, "N": 3, "lambda": 0.0,
+            "X": [jet([scalar_term((1,), 1.0)], "scalar")],
+            "A": jet([scalar_term((0,), [[1.0, 2.0], [2.0, 4.0]])],
+                     "matrix:2"),
+            "v": jet([scalar_term((0,), [1.0, 1.0])], "vector:2")}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run("solve-jet", doc, "--tol", "0")
+        assert (code, out) == (3, "")
+        assert err == ("error: the degree-0 slice is singular: pivot 2 is "
+                       "exactly zero\n")
+        assert not [w for w in caught if w.category is LinAlgWarning]
 
 
 class TestOverflowingJetSolve:

@@ -14,7 +14,7 @@ from transportkit.opmatrix import (
     OperatorMatrix,
     ProblemData,
     apply_operator,
-    _row_block,
+    _row_blocks,
     _sparse_operator,
     assemble,
     jet_to_vec,
@@ -170,35 +170,46 @@ def test_sparse_operator_is_the_coo_built_matrix(p):
 
 @pytest.mark.parametrize("p", _recipe_operators()[::5])
 def test_row_blocks_are_the_scipy_slices(p):
-    # each union of degree slices read from the CSR arrays: the diagonal
-    # block and the entries left of it are those scipy.sparse slices out
+    # a union of degree slices, then every degree above it, cut from the
+    # CSR arrays in one pass: each diagonal block minus lambda and the
+    # entries left of it are those scipy.sparse slices out, bit for bit
     L = _sparse_operator(p)
     offsets = degree_starts(p.n, p.N) * p.m
     for k0 in range(p.N + 1):
         for k1 in range(k0, p.N + 1):
-            r0, r1 = int(offsets[k0]), int(offsets[k1 + 1])
-            block, (rows, cols, vals) = _row_block(L, r0, r1, "rows")
-            assert np.array_equal(block, L[r0:r1, r0:r1].toarray())
-            left = np.zeros((r1 - r0, r0), dtype=L.dtype)
-            left[rows, cols] = vals
-            assert np.array_equal(left, L[r0:r1, :r0].toarray())
-            assert (L[r0:r1, r1:].nnz, rows.size) == (0, L[r0:r1, :r0].nnz)
+            bounds = np.r_[offsets[k0], offsets[k1 + 1:]]
+            cut = _row_blocks(L, bounds, p.lam, [None] * (bounds.size - 1))
+            assert len(cut) == bounds.size - 1
+            for (block, (rows, cols, vals)), r0, r1 in zip(cut, bounds[:-1],
+                                                           bounds[1:]):
+                want = L[r0:r1, r0:r1].toarray() - p.lam * np.eye(r1 - r0)
+                assert block.dtype == want.dtype
+                assert np.array_equal(block, want)
+                left = np.zeros((r1 - r0, r0), dtype=L.dtype)
+                left[rows, cols] = vals
+                assert np.array_equal(left, L[r0:r1, :r0].toarray())
+                assert (L[r0:r1, r1:].nnz, rows.size) == (0, L[r0:r1, :r0].nnz)
 
 
 def test_an_overflowing_entry_is_refused_by_its_reader():
-    # 2 * 1.5e308 overflows in the entry of y^3 in D_X y^2: the builder
-    # keeps it without a warning, and reading its rows raises
+    # 2 * 1.5e308 overflows in the entry of y^3 in D_X y^2, and 3 * 1.5e308
+    # in that of y^4 in D_X y^3: the builder keeps both without a warning,
+    # and a cut that reaches them names the lowest degree they sit in
     N = 4
     X = VectorFieldJet([Jet.from_terms(1, N, {(1,): 1.0, (2,): 1.5e308})])
     p = ProblemData.scalar(X, Jet.constant(1, N, 2.0), Jet.zero(1, N), 0.0, N)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         L = _sparse_operator(p)
-    assert np.isinf(L[[3], [2]]).all()
-    _row_block(L, 0, 3, "degrees <= 2")
-    with pytest.raises(NumericError,
-                       match="degree 3 of the operator is not finite"):
-        _row_block(L, 3, 4, "degree 3")
+    assert np.isinf(L[[3, 4], [2, 3]]).all()
+    names = [f"degree {k}" for k in range(N + 1)]
+    _row_blocks(L, np.arange(4), 0.0, names)
+    for first in (0, 3):
+        with pytest.raises(NumericError,
+                           match="^degree 3 of the operator is not finite$"):
+            _row_blocks(L, np.arange(first, N + 2), 0.0, names[first:])
+    with pytest.raises(NumericError, match="^degrees <= 3 of the operator"):
+        _row_blocks(L, np.array([0, 4, 5]), 0.0, ["degrees <= 3", "degree 4"])
 
 
 def test_block_lower_triangular(rng):

@@ -14,7 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+import scipy.linalg
+from scipy.linalg import lu_solve
 from scipy.sparse import csr_array
 
 import transportkit
@@ -26,7 +27,8 @@ from transportkit.opmatrix import ProblemData, apply_operator, jet_to_vec
 from transportkit.spectral import resonance_degree
 from transportkit.taylor import MAX_ORDER, JetSolution, residual, solve_to_order
 
-from conftest import load_recipes, projector_distance, reference_solve_family
+from conftest import (load_recipes, projector_distance, reference_slice_lu,
+                      reference_solve_family)
 from test_acceptance import _random_fredholm_problem
 from test_opmatrix import gradient_example_problem
 from test_spectral import _random_resonant_problem, _rounding_residue_problem
@@ -253,13 +255,13 @@ class TestSolverPolicies:
         # slice is factored
         p = gradient_example_problem(N=6, lam=0.0)
         want = solve_to_order(p, 1).duals
-        factored, lu_factor = [], taylor.lu_factor
+        factored, slice_lu = [], taylor._slice_lu
 
         def counting(*args, **kwargs):
             factored.append(args[0].shape)
-            return lu_factor(*args, **kwargs)
+            return slice_lu(*args, **kwargs)
 
-        monkeypatch.setattr(taylor, "lu_factor", counting)
+        monkeypatch.setattr(taylor, "_slice_lu", counting)
         got = spectral.dual_kernel_basis(p)
         assert factored == []
         assert len(got) == len(want) == 1
@@ -387,8 +389,8 @@ def _scipy_sliced_substitution(p, sol):
     h = int(offsets[first])
     U[:h] = np.column_stack([jet_to_vec(j) for j in jets])[:h]
     if entry is not None:
-        assert np.array_equal(
-            opmatrix._row_block(L, 0, h, "head")[0], L[:h, :h].toarray())
+        ((head, _),) = opmatrix._row_blocks(L, np.array([0, h]), q.lam, ["head"])
+        assert np.array_equal(head, L[:h, :h].toarray() - q.lam * np.eye(h))
     target = np.zeros_like(U)
     if sol.solvable:
         target[:, 0] = jet_to_vec(q.v)
@@ -397,15 +399,16 @@ def _scipy_sliced_substitution(p, sol):
         r0, r1 = int(offsets[k]), int(offsets[k + 1])
         rows = L[r0:r1]
         block = rows[:, r0:r1].toarray() - q.lam * np.eye(r1 - r0)
-        report[f"slice_{k}" if k else "head"] = float(np.linalg.cond(block))
-        U[r0:r1] = lu_solve(lu_factor(block), target[r0:r1] - rows @ U)
+        lu, report[f"slice_{k}" if k else "head"] = reference_slice_lu(block)
+        U[r0:r1] = lu_solve(lu, target[r0:r1] - rows @ U)
     return U, report
 
 
 @pytest.mark.parametrize("p,kind", _projection_cases())
 def test_substitution_is_that_of_scipy_slices(p, kind):
-    # reading the slices from L's CSR arrays changes no bit of the
-    # particular solution, the kernel extensions or the condition report
+    # reading the slices from L's CSR arrays and factoring them with LAPACK
+    # directly changes no bit of the particular solution, the kernel
+    # extensions or the condition report
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = solve_to_order(p, p.N)
@@ -414,6 +417,25 @@ def test_substitution_is_that_of_scipy_slices(p, kind):
     jets = [sol.particular] * sol.solvable + list(sol.kernel_extensions)
     assert np.array_equal(U, np.column_stack([jet_to_vec(j) for j in jets]))
     assert sol.condition_report == report
+
+
+@pytest.mark.parametrize("p,kind", _projection_cases())
+def test_condition_is_the_lapack_estimate_of_kappa_1(p, kind):
+    # gecon's estimate never exceeds the exact 1-norm condition number
+    # (up to rounding) and, on these slices, comes within a factor of 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_to_order(p, p.N)
+    entry, n_star = resonance_degree(p)
+    L = opmatrix._sparse_operator(p).toarray()
+    offsets = degree_starts(p.n, p.N) * p.m
+    first = n_star + 1 if entry is not None else 0
+    assert len(sol.condition_report) == p.N + 1 - first
+    for k in range(first, p.N + 1):
+        r0, r1 = int(offsets[k]), int(offsets[k + 1])
+        kappa = np.linalg.cond(L[r0:r1, r0:r1] - p.lam * np.eye(r1 - r0), 1)
+        cond = sol.condition_report[f"slice_{k}" if k else "head"]
+        assert kappa / 10 <= cond <= kappa * (1 + 1e-9)
 
 
 def test_solves_cut_no_sparse_slice(monkeypatch):
@@ -433,15 +455,36 @@ def test_solves_cut_no_sparse_slice(monkeypatch):
         assert len(spectral.dual_kernel_basis(p)) == len(sol.duals)
 
 
+def test_slices_factor_without_scipy_wrappers_or_svd(monkeypatch):
+    # a non-resonant order-10 solve factors each slice with LAPACK
+    # getrf/gecon/getrs alone: scipy's LU wrappers, the SVD of
+    # np.linalg.cond and np.linalg.svd are never reached
+    def refuse(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return raising
+
+    for module, name in ((scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve"),
+                         (np.linalg, "cond"), (np.linalg, "svd")):
+        monkeypatch.setattr(module, name, refuse(name))
+    assert not hasattr(taylor, "lu_factor") and not hasattr(taylor, "lu_solve")
+    p = load_recipes().flow_problem(transportkit, np.random.default_rng(3),
+                                    2, 2, False)
+    sol = solve_to_order(p, 10)
+    assert sol.resonance is None and sol.working_order == 10
+    assert len(sol.condition_report) == 11
+    assert residual(p.at_order(10), sol.particular).norm() <= 1e-12 * p.v.norm()
+
+
 def test_kernel_basis_is_uncapped_and_factors_nothing_off_resonance(
         monkeypatch):
-    factored, lu_factor = [], taylor.lu_factor
+    factored, slice_lu = [], taylor._slice_lu
 
     def counting(*args, **kwargs):
         factored.append(args[0].shape)
-        return lu_factor(*args, **kwargs)
+        return slice_lu(*args, **kwargs)
 
-    monkeypatch.setattr(taylor, "lu_factor", counting)
+    monkeypatch.setattr(taylor, "_slice_lu", counting)
     assert spectral.kernel_basis(gradient_example_problem(N=6, lam=0.5)) == []
     assert factored == []
     # y u' = 2 u above the solver cap: the kernel is y^2, exactly
